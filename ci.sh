@@ -12,6 +12,12 @@ cargo build --release --offline --workspace
 echo "== cargo test --offline"
 cargo test -q --offline --workspace
 
+# The repo benchmark is a separate package with path dependencies on
+# crates/*, so a crate API change can break it without touching it.
+echo "== rotombench (repo benchmark package): build + test"
+cargo build --release --offline --manifest-path rotombench/Cargo.toml
+cargo test -q --offline --manifest-path rotombench/Cargo.toml
+
 echo "== gradcheck (autodiff vs central differences, every layer)"
 cargo test -q --offline -p rotom-nn gradcheck
 cargo test -q --offline -p rotom-nn --test gradcheck_layers

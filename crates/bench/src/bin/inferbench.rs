@@ -23,34 +23,17 @@
 use rotom::config::RotomConfig;
 use rotom::TinyLm;
 use rotom_augment::InvDa;
+use rotom_bench::time_best;
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 const CHILD_ENV: &str = "INFERBENCH_CHILD";
 const OUT_FILE: &str = "BENCH_infer.json";
 const BATCH: usize = 64;
-
-/// Best (minimum) wall time for `f` over `runs` timed passes, in seconds
-/// (one untimed warmup). Min-time is the robust estimator on a shared
-/// machine: interference from co-tenants only ever adds time, so the
-/// fastest pass is the closest observation of the code's real cost — the
-/// median was swinging ±30% run-to-run at 8 threads, which made the
-/// regression gates fire on noise.
-fn time_best(runs: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Sample {

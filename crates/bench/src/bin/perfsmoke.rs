@@ -1,35 +1,21 @@
-//! Perf smoke benchmark: std-`Instant` timings for the compute core.
+//! Perf smoke benchmark: best-of-N wall times for the compute core.
 //!
 //! Times square matmul at 64/256/512 (naive reference vs serial tiled vs
-//! pool-parallel tiled) plus one InvDA augmentation batch (serial vs
-//! parallel fan-out), and writes the results to `BENCH_compute.json` so
-//! successive PRs have a perf trajectory to compare against.
+//! pool-parallel tiled), the forward kernels, and one InvDA augmentation
+//! batch (serial vs parallel fan-out), and writes the results to
+//! `BENCH_compute.json` so successive PRs have a perf trajectory to compare
+//! against.
 //!
 //! Run with `cargo run --release --offline --bin perfsmoke`.
 
 use rotom_augment::{InvDa, InvDaConfig};
+use rotom_bench::time_best;
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::kernels;
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Median-of-runs wall time for `f`, in seconds.
-fn time_median(runs: usize, mut f: impl FnMut()) -> f64 {
-    // One untimed warmup to populate caches and page in buffers.
-    f();
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 struct MatmulRow {
     size: usize,
@@ -46,18 +32,19 @@ fn bench_matmul(size: usize, pool: &RotomPool) -> MatmulRow {
     let b: Vec<f32> = (0..size * size)
         .map(|_| rng.random_range(-1.0f32..1.0))
         .collect();
-    // Fewer runs for the big sizes; medians are stable well before 10 runs.
+    // Fewer runs for the big sizes; the minimum settles well before 10 runs.
     let runs = if size >= 512 { 5 } else { 9 };
     let serial = RotomPool::new(1);
-    let naive_s = time_median(runs, || {
+    let mut out = vec![0.0f32; size * size];
+    let mut tiled = |pool: &RotomPool| {
+        kernels::matmul_into(&a, &b, None, size, size, size, size, pool, &mut out);
+        std::hint::black_box(&mut out);
+    };
+    let naive_s = time_best(runs, || {
         std::hint::black_box(kernels::matmul_naive(&a, &b, size, size, size));
     });
-    let tiled_serial_s = time_median(runs, || {
-        std::hint::black_box(kernels::matmul_with_pool(&a, &b, size, size, size, &serial));
-    });
-    let tiled_parallel_s = time_median(runs, || {
-        std::hint::black_box(kernels::matmul_with_pool(&a, &b, size, size, size, pool));
-    });
+    let tiled_serial_s = time_best(runs, || tiled(&serial));
+    let tiled_parallel_s = time_best(runs, || tiled(pool));
     MatmulRow {
         size,
         naive_s,
@@ -85,16 +72,16 @@ fn bench_forward_kernels() -> Vec<ForwardRow> {
     let gamma: Vec<f32> = (0..cols).map(|_| rng.random_range(0.5f32..1.5)).collect();
     let beta: Vec<f32> = (0..cols).map(|_| rng.random_range(-0.5f32..0.5)).collect();
     let mut out = vec![0.0f32; rows * cols];
-    let softmax_s = time_median(9, || {
+    let softmax_s = time_best(9, || {
         kernels::softmax_fwd(&x, None, rows, cols, &mut out);
         std::hint::black_box(&mut out);
     });
-    let layernorm_s = time_median(9, || {
-        kernels::layernorm_fwd(&x, &gamma, &beta, 1e-5, rows, cols, &mut out);
+    let layernorm_s = time_best(9, || {
+        kernels::layernorm_fwd(&x, &gamma, &beta, 1e-5, rows, cols, &mut out, None);
         std::hint::black_box(&mut out);
     });
-    let gelu_s = time_median(9, || {
-        kernels::gelu_fwd(&x, &mut out);
+    let gelu_s = time_best(9, || {
+        kernels::gelu_fwd(&x, &mut out, None);
         std::hint::black_box(&mut out);
     });
     vec![
@@ -142,11 +129,11 @@ fn bench_invda(pool: &RotomPool) -> AugmentRow {
     let serial = RotomPool::new(1);
     // Fresh model caches per timing pass would conflate generation with
     // lookup; clear between runs so every pass measures the full fan-out.
-    let serial_s = time_median(3, || {
+    let serial_s = time_best(3, || {
         model.clear_cache();
         std::hint::black_box(model.augment_batch(&inputs, 17, &serial));
     });
-    let parallel_s = time_median(3, || {
+    let parallel_s = time_best(3, || {
         model.clear_cache();
         std::hint::black_box(model.augment_batch(&inputs, 17, pool));
     });

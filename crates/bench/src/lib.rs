@@ -290,6 +290,22 @@ pub fn pct(v: f32) -> String {
     format!("{:.2}", v * 100.0)
 }
 
+/// Best (minimum) wall time for `f` over `runs` timed passes, in seconds
+/// (one untimed warmup). Min-time is the robust estimator on a shared
+/// machine: interference from co-tenants only ever adds time, so the
+/// fastest pass is the closest observation of the code's real cost, where
+/// a median swings by tens of percent from run to run.
+pub fn time_best(runs: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..runs)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

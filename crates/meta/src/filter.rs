@@ -100,6 +100,7 @@ impl FilterModel {
             Some(self.store.value(self.b).data()),
             rotom_nn::kernels::Act::None,
             1,
+            1,
             2 * self.num_classes,
             2,
             rotom_nn::RotomPool::global(),

@@ -12,9 +12,10 @@
 //! * [`FaultKind::TornCheckpoint`] — make the next checkpoint write produce a
 //!   truncated file (a torn in-place write), which the loader must detect.
 //!
-//! Faults are armed per-thread either programmatically ([`arm`]) or from the
-//! `ROTOM_FAULT` environment variable on first use, with a `;`-separated spec
-//! grammar:
+//! Faults are armed per-thread either programmatically ([`arm`], which
+//! returns the parse error of a bad spec) or from the `ROTOM_FAULT`
+//! environment variable on first use (a bad spec warns once and arms
+//! nothing), with a `;`-separated spec grammar:
 //!
 //! ```text
 //! ROTOM_FAULT="kill@step=37"
@@ -53,7 +54,7 @@
 //! both never double-fires.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The kinds of injectable faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,25 +172,23 @@ impl FaultPlan {
     }
 }
 
+/// The plan `ROTOM_FAULT` arms, parsed once per process through
+/// [`crate::env::read`]; each plan (every thread's and the global one)
+/// starts from its own copy. A spec that fails to parse warns once, naming
+/// the parse error, and arms nothing.
+fn env_plan() -> FaultPlan {
+    static ENV_PLAN: OnceLock<FaultPlan> = OnceLock::new();
+    ENV_PLAN
+        .get_or_init(|| crate::env::read("ROTOM_FAULT", FaultPlan::parse).unwrap_or_default())
+        .clone()
+}
+
 thread_local! {
     static PLAN: RefCell<Option<FaultPlan>> = const { RefCell::new(None) };
 }
 
 fn with_plan<R>(f: impl FnOnce(&mut FaultPlan) -> R) -> R {
-    PLAN.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.is_none() {
-            let plan = std::env::var("ROTOM_FAULT")
-                .ok()
-                .map(|spec| {
-                    FaultPlan::parse(&spec)
-                        .unwrap_or_else(|e| panic!("invalid ROTOM_FAULT spec: {e}"))
-                })
-                .unwrap_or_default();
-            *p = Some(plan);
-        }
-        f(p.as_mut().unwrap())
-    })
+    PLAN.with(|p| f(p.borrow_mut().get_or_insert_with(env_plan)))
 }
 
 /// Arm the calling thread's faultpoints from a spec string, replacing any
@@ -216,16 +215,7 @@ static GLOBAL_PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 
 fn with_global_plan<R>(f: impl FnOnce(&mut FaultPlan) -> R) -> R {
     let mut guard = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.is_none() {
-        let plan = std::env::var("ROTOM_FAULT")
-            .ok()
-            .map(|spec| {
-                FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("invalid ROTOM_FAULT spec: {e}"))
-            })
-            .unwrap_or_default();
-        *guard = Some(plan);
-    }
-    f(guard.as_mut().unwrap())
+    f(guard.get_or_insert_with(env_plan))
 }
 
 /// Arm the **process-global** faultpoints (serving faults) from a spec

@@ -35,7 +35,10 @@
 //!
 //! The op set is deliberately small — exactly what a Transformer
 //! encoder/decoder, the Rotom filtering/weighting models, and the baseline
-//! RNNs need.
+//! RNNs need. The Transformer ops (matmuls, `add`, `scale`, softmax, layer
+//! norm, GELU) compute their values with the same [`kernels`] the tape-free
+//! inference plane calls, so the two forward paths share one copy of every
+//! formula.
 
 use crate::kernels;
 use crate::params::{ParamId, ParamPacks, ParamStore};
@@ -430,11 +433,7 @@ impl Tape {
                 }
                 _ => None,
             };
-            if let Some(pk) = pk {
-                kernels::matmul_prepacked_into(av, bv, pk, m, k, n, pool, &mut out);
-            } else {
-                kernels::matmul_into(av, bv, m, k, n, pool, &mut out);
-            }
+            kernels::matmul_into(av, bv, pk, m, m, k, n, pool, &mut out);
         }
         self.push(Op::Matmul(a, b), Tensor::from_vec(out, m, n))
     }
@@ -448,15 +447,23 @@ impl Tape {
         {
             let av = self.nodes[a.0].value.data();
             let bv = self.nodes[b.0].value.data();
-            kernels::matmul_transpose_b_into(av, bv, m, k, n, RotomPool::global(), &mut out);
+            let pool = RotomPool::global();
+            kernels::matmul_transpose_b_into(av, bv, None, m, m, k, n, pool, &mut out);
         }
         self.push(Op::MatmulTb(a, b), Tensor::from_vec(out, m, n))
     }
 
     /// Elementwise `a + b`.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.zip_into(a, b, |x, y| x + y);
-        self.push(Op::Add(a, b), v)
+        let (r, c) = self.shape(a);
+        assert_eq!((r, c), self.shape(b), "add shape mismatch");
+        let mut out = self.arena.take_dirty(r * c);
+        kernels::add_fwd(
+            self.nodes[a.0].value.data(),
+            self.nodes[b.0].value.data(),
+            &mut out,
+        );
+        self.push(Op::Add(a, b), Tensor::from_vec(out, r, c))
     }
 
     /// Elementwise `a - b`.
@@ -519,8 +526,11 @@ impl Tape {
 
     /// `a * c` for a compile-time constant `c`.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.map_into(a, |x| x * c);
-        self.push(Op::Scale(a, c), v)
+        let (r, cols) = self.shape(a);
+        let mut out = self.arena.take_dirty(r * cols);
+        out.copy_from_slice(self.nodes[a.0].value.data());
+        kernels::scale_fwd(&mut out, c);
+        self.push(Op::Scale(a, c), Tensor::from_vec(out, r, cols))
     }
 
     /// `a + c` elementwise for a constant `c`.
@@ -547,14 +557,7 @@ impl Tape {
         let (m, n) = self.shape(a);
         let mut t = self.arena.take_dirty(m * n);
         let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            for ((o, tt), &x) in out.iter_mut().zip(t.iter_mut()).zip(av) {
-                let th = gelu_tanh(x);
-                *tt = th;
-                *o = 0.5 * x * (1.0 + th);
-            }
-        }
+        kernels::gelu_fwd(self.nodes[a.0].value.data(), &mut out, Some(&mut t));
         self.push(Op::Gelu { a, t }, Tensor::from_vec(out, m, n))
     }
 
@@ -582,13 +585,8 @@ impl Tape {
             assert_eq!((mk.rows(), mk.cols()), (m, n), "mask shape mismatch");
         }
         let mut out = self.arena.take_dirty(m * n);
-        {
-            let x = &self.nodes[a.0].value;
-            for i in 0..m {
-                let mrow = mask.map(|mk| mk.row_slice(i));
-                softmax_row(x.row_slice(i), mrow, &mut out[i * n..(i + 1) * n]);
-            }
-        }
+        let x = self.nodes[a.0].value.data();
+        kernels::softmax_fwd(x, mask.map(|mk| mk.data()), m, n, &mut out);
         self.push(Op::Softmax(a), Tensor::from_vec(out, m, n))
     }
 
@@ -615,29 +613,19 @@ impl Tape {
         let (m, nc) = self.shape(x);
         assert_eq!(self.shape(gamma), (1, nc));
         assert_eq!(self.shape(beta), (1, nc));
-        let n = nc as f32;
         let mut out = self.arena.take_dirty(m * nc);
         let mut cache = self.ln_pool.pop().unwrap_or_default();
-        {
-            let xv = &self.nodes[x.0].value;
-            let g = self.nodes[gamma.0].value.data();
-            let b = self.nodes[beta.0].value.data();
-            cache.reserve(m);
-            for i in 0..m {
-                let row = xv.row_slice(i);
-                let mean = row.iter().sum::<f32>() / n;
-                let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-                let inv_std = 1.0 / (var + eps).sqrt();
-                cache.push((mean, inv_std));
-                for ((o, &v), (&gg, &bb)) in out[i * nc..(i + 1) * nc]
-                    .iter_mut()
-                    .zip(row)
-                    .zip(g.iter().zip(b))
-                {
-                    *o = (v - mean) * inv_std * gg + bb;
-                }
-            }
-        }
+        cache.resize(m, (0.0, 0.0));
+        kernels::layernorm_fwd(
+            self.nodes[x.0].value.data(),
+            self.nodes[gamma.0].value.data(),
+            self.nodes[beta.0].value.data(),
+            eps,
+            m,
+            nc,
+            &mut out,
+            Some(&mut cache),
+        );
         self.push(
             Op::LayerNorm {
                 x,
@@ -825,7 +813,8 @@ impl Tape {
             let lv = &self.nodes[logits.0].value;
             for i in 0..m {
                 let row = lv.row_slice(i);
-                let (max, sum) = softmax_row(row, None, &mut probs[i * c..(i + 1) * c]);
+                let (max, sum) =
+                    kernels::softmax_row_fwd(row, None, &mut probs[i * c..(i + 1) * c]);
                 let lse = sum.ln() + max;
                 for j in 0..c {
                     let t = targets[i * c + j];
@@ -935,21 +924,9 @@ impl Tape {
                         }
                         _ => None,
                     };
-                    if let Some(pt) = pt {
-                        kernels::matmul_transpose_b_prepacked_into(
-                            grad.data(),
-                            bv,
-                            pt,
-                            m,
-                            n,
-                            k,
-                            pool,
-                            &mut da,
-                        );
-                    } else {
-                        kernels::matmul_transpose_b_into(grad.data(), bv, m, n, k, pool, &mut da);
-                    }
-                    kernels::matmul_transpose_a_into(av, grad.data(), m, k, n, pool, &mut db);
+                    let g = grad.data();
+                    kernels::matmul_transpose_b_into(g, bv, pt, m, m, n, k, pool, &mut da);
+                    kernels::matmul_transpose_a_into(av, g, m, k, n, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, k, n));
@@ -971,12 +948,9 @@ impl Tape {
                         }
                         _ => None,
                     };
-                    if let Some(pk) = pk {
-                        kernels::matmul_prepacked_into(grad.data(), bv, pk, m, n, k, pool, &mut da);
-                    } else {
-                        kernels::matmul_into(grad.data(), bv, m, n, k, pool, &mut da);
-                    }
-                    kernels::matmul_transpose_a_into(grad.data(), av, m, n, k, pool, &mut db);
+                    let g = grad.data();
+                    kernels::matmul_into(g, bv, pk, m, m, n, k, pool, &mut da);
+                    kernels::matmul_transpose_a_into(g, av, m, n, k, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, n, k));
@@ -1069,7 +1043,7 @@ impl Tape {
                     let av = self.nodes[a.0].value.data();
                     for (((d, &g), &x), &th) in da.iter_mut().zip(grad.data()).zip(av).zip(t.iter())
                     {
-                        *d = g * gelu_bwd_cached(x, th);
+                        *d = g * kernels::gelu_grad(x, th);
                     }
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, grad.rows(), grad.cols()));
@@ -1370,43 +1344,6 @@ pub fn pooled_tape_stats() -> (usize, usize) {
     let pool = TAPE_POOL.lock().unwrap();
     let retained: usize = pool.iter().map(|t| t.arena.retained).sum();
     (pool.len(), retained)
-}
-
-/// Row softmax into `out`; returns the `(max, sum)` statistics so callers
-/// (cross-entropy) can derive the log-sum-exp without a second pass.
-fn softmax_row(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
-    let mut max = f32::NEG_INFINITY;
-    for (j, &v) in row.iter().enumerate() {
-        let m = mask.map_or(0.0, |mm| mm[j]);
-        max = max.max(v + m);
-    }
-    let mut sum = 0.0f32;
-    for (j, &v) in row.iter().enumerate() {
-        let m = mask.map_or(0.0, |mm| mm[j]);
-        let e = (v + m - max).exp();
-        out[j] = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
-    (max, sum)
-}
-
-/// The `tanh` factor of the GELU tanh approximation — computed once in the
-/// forward pass, cached on the node, and reused by the backward rule.
-fn gelu_tanh(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    (C * (x + 0.044_715 * x * x * x)).tanh()
-}
-
-/// GELU derivative given the cached `t = gelu_tanh(x)`. With the identical
-/// `t` bits, this equals recomputing the tanh from scratch.
-fn gelu_bwd_cached(x: f32, t: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let dt = (1.0 - t * t) * C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * dt
 }
 
 #[cfg(test)]

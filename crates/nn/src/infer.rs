@@ -21,10 +21,12 @@
 //!   so any weight mutation invalidates every entry.
 //!
 //! Bit-identity with the tape forward is a hard invariant, not a tolerance:
-//! golden runs pin evaluation accuracies and InvDA generations, so the layer
-//! `infer_*` methods replicate the tape's kernel dispatch decisions and
-//! scalar reduction orders exactly (see the "Inference plane" section of
-//! DESIGN.md). Training stays on the tape path untouched.
+//! golden runs pin evaluation accuracies and InvDA generations. It holds by
+//! construction: the tape ops compute their values with the same forward
+//! kernels the layers' `infer_forward` methods call, and those methods
+//! replicate the tape's GEMM dispatch decisions (see the "Inference plane"
+//! section of DESIGN.md). Each `infer_forward` computes a row band of a
+//! pass; a full pass is the band that covers every row.
 
 use crate::telemetry::{self, Value};
 use std::collections::HashMap;
@@ -255,13 +257,14 @@ impl ScoreCache {
     }
 
     /// Build a cache from the `ROTOM_SCORE_CACHE` environment variable:
-    /// `None` (caching off) unless it parses to a positive capacity.
+    /// `None` (caching off) unless it is a positive capacity. `0` and unset
+    /// are silent; a value that is not an entry count warns (see
+    /// [`crate::env`]).
     pub fn from_env() -> Option<Self> {
-        let capacity: usize = std::env::var("ROTOM_SCORE_CACHE")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
+        let capacity = crate::env::read("ROTOM_SCORE_CACHE", |v| {
+            v.parse::<usize>()
+                .map_err(|_| "expected an entry count (0 disables)".to_string())
+        })?;
         (capacity > 0).then(|| Self::with_capacity(capacity))
     }
 

@@ -1,12 +1,34 @@
-//! Cache-blocked, register-tiled matmul kernels with row-parallel dispatch.
+//! Cache-blocked, register-tiled matmul kernels with row-parallel dispatch,
+//! plus the elementwise forward kernels every forward pass runs.
 //!
-//! Three GEMM variants back the tensor/autodiff hot paths:
+//! One f32 GEMM entry point per operand layout backs both the autodiff tape
+//! and the tape-free inference plane:
 //!
-//! * [`matmul`] — `C = A·B`,
-//! * [`matmul_transpose_b`] — `C = A·Bᵀ` (forward projections store weights
-//!   row-major per output),
-//! * [`matmul_transpose_a`] — `C = Aᵀ·G` (the weight-gradient contraction in
-//!   backward passes).
+//! * [`matmul_into`] — `C = A·B`,
+//! * [`matmul_transpose_b_into`] — `C = A·Bᵀ` (attention scores; the
+//!   `dA = dC·Bᵀ` backward contraction),
+//! * [`matmul_transpose_a_into`] — `C = Aᵀ·G` (the weight-gradient
+//!   contraction in backward passes),
+//!
+//! plus the fused forward epilogues [`matmul_bias_act_into`] (f32) and
+//! [`matmul_bias_act_i8_into`] (quantized tier). [`matmul_naive`] and
+//! [`matmul_transpose_b_naive`] are the test oracles.
+//!
+//! # Bands
+//!
+//! The `A·B` and `A·Bᵀ` entries compute a *row band* of a `full_m`-row
+//! product: the caller passes the band's rows of `A` and the full logical
+//! row count. Naive-vs-tiled dispatch is decided on `full_m·k·n`, so a band
+//! takes the same kernel as the same rows of the full call, and the
+//! serial-vs-parallel fan-out is decided on the rows actually computed,
+//! which is safe because the parallel path splits on `MR`-row boundaries.
+//! A band from [`band_rows`] is therefore bit-identical to the same rows of
+//! the full product, and a full pass is simply the band that covers every
+//! row (`m == full_m`).
+//!
+//! The forward kernels ([`softmax_fwd`], [`layernorm_fwd`], [`gelu_fwd`],
+//! [`add_fwd`], [`scale_fwd`]) compute the tape ops' values too, so the tape
+//! and the inference plane share one copy of every formula.
 //!
 //! # Kernel structure
 //!
@@ -57,8 +79,8 @@
 //!
 //! # Allocation
 //!
-//! The `*_into` variants write into caller-provided buffers (the tape arena
-//! feeds them recycled ones), and all transient pack/transpose scratch comes
+//! Every entry point writes into a caller-provided buffer (the tape arena
+//! feeds it recycled ones), and all transient pack/transpose scratch comes
 //! from a small thread-local pool, so a steady-state GEMM performs no heap
 //! allocation.
 
@@ -99,9 +121,10 @@ pub mod profile {
     // without requiring telemetry to be on.
     pub(super) static QUANT_I8: AtomicU64 = AtomicU64::new(0);
 
-    // Forward-kernel tier counters (inference plane): per elementwise kernel
-    // family, one counter for the SIMD tier and one for the scalar fallback,
-    // plus one for the fused GEMM+bias+activation entry point.
+    // Forward-kernel tier counters (tape ops and the tape-free forward alike):
+    // per elementwise kernel family, one counter for the SIMD tier and one
+    // for the scalar fallback, plus one for the fused GEMM+bias+activation
+    // entry point.
     pub(super) static SOFTMAX_SIMD: AtomicU64 = AtomicU64::new(0);
     pub(super) static SOFTMAX_SCALAR: AtomicU64 = AtomicU64::new(0);
     pub(super) static LAYERNORM_SIMD: AtomicU64 = AtomicU64::new(0);
@@ -196,7 +219,7 @@ pub mod profile {
     }
 
     /// Emit one `gauge` record with the cumulative forward-kernel tier
-    /// counters (inference plane). No-op when telemetry is disabled.
+    /// counters. No-op when telemetry is disabled.
     pub fn emit_forward_gauges() {
         if !telemetry::enabled() {
             return;
@@ -835,14 +858,15 @@ mod avx {
     /// the polynomial and the final combine run as separate vector mul/add
     /// steps (one rounding each, no FMA), and `tanh` itself is evaluated per
     /// lane with the scalar libm call — so every element takes the identical
-    /// sequence of roundings as the scalar loop.
+    /// sequence of roundings as the scalar loop. Non-null `tp` receives the
+    /// `tanh` factors.
     ///
     /// # Safety
     /// Caller must have checked [`available`]; `xp` must be readable and
     /// `op` writable for `n` elements, equal or disjoint (each lane is read
-    /// before it is written).
+    /// before it is written); `tp` is null or writable for `n` elements.
     #[target_feature(enable = "avx")]
-    pub unsafe fn gelu_ptr(xp: *const f32, n: usize, c: f32, a: f32, op: *mut f32) {
+    pub unsafe fn gelu_ptr(xp: *const f32, n: usize, c: f32, a: f32, op: *mut f32, tp: *mut f32) {
         let va = _mm256_set1_ps(a);
         let vc = _mm256_set1_ps(c);
         let vhalf = _mm256_set1_ps(0.5);
@@ -861,6 +885,9 @@ mod avx {
             for l in lanes.iter_mut() {
                 *l = l.tanh();
             }
+            if !tp.is_null() {
+                std::ptr::copy_nonoverlapping(lanes.as_ptr(), tp.add(j), 8);
+            }
             let th = _mm256_loadu_ps(lanes.as_ptr());
             let hx = _mm256_mul_ps(vhalf, xv);
             let opt = _mm256_add_ps(vone, th);
@@ -870,6 +897,9 @@ mod avx {
         while j < n {
             let xv = *xp.add(j);
             let th = (c * (xv + a * xv * xv * xv)).tanh();
+            if !tp.is_null() {
+                *tp.add(j) = th;
+            }
             *op.add(j) = 0.5 * xv * (1.0 + th);
             j += 1;
         }
@@ -1025,78 +1055,43 @@ fn tiled_dispatch<B: BSrc>(
 // Public GEMM entry points
 // ---------------------------------------------------------------------------
 
-/// `C = A·B` into a caller buffer (`A`: `m×k`, `B`: `k×n`, `out`: `m×n`,
-/// fully overwritten).
+/// `C = A·B` for an `m`-row band of a `full_m`-row product into a caller
+/// buffer (`A`: the band's `m×k` rows, `B`: `k×n`, `out`: `m×n`, fully
+/// overwritten). A full pass passes `m == full_m`; a band comes from
+/// [`band_rows`] and is bit-identical to the same rows of the full call.
+///
+/// `pk`, when present, must be the [`PackedB::pack_row_major`] of `b`; its
+/// panel contents match a cold pack bit for bit, so the option only saves
+/// packing work and never changes values.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_into(
     a: &[f32],
     b: &[f32],
+    pk: Option<&PackedB>,
+    full_m: usize,
     m: usize,
     k: usize,
     n: usize,
     pool: &RotomPool,
     out: &mut [f32],
 ) {
+    debug_assert!(m <= full_m);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if m * k * n < SMALL_FLOPS {
+    if full_m * k * n < SMALL_FLOPS {
         profile::bump(&profile::NAIVE);
         matmul_naive_into(a, b, m, k, n, out);
         return;
     }
-    tiled_dispatch(a, &BRowMajor { b, n }, m, k, n, pool, out);
-}
-
-/// `C = A·B` with prepacked panels for `B` (`pk` must be the pack of `b`).
-/// Dispatch thresholds match [`matmul_into`] exactly, and panel contents are
-/// bit-identical to a cold pack, so results never depend on cache state.
-pub fn matmul_prepacked_into(
-    a: &[f32],
-    b: &[f32],
-    pk: &PackedB,
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(pk.shape(), (k, n));
-    if m * k * n < SMALL_FLOPS {
-        profile::bump(&profile::NAIVE);
-        matmul_naive_into(a, b, m, k, n, out);
-        return;
+    let edge = BRowMajor { b, n };
+    match pk {
+        Some(pk) => {
+            debug_assert_eq!(pk.shape(), (k, n));
+            tiled_dispatch(a, &BPacked { pk, edge }, m, k, n, pool, out);
+        }
+        None => tiled_dispatch(a, &edge, m, k, n, pool, out),
     }
-    tiled_dispatch(
-        a,
-        &BPacked {
-            pk,
-            edge: BRowMajor { b, n },
-        },
-        m,
-        k,
-        n,
-        pool,
-        out,
-    );
-}
-
-/// `C = A·B` with an explicit pool (`A`: `m×k`, `B`: `k×n`).
-pub fn matmul_with_pool(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    matmul_into(a, b, m, k, n, pool, &mut out);
-    out
-}
-
-/// `C = A·B` on the global pool.
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    matmul_with_pool(a, b, m, k, n, RotomPool::global())
 }
 
 /// Naive reference for `A·Bᵀ` (`A`: `m×k`, `B`: `n×k`): per-element dot
@@ -1195,81 +1190,44 @@ fn matmul_transpose_b_naive_into(
     }
 }
 
-/// `C = A·Bᵀ` into a caller buffer (`A`: `m×k`, `B`: `n×k`, `out`: `m×n`,
-/// fully overwritten).
+/// `C = A·Bᵀ` for an `m`-row band of a `full_m`-row product into a caller
+/// buffer (`A`: the band's `m×k` rows, `B`: `n×k`, `out`: `m×n`, fully
+/// overwritten), with the band and dispatch rules of [`matmul_into`].
 ///
 /// Large shapes stream `B`'s stored columns straight into packed panels
 /// (transpose-free; contents bit-identical to packing a materialized
 /// transpose); small shapes use the dot form directly. Both paths share the
 /// increasing-`k` single-accumulator order, so the choice never changes
-/// results.
+/// results. `pk`, when present, must be [`PackedB::pack_transposed`] of `b`.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_transpose_b_into(
     a: &[f32],
     b: &[f32],
+    pk: Option<&PackedB>,
+    full_m: usize,
     m: usize,
     k: usize,
     n: usize,
     pool: &RotomPool,
     out: &mut [f32],
 ) {
-    if m * k * n < SMALL_FLOPS {
+    debug_assert!(m <= full_m);
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(out.len(), m * n);
+    if full_m * k * n < SMALL_FLOPS {
         profile::bump(&profile::NAIVE);
         matmul_transpose_b_naive_into(a, b, m, k, n, out);
         return;
     }
-    tiled_dispatch(a, &BTransposed { b, k }, m, k, n, pool, out);
-}
-
-/// `C = A·Bᵀ` with prepacked panels of `bᵀ` (`pk` must be
-/// [`PackedB::pack_transposed`] of `b`). Dispatch matches
-/// [`matmul_transpose_b_into`] exactly.
-pub fn matmul_transpose_b_prepacked_into(
-    a: &[f32],
-    b: &[f32],
-    pk: &PackedB,
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(pk.shape(), (k, n));
-    if m * k * n < SMALL_FLOPS {
-        profile::bump(&profile::NAIVE);
-        matmul_transpose_b_naive_into(a, b, m, k, n, out);
-        return;
+    let edge = BTransposed { b, k };
+    match pk {
+        Some(pk) => {
+            debug_assert_eq!(pk.shape(), (k, n));
+            tiled_dispatch(a, &BPacked { pk, edge }, m, k, n, pool, out);
+        }
+        None => tiled_dispatch(a, &edge, m, k, n, pool, out),
     }
-    tiled_dispatch(
-        a,
-        &BPacked {
-            pk,
-            edge: BTransposed { b, k },
-        },
-        m,
-        k,
-        n,
-        pool,
-        out,
-    );
-}
-
-/// `C = A·Bᵀ` with an explicit pool (`A`: `m×k`, `B`: `n×k`).
-pub fn matmul_transpose_b_with_pool(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    matmul_transpose_b_into(a, b, m, k, n, pool, &mut out);
-    out
-}
-
-/// `C = A·Bᵀ` on the global pool.
-pub fn matmul_transpose_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    matmul_transpose_b_with_pool(a, b, m, k, n, RotomPool::global())
 }
 
 /// `C = Aᵀ·G` into a caller buffer (`A`: `m×k`, `G`: `m×n`, `out`: `k×n`,
@@ -1382,25 +1340,6 @@ fn transpose_a_block(
     put_scratch(scratch);
 }
 
-/// `C = Aᵀ·G` with an explicit pool (`A`: `m×k`, `G`: `m×n`, `C`: `k×n`).
-pub fn matmul_transpose_a_with_pool(
-    a: &[f32],
-    g: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; k * n];
-    matmul_transpose_a_into(a, g, m, k, n, pool, &mut out);
-    out
-}
-
-/// `C = Aᵀ·G` on the global pool.
-pub fn matmul_transpose_a(a: &[f32], g: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    matmul_transpose_a_with_pool(a, g, m, k, n, RotomPool::global())
-}
-
 // ---------------------------------------------------------------------------
 // Inference plane: band replay, fused bias+activation, forward kernels
 // ---------------------------------------------------------------------------
@@ -1411,10 +1350,10 @@ pub fn matmul_transpose_a(a: &[f32], g: &[f32], m: usize, k: usize, n: usize) ->
 /// Bands are exactly the units the tiled core computes independently: the
 /// `MR`-aligned full tile containing `row`, or the ragged trailing block
 /// (`full_m % MR` rows) when `row` falls past the last full tile. Computing
-/// just this band with [`matmul_band_into`] is bit-identical to the same
-/// rows of the full `full_m`-row product at every thread count, because the
-/// parallel path already splits on `MR`-row boundaries and the naive kernel
-/// is per-row independent.
+/// just this band with [`matmul_into`] (passing `full_m`) is bit-identical
+/// to the same rows of the full `full_m`-row product at every thread count,
+/// because the parallel path already splits on `MR`-row boundaries and the
+/// naive kernel is per-row independent.
 pub fn band_rows(full_m: usize, row: usize) -> (usize, usize) {
     debug_assert!(row < full_m);
     let full = full_m - full_m % MR;
@@ -1423,85 +1362,6 @@ pub fn band_rows(full_m: usize, row: usize) -> (usize, usize) {
     } else {
         (full, full_m - full)
     }
-}
-
-/// Band replay of `C = A·B`: compute only the `band_len` output rows whose
-/// `A` rows are `a_band`, exactly as the full `full_m×k · k×n` product
-/// would have computed them.
-///
-/// Dispatch is decided on the **full logical shape** (`full_m·k·n`), so the
-/// band takes the same kernel path — naive below [`SMALL_FLOPS`], tiled
-/// above — as the corresponding rows of the full call, making the results
-/// bit-identical to slicing the full product. `band_len` must come from
-/// [`band_rows`] (an `MR`-aligned full tile or the ragged trailing block).
-/// `pk`, when present, must be the [`PackedB::pack_row_major`] of `b`;
-/// panel contents match a cold pack bit-for-bit, so the option never
-/// changes values.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_band_into(
-    a_band: &[f32],
-    b: &[f32],
-    pk: Option<&PackedB>,
-    full_m: usize,
-    band_len: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert!(band_len <= MR && band_len <= full_m);
-    debug_assert_eq!(a_band.len(), band_len * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), band_len * n);
-    if full_m * k * n < SMALL_FLOPS {
-        profile::bump(&profile::NAIVE);
-        matmul_naive_into(a_band, b, band_len, k, n, out);
-        return;
-    }
-    profile::bump(&profile::TILED_SERIAL);
-    match pk {
-        Some(pk) => {
-            debug_assert_eq!(pk.shape(), (k, n));
-            matmul_block_tiled(
-                a_band,
-                band_len,
-                k,
-                &BPacked {
-                    pk,
-                    edge: BRowMajor { b, n },
-                },
-                n,
-                out,
-            );
-        }
-        None => matmul_block_tiled(a_band, band_len, k, &BRowMajor { b, n }, n, out),
-    }
-}
-
-/// Band replay of `C = A·Bᵀ` (`b` stored row-major `n×k`): the
-/// transpose-form counterpart of [`matmul_band_into`], with the identical
-/// full-shape dispatch rule. Valid because both the naive dot-form kernel
-/// and the tiled core accumulate every output scalar independently in
-/// increasing `k`.
-pub fn matmul_transpose_b_band_into(
-    a_band: &[f32],
-    b: &[f32],
-    full_m: usize,
-    band_len: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert!(band_len <= MR && band_len <= full_m);
-    debug_assert_eq!(a_band.len(), band_len * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), band_len * n);
-    if full_m * k * n < SMALL_FLOPS {
-        profile::bump(&profile::NAIVE);
-        matmul_transpose_b_naive_into(a_band, b, band_len, k, n, out);
-        return;
-    }
-    profile::bump(&profile::TILED_SERIAL);
-    matmul_block_tiled(a_band, band_len, k, &BTransposed { b, k }, n, out);
 }
 
 /// Elementwise activation applied by the fused forward path.
@@ -1514,10 +1374,17 @@ pub enum Act {
     Gelu,
 }
 
-/// GELU constants shared with the tape op: `√(2/π)` and the cubic
-/// coefficient.
+/// GELU constants (tanh approximation): `√(2/π)` and the cubic coefficient.
 const GELU_C: f32 = 0.797_884_6;
 const GELU_A: f32 = 0.044_715;
+
+/// GELU derivative at `x` given the forward pass's `t = tanh(GELU_C·(x +
+/// GELU_A·x³))` (the tape caches `t` through [`gelu_fwd`]'s tanh output, so
+/// the backward rule sees the identical bits it would recompute).
+pub(crate) fn gelu_grad(x: f32, t: f32) -> f32 {
+    let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * dt
+}
 
 /// Apply an optional per-column bias and an activation to a `rows×n` buffer
 /// in place — the fused epilogue of [`matmul_bias_act_into`].
@@ -1553,11 +1420,11 @@ pub fn bias_act_apply(out: &mut [f32], rows: usize, n: usize, bias: Option<&[f32
     }
 }
 
-/// Fused `C = act(A·B + bias)` forward entry: the GEMM dispatch (thresholds,
-/// packed panels, thread fan-out) is byte-for-byte the one [`matmul_into`] /
-/// [`matmul_prepacked_into`] perform, followed by the in-place
-/// [`bias_act_apply`] epilogue — one output sweep instead of the tape's
-/// three node materializations.
+/// Fused `C = act(A·B + bias)` forward entry over an `m`-row band of a
+/// `full_m`-row product: the GEMM is exactly [`matmul_into`], followed by
+/// the in-place [`bias_act_apply`] epilogue — one output sweep instead of
+/// the tape's three node materializations. The epilogue is per-row, so
+/// bands stay bit-identical to the full call.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_bias_act_into(
     a: &[f32],
@@ -1565,16 +1432,14 @@ pub fn matmul_bias_act_into(
     pk: Option<&PackedB>,
     bias: Option<&[f32]>,
     act: Act,
+    full_m: usize,
     m: usize,
     k: usize,
     n: usize,
     pool: &RotomPool,
     out: &mut [f32],
 ) {
-    match pk {
-        Some(pk) => matmul_prepacked_into(a, b, pk, m, k, n, pool, out),
-        None => matmul_into(a, b, m, k, n, pool, out),
-    }
+    matmul_into(a, b, pk, full_m, m, k, n, pool, out);
     profile::bump(&profile::FUSED_BIAS_ACT);
     bias_act_apply(out, m, n, bias, act);
 }
@@ -2139,6 +2004,10 @@ fn quant_block(
 /// boundaries with the same thresholds as [`tiled_dispatch`]), dequantize
 /// into `out`, and apply the shared [`bias_act_apply`] epilogue.
 ///
+/// There is no naive tier, and activation quantization is per row, so any
+/// [`band_rows`] band of `A` computes exactly the same rows of the full
+/// product — a band is just a call with fewer rows.
+///
 /// The result is deterministic and bit-identical at every thread count and
 /// SIMD tier (exact integer accumulation); it differs from the f32 kernel by
 /// the bounded quantization error (see the property tests).
@@ -2198,49 +2067,9 @@ pub fn matmul_bias_act_i8_into(
     bias_act_apply(out, m, n, bias, act);
 }
 
-/// Band replay of [`matmul_bias_act_i8_into`]: compute only `band_len` rows
-/// (always serial — bands are at most [`MR`] rows). Activation quantization
-/// is per row, so a band computes exactly what the same rows of the full
-/// quantized product would — band replay stays self-consistent with full
-/// replay, like the f32 band kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_band_i8_into(
-    a_band: &[f32],
-    qb: &QuantizedB,
-    bias: Option<&[f32]>,
-    act: Act,
-    band_len: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a_band.len(), band_len * k);
-    debug_assert_eq!(qb.shape(), (k, n));
-    debug_assert_eq!(out.len(), band_len * n);
-    profile::QUANT_I8.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let k_pad = qb.quads * 4;
-    let mut qa = take_qscratch(band_len * k_pad);
-    let mut zps = take_qscratch(band_len);
-    let mut a_scales = take_scratch(band_len);
-    quantize_activations(
-        a_band,
-        band_len,
-        k,
-        qb.quads,
-        &mut qa,
-        &mut a_scales,
-        &mut zps,
-    );
-    quant_block(&qa, &a_scales, &zps, band_len, qb, out);
-    put_scratch(a_scales);
-    put_qscratch(zps);
-    put_qscratch(qa);
-    bias_act_apply(out, band_len, n, bias, act);
-}
-
-/// Elementwise `out = x + y` — the forward-only counterpart of the tape's
-/// `add` op (residual connections), bit-identical to it (one add rounding
-/// per element on both tiers).
+/// Elementwise `out = x + y` — the tape's `add` op and the residual
+/// connections of the tape-free forward (one add rounding per element on
+/// both tiers).
 pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), out.len());
@@ -2270,8 +2099,8 @@ pub fn add_assign_fwd(x: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Elementwise `x *= c` in place — the forward-only counterpart of the
-/// tape's `scale` op, bit-identical to it (one mul rounding per element).
+/// Elementwise `x *= c` in place — the values of the tape's `scale` op and
+/// the attention-score scaling (one mul rounding per element).
 pub fn scale_fwd(x: &mut [f32], c: f32) {
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
@@ -2284,11 +2113,10 @@ pub fn scale_fwd(x: &mut [f32], c: f32) {
     }
 }
 
-/// One softmax row, replicating the tape's `softmax_row` bit-for-bit:
-/// max-shift over `v + m` (mask value `m`, or `+ 0.0` when unmasked),
-/// scalar `exp` and sum in index order, then a uniform `1/sum` scale.
-/// Returns `(max, sum)` — the pieces a cross-entropy epilogue needs for
-/// `lse = sum.ln() + max`.
+/// One softmax row: max-shift over `v + m` (mask value `m`, or `+ 0.0`
+/// when unmasked), scalar `exp` and sum in index order, then a uniform
+/// `1/sum` scale. Returns `(max, sum)` — the pieces a cross-entropy needs
+/// for `lse = sum.ln() + max`.
 ///
 /// The SIMD tier vectorizes only the order-independent or elementwise
 /// stages (the additive mask shift, the max reduction, the final scale);
@@ -2338,8 +2166,8 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
 }
 
 /// Row-wise softmax over a `rows×cols` buffer with an optional additive
-/// `rows×cols` mask — the forward-only counterpart of the tape's
-/// `softmax` / `masked_softmax` ops, bit-identical to both.
+/// `rows×cols` mask — the values of the tape's `softmax` /
+/// `masked_softmax` ops and of the tape-free attention.
 pub fn softmax_fwd(x: &[f32], mask: Option<&[f32]>, rows: usize, cols: usize, out: &mut [f32]) {
     debug_assert_eq!(x.len(), rows * cols);
     debug_assert_eq!(out.len(), rows * cols);
@@ -2362,12 +2190,15 @@ pub fn softmax_fwd(x: &[f32], mask: Option<&[f32]>, rows: usize, cols: usize, ou
     }
 }
 
-/// Row-wise layer norm over a `rows×n` buffer — the forward-only
-/// counterpart of the tape's `layer_norm` op, bit-identical to it.
+/// Row-wise layer norm over a `rows×n` buffer — the values of the tape's
+/// `layer_norm` op and of the tape-free forward. `stats`, when given
+/// (`rows` entries), receives each row's `(mean, inv_std)` for the tape's
+/// backward rule.
 ///
-/// The mean and variance folds are order-sensitive and stay scalar in the
-/// tape's index order; the affine transform `((v-mean)·inv_std)·γ + β` is
-/// elementwise with one rounding per step and takes the SIMD tier.
+/// The mean and variance folds are order-sensitive and stay scalar in index
+/// order; the affine transform `((v-mean)·inv_std)·γ + β` is elementwise
+/// with one rounding per step and takes the SIMD tier.
+#[allow(clippy::too_many_arguments)]
 pub fn layernorm_fwd(
     x: &[f32],
     gamma: &[f32],
@@ -2376,11 +2207,15 @@ pub fn layernorm_fwd(
     rows: usize,
     n: usize,
     out: &mut [f32],
+    mut stats: Option<&mut [(f32, f32)]>,
 ) {
     debug_assert_eq!(x.len(), rows * n);
     debug_assert_eq!(gamma.len(), n);
     debug_assert_eq!(beta.len(), n);
     debug_assert_eq!(out.len(), rows * n);
+    if let Some(s) = &stats {
+        debug_assert_eq!(s.len(), rows);
+    }
     #[cfg(target_arch = "x86_64")]
     let simd = avx::available();
     #[cfg(not(target_arch = "x86_64"))]
@@ -2396,6 +2231,9 @@ pub fn layernorm_fwd(
         let mean = row.iter().sum::<f32>() / nf;
         let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / nf;
         let inv_std = 1.0 / (var + eps).sqrt();
+        if let Some(s) = stats.as_deref_mut() {
+            s[i] = (mean, inv_std);
+        }
         let orow = &mut out[i * n..(i + 1) * n];
         #[cfg(target_arch = "x86_64")]
         if simd {
@@ -2408,43 +2246,60 @@ pub fn layernorm_fwd(
     }
 }
 
-/// Elementwise tanh-approximation GELU — the forward-only counterpart of
-/// the tape's `gelu` op, bit-identical to it on both tiers (the SIMD tier
-/// keeps every polynomial step a separate rounding and evaluates `tanh`
-/// with the scalar libm call per lane).
-pub fn gelu_fwd(x: &[f32], out: &mut [f32]) {
+/// Elementwise tanh-approximation GELU — the values of the tape's `gelu`
+/// op and of the fused [`Act::Gelu`] epilogue. `tanh_out`, when given (same
+/// length as `x`), receives each element's `tanh` factor for the tape's
+/// backward rule. Both tiers produce identical bits: the
+/// SIMD tier keeps every polynomial step a separate rounding and evaluates
+/// `tanh` with the scalar libm call per lane.
+pub fn gelu_fwd(x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
     debug_assert_eq!(x.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        profile::bump(&profile::GELU_SIMD);
-        // SAFETY: `available()` checked; disjoint borrows of valid length.
-        unsafe { avx::gelu_ptr(x.as_ptr(), x.len(), GELU_C, GELU_A, out.as_mut_ptr()) };
-        return;
-    }
-    profile::bump(&profile::GELU_SCALAR);
-    for (&v, o) in x.iter().zip(out.iter_mut()) {
-        let th = (GELU_C * (v + GELU_A * v * v * v)).tanh();
-        *o = 0.5 * v * (1.0 + th);
-    }
+    let tp = match tanh_out {
+        Some(t) => {
+            debug_assert_eq!(t.len(), x.len());
+            t.as_mut_ptr()
+        }
+        None => std::ptr::null_mut(),
+    };
+    // SAFETY: `x` is readable and `out` (plus `tp` when non-null) writable
+    // for `x.len()` elements; the borrows are disjoint.
+    unsafe { gelu_ptr(x.as_ptr(), x.len(), out.as_mut_ptr(), tp) };
 }
 
-/// In-place [`gelu_fwd`].
+/// In-place [`gelu_fwd`] (no tanh output).
 fn gelu_fwd_inplace(x: &mut [f32]) {
+    let p = x.as_mut_ptr();
+    // SAFETY: equal src/dst pointers are allowed by `gelu_ptr` (each element
+    // is read before it is written); both derive from the same borrow.
+    unsafe { gelu_ptr(p, x.len(), p, std::ptr::null_mut()) };
+}
+
+/// Tier dispatch of the GELU sweep over raw pointers.
+///
+/// # Safety
+/// `xp` must be readable and `op` writable for `n` elements (equal or
+/// disjoint); `tp` is null or writable for `n` elements and disjoint from
+/// both.
+unsafe fn gelu_ptr(xp: *const f32, n: usize, op: *mut f32, tp: *mut f32) {
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
         profile::bump(&profile::GELU_SIMD);
-        // SAFETY: `available()` checked; equal src/dst pointers are allowed
-        // by `gelu_ptr` (each lane is read before written). Both pointers
-        // derive from the same mutable borrow.
-        let p = x.as_mut_ptr();
-        unsafe { avx::gelu_ptr(p, x.len(), GELU_C, GELU_A, p) };
+        // SAFETY: `available()` checked; the pointer requirements are this
+        // function's own contract.
+        avx::gelu_ptr(xp, n, GELU_C, GELU_A, op, tp);
         return;
     }
     profile::bump(&profile::GELU_SCALAR);
-    for o in x.iter_mut() {
-        let v = *o;
+    // SAFETY (loop): every `j < n` is in bounds for `xp`, `op` and non-null
+    // `tp` by this function's contract; `xp[j]` is read before `op[j]` is
+    // written, so equal `xp`/`op` is fine.
+    for j in 0..n {
+        let v = *xp.add(j);
         let th = (GELU_C * (v + GELU_A * v * v * v)).tanh();
-        *o = 0.5 * v * (1.0 + th);
+        if !tp.is_null() {
+            *tp.add(j) = th;
+        }
+        *op.add(j) = 0.5 * v * (1.0 + th);
     }
 }
 
@@ -2465,6 +2320,27 @@ mod tests {
         for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
             assert!((x - y).abs() <= tol, "{ctx}: element {i}: {x} vs {y}");
         }
+    }
+
+    /// Full-pass `A·B` (`m×k · k×n`) into a fresh buffer.
+    fn mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, pool: &RotomPool) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        matmul_into(a, b, None, m, m, k, n, pool, &mut out);
+        out
+    }
+
+    /// Full-pass `A·Bᵀ` (`m×k · (n×k)ᵀ`) into a fresh buffer.
+    fn mm_tb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, pool: &RotomPool) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        matmul_transpose_b_into(a, b, None, m, m, k, n, pool, &mut out);
+        out
+    }
+
+    /// `Aᵀ·G` (`(m×k)ᵀ · m×n`) into a fresh buffer.
+    fn mm_ta(a: &[f32], g: &[f32], m: usize, k: usize, n: usize, pool: &RotomPool) -> Vec<f32> {
+        let mut out = vec![0.0f32; k * n];
+        matmul_transpose_a_into(a, g, m, k, n, pool, &mut out);
+        out
     }
 
     /// Shapes covering tile edges: non-multiples of MR/NR, m=1 row vectors,
@@ -2491,7 +2367,7 @@ mod tests {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
             let naive = matmul_naive(&a, &b, m, k, n);
-            let tiled = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(1));
+            let tiled = mm(&a, &b, m, k, n, &RotomPool::new(1));
             assert_close(&naive, &tiled, 1e-4, &format!("matmul {m}x{k}x{n}"));
         }
     }
@@ -2504,9 +2380,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(split_seed(0x4e2, case as u64));
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
-            let serial = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(1));
+            let serial = mm(&a, &b, m, k, n, &RotomPool::new(1));
             for threads in [2, 3, 8] {
-                let par = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(threads));
+                let par = mm(&a, &b, m, k, n, &RotomPool::new(threads));
                 assert_eq!(serial, par, "matmul {m}x{k}x{n} threads={threads}");
             }
         }
@@ -2519,9 +2395,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x4e3);
         let a = random_matrix(&mut rng, m, k);
         let b = random_matrix(&mut rng, k, n);
-        let serial = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(1));
+        let serial = mm(&a, &b, m, k, n, &RotomPool::new(1));
         for threads in [2, 5, 16] {
-            let par = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(threads));
+            let par = mm(&a, &b, m, k, n, &RotomPool::new(threads));
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -2532,10 +2408,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(split_seed(0x4e4, case as u64));
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, n, k);
-            let fast = matmul_transpose_b_with_pool(&a, &b, m, k, n, &RotomPool::new(2));
+            let fast = mm_tb(&a, &b, m, k, n, &RotomPool::new(2));
             let naive = matmul_transpose_b_naive(&a, &b, m, k, n);
             assert_close(&fast, &naive, 1e-4, &format!("matmul_tb {m}x{k}x{n}"));
-            let explicit = matmul_with_pool(&a, &transpose(&b, n, k), m, k, n, &RotomPool::new(2));
+            let explicit = mm(&a, &transpose(&b, n, k), m, k, n, &RotomPool::new(2));
             assert_eq!(fast, explicit, "tb vs explicit transpose {m}x{k}x{n}");
         }
     }
@@ -2546,8 +2422,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(split_seed(0x4e5, case as u64));
             let a = random_matrix(&mut rng, m, k);
             let g = random_matrix(&mut rng, m, n);
-            let fast = matmul_transpose_a_with_pool(&a, &g, m, k, n, &RotomPool::new(2));
-            let explicit = matmul_with_pool(&transpose(&a, m, k), &g, k, m, n, &RotomPool::new(2));
+            let fast = mm_ta(&a, &g, m, k, n, &RotomPool::new(2));
+            let explicit = mm(&transpose(&a, m, k), &g, k, m, n, &RotomPool::new(2));
             assert_close(&fast, &explicit, 1e-4, &format!("matmul_ta {m}x{k}x{n}"));
         }
     }
@@ -2563,8 +2439,8 @@ mod tests {
             let g = random_matrix(&mut rng, m, n);
             for threads in [1, 2, 8] {
                 let pool = RotomPool::new(threads);
-                let fast = matmul_transpose_a_with_pool(&a, &g, m, k, n, &pool);
-                let explicit = matmul_with_pool(&transpose(&a, m, k), &g, k, m, n, &pool);
+                let fast = mm_ta(&a, &g, m, k, n, &pool);
+                let explicit = mm(&transpose(&a, m, k), &g, k, m, n, &pool);
                 assert_eq!(fast, explicit, "ta {m}x{k}x{n} threads={threads}");
             }
         }
@@ -2579,9 +2455,9 @@ mod tests {
             let pk = PackedB::pack_row_major(&b, k, n);
             for threads in [1, 2, 8] {
                 let pool = RotomPool::new(threads);
-                let cold = matmul_with_pool(&a, &b, m, k, n, &pool);
+                let cold = mm(&a, &b, m, k, n, &pool);
                 let mut warm = vec![0.0f32; m * n];
-                matmul_prepacked_into(&a, &b, &pk, m, k, n, &pool, &mut warm);
+                matmul_into(&a, &b, Some(&pk), m, m, k, n, &pool, &mut warm);
                 assert_eq!(cold, warm, "prepacked {m}x{k}x{n} threads={threads}");
             }
         }
@@ -2600,9 +2476,9 @@ mod tests {
             assert_eq!(pk.panels, pk_ref.panels, "pack_transposed {k}x{n}");
             for threads in [1, 2, 8] {
                 let pool = RotomPool::new(threads);
-                let cold = matmul_transpose_b_with_pool(&a, &b, m, k, n, &pool);
+                let cold = mm_tb(&a, &b, m, k, n, &pool);
                 let mut warm = vec![0.0f32; m * n];
-                matmul_transpose_b_prepacked_into(&a, &b, &pk, m, k, n, &pool, &mut warm);
+                matmul_transpose_b_into(&a, &b, Some(&pk), m, m, k, n, &pool, &mut warm);
                 assert_eq!(cold, warm, "tb prepacked {m}x{k}x{n} threads={threads}");
             }
         }
@@ -2621,9 +2497,9 @@ mod tests {
     #[test]
     fn zero_sized_edges() {
         // m=0 or n=0 products are legal (empty batches) and return empty.
-        assert!(matmul(&[], &[1.0, 2.0], 0, 1, 2).is_empty());
-        let out = matmul(&[1.0, 2.0], &[], 1, 2, 0);
-        assert!(out.is_empty());
+        let pool = RotomPool::new(1);
+        assert!(mm(&[], &[1.0, 2.0], 0, 1, 2, &pool).is_empty());
+        assert!(mm(&[1.0, 2.0], &[], 1, 2, 0, &pool).is_empty());
     }
 
     #[test]
@@ -2641,61 +2517,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn band_replay_matches_full_product_bitwise() {
-        for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(split_seed(0x4ea, case as u64));
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let pk = PackedB::pack_row_major(&b, k, n);
-            for threads in [1, 2, 8] {
-                let full = matmul_with_pool(&a, &b, m, k, n, &RotomPool::new(threads));
-                for row in [0, m / 2, m - 1] {
-                    let (start, len) = band_rows(m, row);
-                    let a_band = &a[start * k..(start + len) * k];
-                    let mut band = vec![0.0f32; len * n];
-                    matmul_band_into(a_band, &b, None, m, len, k, n, &mut band);
-                    assert_eq!(
-                        band,
-                        &full[start * n..(start + len) * n],
-                        "band {m}x{k}x{n} row={row} threads={threads}"
-                    );
-                    matmul_band_into(a_band, &b, Some(&pk), m, len, k, n, &mut band);
-                    assert_eq!(
-                        band,
-                        &full[start * n..(start + len) * n],
-                        "packed band {m}x{k}x{n} row={row} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_b_band_replay_matches_full_product_bitwise() {
-        for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(split_seed(0x4eb, case as u64));
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, n, k);
-            for threads in [1, 2, 8] {
-                let full = matmul_transpose_b_with_pool(&a, &b, m, k, n, &RotomPool::new(threads));
-                for row in [0, m / 2, m - 1] {
-                    let (start, len) = band_rows(m, row);
-                    let a_band = &a[start * k..(start + len) * k];
-                    let mut band = vec![0.0f32; len * n];
-                    matmul_transpose_b_band_into(a_band, &b, m, len, k, n, &mut band);
-                    assert_eq!(
-                        band,
-                        &full[start * n..(start + len) * n],
-                        "tb band {m}x{k}x{n} row={row} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Scalar references below replicate the tape ops verbatim (graph.rs) —
-    /// the forward kernels must match them bit-for-bit on every tier.
+    /// Scalar references below are the oracle formulas of the forward
+    /// kernels (and so of the tape ops that call them) — every tier must
+    /// match them bit-for-bit.
     fn softmax_ref(x: &[f32], mask: Option<&[f32]>, rows: usize, cols: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; rows * cols];
         for i in 0..rows {
@@ -2764,18 +2588,25 @@ mod tests {
             let beta = random_matrix(&mut rng, 1, n);
             let eps = 1e-5f32;
             let mut out = vec![0.0f32; rows * n];
-            layernorm_fwd(&x, &gamma, &beta, eps, rows, n, &mut out);
+            let mut stats = vec![(0.0f32, 0.0f32); rows];
+            layernorm_fwd(&x, &gamma, &beta, eps, rows, n, &mut out, Some(&mut stats));
             let mut expect = vec![0.0f32; rows * n];
+            let mut expect_stats = Vec::new();
             for i in 0..rows {
                 let row = &x[i * n..(i + 1) * n];
                 let mean = row.iter().sum::<f32>() / n as f32;
                 let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n as f32;
                 let inv_std = 1.0 / (var + eps).sqrt();
+                expect_stats.push((mean, inv_std));
                 for (j, &v) in row.iter().enumerate() {
                     expect[i * n + j] = (v - mean) * inv_std * gamma[j] + beta[j];
                 }
             }
             assert_eq!(out, expect, "layernorm {rows}x{n}");
+            assert_eq!(stats, expect_stats, "layernorm stats {rows}x{n}");
+            let mut plain = vec![0.0f32; rows * n];
+            layernorm_fwd(&x, &gamma, &beta, eps, rows, n, &mut plain, None);
+            assert_eq!(plain, expect, "layernorm without stats {rows}x{n}");
         }
     }
 
@@ -2785,11 +2616,16 @@ mod tests {
         for len in [1usize, 7, 8, 31, 256] {
             let x = random_matrix(&mut rng, 1, len);
             let mut out = vec![0.0f32; len];
-            gelu_fwd(&x, &mut out);
+            let mut tanh = vec![0.0f32; len];
+            gelu_fwd(&x, &mut out, Some(&mut tanh));
+            let mut plain = vec![0.0f32; len];
+            gelu_fwd(&x, &mut plain, None);
+            assert_eq!(out, plain, "gelu len={len}: tanh output changes nothing");
             for (j, (&v, &o)) in x.iter().zip(&out).enumerate() {
                 let th = (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh();
                 let expect = 0.5 * v * (1.0 + th);
                 assert_eq!(o, expect, "gelu len={len} j={j}");
+                assert_eq!(tanh[j], th, "gelu tanh len={len} j={j}");
             }
         }
     }
@@ -2806,45 +2642,21 @@ mod tests {
                 let pool = RotomPool::new(threads);
                 // Unfused reference: matmul, then add_row, then gelu — the
                 // tape's exact op sequence.
-                let mut expect = matmul_with_pool(&a, &b, m, k, n, &pool);
+                let mut expect = mm(&a, &b, m, k, n, &pool);
                 for i in 0..m {
                     for j in 0..n {
                         expect[i * n + j] += bias[j];
                     }
                 }
                 let mut expect_gelu = expect.clone();
-                gelu_fwd(&expect, &mut expect_gelu);
-                for pk_opt in [None, Some(&pk)] {
-                    let mut fused = vec![0.0f32; m * n];
-                    matmul_bias_act_into(
-                        &a,
-                        &b,
-                        pk_opt,
-                        Some(&bias),
-                        Act::None,
-                        m,
-                        k,
-                        n,
-                        &pool,
-                        &mut fused,
-                    );
-                    assert_eq!(fused, expect, "fused none {m}x{k}x{n} threads={threads}");
-                    matmul_bias_act_into(
-                        &a,
-                        &b,
-                        pk_opt,
-                        Some(&bias),
-                        Act::Gelu,
-                        m,
-                        k,
-                        n,
-                        &pool,
-                        &mut fused,
-                    );
-                    assert_eq!(
-                        fused, expect_gelu,
-                        "fused gelu {m}x{k}x{n} threads={threads}"
-                    );
+                gelu_fwd(&expect, &mut expect_gelu, None);
+                let bias = Some(&bias[..]);
+                let mut fused = vec![0.0f32; m * n];
+                for pk in [None, Some(&pk)] {
+                    for (act, want) in [(Act::None, &expect), (Act::Gelu, &expect_gelu)] {
+                        matmul_bias_act_into(&a, &b, pk, bias, act, m, m, k, n, &pool, &mut fused);
+                        assert_eq!(&fused, want, "fused {act:?} {m}x{k}x{n} threads={threads}");
+                    }
                 }
             }
         }
@@ -3052,7 +2864,19 @@ mod tests {
                 t.elapsed().as_secs_f64() / reps as f64
             };
             let f32_s = time(&mut || {
-                matmul_bias_act_into(&a, &b, Some(&pk), None, Act::None, m, k, n, &pool, &mut out)
+                matmul_bias_act_into(
+                    &a,
+                    &b,
+                    Some(&pk),
+                    None,
+                    Act::None,
+                    m,
+                    m,
+                    k,
+                    n,
+                    &pool,
+                    &mut out,
+                )
             });
             let i8_s = time(&mut || {
                 matmul_bias_act_i8_into(&a, &qb, None, Act::None, m, k, n, &pool, &mut out)

@@ -77,40 +77,10 @@ impl MultiHeadAttention {
         self.d_model
     }
 
-    /// Forward-only attention of `tq × d` queries over `tk × d` keys/values
-    /// into `out` (`tq × d`), bit-identical to [`forward`](Self::forward):
-    /// identical projection GEMM dispatch, per-head slicing layouts, scalar
-    /// reduction orders, and softmax formula. `mask`, if given, is the
-    /// additive `tq × tk` mask data.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward(
-        &self,
-        q_in: &[f32],
-        kv_in: &[f32],
-        tq: usize,
-        tk: usize,
-        mask: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let mut k = scratch.take(tk * d);
-        let mut v = scratch.take(tk * d);
-        self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut k);
-        self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut v);
-        self.infer_forward_cached(q_in, tq, &k, &v, tk, mask, store, pool, scratch, out);
-        scratch.put(k);
-        scratch.put(v);
-    }
-
     /// Project the K and V operands of `kv_in` (`tk × d`) into caller
-    /// buffers (`tk × d` each) for reuse across calls whose key/value input
-    /// is unchanged — e.g. cross-attention during autoregressive decoding,
-    /// where the encoder memory is fixed for a whole generation.
+    /// buffers (`tk × d` each) for [`infer_forward`](Self::infer_forward).
+    /// Cross-attention during autoregressive decoding projects the fixed
+    /// encoder memory once per generation and reuses it at every step.
     pub fn infer_project_kv(
         &self,
         kv_in: &[f32],
@@ -121,19 +91,26 @@ impl MultiHeadAttention {
         v_out: &mut [f32],
     ) {
         self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, k_out);
+            .infer_forward(kv_in, tk, tk, Act::None, store, pool, k_out);
         self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, v_out);
+            .infer_forward(kv_in, tk, tk, Act::None, store, pool, v_out);
     }
 
-    /// [`infer_forward`](Self::infer_forward) with the K/V projections
-    /// precomputed by [`infer_project_kv`](Self::infer_project_kv). Values
-    /// are unchanged — the projections are deterministic functions of the
-    /// key/value input.
+    /// Forward-only attention of a `tq`-row band of a `full_tq`-row query
+    /// input over `tk` keys/values, into `out` (`tq × d`); a full pass is
+    /// the band `0..full_tq`. `k`/`v` are the projections from
+    /// [`infer_project_kv`](Self::infer_project_kv) (every query row attends
+    /// to every key, so they always cover all `tk` rows); `mask`, if given,
+    /// holds the band's rows of the additive `full_tq × tk` mask.
+    ///
+    /// Bit-identical to the same rows of [`forward`](Self::forward):
+    /// identical projection GEMM dispatch, per-head slicing layouts, scalar
+    /// reduction orders, and softmax formula.
     #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_cached(
+    pub fn infer_forward(
         &self,
         q_in: &[f32],
+        full_tq: usize,
         tq: usize,
         k: &[f32],
         v: &[f32],
@@ -149,7 +126,7 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dk as f32).sqrt();
         let mut q = scratch.take(tq * d);
         self.wq
-            .infer_forward(q_in, tq, Act::None, store, pool, &mut q);
+            .infer_forward(q_in, full_tq, tq, Act::None, store, pool, &mut q);
         let mut concat = scratch.take(tq * d);
         let mut qs = scratch.take(tq * dk);
         let mut ks = scratch.take(tk * dk);
@@ -161,96 +138,25 @@ impl MultiHeadAttention {
             slice_cols(&q, tq, d, h * dk, dk, &mut qs);
             slice_cols(k, tk, d, h * dk, dk, &mut ks);
             slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            kernels::matmul_transpose_b_into(&qs, &ks, tq, dk, tk, pool, &mut scores);
+            kernels::matmul_transpose_b_into(
+                &qs,
+                &ks,
+                None,
+                full_tq,
+                tq,
+                dk,
+                tk,
+                pool,
+                &mut scores,
+            );
             kernels::scale_fwd(&mut scores, scale);
             kernels::softmax_fwd(&scores, mask, tq, tk, &mut attn);
-            kernels::matmul_into(&attn, &vs, tq, tk, dk, pool, &mut head_out);
+            kernels::matmul_into(&attn, &vs, None, full_tq, tq, tk, dk, pool, &mut head_out);
             place_cols(&mut concat, tq, d, h * dk, dk, &head_out);
         }
         self.wo
-            .infer_forward(&concat, tq, Act::None, store, pool, out);
+            .infer_forward(&concat, full_tq, tq, Act::None, store, pool, out);
         for buf in [q, concat, qs, ks, vs, scores, attn, head_out] {
-            scratch.put(buf);
-        }
-    }
-
-    /// Band replay of [`infer_forward`](Self::infer_forward): compute only
-    /// the `band_len` query rows whose inputs are `q_in_band`, exactly as a
-    /// `full_tq`-row call would have (see [`kernels::band_rows`]). The K/V
-    /// projections still run over all `tk` rows (every query row attends to
-    /// every key); `mask_band`, if given, holds the band's rows of the full
-    /// mask.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band(
-        &self,
-        q_in_band: &[f32],
-        kv_in: &[f32],
-        full_tq: usize,
-        band_len: usize,
-        tk: usize,
-        mask_band: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let mut k = scratch.take(tk * d);
-        let mut v = scratch.take(tk * d);
-        self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut k);
-        self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut v);
-        self.infer_forward_band_cached(
-            q_in_band, full_tq, band_len, &k, &v, tk, mask_band, store, pool, scratch, out,
-        );
-        scratch.put(k);
-        scratch.put(v);
-    }
-
-    /// [`infer_forward_band`](Self::infer_forward_band) with precomputed
-    /// K/V projections.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_cached(
-        &self,
-        q_in_band: &[f32],
-        full_tq: usize,
-        band_len: usize,
-        k: &[f32],
-        v: &[f32],
-        tk: usize,
-        mask_band: Option<&[f32]>,
-        store: &ParamStore,
-        _pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let dk = d / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut q_band = scratch.take(band_len * d);
-        self.wq
-            .infer_forward_band(q_in_band, full_tq, band_len, Act::None, store, &mut q_band);
-        let mut concat = scratch.take(band_len * d);
-        let mut qs = scratch.take(band_len * dk);
-        let mut ks = scratch.take(tk * dk);
-        let mut vs = scratch.take(tk * dk);
-        let mut scores = scratch.take(band_len * tk);
-        let mut attn = scratch.take(band_len * tk);
-        let mut head_out = scratch.take(band_len * dk);
-        for h in 0..self.heads {
-            slice_cols(&q_band, band_len, d, h * dk, dk, &mut qs);
-            slice_cols(k, tk, d, h * dk, dk, &mut ks);
-            slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            kernels::matmul_transpose_b_band_into(&qs, &ks, full_tq, band_len, dk, tk, &mut scores);
-            kernels::scale_fwd(&mut scores, scale);
-            kernels::softmax_fwd(&scores, mask_band, band_len, tk, &mut attn);
-            kernels::matmul_band_into(&attn, &vs, None, full_tq, band_len, tk, dk, &mut head_out);
-            place_cols(&mut concat, band_len, d, h * dk, dk, &head_out);
-        }
-        self.wo
-            .infer_forward_band(&concat, full_tq, band_len, Act::None, store, out);
-        for buf in [q_band, concat, qs, ks, vs, scores, attn, head_out] {
             scratch.put(buf);
         }
     }
@@ -322,55 +228,35 @@ mod tests {
             let expect = tape.value(y).data().to_vec();
 
             let mut scratch = InferScratch::new();
-            let mut got = vec![0.0f32; tq * d];
-            attn.infer_forward(
-                &qx,
-                &kx,
-                tq,
-                tk,
-                mask.as_ref().map(|m| m.data()),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut got,
-            );
-            assert_eq!(expect, got, "tq={tq} tk={tk} masked={masked}");
-
-            // Band replay of the last rows matches the same rows of the full call.
-            let (start, len) = kernels::band_rows(tq, tq - 1);
-            let mut band_out = vec![0.0f32; len * d];
-            attn.infer_forward_band(
-                &qx[start * d..],
-                &kx,
-                tq,
-                len,
-                tk,
-                mask.as_ref().map(|m| &m.data()[start * tk..]),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut band_out,
-            );
-            assert_eq!(&expect[start * d..], &band_out[..], "band tq={tq} tk={tk}");
-
-            // Cached K/V projections change nothing.
             let mut k = vec![0.0f32; tk * d];
             let mut v = vec![0.0f32; tk * d];
             attn.infer_project_kv(&kx, tk, &store, &pool, &mut k, &mut v);
-            let mut got_cached = vec![0.0f32; tq * d];
-            attn.infer_forward_cached(
-                &qx,
-                tq,
-                &k,
-                &v,
-                tk,
-                mask.as_ref().map(|m| m.data()),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut got_cached,
-            );
-            assert_eq!(expect, got_cached, "cached tq={tq} tk={tk}");
+            // Every band, including the full pass `0..tq`, matches the same
+            // rows of the tape forward.
+            let mut bands = vec![(0, tq)];
+            bands.extend((0..tq).map(|row| kernels::band_rows(tq, row)));
+            for (start, len) in bands {
+                let mut got = vec![0.0f32; len * d];
+                attn.infer_forward(
+                    &qx[start * d..(start + len) * d],
+                    tq,
+                    len,
+                    &k,
+                    &v,
+                    tk,
+                    mask.as_ref()
+                        .map(|m| &m.data()[start * tk..(start + len) * tk]),
+                    &store,
+                    &pool,
+                    &mut scratch,
+                    &mut got,
+                );
+                assert_eq!(
+                    &expect[start * d..(start + len) * d],
+                    &got[..],
+                    "tq={tq} tk={tk} masked={masked} band={start}+{len}"
+                );
+            }
         }
     }
 

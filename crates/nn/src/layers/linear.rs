@@ -79,14 +79,18 @@ impl Linear {
         }
     }
 
-    /// Forward-only `y = act(x·W + b)` over `rows` input rows into `out`
-    /// (`rows × out_dim`), bit-identical to the tape's `matmul → add_row →
-    /// gelu` chain: the packed-panel decision replicates `Tape::matmul`
-    /// exactly (panels only above the tiled threshold), and the fused
-    /// epilogue applies the same per-element roundings.
+    /// Forward-only `y = act(x·W + b)` for a `rows`-row band of a
+    /// `full_rows`-row input into `out` (`rows × out_dim`); a full pass is
+    /// the band `0..full_rows`. Bit-identical to the same rows of the tape's
+    /// `matmul → add_row → gelu` chain: the packed-panel decision replicates
+    /// `Tape::matmul` exactly (panels only above the tiled threshold, judged
+    /// on the full shape), and the fused epilogue is per-row with the same
+    /// per-element roundings.
+    #[allow(clippy::too_many_arguments)]
     pub fn infer_forward(
         &self,
         x: &[f32],
+        full_rows: usize,
         rows: usize,
         act: kernels::Act,
         store: &ParamStore,
@@ -95,91 +99,22 @@ impl Linear {
     ) {
         let w = store.value(self.w);
         let packs = store.packs(self.w);
-        let above_small = rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
-        let bias = self.b.map(|b| store.value(b));
+        let above_small = full_rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
+        let bias = self.b.map(|b| store.value(b).data());
+        let (k, n) = (self.in_dim, self.out_dim);
         // Quantized tier: opt-in per store, and only for GEMMs the f32 path
         // would tile anyway — sub-threshold shapes stay on the (cheaper
         // there) f32 naive kernel, so tiny heads/meta-models never pay
-        // quantization overhead.
+        // quantization overhead. The gate reads the full shape, so a band
+        // takes the same tier as the full pass.
         if store.quant_mode() == QuantMode::I8 && above_small {
             if let Some(qb) = packs.quant(w) {
-                kernels::matmul_bias_act_i8_into(
-                    x,
-                    qb,
-                    bias.map(|t| t.data()),
-                    act,
-                    rows,
-                    self.in_dim,
-                    self.out_dim,
-                    pool,
-                    out,
-                );
+                kernels::matmul_bias_act_i8_into(x, qb, bias, act, rows, k, n, pool, out);
                 return;
             }
         }
         let pk = if above_small { packs.direct(w) } else { None };
-        kernels::matmul_bias_act_into(
-            x,
-            w.data(),
-            pk,
-            bias.map(|t| t.data()),
-            act,
-            rows,
-            self.in_dim,
-            self.out_dim,
-            pool,
-            out,
-        );
-    }
-
-    /// Band replay of [`infer_forward`](Self::infer_forward): compute only
-    /// the `band_len` output rows whose inputs are `x_band`, exactly as a
-    /// `full_rows`-row forward would have computed them (see
-    /// [`kernels::band_rows`]). The bias/activation epilogue is per-row, so
-    /// it composes with the band without affecting values.
-    pub fn infer_forward_band(
-        &self,
-        x_band: &[f32],
-        full_rows: usize,
-        band_len: usize,
-        act: kernels::Act,
-        store: &ParamStore,
-        out: &mut [f32],
-    ) {
-        let w = store.value(self.w);
-        let packs = store.packs(self.w);
-        let above_small = full_rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
-        let bias = self.b.map(|b| store.value(b));
-        // Same quant gate as `infer_forward`, on the *full* logical shape —
-        // band and full replay must agree on the tier or band replay would
-        // not be self-consistent with full scoring.
-        if store.quant_mode() == QuantMode::I8 && above_small {
-            if let Some(qb) = packs.quant(w) {
-                kernels::matmul_band_i8_into(
-                    x_band,
-                    qb,
-                    bias.map(|t| t.data()),
-                    act,
-                    band_len,
-                    self.in_dim,
-                    self.out_dim,
-                    out,
-                );
-                return;
-            }
-        }
-        let pk = if above_small { packs.direct(w) } else { None };
-        kernels::matmul_band_into(
-            x_band,
-            w.data(),
-            pk,
-            full_rows,
-            band_len,
-            self.in_dim,
-            self.out_dim,
-            out,
-        );
-        kernels::bias_act_apply(out, band_len, self.out_dim, bias.map(|t| t.data()), act);
+        kernels::matmul_bias_act_into(x, w.data(), pk, bias, act, full_rows, rows, k, n, pool, out);
     }
 }
 

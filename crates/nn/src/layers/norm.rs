@@ -37,7 +37,7 @@ impl LayerNorm {
     pub fn infer_forward(&self, x: &[f32], rows: usize, store: &ParamStore, out: &mut [f32]) {
         let g = store.value(self.gamma);
         let b = store.value(self.beta);
-        crate::kernels::layernorm_fwd(x, g.data(), b.data(), self.eps, rows, g.cols(), out);
+        crate::kernels::layernorm_fwd(x, g.data(), b.data(), self.eps, rows, g.cols(), out, None);
     }
 }
 

@@ -93,12 +93,16 @@ impl FeedForward {
         self.l2.forward(tape, h, store)
     }
 
-    /// Forward-only application over a `rows × d_model` buffer into `out`,
-    /// bit-identical to [`forward`](Self::forward) (the GELU is fused into
-    /// the first GEMM's epilogue, which applies the same per-element ops).
+    /// Forward-only application to a `rows`-row band of a `full_rows`-row
+    /// input (`rows × d_model`) into `out`; a full pass is the band
+    /// `0..full_rows`. Bit-identical to the same rows of
+    /// [`forward`](Self::forward) (the GELU is fused into the first GEMM's
+    /// epilogue, which applies the same per-element ops).
+    #[allow(clippy::too_many_arguments)]
     pub fn infer_forward(
         &self,
         x: &[f32],
+        full_rows: usize,
         rows: usize,
         store: &ParamStore,
         pool: &RotomPool,
@@ -107,29 +111,9 @@ impl FeedForward {
     ) {
         let mut h = scratch.take(rows * self.l1.out_dim());
         self.l1
-            .infer_forward(x, rows, Act::Gelu, store, pool, &mut h);
-        self.l2.infer_forward(&h, rows, Act::None, store, pool, out);
-        scratch.put(h);
-    }
-
-    /// Band replay of [`infer_forward`](Self::infer_forward): only the
-    /// `band_len` rows starting at a [`kernels::band_rows`] boundary of a
-    /// `full_rows`-row input are computed, bit-identically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band(
-        &self,
-        x_band: &[f32],
-        full_rows: usize,
-        band_len: usize,
-        store: &ParamStore,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let mut h = scratch.take(band_len * self.l1.out_dim());
-        self.l1
-            .infer_forward_band(x_band, full_rows, band_len, Act::Gelu, store, &mut h);
+            .infer_forward(x, full_rows, rows, Act::Gelu, store, pool, &mut h);
         self.l2
-            .infer_forward_band(&h, full_rows, band_len, Act::None, store, out);
+            .infer_forward(&h, full_rows, rows, Act::None, store, pool, out);
         scratch.put(h);
     }
 }
@@ -176,38 +160,16 @@ impl EncoderLayer {
         tape.add(x, f)
     }
 
-    /// Forward-only application, updating the `t × d` buffer `x` in place.
-    /// Bit-identical to [`forward`](Self::forward) in eval mode (dropout at
-    /// probability 0 is the identity and consumes no randomness).
-    pub fn infer_forward(
-        &self,
-        x: &mut [f32],
-        t: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-    ) {
-        let d = self.attn.d_model();
-        let mut n = scratch.take(t * d);
-        let mut a = scratch.take(t * d);
-        self.ln1.infer_forward(x, t, store, &mut n);
-        self.attn
-            .infer_forward(&n, &n, t, t, None, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        self.ln2.infer_forward(x, t, store, &mut n);
-        self.ff.infer_forward(&n, t, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        scratch.put(n);
-        scratch.put(a);
-    }
-
-    /// Band replay: given the full `t × d` input `x`, compute only the
-    /// `band_len` output rows starting at `band_start` (a
-    /// [`kernels::band_rows`] boundary) into `out_band`. The first layer
-    /// norm still runs over all rows because every query row attends to
-    /// every key; everything after the attention is per-row.
+    /// Forward-only application: given the full `t × d` input `x`, compute
+    /// the `band_len` output rows starting at `band_start` (a
+    /// [`kernels::band_rows`] boundary, or `0` with `band_len == t` for a
+    /// full pass) into `out_band`. The first layer norm and the K/V
+    /// projections run over all rows because every query row attends to
+    /// every key; everything after the attention is per-row. Bit-identical
+    /// to the same rows of [`forward`](Self::forward) in eval mode (dropout
+    /// at probability 0 is the identity and consumes no randomness).
     #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_tail(
+    pub fn infer_forward(
         &self,
         x: &[f32],
         t: usize,
@@ -220,16 +182,19 @@ impl EncoderLayer {
     ) {
         let d = self.attn.d_model();
         let band = band_start * d..(band_start + band_len) * d;
-        let mut n1 = scratch.take(t * d);
+        let mut n = scratch.take(t * d);
+        let mut k = scratch.take(t * d);
+        let mut v = scratch.take(t * d);
         let mut a = scratch.take(band_len * d);
-        let mut x2 = scratch.take(band_len * d);
-        let mut n2 = scratch.take(band_len * d);
-        self.ln1.infer_forward(x, t, store, &mut n1);
-        self.attn.infer_forward_band(
-            &n1[band.clone()],
-            &n1,
+        self.ln1.infer_forward(x, t, store, &mut n);
+        self.attn
+            .infer_project_kv(&n, t, store, pool, &mut k, &mut v);
+        self.attn.infer_forward(
+            &n[band.clone()],
             t,
             band_len,
+            &k,
+            &v,
             t,
             None,
             store,
@@ -237,15 +202,17 @@ impl EncoderLayer {
             scratch,
             &mut a,
         );
-        kernels::add_fwd(&x[band], &a, &mut x2);
-        self.ln2.infer_forward(&x2, band_len, store, &mut n2);
+        // The residual stream accumulates in `out_band`, and the per-row
+        // norms reuse the leading rows of `n`: fewer live buffers per step.
+        kernels::add_fwd(&x[band], &a, out_band);
+        let nb = &mut n[..band_len * d];
+        self.ln2.infer_forward(out_band, band_len, store, nb);
         self.ff
-            .infer_forward_band(&n2, t, band_len, store, scratch, &mut a);
-        kernels::add_fwd(&x2, &a, out_band);
-        scratch.put(n1);
-        scratch.put(a);
-        scratch.put(x2);
-        scratch.put(n2);
+            .infer_forward(nb, t, band_len, store, pool, scratch, &mut a);
+        kernels::add_assign_fwd(out_band, &a);
+        for buf in [n, k, v, a] {
+            scratch.put(buf);
+        }
     }
 }
 
@@ -315,49 +282,16 @@ impl DecoderLayer {
         tape.add(x, f)
     }
 
-    /// Forward-only application, updating the `t × d` buffer `x` in place.
-    /// Cross-attention keys/values come precomputed (`cross_k`/`cross_v`,
-    /// `mem_rows × d` each — see
-    /// [`MultiHeadAttention::infer_project_kv`]); `self_mask` is the full
-    /// `t × t` causal mask data. Bit-identical to
-    /// [`forward`](Self::forward) in eval mode.
+    /// Forward-only application: given the full `t × d` input `x`, compute
+    /// the `band_len` output rows starting at `band_start` (a
+    /// [`kernels::band_rows`] boundary, or the full band `0..t`) into
+    /// `out_band`. Cross-attention keys/values come precomputed
+    /// (`cross_k`/`cross_v`, `mem_rows × d` each — see
+    /// [`MultiHeadAttention::infer_project_kv`]); `self_mask_band` holds the
+    /// band's rows of the full `t × t` causal mask. Bit-identical to the
+    /// same rows of [`forward`](Self::forward) in eval mode.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_forward(
-        &self,
-        x: &mut [f32],
-        t: usize,
-        cross_k: &[f32],
-        cross_v: &[f32],
-        mem_rows: usize,
-        self_mask: &[f32],
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-    ) {
-        let d = self.self_attn.d_model();
-        let mut n = scratch.take(t * d);
-        let mut a = scratch.take(t * d);
-        self.ln1.infer_forward(x, t, store, &mut n);
-        self.self_attn
-            .infer_forward(&n, &n, t, t, Some(self_mask), store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        self.ln2.infer_forward(x, t, store, &mut n);
-        self.cross_attn.infer_forward_cached(
-            &n, t, cross_k, cross_v, mem_rows, None, store, pool, scratch, &mut a,
-        );
-        kernels::add_assign_fwd(x, &a);
-        self.ln3.infer_forward(x, t, store, &mut n);
-        self.ff.infer_forward(&n, t, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        scratch.put(n);
-        scratch.put(a);
-    }
-
-    /// Band replay: compute only the `band_len` output rows starting at
-    /// `band_start` from the full `t × d` input `x`. `self_mask_band` holds
-    /// the band's rows of the full causal mask (`band_len × t`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_tail(
         &self,
         x: &[f32],
         t: usize,
@@ -374,17 +308,19 @@ impl DecoderLayer {
     ) {
         let d = self.self_attn.d_model();
         let band = band_start * d..(band_start + band_len) * d;
-        let mut n1 = scratch.take(t * d);
+        let mut n = scratch.take(t * d);
+        let mut k = scratch.take(t * d);
+        let mut v = scratch.take(t * d);
         let mut a = scratch.take(band_len * d);
-        let mut x2 = scratch.take(band_len * d);
-        let mut nb = scratch.take(band_len * d);
-        let mut x3 = scratch.take(band_len * d);
-        self.ln1.infer_forward(x, t, store, &mut n1);
-        self.self_attn.infer_forward_band(
-            &n1[band.clone()],
-            &n1,
+        self.ln1.infer_forward(x, t, store, &mut n);
+        self.self_attn
+            .infer_project_kv(&n, t, store, pool, &mut k, &mut v);
+        self.self_attn.infer_forward(
+            &n[band.clone()],
             t,
             band_len,
+            &k,
+            &v,
             t,
             Some(self_mask_band),
             store,
@@ -392,21 +328,22 @@ impl DecoderLayer {
             scratch,
             &mut a,
         );
-        kernels::add_fwd(&x[band], &a, &mut x2);
-        self.ln2.infer_forward(&x2, band_len, store, &mut nb);
-        self.cross_attn.infer_forward_band_cached(
-            &nb, t, band_len, cross_k, cross_v, mem_rows, None, store, pool, scratch, &mut a,
+        // As in `EncoderLayer::infer_forward`: residuals accumulate in
+        // `out_band`, per-row norms reuse the leading rows of `n`.
+        kernels::add_fwd(&x[band], &a, out_band);
+        let nb = &mut n[..band_len * d];
+        self.ln2.infer_forward(out_band, band_len, store, nb);
+        self.cross_attn.infer_forward(
+            nb, t, band_len, cross_k, cross_v, mem_rows, None, store, pool, scratch, &mut a,
         );
-        kernels::add_fwd(&x2, &a, &mut x3);
-        self.ln3.infer_forward(&x3, band_len, store, &mut nb);
+        kernels::add_assign_fwd(out_band, &a);
+        self.ln3.infer_forward(out_band, band_len, store, nb);
         self.ff
-            .infer_forward_band(&nb, t, band_len, store, scratch, &mut a);
-        kernels::add_fwd(&x3, &a, out_band);
-        scratch.put(n1);
-        scratch.put(a);
-        scratch.put(x2);
-        scratch.put(nb);
-        scratch.put(x3);
+            .infer_forward(nb, t, band_len, store, pool, scratch, &mut a);
+        kernels::add_assign_fwd(out_band, &a);
+        for buf in [n, k, v, a] {
+            scratch.put(buf);
+        }
     }
 }
 
@@ -537,6 +474,41 @@ impl TransformerEncoder {
         (x, t)
     }
 
+    /// Embed `ids` and run the stack tape-free, computing only the row band
+    /// `band(t)` of the last layer and the final norm (`t` is the truncated
+    /// length). Every earlier layer runs the full band `0..t`, because its
+    /// output feeds every position of the next attention. Returns the
+    /// normed `len × d` band (a `scratch` buffer) and `t`.
+    fn infer_band(
+        &self,
+        ids: &[usize],
+        extras: &[(&Embedding, &[usize])],
+        band: impl FnOnce(usize) -> (usize, usize),
+        store: &ParamStore,
+        pool: &RotomPool,
+        scratch: &mut InferScratch,
+    ) -> (Vec<f32>, usize) {
+        let d = self.cfg.d_model;
+        let (mut x, t) = self.infer_embed(ids, extras, store, scratch);
+        let (start, len) = band(t);
+        let last = self.layers.len().saturating_sub(1);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (s, l) = if i == last { (start, len) } else { (0, t) };
+            let mut y = scratch.take(l * d);
+            layer.infer_forward(&x, t, s, l, store, pool, scratch, &mut y);
+            scratch.put(std::mem::replace(&mut x, y));
+        }
+        let rows: &[f32] = if self.layers.is_empty() {
+            &x[start * d..(start + len) * d]
+        } else {
+            &x
+        };
+        let mut out = scratch.take(len * d);
+        self.ln_f.infer_forward(rows, len, store, &mut out);
+        scratch.put(x);
+        (out, t)
+    }
+
     /// Forward-only, tape-free encoding of `ids` (truncated to `max_len`):
     /// returns the `t × d` hidden states and `t`. Bit-identical to
     /// [`forward_with`](Self::forward_with) under [`FwdCtx::eval`]. The
@@ -550,21 +522,13 @@ impl TransformerEncoder {
         pool: &RotomPool,
         scratch: &mut InferScratch,
     ) -> (Vec<f32>, usize) {
-        let (mut x, t) = self.infer_embed(ids, extras, store, scratch);
-        for layer in &self.layers {
-            layer.infer_forward(&mut x, t, store, pool, scratch);
-        }
-        let mut out = scratch.take(t * self.cfg.d_model);
-        self.ln_f.infer_forward(&x, t, store, &mut out);
-        scratch.put(x);
-        (out, t)
+        self.infer_band(ids, extras, |t| (0, t), store, pool, scratch)
     }
 
     /// Forward-only [CLS] encoding into `cls_out` (`d_model` floats),
     /// bit-identical to [`encode_cls_with`](Self::encode_cls_with) under
     /// [`FwdCtx::eval`]. Only the final layer is band-restricted to the
-    /// leading rows (earlier layers feed every position into the next
-    /// attention, so they must run in full).
+    /// leading rows.
     pub fn infer_encode_cls_with(
         &self,
         ids: &[usize],
@@ -574,24 +538,9 @@ impl TransformerEncoder {
         scratch: &mut InferScratch,
         cls_out: &mut [f32],
     ) {
-        let d = self.cfg.d_model;
-        let (mut x, t) = self.infer_embed(ids, extras, store, scratch);
-        let (band_start, band_len) = kernels::band_rows(t, 0);
-        debug_assert_eq!(band_start, 0);
-        let mut band = scratch.take(band_len * d);
-        if let Some((last, init)) = self.layers.split_last() {
-            for layer in init {
-                layer.infer_forward(&mut x, t, store, pool, scratch);
-            }
-            last.infer_forward_band_tail(&x, t, 0, band_len, store, pool, scratch, &mut band);
-        } else {
-            band.copy_from_slice(&x[..band_len * d]);
-        }
-        let mut normed = scratch.take(band_len * d);
-        self.ln_f.infer_forward(&band, band_len, store, &mut normed);
-        cls_out.copy_from_slice(&normed[..d]);
-        scratch.put(x);
-        scratch.put(band);
+        let band = |t| kernels::band_rows(t, 0);
+        let (normed, _) = self.infer_band(ids, extras, band, store, pool, scratch);
+        cls_out.copy_from_slice(&normed[..self.cfg.d_model]);
         scratch.put(normed);
     }
 }
@@ -720,55 +669,47 @@ impl TransformerDecoder {
             }
         }
         let (band_start, band_len) = kernels::band_rows(t, t - 1);
-        let mut band = scratch.take(band_len * d);
-        if let Some((last, init)) = self.layers.split_last() {
-            for (li, layer) in init.iter().enumerate() {
-                let (ck, cv) = &cache.per_layer[li];
-                layer.infer_forward(
-                    &mut x,
-                    t,
-                    ck,
-                    cv,
-                    cache.mem_rows,
-                    &mask,
-                    store,
-                    pool,
-                    scratch,
-                );
-            }
-            let li = self.layers.len() - 1;
+        let last = self.layers.len().saturating_sub(1);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (s, l) = if li == last {
+                (band_start, band_len)
+            } else {
+                (0, t)
+            };
             let (ck, cv) = &cache.per_layer[li];
-            last.infer_forward_band_tail(
+            let mut y = scratch.take(l * d);
+            layer.infer_forward(
                 &x,
                 t,
-                band_start,
-                band_len,
+                s,
+                l,
                 ck,
                 cv,
                 cache.mem_rows,
-                &mask[band_start * t..(band_start + band_len) * t],
+                &mask[s * t..(s + l) * t],
                 store,
                 pool,
                 scratch,
-                &mut band,
+                &mut y,
             );
-        } else {
-            band.copy_from_slice(&x[band_start * d..(band_start + band_len) * d]);
+            scratch.put(std::mem::replace(&mut x, y));
         }
+        let band: &[f32] = if self.layers.is_empty() {
+            &x[band_start * d..(band_start + band_len) * d]
+        } else {
+            &x
+        };
         let mut normed = scratch.take(band_len * d);
-        self.ln_f.infer_forward(&band, band_len, store, &mut normed);
-        let mut proj_band = scratch.take(band_len * self.cfg.vocab);
+        self.ln_f.infer_forward(band, band_len, store, &mut normed);
+        let vocab = self.cfg.vocab;
+        let mut proj_band = scratch.take(band_len * vocab);
         self.proj
-            .infer_forward_band(&normed, t, band_len, Act::None, store, &mut proj_band);
+            .infer_forward(&normed, t, band_len, Act::None, store, pool, &mut proj_band);
         let last_row = t - 1 - band_start;
-        logits_out.copy_from_slice(
-            &proj_band[last_row * self.cfg.vocab..(last_row + 1) * self.cfg.vocab],
-        );
-        scratch.put(x);
-        scratch.put(mask);
-        scratch.put(band);
-        scratch.put(normed);
-        scratch.put(proj_band);
+        logits_out.copy_from_slice(&proj_band[last_row * vocab..(last_row + 1) * vocab]);
+        for buf in [x, mask, normed, proj_band] {
+            scratch.put(buf);
+        }
     }
 }
 

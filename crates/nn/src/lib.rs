@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod env;
 pub mod faultpoint;
 pub mod gradcheck;
 mod graph;

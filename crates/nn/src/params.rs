@@ -14,11 +14,12 @@ use std::sync::{Arc, OnceLock};
 
 /// Numeric mode of the inference plane for one model (one [`ParamStore`]).
 ///
-/// Consulted only by the forward-only layer twins (`Linear::infer_forward*`)
-/// — the training tape never reads it, so training stays bit-exact f32
-/// regardless of the mode. [`QuantMode::I8`] routes large-enough inference
-/// GEMMs through the quantized i8 kernel with per-output-row weight scales
-/// (see `kernels::matmul_bias_act_i8_into`); results then carry a bounded
+/// Consulted only by the tape-free forward (`Linear::infer_forward`, the
+/// one GEMM site of every inference pass, full or band) — the training tape
+/// never reads it, so training stays bit-exact f32 regardless of the mode.
+/// [`QuantMode::I8`] routes large-enough inference GEMMs through the
+/// quantized i8 kernel with per-output-row weight scales (see
+/// `kernels::matmul_bias_act_i8_into`); results then carry a bounded
 /// quantization error instead of bit-identity with the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
@@ -31,13 +32,20 @@ pub enum QuantMode {
 }
 
 impl QuantMode {
-    /// Read the process-default mode from `ROTOM_QUANT` (`i8` enables the
-    /// quantized tier; anything else, or unset, stays f32).
+    /// Read the process-default mode from `ROTOM_QUANT`: `i8` enables the
+    /// quantized tier, `f32` or unset stays f32, and any other value falls
+    /// back to f32 with a warning (see [`crate::env`]).
     pub fn from_env() -> Self {
-        match std::env::var("ROTOM_QUANT") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("i8") => QuantMode::I8,
-            _ => QuantMode::F32,
-        }
+        crate::env::read("ROTOM_QUANT", |v| {
+            if v.eq_ignore_ascii_case("i8") {
+                Ok(QuantMode::I8)
+            } else if v.eq_ignore_ascii_case("f32") {
+                Ok(QuantMode::F32)
+            } else {
+                Err("expected i8 or f32".to_string())
+            }
+        })
+        .unwrap_or_default()
     }
 
     /// Short label for metrics/telemetry.

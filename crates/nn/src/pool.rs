@@ -22,7 +22,7 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::telemetry;
@@ -133,37 +133,14 @@ impl RotomPool {
     }
 
     /// A pool sized from the environment: `ROTOM_THREADS` if set to a
-    /// positive integer (surrounding whitespace is tolerated), otherwise
-    /// [`std::thread::available_parallelism`]. A set-but-invalid value (not
-    /// a number, or zero) falls back too, but loudly: a one-shot stderr
-    /// warning and telemetry counter name the rejected value instead of
-    /// silently ignoring the operator's intent.
+    /// positive integer, otherwise [`std::thread::available_parallelism`].
+    /// A set-but-invalid value (not a number, or zero) falls back too, but
+    /// loudly (see [`crate::env`]).
     pub fn from_env() -> Self {
-        let threads = match std::env::var("ROTOM_THREADS") {
-            Ok(raw) => {
-                let trimmed = raw.trim();
-                match trimmed.parse::<usize>() {
-                    Ok(n) if n > 0 => Some(n),
-                    _ if trimmed.is_empty() => None,
-                    _ => {
-                        static WARN_ONCE: Once = Once::new();
-                        WARN_ONCE.call_once(|| {
-                            eprintln!(
-                                "rotom: ignoring invalid ROTOM_THREADS={raw:?} \
-                                 (expected a positive integer); using detected parallelism"
-                            );
-                            telemetry::emit(
-                                "counter",
-                                "pool.rotom_threads_rejected",
-                                &[("value", Value::Str(raw.clone()))],
-                            );
-                        });
-                        None
-                    }
-                }
-            }
-            Err(_) => None,
-        };
+        let threads = crate::env::read("ROTOM_THREADS", |v| match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err("expected a positive integer".to_string()),
+        });
         let threads = threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -498,32 +475,6 @@ mod tests {
                 }
             });
             assert_eq!(data[9..12], [3, 3, 3]);
-        }
-    }
-
-    #[test]
-    fn from_env_trims_whitespace_and_survives_invalid_values() {
-        // This is the only test in the binary that mutates ROTOM_THREADS
-        // (everything else reads it at most once through the cached global);
-        // the original value is restored before returning.
-        let saved = std::env::var("ROTOM_THREADS").ok();
-        std::env::set_var("ROTOM_THREADS", " 8 ");
-        assert_eq!(RotomPool::from_env().threads(), 8, "trimmed value parses");
-        std::env::set_var("ROTOM_THREADS", "8\n");
-        assert_eq!(
-            RotomPool::from_env().threads(),
-            8,
-            "trailing newline parses"
-        );
-        for bad in ["eight", "0", "-2", "3.5"] {
-            std::env::set_var("ROTOM_THREADS", bad);
-            // Invalid values warn (one-shot) and fall back to detected
-            // parallelism, which is always at least 1.
-            assert!(RotomPool::from_env().threads() >= 1, "bad value {bad:?}");
-        }
-        match saved {
-            Some(v) => std::env::set_var("ROTOM_THREADS", v),
-            None => std::env::remove_var("ROTOM_THREADS"),
         }
     }
 

@@ -5,6 +5,8 @@
 //! example. Keeping the representation this small makes every kernel easy to
 //! audit and keeps the autodiff tape allocation-friendly.
 
+use crate::kernels;
+use crate::pool::RotomPool;
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
@@ -157,11 +159,10 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        Tensor::from_vec(
-            crate::kernels::matmul(&self.data, &other.data, m, k, n),
-            m,
-            n,
-        )
+        let mut out = vec![0.0f32; m * n];
+        let pool = RotomPool::global();
+        kernels::matmul_into(&self.data, &other.data, None, m, m, k, n, pool, &mut out);
+        Tensor::from_vec(out, m, n)
     }
 
     /// `self (m x k) * other^T (n x k) -> m x n`.
@@ -175,11 +176,10 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        Tensor::from_vec(
-            crate::kernels::matmul_transpose_b(&self.data, &other.data, m, k, n),
-            m,
-            n,
-        )
+        let mut out = vec![0.0f32; m * n];
+        let pool = RotomPool::global();
+        kernels::matmul_transpose_b_into(&self.data, &other.data, None, m, m, k, n, pool, &mut out);
+        Tensor::from_vec(out, m, n)
     }
 
     /// `self^T (k x m) * other (m x n) -> k x n` — the weight-gradient
@@ -192,18 +192,17 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        Tensor::from_vec(
-            crate::kernels::matmul_transpose_a(&self.data, &other.data, m, k, n),
-            k,
-            n,
-        )
+        let mut out = vec![0.0f32; k * n];
+        let pool = RotomPool::global();
+        kernels::matmul_transpose_a_into(&self.data, &other.data, m, k, n, pool, &mut out);
+        Tensor::from_vec(out, k, n)
     }
 
     /// `self^T (k x m)^T=(m x k)… ` — transpose of an `m x k` tensor,
     /// producing `k x m`.
     pub fn transpose(&self) -> Tensor {
         Tensor::from_vec(
-            crate::kernels::transpose(&self.data, self.rows, self.cols),
+            kernels::transpose(&self.data, self.rows, self.cols),
             self.cols,
             self.rows,
         )

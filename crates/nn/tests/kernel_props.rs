@@ -7,11 +7,14 @@
 //! `SMALL_FLOPS` / `PAR_MIN_FLOPS` dispatch thresholds. Every draw is
 //! checked against the naive reference at 1, 2, and 8 pool workers, so a
 //! bug in tile-edge handling, panel packing, or the parallel row split
-//! cannot hide behind a lucky fixed shape.
+//! cannot hide behind a lucky fixed shape. The same draws drive the band
+//! property: every [`band_rows`] band of a product must equal the same rows
+//! of the full call bit for bit.
 
 use rotom_nn::kernels::{
-    matmul_naive, matmul_transpose_a_with_pool, matmul_transpose_b_naive,
-    matmul_transpose_b_with_pool, matmul_with_pool, transpose, MR, NR, PAR_MIN_FLOPS, SMALL_FLOPS,
+    band_rows, matmul_bias_act_i8_into, matmul_bias_act_into, matmul_into, matmul_naive,
+    matmul_transpose_a_into, matmul_transpose_b_into, matmul_transpose_b_naive, transpose, Act,
+    PackedB, QuantizedB, MR, NR, PAR_MIN_FLOPS, SMALL_FLOPS,
 };
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
@@ -60,32 +63,134 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
     let atg = matmul_naive(&transpose(&a, m, k), &g, k, m, n);
     for &w in WORKERS {
         let pool = RotomPool::new(w);
-        assert_close(
-            &matmul_with_pool(&a, &b, m, k, n, &pool),
-            &ab,
-            &format!("matmul {m}x{k}x{n} workers={w}"),
-        );
-        assert_close(
-            &matmul_transpose_b_with_pool(&a, &bt, m, k, n, &pool),
-            &abt,
-            &format!("matmul_tb {m}x{k}x{n} workers={w}"),
-        );
-        assert_close(
-            &matmul_transpose_a_with_pool(&a, &g, m, k, n, &pool),
-            &atg,
-            &format!("matmul_ta {m}x{k}x{n} workers={w}"),
-        );
+        let mut out = vec![0.0f32; m * n];
+        matmul_into(&a, &b, None, m, m, k, n, &pool, &mut out);
+        assert_close(&out, &ab, &format!("matmul {m}x{k}x{n} workers={w}"));
+        matmul_transpose_b_into(&a, &bt, None, m, m, k, n, &pool, &mut out);
+        assert_close(&out, &abt, &format!("matmul_tb {m}x{k}x{n} workers={w}"));
+        let mut out = vec![0.0f32; k * n];
+        matmul_transpose_a_into(&a, &g, m, k, n, &pool, &mut out);
+        assert_close(&out, &atg, &format!("matmul_ta {m}x{k}x{n} workers={w}"));
     }
+}
+
+/// One `(full_m, k, n)` GEMM family behind a common call shape: `f(a_rows,
+/// full_m, rows, pk, pool, out)` computes `rows` output rows of a
+/// `full_m`-row product.
+type BandCall<'a> = &'a dyn Fn(&[f32], usize, usize, Option<&PackedB>, &RotomPool, &mut [f32]);
+
+/// Every [`band_rows`] band of `call` — with and without `pk` — equals the
+/// same rows of the full unpacked call at every worker count, bit for bit.
+fn check_bands(
+    name: &str,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pk: Option<&PackedB>,
+    call: BandCall,
+) {
+    for &w in WORKERS {
+        let pool = RotomPool::new(w);
+        let mut full = vec![0.0f32; m * n];
+        call(a, m, m, None, &pool, &mut full);
+        let mut start = 0;
+        while start < m {
+            let (s, len) = band_rows(m, start);
+            assert_eq!(s, start, "bands tile the rows in order");
+            for pk in [None, pk] {
+                let mut band = vec![f32::NAN; len * n];
+                call(&a[s * k..(s + len) * k], m, len, pk, &pool, &mut band);
+                assert_eq!(
+                    band,
+                    &full[s * n..(s + len) * n],
+                    "{name} {m}x{k}x{n} band {s}+{len} workers={w} packed={}",
+                    pk.is_some()
+                );
+            }
+            start += len;
+        }
+    }
+}
+
+/// The band property for all four forward GEMM entry points at one shape.
+fn check_band_shape(m: usize, k: usize, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = random_matrix(&mut rng, m, k);
+    let b = random_matrix(&mut rng, k, n);
+    let bt = random_matrix(&mut rng, n, k);
+    let bias = random_matrix(&mut rng, 1, n);
+    let pk = PackedB::pack_row_major(&b, k, n);
+    let pk_t = PackedB::pack_transposed(&bt, k, n);
+    let qb = QuantizedB::quantize_row_major(&b, k, n);
+    check_bands(
+        "matmul",
+        &a,
+        m,
+        k,
+        n,
+        Some(&pk),
+        &|a, full, rows, pk, pool, out| matmul_into(a, &b, pk, full, rows, k, n, pool, out),
+    );
+    check_bands(
+        "matmul_tb",
+        &a,
+        m,
+        k,
+        n,
+        Some(&pk_t),
+        &|a, full, rows, pk, pool, out| {
+            matmul_transpose_b_into(a, &bt, pk, full, rows, k, n, pool, out)
+        },
+    );
+    check_bands(
+        "bias_gelu",
+        &a,
+        m,
+        k,
+        n,
+        Some(&pk),
+        &|a, full, rows, pk, pool, out| {
+            let bias = Some(&bias[..]);
+            matmul_bias_act_into(a, &b, pk, bias, Act::Gelu, full, rows, k, n, pool, out)
+        },
+    );
+    check_bands(
+        "i8_bias_gelu",
+        &a,
+        m,
+        k,
+        n,
+        None,
+        &|a, _full, rows, _pk, pool, out| {
+            matmul_bias_act_i8_into(a, &qb, Some(&bias), Act::Gelu, rows, k, n, pool, out)
+        },
+    );
+}
+
+/// The 60 random `(m, k, n)` draws from [`DIMS`] both random-shape tests use.
+fn edge_shapes() -> Vec<(usize, usize, usize)> {
+    let mut rng = StdRng::seed_from_u64(0x5a5e);
+    let mut dim = || DIMS[rng.random_range(0..DIMS.len())];
+    (0..60).map(|_| (dim(), dim(), dim())).collect()
 }
 
 #[test]
 fn random_edge_shapes_match_naive() {
-    let mut rng = StdRng::seed_from_u64(0x5a5e);
-    for case in 0..60u64 {
-        let m = DIMS[rng.random_range(0..DIMS.len())];
-        let k = DIMS[rng.random_range(0..DIMS.len())];
-        let n = DIMS[rng.random_range(0..DIMS.len())];
-        check_shape(m, k, n, split_seed(0x5a5f, case));
+    for (case, &(m, k, n)) in edge_shapes().iter().enumerate() {
+        check_shape(m, k, n, split_seed(0x5a5f, case as u64));
+    }
+}
+
+#[test]
+fn every_band_matches_the_full_call_bitwise() {
+    // The random draws plus shapes that straddle the tiled and parallel
+    // thresholds, where a band (at most MR rows, always serial) must still
+    // reproduce rows the full call computed on the tiled or fanned-out path.
+    let mut shapes = edge_shapes();
+    shapes.extend([(8, 16, 16), (33, 33, 33), (80, 65, 72)]);
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        check_band_shape(m, k, n, split_seed(0x5a63, case as u64));
     }
 }
 

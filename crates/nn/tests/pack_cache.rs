@@ -137,6 +137,8 @@ fn tapes_pin_the_generation_they_snapshot() {
     rotom_nn::kernels::matmul_into(
         a.data(),
         before.data(),
+        None,
+        m,
         m,
         k,
         n,

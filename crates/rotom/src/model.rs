@@ -439,8 +439,15 @@ impl TinyLm {
             self.encoder
                 .infer_encode_cls_with(&ids, &extras, &self.store, pool, scratch, &mut cls);
             let mut logits = vec![0.0f32; self.num_classes];
-            self.head
-                .infer_forward(&cls, 1, kernels::Act::None, &self.store, pool, &mut logits);
+            self.head.infer_forward(
+                &cls,
+                1,
+                1,
+                kernels::Act::None,
+                &self.store,
+                pool,
+                &mut logits,
+            );
             scratch.put(cls);
             logits
         });
