@@ -127,11 +127,18 @@ echo "== servebench (writes BENCH_serve.json, gates serving throughput + overloa
 cargo run --release --offline -p rotom-bench --bin servebench -- --check
 
 # Blocking plane gates. The equivalence/property suite proves the sharded
-# streaming pipeline bit-identical to exhaustive block_candidates across
-# shard counts {1,2,7} and pool widths {1,8}, holds the LSH-tier recall
-# floor on known match pairs, and bounds the candidate buffer; the two
-# ROTOM_THREADS invocations additionally pin the process-global pool at
-# both widths (pool sized once per process, like the golden stanzas).
+# streaming pipeline (one-pass flat-array probe: dense per-worker
+# shared-token counter, directory lookup into the LSH band tables)
+# bit-identical to exhaustive block_candidates across shard counts {1,2,7}
+# and pool widths {1,8}; the brute-force oracle
+# (lsh_and_df_ceiling_match_brute_force_reference) holds it equal to a
+# reference with the df ceiling and LSH tier engaged, including buckets of
+# exactly max_bucket and max_bucket + 1 records; the pinned candidate-stream
+# checksum proves it reproduces the previous probe bit for bit; the suite
+# also holds the LSH-tier recall floor on known match pairs and bounds the
+# candidate buffer. The two ROTOM_THREADS invocations additionally pin the
+# process-global pool at both widths (pool sized once per process, like the
+# golden stanzas).
 for t in 1 8; do
     echo "== blocking plane: equivalence + streaming suite (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline --test blocking_pipeline

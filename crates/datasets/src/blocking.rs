@@ -7,11 +7,13 @@
 //! token-overlap semantics to that regime:
 //!
 //! * **Sharded inverted token index** — tokens are assigned to shards by
-//!   token hash, so shards build pool-parallel and posting lists stay
-//!   shard-local. A candidate's shared-token count is split across shards;
-//!   the query path merges per-shard partial counts before thresholding, so
-//!   the sharded result is *bit-identical* to the single-shard path at any
-//!   shard or worker count.
+//!   token hash, so shards build pool-parallel with no locks. Sealing the
+//!   index flattens each shard into one concatenated posting-id array and
+//!   an open-addressed table keyed on the token hash. A probe hashes each
+//!   left token once, reads its posting list from the owning shard, and
+//!   counts shared tokens in one dense per-worker counter; the counts are
+//!   integer sums, so the result is *bit-identical* at any shard or worker
+//!   count.
 //! * **IDF pruning** — posting lists whose document frequency exceeds
 //!   [`BlockingConfig::df_ceiling`] are dropped (the df comes straight from
 //!   posting-list lengths via [`rotom_text::IdfIndex::from_doc_freqs`]).
@@ -22,20 +24,22 @@
 //!   (splitmix64 hash streams seeded from [`BlockingConfig::seed`]) are
 //!   banded into buckets; records colliding in any band become candidates
 //!   regardless of which tokens were pruned, recovering high-similarity
-//!   pairs the pruned token tier misses.
+//!   pairs the pruned token tier misses. Each sealed band is a sorted key
+//!   array with a directory on the keys' top bits, so a probe finds its
+//!   bucket in O(1) expected memory touches.
 //! * **Streaming pipeline** — left records are ingested in bounded chunks
 //!   (e.g. [`crate::em::EmCorpus::chunks`] or [`crate::csv::table_chunks`]),
 //!   candidates are flushed to the caller's sink whenever the buffer reaches
 //!   [`BlockingConfig::max_buffered_pairs`], and
 //!   [`stream_candidates_channel`] decouples production from consumption
-//!   through a bounded channel. Peak memory is O(shards + chunk), never
+//!   through a bounded channel. Peak memory is O(index + chunk), never
 //!   O(candidates).
 
 use crate::em::content_token_list;
 use rotom_nn::RotomPool;
 use rotom_rng::splitmix64;
 use rotom_text::{IdfIndex, Record};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::mpsc;
 
 /// MinHash/LSH banding parameters. The signature has `bands * rows` hashes;
@@ -47,13 +51,13 @@ pub struct LshParams {
     pub bands: usize,
     /// MinHash rows per band.
     pub rows: usize,
-    /// Buckets holding more than this many records are skipped at probe
-    /// time. Corpus-wide shared tokens (stopwords) drag every record's
-    /// minhash toward the same few values, merging huge fractions of the
-    /// collection into a handful of mega-buckets; probing those degenerates
-    /// to a corpus scan, exactly the blowup the df ceiling kills in the
-    /// token tier. A mega-bucket carries no similarity signal, so skipping
-    /// it costs almost no recall.
+    /// Buckets holding more than this many records are dropped when the
+    /// index is sealed. Corpus-wide shared tokens (stopwords) drag every
+    /// record's minhash toward the same few values, merging huge fractions
+    /// of the collection into a handful of mega-buckets; probing those
+    /// degenerates to a corpus scan, exactly the blowup the df ceiling kills
+    /// in the token tier. A mega-bucket carries no similarity signal, so
+    /// dropping it costs almost no recall.
     pub max_bucket: usize,
 }
 
@@ -130,16 +134,32 @@ fn token_shard(hash: u64, num_shards: usize) -> usize {
     (((hash as u128) * (num_shards as u128)) >> 64) as usize
 }
 
-/// Per-band bucket keys of one record's minhash signature. Records with no
-/// content tokens get no signature (they cannot match anything lexically).
-fn band_keys(tokens: &[String], params: LshParams, seed: u64) -> Vec<u64> {
-    if tokens.is_empty() {
+/// Record ids `start..start + len` of a chunk appended to an index that
+/// already holds `start` records, or `None` when the chunk's end does not
+/// fit in a `u32` id.
+fn chunk_ids(start: usize, len: usize) -> Option<Range<u32>> {
+    let end = u32::try_from(start.checked_add(len)?).ok()?;
+    // `start <= end`, so it fits too.
+    Some(start as u32..end)
+}
+
+/// Per-band LSH bucket keys of one record's content tokens (as produced by
+/// [`content_token_list`]): the buckets the index files the record under
+/// and probes it against. Records with no content tokens get no keys (they
+/// cannot match anything lexically).
+pub fn band_keys(tokens: &[String], params: LshParams, seed: u64) -> Vec<u64> {
+    let hashes: Vec<u64> = tokens.iter().map(|t| fnv1a64(t)).collect();
+    hashed_band_keys(&hashes, params, seed)
+}
+
+/// [`band_keys`] over the tokens' [`fnv1a64`] hashes.
+fn hashed_band_keys(hashes: &[u64], params: LshParams, seed: u64) -> Vec<u64> {
+    if hashes.is_empty() {
         return Vec::new();
     }
     let nh = params.bands * params.rows;
     let mut sig = vec![u64::MAX; nh];
-    for t in tokens {
-        let th = fnv1a64(t);
+    for &th in hashes {
         for (h, slot) in sig.iter_mut().enumerate() {
             // One splitmix step per (token, hash-index): an independent
             // permutation family keyed on the pipeline seed.
@@ -162,13 +182,6 @@ fn band_keys(tokens: &[String], params: LshParams, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// One token shard: posting lists for the tokens it owns (record ids
-/// ascending, by construction of the chunked build).
-#[derive(Debug, Default, Clone)]
-struct Shard {
-    postings: HashMap<String, Vec<u32>>,
-}
-
 /// Index-build statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexStats {
@@ -185,12 +198,132 @@ pub struct IndexStats {
     pub postings_pruned: usize,
 }
 
+/// Position range of item `k` in a flat array holding items back to back,
+/// where `ends[k]` is where item `k` ends (it starts where `k - 1` ends).
+#[inline]
+fn span(ends: &[usize], k: usize) -> Range<usize> {
+    let start = if k == 0 { 0 } else { ends[k - 1] };
+    start..ends[k]
+}
+
+/// Open-addressed token table: every token's text concatenated into one
+/// string, found through a slot table keyed on the token's [`fnv1a64`]
+/// hash — the hash the caller already computed to pick the shard, so no
+/// token is hashed twice.
+#[derive(Debug, Clone)]
+struct TokenTable {
+    /// Power-of-two table of `token index + 1` (`0` marks an empty slot),
+    /// kept at most half full and probed linearly from
+    /// [`TokenTable::home_slot`].
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+    /// Per token, in insertion order: its hash.
+    hashes: Vec<u64>,
+    /// Per token: where its text ends in `text` (see [`span`]).
+    text_ends: Vec<usize>,
+    text: String,
+}
+
+impl Default for TokenTable {
+    fn default() -> Self {
+        Self {
+            slots: vec![0; 2],
+            shift: 63,
+            hashes: Vec::new(),
+            text_ends: Vec::new(),
+            text: String::new(),
+        }
+    }
+}
+
+impl TokenTable {
+    /// Number of tokens held.
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Text of token `k`.
+    fn token(&self, k: usize) -> &str {
+        &self.text[span(&self.text_ends, k)]
+    }
+
+    /// First slot probed for `hash`. Fibonacci hashing re-mixes the hash, so
+    /// the slot does not depend only on the top bits that chose the shard.
+    #[inline]
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// `Ok(index)` of `token` (whose hash is `hash`), or `Err(slot)`: the
+    /// empty slot where it would go.
+    #[inline]
+    fn lookup(&self, hash: u64, token: &str) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home_slot(hash);
+        loop {
+            let k = match self.slots[i] {
+                0 => return Err(i),
+                k => k as usize - 1,
+            };
+            if self.hashes[k] == hash && self.token(k) == token {
+                return Ok(k);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Index of `token` (whose hash is `hash`), adding it if absent.
+    fn intern(&mut self, hash: u64, token: &str) -> u32 {
+        match self.lookup(hash, token) {
+            Ok(k) => k as u32,
+            Err(slot) => {
+                let k = u32::try_from(self.len())
+                    .ok()
+                    .filter(|&k| k < u32::MAX)
+                    .expect("shard capped at u32 tokens");
+                self.hashes.push(hash);
+                self.text.push_str(token);
+                self.text_ends.push(self.text.len());
+                self.slots[slot] = k + 1;
+                if 2 * self.len() > self.slots.len() {
+                    self.grow();
+                }
+                k
+            }
+        }
+    }
+
+    /// Double the slot table and re-insert every token.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.shift -= 1;
+        self.slots = vec![0; len];
+        for (k, &hash) in self.hashes.iter().enumerate() {
+            let mut i = self.home_slot(hash);
+            while self.slots[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            // `intern` keeps every index below u32::MAX.
+            self.slots[i] = k as u32 + 1;
+        }
+    }
+}
+
+/// One token shard under construction: its token table and one
+/// `(token index, record id)` pair per posting, in record-id order.
+#[derive(Debug, Default, Clone)]
+struct ShardBuilder {
+    table: TokenTable,
+    postings: Vec<(u32, u32)>,
+}
+
 /// Streaming builder for [`ShardedIndex`]: feed the right-hand collection in
 /// bounded chunks, then [`finish`](IndexBuilder::finish). Records are
 /// assigned ids in feed order.
 pub struct IndexBuilder {
     cfg: BlockingConfig,
-    shards: Vec<Shard>,
+    shards: Vec<ShardBuilder>,
     lsh_entries: Option<Vec<Vec<(u64, u32)>>>,
     num_records: usize,
 }
@@ -202,7 +335,7 @@ impl IndexBuilder {
         let lsh_entries = cfg.lsh.map(|p| vec![Vec::new(); p.bands]);
         Self {
             cfg: BlockingConfig { num_shards, ..cfg },
-            shards: vec![Shard::default(); num_shards],
+            shards: vec![ShardBuilder::default(); num_shards],
             lsh_entries,
             num_records: 0,
         }
@@ -215,41 +348,40 @@ impl IndexBuilder {
     }
 
     /// Index one chunk of pre-tokenized records (sorted deduplicated content
-    /// tokens, as produced by [`content_token_list`]).
+    /// tokens, as produced by [`content_token_list`]). Panics if the chunk
+    /// would take the index past `u32::MAX` records.
     pub fn add_token_chunk(&mut self, tokens: &[Vec<String>], pool: &RotomPool) {
-        let base = u32::try_from(self.num_records).expect("index capped at u32 records");
+        let ids =
+            chunk_ids(self.num_records, tokens.len()).expect("index capped at u32 record ids");
         let ns = self.cfg.num_shards;
-        // Pool-parallel over shards: each worker walks the whole chunk and
-        // claims the tokens hashing into its shard, so shard maps build with
-        // no locks and posting lists stay in ascending record order.
-        let partials: Vec<HashMap<&str, Vec<u32>>> = pool.map(ns, |s| {
-            let mut m: HashMap<&str, Vec<u32>> = HashMap::new();
-            for (i, ts) in tokens.iter().enumerate() {
-                for t in ts {
-                    if token_shard(fnv1a64(t), ns) == s {
-                        m.entry(t.as_str()).or_default().push(base + i as u32);
-                    }
-                }
-            }
-            m
+        let (lsh, seed) = (self.cfg.lsh, self.cfg.seed);
+        // Hash every token once: shard assignment, the shard's token table
+        // and the minhash signature all reuse it.
+        let hashed: Vec<(Vec<u64>, Vec<u64>)> = pool.map(tokens.len(), |i| {
+            let hashes: Vec<u64> = tokens[i].iter().map(|t| fnv1a64(t)).collect();
+            let keys = lsh.map_or_else(Vec::new, |p| hashed_band_keys(&hashes, p, seed));
+            (hashes, keys)
         });
-        for (shard, part) in self.shards.iter_mut().zip(partials) {
-            for (t, mut ids) in part {
-                match shard.postings.get_mut(t) {
-                    Some(list) => list.append(&mut ids),
-                    None => {
-                        shard.postings.insert(t.to_string(), ids);
+        // Each worker owns a contiguous run of shards and walks the chunk,
+        // claiming the tokens hashing into its run: shards build with no
+        // locks and no merge, and postings stay in record-id order.
+        pool.chunk_rows(&mut self.shards, 1, |first, shards| {
+            let owned = first..first + shards.len();
+            for ((id, ts), (hashes, _)) in ids.clone().zip(tokens).zip(&hashed) {
+                for (t, &h) in ts.iter().zip(hashes) {
+                    let s = token_shard(h, ns);
+                    if owned.contains(&s) {
+                        let shard = &mut shards[s - first];
+                        let k = shard.table.intern(h, t);
+                        shard.postings.push((k, id));
                     }
                 }
             }
-        }
-        if let (Some(entries), Some(params)) = (self.lsh_entries.as_mut(), self.cfg.lsh) {
-            let seed = self.cfg.seed;
-            let keys: Vec<Vec<u64>> =
-                pool.map(tokens.len(), |i| band_keys(&tokens[i], params, seed));
-            for (i, ks) in keys.iter().enumerate() {
-                for (band, &k) in ks.iter().enumerate() {
-                    entries[band].push((k, base + i as u32));
+        });
+        if let Some(entries) = self.lsh_entries.as_mut() {
+            for (id, (_, keys)) in ids.zip(&hashed) {
+                for (band, &k) in entries.iter_mut().zip(keys) {
+                    band.push((k, id));
                 }
             }
         }
@@ -257,44 +389,66 @@ impl IndexBuilder {
     }
 
     /// Seal the index: apply the df ceiling, derive the [`IdfIndex`] from
-    /// posting-list lengths, and sort the LSH bucket tables.
+    /// posting-list lengths, flatten each shard's kept posting lists, and
+    /// seal the LSH band tables (dropping buckets above
+    /// [`LshParams::max_bucket`]).
     pub fn finish(self) -> ShardedIndex {
         let mut stats = IndexStats {
             records: self.num_records,
             ..Default::default()
         };
         let ceiling = self.cfg.df_ceiling.unwrap_or(usize::MAX);
-        // Posting-list lengths are document frequencies (tokens are unique
-        // per record): the IdfIndex falls out of the build for free.
-        let mut df: HashMap<String, usize> = HashMap::new();
-        for shard in &self.shards {
-            for (t, list) in &shard.postings {
-                df.insert(t.clone(), list.len());
+        let mut df: Vec<(String, usize)> =
+            Vec::with_capacity(self.shards.iter().map(|s| s.table.len()).sum());
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for ShardBuilder { table, postings } in self.shards {
+            // Posting-list lengths are document frequencies (tokens are
+            // unique per record): the IdfIndex falls out of the build for
+            // free.
+            let mut freq = vec![0usize; table.len()];
+            for &(k, _) in &postings {
+                freq[k as usize] += 1;
             }
-        }
-        let idf = IdfIndex::from_doc_freqs(df, self.num_records);
-        let mut shards = self.shards;
-        for shard in &mut shards {
-            shard.postings.retain(|_, list| {
-                if list.len() > ceiling {
+            // Counting sort of the kept postings by token: `ids_ends[k]`
+            // starts where token k's list begins and, as the stable scatter
+            // fills the list in record-id order, advances to where it ends.
+            let mut ids_ends = Vec::with_capacity(table.len());
+            let mut kept = 0;
+            for (k, &d) in freq.iter().enumerate() {
+                ids_ends.push(kept);
+                if d > ceiling {
                     stats.tokens_pruned += 1;
-                    stats.postings_pruned += list.len();
-                    false
+                    stats.postings_pruned += d;
                 } else {
                     stats.tokens_kept += 1;
-                    stats.postings_kept += list.len();
-                    true
+                    stats.postings_kept += d;
+                    kept += d;
                 }
+                df.push((table.token(k).to_string(), d));
+            }
+            let mut ids = vec![0u32; kept];
+            for (k, id) in postings {
+                let k = k as usize;
+                if freq[k] <= ceiling {
+                    ids[ids_ends[k]] = id;
+                    ids_ends[k] += 1;
+                }
+            }
+            shards.push(Shard {
+                table,
+                ids_ends,
+                ids,
             });
         }
-        let lsh = self.cfg.lsh.map(|params| {
-            let mut bands: Vec<Vec<(u64, u32)>> = self.lsh_entries.unwrap_or_default();
-            for band in &mut bands {
-                // Sort by (bucket, id): buckets become contiguous runs
-                // binary-searchable at probe time, ids stay ascending.
-                band.sort_unstable();
-            }
-            LshIndex { params, bands }
+        let idf = IdfIndex::from_doc_freqs(df, self.num_records);
+        let lsh = self.cfg.lsh.map(|params| LshIndex {
+            params,
+            bands: self
+                .lsh_entries
+                .unwrap_or_default()
+                .into_iter()
+                .map(|entries| Band::seal(entries, params.max_bucket))
+                .collect(),
         });
         ShardedIndex {
             cfg: self.cfg,
@@ -306,33 +460,122 @@ impl IndexBuilder {
     }
 }
 
-/// The LSH band tables: per band, `(bucket_key, record_id)` sorted by key —
-/// flat arrays instead of per-bucket `Vec`s, because at 1M records the
-/// allocator overhead of a million tiny `Vec`s dominates the index.
+/// One sealed token shard: its token table and every kept token's posting
+/// list (record ids ascending) concatenated into one flat id array. A
+/// pruned token stays in the table with an empty list.
+#[derive(Debug, Clone)]
+struct Shard {
+    table: TokenTable,
+    /// Per token: where its posting list ends in `ids` (see [`span`]).
+    ids_ends: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Shard {
+    /// Posting list of `token` (whose [`fnv1a64`] hash is `hash`); empty
+    /// when the shard does not hold it or pruned it.
+    #[inline]
+    fn postings(&self, hash: u64, token: &str) -> &[u32] {
+        match self.table.lookup(hash, token) {
+            Ok(k) => &self.ids[span(&self.ids_ends, k)],
+            Err(_) => &[],
+        }
+    }
+}
+
+/// One sealed LSH band: bucket keys sorted ascending with their record ids
+/// alongside (ascending within a bucket), buckets above
+/// [`LshParams::max_bucket`] dropped. Keys are splitmix outputs, uniform
+/// over `u64`, so a directory with about one slot per key on the keys' top
+/// bits finds a bucket in O(1) expected memory touches — flat arrays rather
+/// than per-bucket `Vec`s, because at 1M records the allocator overhead of
+/// a million tiny `Vec`s dominates the index.
+#[derive(Debug, Clone)]
+struct Band {
+    keys: Vec<u64>,
+    ids: Vec<u32>,
+    /// `dir[p]` is the first position whose key's top bits are `>= p`;
+    /// `dir.len() == 2^bits + 1` with `bits = 64 - shift`.
+    dir: Vec<u32>,
+    shift: u32,
+}
+
+impl Band {
+    /// Seal one band's `(key, id)` entries.
+    fn seal(entries: Vec<(u64, u32)>, max_bucket: usize) -> Self {
+        let bits = entries.len().max(2).ilog2();
+        let shift = 64 - bits;
+        let slot = |key: u64| (key >> shift) as usize;
+        // Counting sort on the directory slot: `dir[p]` becomes where slot
+        // p's entries start. Record ids are u32, so a band holds at most
+        // u32::MAX entries and every position fits in a u32.
+        let mut dir = vec![0u32; (1 << bits) + 1];
+        for &(key, _) in &entries {
+            dir[slot(key) + 1] += 1;
+        }
+        for p in 1..dir.len() {
+            dir[p] += dir[p - 1];
+        }
+        let mut by_slot = vec![(0, 0); entries.len()];
+        let mut next = dir.clone();
+        for e in entries {
+            let cursor = &mut next[slot(e.0)];
+            by_slot[*cursor as usize] = e;
+            *cursor += 1;
+        }
+        drop(next);
+        // Sort each slot's few entries by (key, id), so buckets become
+        // contiguous runs with ids ascending, and keep the runs within the
+        // cap; each slot's start moves to where its kept entries begin.
+        let (mut keys, mut ids) = (Vec::new(), Vec::new());
+        for p in 0..dir.len() - 1 {
+            let run = &mut by_slot[dir[p] as usize..dir[p + 1] as usize];
+            dir[p] = keys.len() as u32;
+            run.sort_unstable();
+            for bucket in run.chunk_by(|a, b| a.0 == b.0) {
+                if bucket.len() <= max_bucket {
+                    keys.extend(bucket.iter().map(|&(k, _)| k));
+                    ids.extend(bucket.iter().map(|&(_, id)| id));
+                }
+            }
+        }
+        dir[1 << bits] = keys.len() as u32;
+        keys.shrink_to_fit();
+        ids.shrink_to_fit();
+        Self {
+            keys,
+            ids,
+            dir,
+            shift,
+        }
+    }
+
+    /// Record ids in `key`'s bucket (empty when absent or dropped).
+    #[inline]
+    fn bucket(&self, key: u64) -> &[u32] {
+        let p = (key >> self.shift) as usize;
+        let (lo, hi) = (self.dir[p] as usize, self.dir[p + 1] as usize);
+        let span = &self.keys[lo..hi];
+        let start = span.partition_point(|&k| k < key);
+        let len = span[start..].iter().take_while(|&&k| k == key).count();
+        &self.ids[lo + start..lo + start + len]
+    }
+}
+
+/// The LSH band tables, one [`Band`] per band.
 #[derive(Debug, Clone)]
 struct LshIndex {
     params: LshParams,
-    bands: Vec<Vec<(u64, u32)>>,
+    bands: Vec<Band>,
 }
 
-impl LshIndex {
-    /// Record ids colliding with `tokens` in any band (sorted,
-    /// deduplicated). Buckets larger than [`LshParams::max_bucket`] are
-    /// skipped — see that field for why mega-buckets are noise, not signal.
-    fn probe(&self, tokens: &[String], seed: u64) -> Vec<u32> {
-        let keys = band_keys(tokens, self.params, seed);
-        let mut out = Vec::new();
-        for (band, &key) in self.bands.iter().zip(&keys) {
-            let start = band.partition_point(|&(k, _)| k < key);
-            let end = start + band[start..].partition_point(|&(k, _)| k == key);
-            if end - start <= self.params.max_bucket {
-                out.extend(band[start..end].iter().map(|&(_, id)| id));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
+/// Per-worker probe scratch: a dense shared-token counter over every
+/// indexed record, the ids it touched (so a reset costs only those), and
+/// the current record's token hashes.
+struct ProbeScratch {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+    hashes: Vec<u64>,
 }
 
 /// A sealed sharded blocking index over one record collection (the "right"
@@ -380,69 +623,73 @@ impl ShardedIndex {
     /// Candidate record ids for one chunk of pre-tokenized left records:
     /// `out[i]` is the sorted deduplicated candidate list for `left[i]`.
     ///
-    /// Stage 1 fans out over shards (each shard probes its own posting
-    /// lists and emits per-left partial counts); stage 2 fans out over left
-    /// records (summing per-shard counts, thresholding, and unioning the
-    /// LSH tier). Both stages are order-independent sums followed by a sort,
-    /// so the result is bit-identical at any shard or worker count.
+    /// The chunk splits into one contiguous range per worker, and a worker
+    /// probes each of its records in one pass: it hashes every token once,
+    /// reads the token's posting list from the owning shard, and counts
+    /// shared tokens in a dense per-worker counter, resetting only the
+    /// slots it touched. Ids reaching `min_shared` join the ids sharing an
+    /// LSH bucket in any band, then sort and dedup. Counts are integer sums
+    /// and the ranges concatenate in input order, so the result is
+    /// bit-identical at any shard or worker count.
     pub fn candidates_for_tokens(&self, left: &[Vec<String>], pool: &RotomPool) -> Vec<Vec<u32>> {
         let n = self.stats.records;
         if self.cfg.min_shared == 0 {
-            // Documented "no blocking" semantics: the full cross product.
+            // Documented "no blocking" semantics: the full cross product
+            // (`n` fits in u32, see `chunk_ids`).
             return left.iter().map(|_| (0..n as u32).collect()).collect();
         }
-        let ns = self.cfg.num_shards;
-        // Stage 1: per-shard partial counts, flat per shard with per-left
-        // offsets (one allocation per shard, not per (shard, left)).
-        let partials: Vec<(Vec<u32>, Vec<(u32, u32)>)> = pool.map(ns, |s| {
-            let shard = &self.shards[s];
-            let mut offsets = Vec::with_capacity(left.len() + 1);
-            let mut flat: Vec<(u32, u32)> = Vec::new();
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            offsets.push(0u32);
-            for ts in left {
-                counts.clear();
-                for t in ts {
-                    if token_shard(fnv1a64(t), ns) == s {
-                        if let Some(js) = shard.postings.get(t.as_str()) {
-                            for &j in js {
-                                *counts.entry(j).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                }
-                flat.extend(counts.iter().map(|(&j, &c)| (j, c)));
-                offsets.push(flat.len() as u32);
-            }
-            (offsets, flat)
+        let ranges: Vec<&[Vec<String>]> = left
+            .chunks(left.len().div_ceil(pool.threads()).max(1))
+            .collect();
+        let per_range = pool.map(ranges.len(), |w| {
+            let mut scratch = ProbeScratch {
+                counts: vec![0; n],
+                touched: Vec::new(),
+                hashes: Vec::new(),
+            };
+            ranges[w]
+                .iter()
+                .map(|ts| self.probe(ts, &mut scratch))
+                .collect::<Vec<_>>()
         });
-        // LSH tier: probe pool-parallel over left records.
-        let lsh_hits: Option<Vec<Vec<u32>>> = self
-            .lsh
-            .as_ref()
-            .map(|l| pool.map(left.len(), |i| l.probe(&left[i], self.cfg.seed)));
-        // Stage 2: merge per left record.
-        let min_shared = self.cfg.min_shared as u32;
-        pool.map(left.len(), |i| {
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            for (offsets, flat) in &partials {
-                let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-                for &(j, c) in &flat[lo..hi] {
-                    *counts.entry(j).or_insert(0) += c;
+        per_range.into_iter().flatten().collect()
+    }
+
+    /// Sorted deduplicated candidate ids of one left record.
+    fn probe(&self, tokens: &[String], scratch: &mut ProbeScratch) -> Vec<u32> {
+        let ProbeScratch {
+            counts,
+            touched,
+            hashes,
+        } = scratch;
+        hashes.clear();
+        hashes.extend(tokens.iter().map(|t| fnv1a64(t)));
+        let ns = self.shards.len();
+        for (t, &h) in tokens.iter().zip(hashes.iter()) {
+            for &j in self.shards[token_shard(h, ns)].postings(h, t) {
+                let c = &mut counts[j as usize];
+                if *c == 0 {
+                    touched.push(j);
                 }
+                *c += 1;
             }
-            let mut out: Vec<u32> = counts
-                .into_iter()
-                .filter(|&(_, c)| c >= min_shared)
-                .map(|(j, _)| j)
-                .collect();
-            if let Some(hits) = &lsh_hits {
-                out.extend_from_slice(&hits[i]);
+        }
+        let mut out = Vec::new();
+        for &j in touched.iter() {
+            if std::mem::take(&mut counts[j as usize]) as usize >= self.cfg.min_shared {
+                out.push(j);
             }
-            out.sort_unstable();
-            out.dedup();
-            out
-        })
+        }
+        touched.clear();
+        if let Some(lsh) = &self.lsh {
+            let keys = hashed_band_keys(hashes, lsh.params, self.cfg.seed);
+            for (band, &key) in lsh.bands.iter().zip(&keys) {
+                out.extend_from_slice(band.bucket(key));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Candidate ids for one chunk of records (tokenizes over `pool`, then
@@ -666,15 +913,96 @@ mod tests {
             &pool,
         );
         // A record always collides with itself in every band.
-        let toks: Vec<Vec<String>> = right.iter().map(content_token_list).collect();
         let lsh = index.lsh.as_ref().unwrap();
-        for (j, ts) in toks.iter().enumerate() {
-            let hits = lsh.probe(ts, index.cfg.seed);
-            assert!(hits.binary_search(&(j as u32)).is_ok(), "record {j}");
+        for (j, r) in right.iter().enumerate() {
+            let keys = band_keys(&content_token_list(r), lsh.params, index.cfg.seed);
+            for (band, key) in lsh.bands.iter().zip(keys) {
+                assert!(band.bucket(key).contains(&(j as u32)), "record {j}");
+            }
         }
         // Empty records produce no signature and no probe hits.
         assert!(band_keys(&[], LshParams::default(), 1).is_empty());
-        assert!(lsh.probe(&[], index.cfg.seed).is_empty());
+        let empty = ShardedIndex::build(&[Record { attrs: vec![] }], index.cfg.clone(), &pool);
+        assert_eq!(
+            empty.candidates_for_tokens(&[vec![]], &pool),
+            vec![Vec::<u32>::new()]
+        );
+    }
+
+    #[test]
+    fn band_seal_drops_oversized_buckets_and_finds_the_rest() {
+        // Buckets of 1..=5 records under keys spread over the whole range,
+        // plus 40 one-record buckets just below u64::MAX that all share the
+        // last directory slot.
+        let mut entries = Vec::new();
+        let mut id = 0u32;
+        for (b, size) in (1..=5usize).cycle().take(40).enumerate() {
+            let key = (b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | (b as u64 & 1);
+            for _ in 0..size {
+                entries.push((key, id));
+                id += 1;
+            }
+            entries.push((u64::MAX - b as u64, id));
+            id += 1;
+        }
+        let band = Band::seal(entries.clone(), 4);
+        let mut kept = 0;
+        for &(key, _) in &entries {
+            let expect: Vec<u32> = entries
+                .iter()
+                .filter(|&&(k, _)| k == key)
+                .map(|&(_, id)| id)
+                .collect();
+            let got = band.bucket(key);
+            if expect.len() <= 4 {
+                assert_eq!(got, &expect[..], "key {key:#x}");
+                kept += 1;
+            } else {
+                assert!(got.is_empty(), "bucket of {} not dropped", expect.len());
+            }
+        }
+        assert_eq!(band.keys.len(), kept);
+        assert!(band.bucket(0x1234_5678).is_empty());
+        // An empty band answers every key with nothing.
+        assert!(Band::seal(Vec::new(), 4).bucket(u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn chunk_ids_checks_the_chunk_end_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        assert_eq!(chunk_ids(0, 3), Some(0..3));
+        assert_eq!(chunk_ids(max - 2, 2), Some(u32::MAX - 2..u32::MAX));
+        assert_eq!(chunk_ids(max, 0), Some(u32::MAX..u32::MAX));
+        // The start fits but the end does not: the old start-only check
+        // let these wrap.
+        assert_eq!(chunk_ids(max - 2, 3), None);
+        assert_eq!(chunk_ids(max, 1), None);
+        assert_eq!(chunk_ids(max + 1, 0), None);
+        assert_eq!(chunk_ids(usize::MAX, 1), None);
+    }
+
+    #[test]
+    fn token_table_interns_grows_and_checks_text() {
+        let mut table = TokenTable::default();
+        let tokens: Vec<String> = (0..100).map(|i| format!("tok{i}")).collect();
+        for (i, t) in tokens.iter().enumerate() {
+            assert_eq!(table.intern(fnv1a64(t), t), i as u32);
+        }
+        // Re-interning finds the existing index; the table grew past its
+        // initial two slots and stays at most half full.
+        for (i, t) in tokens.iter().enumerate() {
+            assert_eq!(table.intern(fnv1a64(t), t), i as u32);
+            assert_eq!(table.lookup(fnv1a64(t), t), Ok(i));
+            assert_eq!(table.token(i), t);
+        }
+        assert_eq!(table.len(), 100);
+        assert!(table.slots.len() >= 200);
+        assert!(table.lookup(fnv1a64("absent"), "absent").is_err());
+        // A hash match alone is not a hit: the text must match too.
+        assert!(table.lookup(fnv1a64("tok7"), "tok8").is_err());
+        assert!(TokenTable::default()
+            .lookup(fnv1a64("tok1"), "tok1")
+            .is_err());
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub const EMPTY_CORPUS_IDF: f32 = 1.0;
 /// Corpus-level IDF index.
 #[derive(Debug, Clone)]
 pub struct IdfIndex {
-    idf: HashMap<String, f32>,
-    df: HashMap<String, usize>,
+    /// Per token: document frequency and IDF.
+    stats: HashMap<String, (usize, f32)>,
     num_docs: usize,
     max_idf: f32,
 }
@@ -58,24 +58,24 @@ impl IdfIndex {
     /// Build directly from per-token document frequencies — the form the
     /// blocking plane's sharded index produces (posting-list lengths *are*
     /// document frequencies), so an IDF index can be derived from a streamed
-    /// index build without retaining any documents.
-    pub fn from_doc_freqs(df: HashMap<String, usize>, num_docs: usize) -> Self {
+    /// index build without retaining any documents. Takes one
+    /// `(token, document frequency)` entry per token.
+    pub fn from_doc_freqs(df: impl IntoIterator<Item = (String, usize)>, num_docs: usize) -> Self {
         let n = num_docs.max(1) as f32;
-        let idf: HashMap<String, f32> = df
-            .iter()
-            .map(|(t, &d)| (t.clone(), (n / (1.0 + d as f32)).ln().max(0.0)))
+        let stats: HashMap<String, (usize, f32)> = df
+            .into_iter()
+            .map(|(t, d)| (t, (d, (n / (1.0 + d as f32)).ln().max(0.0))))
             .collect();
         // An empty corpus observed nothing: fall back to a positive default
         // so unseen tokens still read as maximally important (see
         // [`EMPTY_CORPUS_IDF`]).
-        let max_idf = if idf.is_empty() {
+        let max_idf = if stats.is_empty() {
             EMPTY_CORPUS_IDF
         } else {
-            idf.values().copied().fold(0.0f32, f32::max)
+            stats.values().map(|&(_, idf)| idf).fold(0.0f32, f32::max)
         };
         Self {
-            idf,
-            df,
+            stats,
             num_docs,
             max_idf,
         }
@@ -90,19 +90,19 @@ impl IdfIndex {
     /// (0 for unseen tokens). This is the quantity the blocking plane's
     /// df-ceiling pruning rule tests.
     pub fn doc_freq(&self, tok: &str) -> usize {
-        self.df.get(tok).copied().unwrap_or(0)
+        self.stats.get(tok).map_or(0, |&(df, _)| df)
     }
 
     /// Number of distinct tokens observed.
     pub fn num_tokens(&self) -> usize {
-        self.df.len()
+        self.stats.len()
     }
 
     /// IDF of a token; unseen tokens get the maximum observed IDF (they are
     /// maximally "important"). On an empty corpus the maximum defaults to
     /// [`EMPTY_CORPUS_IDF`], so unseen tokens never score 0.
     pub fn idf(&self, tok: &str) -> f32 {
-        self.idf.get(tok).copied().unwrap_or(self.max_idf)
+        self.stats.get(tok).map_or(self.max_idf, |&(_, idf)| idf)
     }
 
     /// Sampling weight for destructive DA: higher for *less* important

@@ -1,18 +1,24 @@
 //! Blocking-plane integration suite: the sharded streaming pipeline must be
 //! a drop-in for exhaustive `block_candidates`, bit-identical at any shard
-//! or worker count, with the LSH tier holding a recall floor on known match
-//! pairs and the df ceiling carrying the stopword stress case.
+//! or worker count, equal to a brute-force reference with the df ceiling and
+//! LSH tier engaged, and reproducing a pinned candidate-stream checksum,
+//! with the LSH tier holding a recall floor on known match pairs and the df
+//! ceiling carrying the stopword stress case.
 //!
 //! ci.sh runs this at `ROTOM_THREADS` 1 and 8; the tests additionally pin
 //! explicit pool widths so both axes are covered in one process.
 
 use rotom_datasets::blocking::{
-    stream_candidates, stream_candidates_channel, BlockingConfig, LshParams, ShardedIndex,
+    band_keys, stream_candidates, stream_candidates_channel, BlockingConfig, IndexBuilder,
+    LshParams, ShardedIndex,
 };
 use rotom_datasets::csv;
-use rotom_datasets::em::{self, block_candidates, CorpusConfig, CorpusSide, EmCorpus};
+use rotom_datasets::em::{
+    self, block_candidates, content_token_list, CorpusConfig, CorpusSide, EmCorpus,
+};
 use rotom_nn::RotomPool;
 use rotom_text::Record;
+use std::collections::{HashMap, HashSet};
 
 fn corpus(n: usize, stopwords: usize) -> EmCorpus {
     EmCorpus::new(CorpusConfig {
@@ -209,4 +215,182 @@ fn csv_chunked_ingestion_feeds_the_pipeline() {
     assert_eq!(stats.left_records, n);
     assert_eq!(via_csv, streamed_pairs(&index, &left, 16, &pool));
     assert_eq!(via_csv, em::block_candidates(&left, &right, 2));
+}
+
+/// Brute-force reference for any config with `min_shared >= 1`: `(i, j)` is
+/// a candidate when the records share at least `min_shared` tokens whose
+/// document frequency over `right` is within the df ceiling, or when any of
+/// their band keys meet in a bucket of at most `max_bucket` right records.
+fn reference_pairs(left: &[Record], right: &[Record], cfg: &BlockingConfig) -> Vec<(usize, usize)> {
+    let ltoks: Vec<Vec<String>> = left.iter().map(content_token_list).collect();
+    let rtoks: Vec<Vec<String>> = right.iter().map(content_token_list).collect();
+    let mut df: HashMap<&str, usize> = HashMap::new();
+    for t in rtoks.iter().flatten() {
+        *df.entry(t.as_str()).or_default() += 1;
+    }
+    let ceiling = cfg.df_ceiling.unwrap_or(usize::MAX);
+    let kept: Vec<HashSet<&str>> = rtoks
+        .iter()
+        .map(|ts| {
+            ts.iter()
+                .map(String::as_str)
+                .filter(|t| df[t] <= ceiling)
+                .collect()
+        })
+        .collect();
+    let keys = |toks: &[Vec<String>]| -> Vec<Vec<u64>> {
+        toks.iter()
+            .map(|ts| {
+                cfg.lsh
+                    .map_or_else(Vec::new, |p| band_keys(ts, p, cfg.seed))
+            })
+            .collect()
+    };
+    let (lkeys, rkeys) = (keys(&ltoks), keys(&rtoks));
+    let mut bucket_size: HashMap<(usize, u64), usize> = HashMap::new();
+    for ks in &rkeys {
+        for (band, &k) in ks.iter().enumerate() {
+            *bucket_size.entry((band, k)).or_default() += 1;
+        }
+    }
+    let max_bucket = cfg.lsh.map_or(0, |p| p.max_bucket);
+    let mut out = Vec::new();
+    for (i, ts) in ltoks.iter().enumerate() {
+        for j in 0..right.len() {
+            let shared = ts.iter().filter(|t| kept[j].contains(t.as_str())).count();
+            let collide = lkeys[i]
+                .iter()
+                .zip(&rkeys[j])
+                .enumerate()
+                .any(|(band, (a, b))| a == b && bucket_size[&(band, *b)] <= max_bucket);
+            if shared >= cfg.min_shared || collide {
+                out.push((i, j));
+            }
+        }
+    }
+    out
+}
+
+/// A record whose only attribute is `text`.
+fn record(text: &str) -> Record {
+    Record {
+        attrs: vec![("title".to_string(), text.to_string())],
+    }
+}
+
+/// Oracle property test with the df ceiling and the LSH tier engaged: the
+/// streamed pairs equal [`reference_pairs`] for shard counts {1, 2, 7} x
+/// pool widths {1, 2, 8} x `min_shared` {1, 2, 3}, on a stopword corpus with
+/// empty-token records mixed in and two constructed LSH buckets, one of
+/// exactly `max_bucket` records and one of `max_bucket + 1`.
+#[test]
+fn lsh_and_df_ceiling_match_brute_force_reference() {
+    let max_bucket = 6;
+    let c = corpus(240, 3);
+    let mut left = c.chunk(CorpusSide::Left, 0..240);
+    let mut right = c.chunk(CorpusSide::Right, 0..240);
+    // Records with no content token: no posting, no band key.
+    for k in [0usize, 57, 130] {
+        left.insert(k, record("a b"));
+        right.insert(k + 3, record("x"));
+    }
+    // Identical token sets collide in every band, so these are buckets of
+    // exactly `max_bucket` and `max_bucket + 1` records.
+    let at_cap = "quorra zephyrine";
+    let over_cap = "bellweather okapiary";
+    let first_at = right.len();
+    right.extend((0..max_bucket).map(|_| record(at_cap)));
+    let first_over = right.len();
+    right.extend((0..=max_bucket).map(|_| record(over_cap)));
+    left.push(record(at_cap));
+    left.push(record(over_cap));
+    let base = BlockingConfig {
+        // Prunes the stopwords and both constructed token sets, so the
+        // constructed pairs can only come from the LSH tier.
+        df_ceiling: Some(max_bucket - 1),
+        lsh: Some(LshParams {
+            max_bucket,
+            ..LshParams::default()
+        }),
+        max_buffered_pairs: 256,
+        ..Default::default()
+    };
+    for min_shared in [1usize, 2, 3] {
+        let cfg = BlockingConfig {
+            min_shared,
+            ..base.clone()
+        };
+        let expect = reference_pairs(&left, &right, &cfg);
+        let (at, over) = (left.len() - 2, left.len() - 1);
+        for j in first_at..first_over {
+            assert!(expect.binary_search(&(at, j)).is_ok(), "at-cap bucket kept");
+        }
+        for j in first_over..right.len() {
+            assert!(
+                expect.binary_search(&(over, j)).is_err(),
+                "over-cap bucket dropped"
+            );
+        }
+        for num_shards in [1usize, 2, 7] {
+            for threads in [1usize, 2, 8] {
+                let pool = RotomPool::new(threads);
+                let cfg = BlockingConfig {
+                    num_shards,
+                    ..cfg.clone()
+                };
+                let index = ShardedIndex::build(&right, cfg, &pool);
+                assert!(index.stats().tokens_pruned >= 5, "{:?}", index.stats());
+                assert_eq!(
+                    streamed_pairs(&index, &left, 29, &pool),
+                    expect,
+                    "shards={num_shards} threads={threads} min_shared={min_shared}"
+                );
+            }
+        }
+    }
+}
+
+/// FNV-1a 64 over the little-endian `(left, right)` ids of a pair stream.
+fn stream_checksum(pairs: impl IntoIterator<Item = (usize, usize)>) -> (u64, u64) {
+    let (mut h, mut n) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+    for (l, r) in pairs {
+        for b in (l as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain((r as u64).to_le_bytes())
+        {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        n += 1;
+    }
+    (h, n)
+}
+
+/// The full candidate stream of a 20k-record, 3-stopword corpus under the
+/// `em_block_300k` benchmark config (`min_shared` 2, df ceiling 4096,
+/// default LSH) is pinned by pair count and FNV-64 checksum. The values
+/// were taken from the two-stage HashMap probe with binary-searched band
+/// tables that preceded the flat-array probe, so any change to the
+/// candidate sets, their order or the streaming order shows here.
+#[test]
+fn candidate_stream_checksum_is_pinned() {
+    let c = corpus(20_000, 3);
+    let cfg = BlockingConfig {
+        min_shared: 2,
+        df_ceiling: Some(4096),
+        lsh: Some(LshParams::default()),
+        ..Default::default()
+    };
+    let pool = RotomPool::global();
+    let mut builder = IndexBuilder::new(cfg);
+    for chunk in c.chunks(CorpusSide::Right, 8192) {
+        builder.add_chunk(&chunk, pool);
+    }
+    let index = builder.finish();
+    let mut pairs = Vec::new();
+    stream_candidates(&index, c.chunks(CorpusSide::Left, 8192), pool, |batch| {
+        pairs.extend_from_slice(batch)
+    });
+    assert_eq!(stream_checksum(pairs), (0x63fd_37a4_6003_3fb1, 1_837_440));
 }
