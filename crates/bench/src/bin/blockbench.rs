@@ -2,7 +2,7 @@
 //! candidate pairs/sec, recall vs exhaustive `blocked()` on a verification
 //! slice, and a peak-allocation RSS proxy, written to `BENCH_blocking.json`.
 //!
-//! Two rows per thread count:
+//! Each row (one per worker count, 1 and 8) carries two measurements:
 //!
 //! * **scale** — a stopword-free [`EmCorpus`] of `--records` entities
 //!   (default 1M, the acceptance floor). The index is built in streamed
@@ -14,87 +14,33 @@
 //! * **stress** — a 200k corpus with 3 stopwords welded onto every record,
 //!   which makes exhaustive `blocked(min_shared=2)` degenerate toward the
 //!   cross product. The df ceiling must prune the stopword posting lists
-//!   (`tokens_pruned >= 3`) while match-pair recall (left i vs right i)
-//!   stays >= 0.95, with the LSH tier enabled as the recovery net.
+//!   while match-pair recall (left i vs right i) holds, with the LSH tier
+//!   enabled as the recovery net.
 //!
-//! Because `ROTOM_THREADS` is read once per process, the parent re-executes
-//! itself per thread count (1 and 8) and aggregates children's results. The
-//! first run records `baseline`; later runs preserve it and update
-//! `current`.
+//! Gates (`--check`): at least 1M records indexed; recall and stress recall
+//! at least 0.95; at least 3 stress tokens pruned; pairs/sec at least 0.8x
+//! the checked-in `current` when that row measured the same record count.
 //!
-//! Usage:
-//!   cargo run --release --offline --bin blockbench                # regenerate
-//!   cargo run --release --offline --bin blockbench -- --check     # + gates
-//!   cargo run --release --offline --bin blockbench -- --records N # resize
+//!   cargo run --release --offline --bin blockbench [-- --check] [-- --records N]
 
+use rotom_bench::alloc;
+use rotom_bench::record::{self, Args, Bench, Ratio, Ref, Row, Rule};
 use rotom_datasets::blocking::{stream_candidates, BlockingConfig, IndexBuilder, LshParams};
 use rotom_datasets::em::{block_candidates, CorpusConfig, CorpusSide, EmCorpus};
 use rotom_nn::RotomPool;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Global allocator tracking live bytes and their high-water mark — the
-/// peak-RSS proxy. Dealloc sizes come from the layout, so the live counter
-/// is exact for everything allocated through this process.
-struct CountingAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn note_alloc(size: usize) {
-    let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let grown = new_size.saturating_sub(layout.size());
-        if grown > 0 {
-            note_alloc(grown);
-        } else {
-            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
-const CHILD_ENV: &str = "BLOCKBENCH_CHILD";
-const RECORDS_ENV: &str = "BLOCKBENCH_RECORDS";
-const OUT_FILE: &str = "BENCH_blocking.json";
+const USAGE: &str = "usage: blockbench [--check] [--records N]";
 const CHUNK: usize = 8192;
 const SLICE: usize = 2000;
 const STRESS_RECORDS: usize = 200_000;
 
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    records: usize,
-    index_records_per_sec: f64,
-    pairs_per_sec: f64,
-    candidates: u64,
-    recall: f64,
-    peak_mb: f64,
-    stress_pruned_tokens: f64,
-    stress_recall: f64,
-}
-
-/// One measured child: scale row then stress row at the current
-/// `ROTOM_THREADS`, printed as a parseable result line.
-fn run_child(records: usize) {
+/// One measured child: scale then stress measurement at the current
+/// `ROTOM_THREADS`.
+fn run_child(records: usize) -> Row {
     let pool = RotomPool::global();
     let corpus = EmCorpus::new(CorpusConfig {
         num_entities: records,
@@ -193,235 +139,42 @@ fn run_child(records: usize) {
         "stress candidates not pruned: {streamed}"
     );
 
-    println!(
-        "BLOCKBENCH threads={} records={} index_records_per_sec={:.2} pairs_per_sec={:.2} \
-         candidates={} recall={:.6} peak_mb={:.1} stress_pruned_tokens={} stress_recall={:.6}",
-        pool.threads(),
-        records,
-        records as f64 / build_secs,
-        stats.candidates as f64 / stream_secs,
-        stats.candidates,
-        recall,
-        PEAK.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0),
-        pruned,
-        stress_recall,
-    );
-}
-
-/// Extract `key=value` from a child's result line.
-fn field(line: &str, key: &str) -> f64 {
-    let pat = format!("{key}=");
-    let start = line.find(&pat).unwrap_or_else(|| panic!("missing {key}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    rest[..end].parse().expect("numeric field")
-}
-
-/// Pull samples out of one JSON section of a previous `BENCH_blocking.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        let get = |k: &str| num(k).unwrap_or(0.0);
-        if let Some(t) = num("threads") {
-            out.push(Sample {
-                threads: t as usize,
-                records: get("records") as usize,
-                index_records_per_sec: get("index_records_per_sec"),
-                pairs_per_sec: get("pairs_per_sec"),
-                candidates: get("candidates") as u64,
-                recall: get("recall"),
-                peak_mb: get("peak_mb"),
-                stress_pruned_tokens: get("stress_pruned_tokens"),
-                stress_recall: get("stress_recall"),
-            });
-        }
-    }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"records\": {}, \"index_records_per_sec\": {:.2}, \
-             \"pairs_per_sec\": {:.2}, \"candidates\": {}, \"recall\": {:.6}, \
-             \"peak_mb\": {:.1}, \"stress_pruned_tokens\": {}, \"stress_recall\": {:.6}}}",
-            s.threads,
-            s.records,
-            s.index_records_per_sec,
-            s.pairs_per_sec,
-            s.candidates,
-            s.recall,
-            s.peak_mb,
-            s.stress_pruned_tokens as u64,
-            s.stress_recall
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    Row::new()
+        .num("threads", pool.threads() as f64, 0)
+        .num("records", records as f64, 0)
+        .num("index_records_per_sec", records as f64 / build_secs, 2)
+        .num("pairs_per_sec", stats.candidates as f64 / stream_secs, 2)
+        .num("candidates", stats.candidates as f64, 0)
+        .num("recall", recall, 6)
+        .num("peak_mb", alloc::peak_bytes() as f64 / (1024.0 * 1024.0), 1)
+        .num("stress_pruned_tokens", pruned as f64, 0)
+        .num("stress_recall", stress_recall, 6)
 }
 
 fn main() {
-    let records: usize = std::env::var(RECORDS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    if std::env::var(CHILD_ENV).is_ok() {
-        run_child(records);
-        return;
+    let args = Args::from_env(USAGE, &["--records"]);
+    let records = args.value("--records").unwrap_or(1_000_000);
+    Bench {
+        file: "BENCH_blocking.json",
+        workload: format!(
+            "sharded blocking: {records}-record EmCorpus, min_shared 2, df_ceiling 4096, \
+             lsh 8x2, chunk {CHUNK}; stress {STRESS_RECORDS} records + 3 stopwords, \
+             df_ceiling 1024"
+        ),
+        current: record::per_thread_count("BLOCKBENCH", || run_child(records)),
+        extra: Vec::new(),
+        trajectory: &[
+            Ratio::of("pairs_per_sec_ratio", "pairs_per_sec", 3),
+            Ratio::of("index_ratio", "index_records_per_sec", 3),
+        ],
+        rules: &[
+            Rule::at_least("records", 1e6, Ref::Absolute),
+            Rule::at_least("recall", 0.95, Ref::Absolute),
+            // The df ceiling must prune the 3 welded-on stopwords.
+            Rule::at_least("stress_pruned_tokens", 3.0, Ref::Absolute),
+            Rule::at_least("stress_recall", 0.95, Ref::Absolute),
+            Rule::at_least("pairs_per_sec", 0.8, Ref::Previous).when_same("records"),
+        ],
     }
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let records = args
-        .iter()
-        .position(|a| a == "--records")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(records);
-    let exe = std::env::current_exe().expect("current_exe");
-
-    let mut current = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let out = std::process::Command::new(&exe)
-            .env(CHILD_ENV, "1")
-            .env(RECORDS_ENV, records.to_string())
-            .env("ROTOM_THREADS", threads.to_string())
-            .output()
-            .expect("spawn blockbench child");
-        assert!(
-            out.status.success(),
-            "child (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("BLOCKBENCH "))
-            .expect("child result line");
-        let sample = Sample {
-            threads,
-            records: field(line, "records") as usize,
-            index_records_per_sec: field(line, "index_records_per_sec"),
-            pairs_per_sec: field(line, "pairs_per_sec"),
-            candidates: field(line, "candidates") as u64,
-            recall: field(line, "recall"),
-            peak_mb: field(line, "peak_mb"),
-            stress_pruned_tokens: field(line, "stress_pruned_tokens"),
-            stress_recall: field(line, "stress_recall"),
-        };
-        println!(
-            "blocking, {} thread(s): {:.0} rec/s indexed, {:.0} pairs/s, recall {:.4}, \
-             peak {:.0} MB, stress pruned {} recall {:.4}",
-            sample.threads,
-            sample.index_records_per_sec,
-            sample.pairs_per_sec,
-            sample.recall,
-            sample.peak_mb,
-            sample.stress_pruned_tokens as u64,
-            sample.stress_recall
-        );
-        current.push(sample);
-    }
-
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Acceptance + regression gates (ci.sh runs with --check).
-    if check {
-        for s in &current {
-            assert!(
-                s.records >= 1_000_000,
-                "blockbench: scale row must index >= 1M records (got {})",
-                s.records
-            );
-            assert!(
-                s.recall >= 0.95,
-                "blockbench: recall {} < 0.95 at {} thread(s)",
-                s.recall,
-                s.threads
-            );
-            assert!(
-                s.stress_pruned_tokens >= 3.0,
-                "blockbench: df ceiling pruned {} tokens (expected >= 3 stopwords)",
-                s.stress_pruned_tokens
-            );
-            assert!(
-                s.stress_recall >= 0.95,
-                "blockbench: stress match recall {} < 0.95",
-                s.stress_recall
-            );
-        }
-        let prev = parse_section(&old, "current");
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if p.records == now.records && now.pairs_per_sec < 0.8 * p.pairs_per_sec {
-                eprintln!(
-                    "blockbench: pairs/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.pairs_per_sec, now.pairs_per_sec
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"sharded blocking: {records}-record EmCorpus, min_shared 2, \
-         df_ceiling 4096, lsh 8x2, chunk {CHUNK}; stress {STRESS_RECORDS} records + 3 stopwords, \
-         df_ceiling 1024\",",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"speedup\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"pairs_per_sec_ratio\": {:.3}, \"index_ratio\": {:.3}}}",
-            s.threads,
-            s.pairs_per_sec / b.pairs_per_sec.max(1e-9),
-            s.index_records_per_sec / b.index_records_per_sec.max(1e-9)
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_blocking.json");
-    println!("wrote {OUT_FILE}");
+    .finish(args.check);
 }

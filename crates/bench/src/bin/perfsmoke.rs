@@ -1,30 +1,29 @@
-//! Perf smoke benchmark: best-of-N wall times for the compute core.
+//! Perf smoke benchmark: best-of-N wall times for the compute core,
+//! written to `BENCH_compute.json`.
 //!
-//! Times square matmul at 64/256/512 (naive reference vs serial tiled vs
-//! pool-parallel tiled), the forward kernels, and one InvDA augmentation
-//! batch (serial vs parallel fan-out), and writes the results to
-//! `BENCH_compute.json` so successive PRs have a perf trajectory to compare
-//! against.
+//! The `current` rows time square matmul at 64/256/512 (naive reference vs
+//! serial tiled vs pool-parallel tiled, on the process pool); the extra
+//! sections time the forward kernels and one InvDA augmentation batch
+//! (serial vs parallel fan-out).
 //!
-//! Run with `cargo run --release --offline --bin perfsmoke`.
+//! Gate (`--check`): serial tiled matmul at least 2x naive at 512³ — a
+//! ratio measured on the same machine in the same run, so it holds on any
+//! host.
+//!
+//!   cargo run --release --offline --bin perfsmoke [-- --check]
 
 use rotom_augment::{InvDa, InvDaConfig};
+use rotom_bench::record::{Args, Bench, Ratio, Ref, Row, Rule};
 use rotom_bench::time_best;
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::kernels;
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
-use std::fmt::Write as _;
 
-struct MatmulRow {
-    size: usize,
-    naive_s: f64,
-    tiled_serial_s: f64,
-    tiled_parallel_s: f64,
-}
+const USAGE: &str = "usage: perfsmoke [--check]";
 
-fn bench_matmul(size: usize, pool: &RotomPool) -> MatmulRow {
+fn bench_matmul(size: usize, pool: &RotomPool) -> Row {
     let mut rng = StdRng::seed_from_u64(size as u64);
     let a: Vec<f32> = (0..size * size)
         .map(|_| rng.random_range(-1.0f32..1.0))
@@ -45,25 +44,20 @@ fn bench_matmul(size: usize, pool: &RotomPool) -> MatmulRow {
     });
     let tiled_serial_s = time_best(runs, || tiled(&serial));
     let tiled_parallel_s = time_best(runs, || tiled(pool));
-    MatmulRow {
-        size,
-        naive_s,
-        tiled_serial_s,
-        tiled_parallel_s,
-    }
-}
-
-struct ForwardRow {
-    op: &'static str,
-    rows: usize,
-    cols: usize,
-    time_s: f64,
+    Row::new()
+        .num("size", size as f64, 0)
+        .num("threads", pool.threads() as f64, 0)
+        .num("naive_s", naive_s, 9)
+        .num("tiled_serial_s", tiled_serial_s, 9)
+        .num("tiled_parallel_s", tiled_parallel_s, 9)
+        .num("speedup_serial", naive_s / tiled_serial_s, 3)
+        .num("speedup_parallel", naive_s / tiled_parallel_s, 3)
 }
 
 /// Forward-only SIMD kernels from the inference plane: softmax, layernorm
 /// and GELU over a `rows x cols` activation block (one attention-score /
 /// hidden-state sized panel per call).
-fn bench_forward_kernels() -> Vec<ForwardRow> {
+fn bench_forward_kernels() -> Vec<Row> {
     let (rows, cols) = (256, 256);
     let mut rng = StdRng::seed_from_u64(41);
     let x: Vec<f32> = (0..rows * cols)
@@ -84,35 +78,22 @@ fn bench_forward_kernels() -> Vec<ForwardRow> {
         kernels::gelu_fwd(&x, &mut out, None);
         std::hint::black_box(&mut out);
     });
-    vec![
-        ForwardRow {
-            op: "softmax_fwd",
-            rows,
-            cols,
-            time_s: softmax_s,
-        },
-        ForwardRow {
-            op: "layernorm_fwd",
-            rows,
-            cols,
-            time_s: layernorm_s,
-        },
-        ForwardRow {
-            op: "gelu_fwd",
-            rows,
-            cols,
-            time_s: gelu_s,
-        },
+    [
+        ("softmax_fwd", softmax_s),
+        ("layernorm_fwd", layernorm_s),
+        ("gelu_fwd", gelu_s),
     ]
+    .map(|(op, time_s)| {
+        Row::new()
+            .text("op", op)
+            .num("rows", rows as f64, 0)
+            .num("cols", cols as f64, 0)
+            .num("time_s", time_s, 9)
+    })
+    .to_vec()
 }
 
-struct AugmentRow {
-    batch: usize,
-    serial_s: f64,
-    parallel_s: f64,
-}
-
-fn bench_invda(pool: &RotomPool) -> AugmentRow {
+fn bench_invda(pool: &RotomPool) -> Row {
     let data_cfg = TextClsConfig {
         train_pool: 32,
         test: 8,
@@ -137,83 +118,31 @@ fn bench_invda(pool: &RotomPool) -> AugmentRow {
         model.clear_cache();
         std::hint::black_box(model.augment_batch(&inputs, 17, pool));
     });
-    AugmentRow {
-        batch: inputs.len(),
-        serial_s,
-        parallel_s,
-    }
+    Row::new()
+        .num("batch", inputs.len() as f64, 0)
+        .num("serial_s", serial_s, 9)
+        .num("parallel_s", parallel_s, 9)
+        .num("speedup", serial_s / parallel_s, 3)
 }
 
 fn main() {
+    let args = Args::from_env(USAGE, &[]);
     let pool = RotomPool::global();
-    println!("perfsmoke: {} worker thread(s)", pool.threads());
-
-    let mut rows = Vec::new();
-    for size in [64, 256, 512] {
-        let row = bench_matmul(size, pool);
-        println!(
-            "matmul {0}x{0}x{0}: naive {1:.3} ms | tiled serial {2:.3} ms ({3:.2}x) | tiled parallel {4:.3} ms ({5:.2}x)",
-            size,
-            row.naive_s * 1e3,
-            row.tiled_serial_s * 1e3,
-            row.naive_s / row.tiled_serial_s,
-            row.tiled_parallel_s * 1e3,
-            row.naive_s / row.tiled_parallel_s,
-        );
-        rows.push(row);
+    Bench {
+        file: "BENCH_compute.json",
+        workload: "square matmul naive vs tiled (serial, pool) at 64/256/512; forward kernels \
+                   256x256; InvDA augment batch 32"
+            .into(),
+        current: [64, 256, 512].map(|size| bench_matmul(size, pool)).to_vec(),
+        extra: vec![
+            ("forward_kernels", bench_forward_kernels()),
+            ("invda_augment", vec![bench_invda(pool)]),
+        ],
+        trajectory: &[
+            Ratio::inverse("tiled_serial_ratio", "tiled_serial_s", 3),
+            Ratio::inverse("tiled_parallel_ratio", "tiled_parallel_s", 3),
+        ],
+        rules: &[Rule::at_least("naive_s", 2.0, Ref::Field("tiled_serial_s")).only_row(512.0)],
     }
-
-    let fwd = bench_forward_kernels();
-    for r in &fwd {
-        println!("{} {}x{}: {:.1} us", r.op, r.rows, r.cols, r.time_s * 1e6);
-    }
-
-    let aug = bench_invda(pool);
-    println!(
-        "invda batch={}: serial {:.1} ms | parallel {:.1} ms ({:.2}x)",
-        aug.batch,
-        aug.serial_s * 1e3,
-        aug.parallel_s * 1e3,
-        aug.serial_s / aug.parallel_s,
-    );
-
-    // Hand-rolled JSON (the workspace carries no serde).
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"threads\": {},", pool.threads());
-    json.push_str("  \"matmul\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"size\": {}, \"naive_s\": {:.6e}, \"tiled_serial_s\": {:.6e}, \"tiled_parallel_s\": {:.6e}, \"speedup_serial\": {:.3}, \"speedup_parallel\": {:.3}}}",
-            r.size,
-            r.naive_s,
-            r.tiled_serial_s,
-            r.tiled_parallel_s,
-            r.naive_s / r.tiled_serial_s,
-            r.naive_s / r.tiled_parallel_s,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"forward_kernels\": [\n");
-    for (i, r) in fwd.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"rows\": {}, \"cols\": {}, \"time_s\": {:.6e}}}",
-            r.op, r.rows, r.cols, r.time_s,
-        );
-        json.push_str(if i + 1 < fwd.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"invda_augment\": {{\"batch\": {}, \"serial_s\": {:.6e}, \"parallel_s\": {:.6e}, \"speedup\": {:.3}}}",
-        aug.batch,
-        aug.serial_s,
-        aug.parallel_s,
-        aug.serial_s / aug.parallel_s,
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_compute.json", &json).expect("write BENCH_compute.json");
-    println!("wrote BENCH_compute.json");
+    .finish(args.check);
 }

@@ -92,13 +92,26 @@ fn report(task: &TaskDataset, r: &RunResult) {
     println!("time    : {:.1}s", r.train_seconds);
 }
 
+/// An optional positional number: `default` when absent, `None` when
+/// malformed.
+fn number<T: std::str::FromStr>(arg: Option<&String>, default: T) -> Option<T> {
+    arg.map_or(Some(default), |s| s.parse().ok())
+}
+
+const USAGE: &str = "usage: rotom_cli <dataset> <method> [budget] [seed]\n\
+                     run with an unknown dataset name to list the options";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        eprintln!("usage: rotom_cli <dataset> <method> [budget] [seed]");
-        eprintln!("run with an unknown dataset name to list the options");
+    if !(2..=4).contains(&args.len()) {
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
+    let (Some(budget), Some(seed)) = (number(args.get(2), 200usize), number(args.get(3), 0u64))
+    else {
+        eprintln!("budget and seed must be non-negative integers\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
     let suite = Suite::from_env();
     let task = match parse_dataset(&args[0], &suite) {
         Some(t) => t,
@@ -122,12 +135,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let budget: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(200);
-    let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0);
 
     let ctx = suite.prepare(&task, seed);
     let balanced = task.kind == TaskKind::ErrorDetection;
     let avg = suite.run_avg(&task, budget, method, &ctx, balanced);
     report(&task, &avg.results[0]);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::number;
+
+    #[test]
+    fn malformed_numbers_are_rejected_not_defaulted() {
+        assert_eq!(number(None, 200usize), Some(200));
+        assert_eq!(number(Some(&"120".to_string()), 200usize), Some(120));
+        for bad in ["abc", "-1", "1.5", ""] {
+            assert_eq!(number(Some(&bad.to_string()), 0u64), None, "{bad}");
+        }
+    }
 }

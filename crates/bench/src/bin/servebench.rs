@@ -4,41 +4,32 @@
 //! `BENCH_serve.json`.
 //!
 //! The server runs **in-process** on an ephemeral port at scoring-pool
-//! widths 1 and 8 (the pool width is a per-batcher setting, so unlike
-//! `inferbench` no child re-exec is needed). Four client threads issue
-//! keep-alive `POST /classify` requests as fast as the server answers
-//! them; per-request wall times give exact p50/p99 (sorted samples, not
-//! histogram buckets). The first run records the `baseline` section;
-//! later runs update `current` and the `trajectory` ratios. A separate
-//! `quant` section compares f32 vs i8 serving throughput and latency on
-//! 40-token inputs (long enough that the i8 tier engages).
+//! widths 1 and 8 (the pool width is a per-batcher setting, so no child
+//! re-exec is needed). Four client threads issue keep-alive
+//! `POST /classify` requests as fast as the server answers them; per-request
+//! wall times give exact p50/p99 (sorted samples, not histogram buckets).
+//! Extra sections: `quant` compares f32 vs i8 serving on 40-token inputs
+//! (long enough that the i8 tier engages); `overload` drives 8 clients at a
+//! capacity-starved server.
 //!
-//! Usage:
-//!   cargo run --release --offline --bin servebench            # regenerate
-//!   cargo run --release --offline --bin servebench -- --check # + fail on
-//!     >20% req/sec regression or p99 latency tripling
+//! Gates (`--check`): req/sec at least 0.8x the checked-in `current`; p99 at
+//! most 3x it; every overload row sheds (`shed > 0`), accepts
+//! (`accepted > 0`), and keeps accepted p99 within 4x the deadline budget.
 //!
-//! `ROTOM_BENCH_SCALE=quick` shrinks the request count for CI smoke runs.
+//!   cargo run --release --offline --bin servebench [-- --check]
+//!
+//! `ROTOM_BENCH_SCALE=quick` shrinks the request count for smoke runs.
 
+use rotom_bench::record::{Args, Bench, Ratio, Ref, Row, Rule, THREAD_COUNTS};
+use rotom_bench::Scale;
 use rotom_serve::{
     demo_model, demo_model_config, Client, Endpoint, Server, ServerConfig, TaskPlane,
 };
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
+const USAGE: &str = "usage: servebench [--check]";
 const CLIENTS: usize = 4;
-const OUT_FILE: &str = "BENCH_serve.json";
-
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    req_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-    mean_batch_fill: f64,
-}
 
 /// A small rotating input set: realistic token lengths, no cache to
 /// help, every request does real forward work.
@@ -91,7 +82,7 @@ fn bench_config(threads: usize, window: Duration) -> ServerConfig {
 /// scoring pool over the default demo model and the standard 1ms window,
 /// hammer it from `CLIENTS` keep-alive connections, and return throughput
 /// + exact latency quantiles.
-fn run_config(threads: usize, requests_per_client: usize) -> Sample {
+fn run_config(threads: usize, requests_per_client: usize) -> Row {
     let server = Server::start(bench_config(threads, Duration::from_millis(1)))
         .expect("servebench: server boots");
     measure(server, threads, requests_per_client, short_bodies())
@@ -103,7 +94,7 @@ fn run_config(threads: usize, requests_per_client: usize) -> Sample {
 /// window-bound. The stock demo model (d_model 32) sits right at the i8
 /// tier's size threshold, where quantize overhead cancels the GEMM win —
 /// this row measures the tier on a model shaped like what serving is for.
-fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> Sample {
+fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> Row {
     let mut model_cfg = demo_model_config();
     model_cfg.d_model = 128;
     model_cfg.heads = 8;
@@ -126,12 +117,7 @@ fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> 
 
 /// Hammer a booted server from `CLIENTS` keep-alive connections and return
 /// throughput + exact latency quantiles. Shuts the server down.
-fn measure(
-    server: Server,
-    threads: usize,
-    requests_per_client: usize,
-    bodies: Vec<String>,
-) -> Sample {
+fn measure(server: Server, threads: usize, requests_per_client: usize, bodies: Vec<String>) -> Row {
     let addr = server.local_addr();
     let bodies: Arc<Vec<String>> = Arc::new(bodies);
 
@@ -180,17 +166,17 @@ fn measure(
     let jobs = m.batched_jobs.load(std::sync::atomic::Ordering::Relaxed);
     server.shutdown();
 
-    Sample {
-        threads,
-        req_per_sec: total as f64 / elapsed,
-        p50_us: quantile(0.5),
-        p99_us: quantile(0.99),
-        mean_batch_fill: if batches == 0 {
-            0.0
-        } else {
-            jobs as f64 / batches as f64
-        },
-    }
+    let mean_batch_fill = if batches == 0 {
+        0.0
+    } else {
+        jobs as f64 / batches as f64
+    };
+    Row::new()
+        .num("threads", threads as f64, 0)
+        .num("requests_per_sec", total as f64 / elapsed, 2)
+        .num("p50_latency_us", quantile(0.5), 1)
+        .num("p99_latency_us", quantile(0.99), 1)
+        .num("mean_batch_fill", mean_batch_fill, 2)
 }
 
 /// How hard the overload row leans on the server: clients vs. a
@@ -200,16 +186,6 @@ const OVERLOAD_CLIENTS: usize = 8;
 /// accepted requests is a multiple of this.
 const OVERLOAD_DEADLINE: Duration = Duration::from_millis(50);
 
-#[derive(Debug, Clone, Copy)]
-struct OverloadSample {
-    threads: usize,
-    offered_rps: f64,
-    accepted_rps: f64,
-    accepted: u64,
-    shed: u64,
-    p99_accepted_us: f64,
-}
-
 /// Overload row: offered load far above capacity (8 hammering clients, a
 /// queue capped at 4 jobs, a 50ms deadline budget) — the point is not
 /// throughput but *degradation shape*. Admission control must shed the
@@ -217,7 +193,7 @@ struct OverloadSample {
 /// requests stays bounded by the deadline budget instead of collapsing
 /// into an unbounded queue wait. Every response must be a 200 or a shed —
 /// anything else fails the bench.
-fn run_overload_config(threads: usize, requests_per_client: usize) -> OverloadSample {
+fn run_overload_config(threads: usize, requests_per_client: usize) -> Row {
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         window: Duration::from_millis(1),
@@ -280,264 +256,82 @@ fn run_overload_config(threads: usize, requests_per_client: usize) -> OverloadSa
         let idx = ((0.99 * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len()) - 1;
         latencies[idx]
     };
-    OverloadSample {
-        threads,
-        offered_rps: (accepted + shed) as f64 / elapsed,
-        accepted_rps: accepted as f64 / elapsed,
-        accepted,
-        shed,
-        p99_accepted_us: p99,
-    }
-}
-
-/// Pull samples out of one JSON section of a previous `BENCH_serve.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        if let (Some(t), Some(rps), Some(p50), Some(p99), Some(fill)) = (
-            num("threads"),
-            num("requests_per_sec"),
-            num("p50_latency_us"),
-            num("p99_latency_us"),
-            num("mean_batch_fill"),
-        ) {
-            out.push(Sample {
-                threads: t as usize,
-                req_per_sec: rps,
-                p50_us: p50,
-                p99_us: p99,
-                mean_batch_fill: fill,
-            });
-        }
-    }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"requests_per_sec\": {:.2}, \"p50_latency_us\": {:.1}, \"p99_latency_us\": {:.1}, \"mean_batch_fill\": {:.2}}}",
-            s.threads, s.req_per_sec, s.p50_us, s.p99_us, s.mean_batch_fill
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    Row::new()
+        .num("threads", threads as f64, 0)
+        .num("clients", OVERLOAD_CLIENTS as f64, 0)
+        .num("deadline_ms", OVERLOAD_DEADLINE.as_millis() as f64, 0)
+        .num(
+            "offered_requests_per_sec",
+            (accepted + shed) as f64 / elapsed,
+            2,
+        )
+        .num("accepted_requests_per_sec", accepted as f64 / elapsed, 2)
+        .num("accepted", accepted as f64, 0)
+        .num("shed", shed as f64, 0)
+        .num("p99_accepted_latency_us", p99, 1)
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    let quick = std::env::var("ROTOM_BENCH_SCALE").as_deref() == Ok("quick");
+    let args = Args::from_env(USAGE, &[]);
+    let quick = Scale::from_env(Scale::Full) == Scale::Quick;
     let requests_per_client = if quick { 24 } else { 96 };
+    let get = |r: &Row, k: &str| r.get(k).unwrap_or_default();
 
-    let current: Vec<Sample> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let s = run_config(t, requests_per_client);
-            println!(
-                "serve /classify, {} score thread(s), {} clients: {:.0} req/s | p50 {:.0}µs p99 {:.0}µs | batch fill {:.2}",
-                s.threads, CLIENTS, s.req_per_sec, s.p50_us, s.p99_us, s.mean_batch_fill
-            );
-            s
-        })
-        .collect();
+    let current = THREAD_COUNTS.map(|t| run_config(t, requests_per_client));
 
     // Quant on/off comparison: inference-scale model, 40-token inputs,
     // scoring-bound window (see `run_quant_config`). Informational, not
     // gated: the serving ratio is diluted by HTTP + batching overhead, so
     // the hard speedup floor lives in `inferbench --check` where the GEMMs
     // are measured directly.
-    let quant_rows: Vec<(Sample, Sample)> = THREAD_COUNTS
+    let quant_rows: Vec<Row> = THREAD_COUNTS
         .iter()
         .map(|&t| {
             let f = run_quant_config(t, requests_per_client, false);
             let q = run_quant_config(t, requests_per_client, true);
-            println!(
-                "serve /classify 40-token, {} score thread(s): f32 {:.0} req/s (p99 {:.0}µs) | i8 {:.0} req/s (p99 {:.0}µs) | {:.2}x",
-                t,
-                f.req_per_sec,
-                f.p99_us,
-                q.req_per_sec,
-                q.p99_us,
-                q.req_per_sec / f.req_per_sec
-            );
-            (f, q)
+            let (f_rps, q_rps) = (get(&f, "requests_per_sec"), get(&q, "requests_per_sec"));
+            Row::new()
+                .num("threads", t as f64, 0)
+                .num("f32_requests_per_sec", f_rps, 2)
+                .num("i8_requests_per_sec", q_rps, 2)
+                .num("i8_speedup", q_rps / f_rps, 3)
+                .num("f32_p50_latency_us", get(&f, "p50_latency_us"), 1)
+                .num("i8_p50_latency_us", get(&q, "p50_latency_us"), 1)
+                .num("f32_p99_latency_us", get(&f, "p99_latency_us"), 1)
+                .num("i8_p99_latency_us", get(&q, "p99_latency_us"), 1)
         })
         .collect();
 
     // Overload rows: offered load > capacity; gated on shape, not speed.
-    let overload_rows: Vec<OverloadSample> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let o = run_overload_config(t, requests_per_client);
-            println!(
-                "serve overload, {} score thread(s), {} clients: offered {:.0} req/s | accepted {:.0} req/s ({}) | shed {} | accepted p99 {:.0}µs",
-                o.threads, OVERLOAD_CLIENTS, o.offered_rps, o.accepted_rps, o.accepted, o.shed, o.p99_accepted_us
-            );
-            o
-        })
-        .collect();
+    let overload_rows = THREAD_COUNTS.map(|t| run_overload_config(t, requests_per_client));
 
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Regression gate (ci.sh): sustained req/sec within 20% of the
-    // checked-in current numbers. The p99 gate is deliberately loose (3x):
-    // at a few hundred samples the tail is scheduler noise, so it only
-    // catches step-function regressions (a lost batch window, a stall),
-    // while throughput — averaged over every request — carries the tight
-    // bound.
-    if check {
-        let prev = parse_section(&old, "current");
-        let mut failed = false;
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if now.req_per_sec < 0.8 * p.req_per_sec {
-                eprintln!(
-                    "servebench: req/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.req_per_sec, now.req_per_sec
-                );
-                failed = true;
-            }
-            if now.p99_us > 3.0 * p.p99_us {
-                eprintln!(
-                    "servebench: p99 latency regression at {} thread(s): {:.0}µs -> {:.0}µs (>3x)",
-                    p.threads, p.p99_us, now.p99_us
-                );
-                failed = true;
-            }
-        }
-        // Overload gates are absolute (no baseline): under 2x+ capacity
-        // offered load, excess must actually shed, and the p99 of accepted
-        // requests must stay within a small multiple of the deadline budget
-        // — the signature of admission control working. The 4x headroom
-        // absorbs scheduler noise; latency *collapse* (unbounded queueing)
-        // is orders of magnitude, not 4x.
-        let p99_bound_us = 4.0 * OVERLOAD_DEADLINE.as_secs_f64() * 1e6;
-        for o in &overload_rows {
-            if o.shed == 0 {
-                eprintln!(
-                    "servebench: overload at {} thread(s) shed nothing — queue cap not enforced",
-                    o.threads
-                );
-                failed = true;
-            }
-            if o.accepted == 0 {
-                eprintln!(
-                    "servebench: overload at {} thread(s) accepted nothing — shedding everything",
-                    o.threads
-                );
-                failed = true;
-            }
-            if o.p99_accepted_us > p99_bound_us {
-                eprintln!(
-                    "servebench: overload at {} thread(s): accepted p99 {:.0}µs exceeds {:.0}µs bound",
-                    o.threads, o.p99_accepted_us, p99_bound_us
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+    Bench {
+        file: "BENCH_serve.json",
+        workload:
+            "rotom-serve POST /classify, 4 keep-alive clients, 1ms batch window, demo SST-2 model"
+                .into(),
+        current: current.to_vec(),
+        extra: vec![("quant", quant_rows), ("overload", overload_rows.to_vec())],
+        trajectory: &[
+            Ratio::of("throughput_ratio", "requests_per_sec", 3),
+            Ratio::of("p99_ratio", "p99_latency_us", 3),
+        ],
+        // Req/sec, averaged over every request, carries the tight bound.
+        // The p99 bound is deliberately loose (3x): at a few hundred samples
+        // the tail is scheduler noise, so it only catches step-function
+        // regressions (a lost batch window, a stall). The overload bounds are
+        // absolute: under 2x+ capacity offered load the excess must shed and
+        // the accepted p99 must stay within 4x the deadline budget — the
+        // signature of admission control working (latency collapse into an
+        // unbounded queue is orders of magnitude, not 4x).
+        rules: &[
+            Rule::at_least("requests_per_sec", 0.8, Ref::Previous),
+            Rule::at_most("p99_latency_us", 3.0, Ref::Previous),
+            Rule::at_least("shed", 1.0, Ref::Absolute).in_section("overload"),
+            Rule::at_least("accepted", 1.0, Ref::Absolute).in_section("overload"),
+            Rule::at_most("p99_accepted_latency_us", 4000.0, Ref::Field("deadline_ms"))
+                .in_section("overload"),
+        ],
     }
-
-    let mut json = String::from("{\n");
-    json.push_str(
-        "  \"workload\": \"rotom-serve POST /classify, 4 keep-alive clients, 1ms batch window, demo SST-2 model\",\n",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"quant\": [\n");
-    for (i, (f, q)) in quant_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"f32_requests_per_sec\": {:.2}, \"i8_requests_per_sec\": {:.2}, \"i8_speedup\": {:.3}, \"f32_p50_latency_us\": {:.1}, \"i8_p50_latency_us\": {:.1}, \"f32_p99_latency_us\": {:.1}, \"i8_p99_latency_us\": {:.1}}}",
-            f.threads,
-            f.req_per_sec,
-            q.req_per_sec,
-            q.req_per_sec / f.req_per_sec,
-            f.p50_us,
-            q.p50_us,
-            f.p99_us,
-            q.p99_us
-        );
-        json.push_str(if i + 1 < quant_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"overload\": [\n");
-    for (i, o) in overload_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"clients\": {OVERLOAD_CLIENTS}, \"deadline_ms\": {}, \"offered_requests_per_sec\": {:.2}, \"accepted_requests_per_sec\": {:.2}, \"accepted\": {}, \"shed\": {}, \"p99_accepted_latency_us\": {:.1}}}",
-            o.threads,
-            OVERLOAD_DEADLINE.as_millis(),
-            o.offered_rps,
-            o.accepted_rps,
-            o.accepted,
-            o.shed,
-            o.p99_accepted_us
-        );
-        json.push_str(if i + 1 < overload_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"trajectory\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"throughput_ratio\": {:.3}, \"p99_ratio\": {:.3}}}",
-            s.threads,
-            s.req_per_sec / b.req_per_sec,
-            s.p99_us / b.p99_us
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_serve.json");
-    println!("wrote {OUT_FILE}");
+    .finish(args.check);
 }

@@ -5,68 +5,28 @@
 //! a TinyLm target (the hot loop of every pipeline run): batch assembly with
 //! windowed prefetch scoring, weighting-model forward, phase-1 weighted
 //! backward + optimizer step, phase-2 virtual step, validation backward and
-//! the two finite-difference probes. Allocation is measured with a counting
-//! global allocator local to this binary.
+//! the two finite-difference probes, at 1 and 8 workers.
 //!
-//! Because `ROTOM_THREADS` is read once per process, the parent re-executes
-//! itself once per thread count (1 and 8) and aggregates the children's
-//! results. The first run records its numbers as the `baseline` section;
-//! later runs preserve the existing baseline and update `current`, so the
-//! file carries the perf trajectory across PRs.
+//! Gate (`--check`): steps/sec at least 0.8x the checked-in `current`.
 //!
-//! Usage:
-//!   cargo run --release --offline --bin trainbench            # regenerate
-//!   cargo run --release --offline --bin trainbench -- --check # + fail on
-//!                                                 >20% steps/sec regression
+//!   cargo run --release --offline --bin trainbench [-- --check]
 
 use rotom::config::ModelConfig;
 use rotom::TinyLm;
+use rotom_bench::record::{self, Args, Bench, Ratio, Ref, Row, Rule};
+use rotom_bench::{alloc, best_rate, Scale};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_meta::{MetaConfig, MetaTrainer};
 use rotom_text::example::AugExample;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Global allocator that counts every byte handed out (allocations and the
-/// grown portion of reallocations, across all threads).
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let grown = new_size.saturating_sub(layout.size());
-        ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
-const CHILD_ENV: &str = "TRAINBENCH_CHILD";
-const OUT_FILE: &str = "BENCH_train.json";
-
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    steps_per_sec: f64,
-    bytes_per_step: f64,
-}
+const USAGE: &str = "usage: trainbench [--check]";
 
 /// One measured child process: run the meta-training hot loop at the current
-/// `ROTOM_THREADS` setting and print a parseable result line.
-fn run_child() {
+/// `ROTOM_THREADS` setting.
+fn run_child() -> Row {
     // Deterministic small-but-realistic task: the default TinyLm encoder
     // (d_model 32, 2 layers) over a synthetic sentiment task; the augmented
     // pool is identity augmentations so no InvDA model is involved.
@@ -92,194 +52,51 @@ fn run_child() {
     let enc_cfg = model_cfg.encoder(target.vocab().len());
     let mut trainer = MetaTrainer::new(task.num_classes, target.vocab().clone(), enc_cfg, meta_cfg);
 
-    let quick = std::env::var("ROTOM_BENCH_SCALE").as_deref() == Ok("quick");
+    let quick = Scale::from_env(Scale::Full) == Scale::Quick;
     let (warmup_epochs, blocks, epochs_per_block) = if quick { (1, 1, 2) } else { (2, 5, 3) };
 
-    for _ in 0..warmup_epochs {
-        trainer.train_epoch(&mut target, &aug, &task.train_pool, &[]);
-    }
-
-    // Best-of-blocks steps/sec: on a shared machine wall time is hostage to
-    // co-tenants, and the fastest block is the tightest estimate of machine
-    // capacity. Bytes/step is taken over the whole measured run (allocation
-    // is deterministic).
-    let bytes_before = ALLOCATED.load(Ordering::Relaxed);
-    let mut rates = Vec::with_capacity(blocks);
-    let mut steps = 0usize;
-    for _ in 0..blocks {
-        let t0 = Instant::now();
-        let mut block_steps = 0usize;
-        for _ in 0..epochs_per_block {
-            let stats = trainer.train_epoch(&mut target, &aug, &task.train_pool, &[]);
-            block_steps += stats.steps;
-        }
-        rates.push(block_steps as f64 / t0.elapsed().as_secs_f64());
-        steps += block_steps;
-    }
-    let bytes = ALLOCATED.load(Ordering::Relaxed) - bytes_before;
+    // Steps/sec of the fastest block (see `best_rate`). Its untimed first
+    // pass is the warmup (`warmup_epochs` epochs); every later pass is one
+    // block. Bytes/step is taken over the timed blocks (allocation is
+    // deterministic).
+    let mut epochs = warmup_epochs;
+    let mut log: Vec<(usize, u64)> = Vec::with_capacity(blocks + 1);
+    let steps_per_sec = best_rate(blocks, || {
+        let bytes_before = alloc::total_bytes();
+        let steps: usize = (0..epochs)
+            .map(|_| {
+                trainer
+                    .train_epoch(&mut target, &aug, &task.train_pool, &[])
+                    .steps
+            })
+            .sum();
+        log.push((steps, alloc::total_bytes() - bytes_before));
+        epochs = epochs_per_block;
+        steps as f64
+    });
+    let timed = &log[1..];
+    let steps: usize = timed.iter().map(|&(s, _)| s).sum();
+    let bytes: u64 = timed.iter().map(|&(_, b)| b).sum();
     assert!(steps > 0, "no optimizer steps taken");
-    rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-    let threads = rotom_nn::RotomPool::global().threads();
-    println!(
-        "TRAINBENCH threads={} steps={} steps_per_sec={:.6} bytes_per_step={:.1}",
-        threads,
-        steps,
-        rates[rates.len() - 1],
-        bytes as f64 / steps as f64,
-    );
-}
-
-/// Extract `key=value` from a child's result line.
-fn field(line: &str, key: &str) -> f64 {
-    let pat = format!("{key}=");
-    let start = line.find(&pat).unwrap_or_else(|| panic!("missing {key}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    rest[..end].parse().expect("numeric field")
-}
-
-/// Pull `(threads, steps_per_sec, bytes_per_step)` triples out of one JSON
-/// section (`"baseline"` or `"current"`) of a previous `BENCH_train.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        if let (Some(t), Some(sps), Some(bps)) =
-            (num("threads"), num("steps_per_sec"), num("bytes_per_step"))
-        {
-            out.push(Sample {
-                threads: t as usize,
-                steps_per_sec: sps,
-                bytes_per_step: bps,
-            });
-        }
-    }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"steps_per_sec\": {:.4}, \"bytes_per_step\": {:.1}}}",
-            s.threads, s.steps_per_sec, s.bytes_per_step
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    Row::new()
+        .num("threads", rotom_nn::RotomPool::global().threads() as f64, 0)
+        .num("steps_per_sec", steps_per_sec, 4)
+        .num("bytes_per_step", bytes as f64 / steps as f64, 1)
 }
 
 fn main() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        run_child();
-        return;
+    let args = Args::from_env(USAGE, &[]);
+    Bench {
+        file: "BENCH_train.json",
+        workload: "MetaTrainer::train_epoch, TinyLm d_model=32 L=2, batch 16, pool 64".into(),
+        current: record::per_thread_count("TRAINBENCH", run_child),
+        extra: Vec::new(),
+        trajectory: &[
+            Ratio::of("steps_per_sec_ratio", "steps_per_sec", 3),
+            Ratio::inverse("bytes_reduction", "bytes_per_step", 2),
+        ],
+        rules: &[Rule::at_least("steps_per_sec", 0.8, Ref::Previous)],
     }
-    let check = std::env::args().any(|a| a == "--check");
-    let exe = std::env::current_exe().expect("current_exe");
-
-    let mut current = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let out = std::process::Command::new(&exe)
-            .env(CHILD_ENV, "1")
-            .env("ROTOM_THREADS", threads.to_string())
-            .output()
-            .expect("spawn trainbench child");
-        assert!(
-            out.status.success(),
-            "child (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("TRAINBENCH "))
-            .expect("child result line");
-        let sample = Sample {
-            threads,
-            steps_per_sec: field(line, "steps_per_sec"),
-            bytes_per_step: field(line, "bytes_per_step"),
-        };
-        println!(
-            "meta train step, {} thread(s): {:.2} steps/s, {:.0} bytes/step",
-            sample.threads, sample.steps_per_sec, sample.bytes_per_step
-        );
-        current.push(sample);
-    }
-
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Regression gate (ci.sh): new steps/sec must stay within 20% of the
-    // previously checked-in current numbers.
-    if check {
-        let prev = parse_section(&old, "current");
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if now.steps_per_sec < 0.8 * p.steps_per_sec {
-                eprintln!(
-                    "trainbench: steps/sec regression at {} thread(s): {:.2} -> {:.2} (>20%)",
-                    p.threads, p.steps_per_sec, now.steps_per_sec
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str(
-        "  \"workload\": \"MetaTrainer::train_epoch, TinyLm d_model=32 L=2, batch 16, pool 64\",\n",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"speedup\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"steps_per_sec_ratio\": {:.3}, \"bytes_reduction\": {:.2}}}",
-            s.threads,
-            s.steps_per_sec / b.steps_per_sec,
-            b.bytes_per_step / s.bytes_per_step.max(1.0)
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_train.json");
-    println!("wrote {OUT_FILE}");
+    .finish(args.check);
 }

@@ -1,5 +1,5 @@
 //! `rotom-bench` — the experiment harness regenerating every table and
-//! figure of the paper's evaluation (§6).
+//! figure of the paper's evaluation (§6), plus the perf bins.
 //!
 //! Each `benches/*.rs` target (all `harness = false`) prints one table or
 //! figure in the same row/series layout the paper uses. Absolute numbers
@@ -10,7 +10,15 @@
 //! Scale is controlled by the `ROTOM_BENCH_SCALE` environment variable:
 //! `quick` (default; single-digit minutes per table on one CPU core) or
 //! `full` (closer to the paper's budgets; tens of minutes). `ROTOM_SEEDS`
-//! overrides the number of repetitions (paper: 5).
+//! overrides the number of repetitions (paper: 5). Both follow the
+//! [`rotom_nn::env`] rule: a value that does not parse warns once and
+//! falls back to the default.
+//!
+//! The perf bins (`perfsmoke`, `trainbench`, `inferbench`, `servebench`,
+//! `blockbench`) each write one `BENCH_*.json` through [`record`], which
+//! owns the file format, the child-per-thread-count driver, the `--check`
+//! gate and the command line; [`alloc`] is their counting allocator. They
+//! read `ROTOM_BENCH_SCALE` too, but default to full-size measurement.
 
 #![warn(missing_docs)]
 
@@ -18,6 +26,9 @@ use rotom::pipeline::{prepare_base, run_method_with_base, PretrainedBase};
 use rotom::{mean_std, Method, RotomConfig, RunResult};
 use rotom_augment::InvDa;
 use rotom_datasets::{EdtConfig, EmConfig, TaskDataset, TaskKind, TextClsConfig};
+
+pub mod alloc;
+pub mod record;
 
 /// Harness scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +40,19 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `ROTOM_BENCH_SCALE` (default `quick`).
-    pub fn from_env() -> Self {
-        match std::env::var("ROTOM_BENCH_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+    /// Read the scale from `ROTOM_BENCH_SCALE` (`quick` or `full`), or
+    /// `default` when it is unset or invalid (see [`rotom_nn::env`]).
+    pub fn from_env(default: Scale) -> Self {
+        rotom_nn::env::read("ROTOM_BENCH_SCALE", Scale::parse).unwrap_or(default)
+    }
+
+    fn parse(v: &str) -> Result<Scale, String> {
+        if v.eq_ignore_ascii_case("quick") {
+            Ok(Scale::Quick)
+        } else if v.eq_ignore_ascii_case("full") {
+            Ok(Scale::Full)
+        } else {
+            Err("expected quick or full".to_string())
         }
     }
 }
@@ -64,13 +83,14 @@ pub struct Suite {
 impl Suite {
     /// Build the suite for a scale.
     pub fn new(scale: Scale) -> Self {
-        let seeds = std::env::var("ROTOM_SEEDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(match scale {
-                Scale::Quick => 1,
-                Scale::Full => 3,
-            });
+        let seeds = rotom_nn::env::read("ROTOM_SEEDS", |v| match v.parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err("expected a positive integer".to_string()),
+        })
+        .unwrap_or(match scale {
+            Scale::Quick => 1,
+            Scale::Full => 3,
+        });
         let mut rotom = RotomConfig::bench_small();
         match scale {
             Scale::Quick => Self {
@@ -122,9 +142,9 @@ impl Suite {
         }
     }
 
-    /// Suite at the scale selected by the environment.
+    /// Suite at the scale selected by the environment (default `quick`).
     pub fn from_env() -> Self {
-        Self::new(Scale::from_env())
+        Self::new(Scale::from_env(Scale::Quick))
     }
 
     /// The headline EM budget (largest in the sweep — the "≤750" of
@@ -291,19 +311,29 @@ pub fn pct(v: f32) -> String {
 }
 
 /// Best (minimum) wall time for `f` over `runs` timed passes, in seconds
-/// (one untimed warmup). Min-time is the robust estimator on a shared
-/// machine: interference from co-tenants only ever adds time, so the
-/// fastest pass is the closest observation of the code's real cost, where
-/// a median swings by tens of percent from run to run.
+/// (one untimed warmup): [`best_rate`] with one unit of work per pass.
 pub fn time_best(runs: usize, mut f: impl FnMut()) -> f64 {
+    1.0 / best_rate(runs, || {
+        f();
+        1.0
+    })
+}
+
+/// Best (maximum) rate of `f` over `runs` timed passes, in the units of
+/// work each pass returns per second (one untimed warmup). The best pass is
+/// the robust estimator on a shared machine: interference from co-tenants
+/// only ever adds time, so the fastest pass is the closest observation of
+/// the code's real cost, where a median swings by tens of percent from run
+/// to run.
+pub fn best_rate(runs: usize, mut f: impl FnMut() -> f64) -> f64 {
     f();
     (0..runs)
         .map(|_| {
             let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
+            let units = f();
+            units / t.elapsed().as_secs_f64()
         })
-        .fold(f64::INFINITY, f64::min)
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -315,6 +345,13 @@ mod tests {
         let s = Suite::new(Scale::Quick);
         assert!(s.em.train_pairs <= 500);
         assert_eq!(s.em_headline_budget(), 240);
+    }
+
+    #[test]
+    fn scale_parser_rejects_typos() {
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("FULL"), Ok(Scale::Full));
+        assert!(Scale::parse("fast").is_err());
     }
 
     #[test]

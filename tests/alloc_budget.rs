@@ -1,8 +1,8 @@
 //! Allocation-regression gate for the meta-training hot loop.
 //!
-//! A counting global allocator (local to this test binary) measures bytes
-//! allocated per steady-state `MetaTrainer` step and asserts the figure
-//! stays under a checked-in budget. The memory-plane work (tape arenas,
+//! The shared counting global allocator (`rotom_bench::alloc`, installed in
+//! this test binary) measures bytes allocated per steady-state `MetaTrainer`
+//! step and asserts the figure stays under a checked-in budget. The memory-plane work (tape arenas,
 //! pooled tapes, lazy packed-panel cache) took the step from ~35 MB of
 //! transient allocation down to well under 1 MB; this test keeps it there.
 //!
@@ -17,35 +17,13 @@
 
 use rotom::config::ModelConfig;
 use rotom::TinyLm;
+use rotom_bench::alloc;
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_meta::{MetaConfig, MetaTrainer};
 use rotom_text::example::AugExample;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every byte handed out (allocations plus the grown portion of
-/// reallocations, across all threads).
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let grown = new_size.saturating_sub(layout.size());
-        ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
 const BUDGET_FILE: &str = "tests/golden/alloc_budget.txt";
 /// Headroom multiplier applied when blessing: the budget is written as
@@ -106,13 +84,13 @@ fn measure_bytes_per_step() -> f64 {
         trainer.train_epoch(&mut target, &aug, &task.train_pool, &[]);
     }
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = alloc::total_bytes();
     let mut steps = 0usize;
     for _ in 0..3 {
         let stats = trainer.train_epoch(&mut target, &aug, &task.train_pool, &[]);
         steps += stats.steps;
     }
-    let bytes = ALLOCATED.load(Ordering::Relaxed) - before;
+    let bytes = alloc::total_bytes() - before;
     assert!(steps > 0, "no optimizer steps taken");
     bytes as f64 / steps as f64
 }
