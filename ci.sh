@@ -12,6 +12,16 @@ cargo build --release --offline --workspace
 echo "== cargo test --offline"
 cargo test -q --offline --workspace
 
+# `cargo build` and `cargo test` skip bench targets (crates/bench/benches),
+# so an API deletion could break one without failing the steps above.
+echo "== cargo check --all-targets"
+cargo check --offline --workspace --all-targets
+
+# Rustdoc warnings are errors: an intra-doc link to a deleted or private
+# item fails here.
+echo "== cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # The repo benchmark is a separate package with path dependencies on
 # crates/*, so a crate API change can break it without touching it.
 echo "== rotombench (repo benchmark package): build + test"

@@ -8,7 +8,7 @@
 //!   corruption (paper §3, Algorithm 1);
 //! * **MixDA** ([`mixda`]) interpolation support (the representation-level
 //!   "partial" application of an operator used by the MixDA baseline);
-//! * **diversity metrics** ([`diversity`]) quantifying the paper's
+//! * **diversity metrics** ([`diversity`](mod@diversity)) quantifying the paper's
 //!   diversity/quality trade-off.
 
 #![warn(missing_docs)]
@@ -22,5 +22,5 @@ pub mod ops;
 pub use corrupt::{corrupt, corruption_pairs};
 pub use diversity::{diversity, normalized_edit_distance, token_edit_distance, DiversityStats};
 pub use invda::{InvDa, InvDaConfig};
-pub use ops::{apply, apply_batch, DaContext, DaOp, Sampling};
+pub use ops::{apply, apply_batch, DaContext, DaOp};
 pub use rotom_text::example::{AugExample, Example};

@@ -5,7 +5,7 @@
 //! `h = λ·h(x) + (1−λ)·h(x̂)` with `λ ~ Beta(α, α)` folded to `λ ≥ 0.5`, so
 //! the mixed representation always stays closer to the original.
 //!
-//! The interpolation itself happens at the model's [CLS] representation (see
+//! The interpolation itself happens at the model's \[CLS\] representation (see
 //! `rotom::model`); this module provides the λ sampler and the MixDA batch
 //! plan.
 

@@ -6,26 +6,13 @@
 //! whole `[COL] …` groups, and `entity_swap` exchanges the two sides of the
 //! `[SEP]`.
 //!
-//! Token sampling is either uniform or importance-aware (inverse document
-//! frequency: frequent, uninformative tokens are more likely to be deleted or
-//! replaced — §2.3).
+//! Destructive operators pick their target tokens uniformly.
 
 use rotom_rng::rngs::StdRng;
 use rotom_rng::RngExt;
-use rotom_text::idf::IdfIndex;
 use rotom_text::serialize::parse_structure;
 use rotom_text::thesaurus::Thesaurus;
 use rotom_text::token::{is_structural, SEP};
-
-/// How destructive operators pick target tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sampling {
-    /// Uniform over eligible positions.
-    #[default]
-    Uniform,
-    /// Weighted by inverse importance (low-IDF tokens more likely).
-    Idf,
-}
 
 /// The simple DA operators of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,10 +81,6 @@ impl DaOp {
 pub struct DaContext {
     /// Synonym source for `token_repl` / `token_insert`.
     pub thesaurus: Thesaurus,
-    /// Optional IDF index enabling importance-aware sampling.
-    pub idf: Option<IdfIndex>,
-    /// Sampling strategy for destructive operators.
-    pub sampling: Sampling,
     /// Maximum span length for span-level operators.
     pub max_span: usize,
 }
@@ -106,59 +89,17 @@ impl Default for DaContext {
     fn default() -> Self {
         Self {
             thesaurus: Thesaurus::builtin(),
-            idf: None,
-            sampling: Sampling::Uniform,
             max_span: 4,
         }
     }
 }
 
-impl DaContext {
-    /// Context with IDF-aware sampling over the given corpus statistics.
-    pub fn with_idf(idf: IdfIndex) -> Self {
-        Self {
-            idf: Some(idf),
-            sampling: Sampling::Idf,
-            ..Self::default()
-        }
-    }
-
-    fn pick_position(
-        &self,
-        tokens: &[String],
-        eligible: &[usize],
-        rng: &mut StdRng,
-    ) -> Option<usize> {
-        if eligible.is_empty() {
-            return None;
-        }
-        match (self.sampling, &self.idf) {
-            (Sampling::Idf, Some(idf)) => {
-                let weights: Vec<f32> = eligible
-                    .iter()
-                    .map(|&i| idf.removal_weight(&tokens[i]))
-                    .collect();
-                weighted_choice(&weights, rng).map(|k| eligible[k])
-            }
-            _ => Some(eligible[rng.random_range(0..eligible.len())]),
-        }
-    }
-}
-
-/// Sample an index proportionally to `weights`; `None` if all weights are 0.
-fn weighted_choice(weights: &[f32], rng: &mut StdRng) -> Option<usize> {
-    let total: f32 = weights.iter().sum();
-    if total <= 0.0 {
+/// A uniform draw over the eligible positions; `None` if there are none.
+fn pick_position(eligible: &[usize], rng: &mut StdRng) -> Option<usize> {
+    if eligible.is_empty() {
         return None;
     }
-    let mut r = rng.random_range(0.0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        if r < w {
-            return Some(i);
-        }
-        r -= w;
-    }
-    Some(weights.len() - 1)
+    Some(eligible[rng.random_range(0..eligible.len())])
 }
 
 /// Positions of tokens inside value spans (the only tokens destructive
@@ -183,9 +124,9 @@ fn value_positions(tokens: &[String]) -> Vec<usize> {
 /// unchanged — never panic.
 pub fn apply(op: DaOp, tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<String> {
     match op {
-        DaOp::TokenDel => token_del(tokens, ctx, rng),
+        DaOp::TokenDel => token_del(tokens, rng),
         DaOp::TokenRepl => token_repl(tokens, ctx, rng),
-        DaOp::TokenSwap => token_swap(tokens, ctx, rng),
+        DaOp::TokenSwap => token_swap(tokens, rng),
         DaOp::TokenInsert => token_insert(tokens, ctx, rng),
         DaOp::SpanDel => span_del(tokens, ctx, rng),
         DaOp::SpanShuffle => span_shuffle(tokens, ctx, rng),
@@ -249,9 +190,9 @@ pub(crate) fn emit_aug_record(op_name: &str, inputs: &[&[String]], outputs: &[Ve
     );
 }
 
-fn token_del(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<String> {
+fn token_del(tokens: &[String], rng: &mut StdRng) -> Vec<String> {
     let eligible = value_positions(tokens);
-    match ctx.pick_position(tokens, &eligible, rng) {
+    match pick_position(&eligible, rng) {
         Some(i) => {
             let mut out = tokens.to_vec();
             out.remove(i);
@@ -266,7 +207,7 @@ fn token_repl(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<Strin
         .into_iter()
         .filter(|&i| ctx.thesaurus.has_synonym(&tokens[i]))
         .collect();
-    match ctx.pick_position(tokens, &eligible, rng) {
+    match pick_position(&eligible, rng) {
         Some(i) => {
             let syns = ctx.thesaurus.synonyms(&tokens[i]);
             let syn = syns[rng.random_range(0..syns.len())].to_string();
@@ -278,12 +219,12 @@ fn token_repl(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<Strin
     }
 }
 
-fn token_swap(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<String> {
+fn token_swap(tokens: &[String], rng: &mut StdRng) -> Vec<String> {
     let eligible = value_positions(tokens);
     if eligible.len() < 2 {
         return tokens.to_vec();
     }
-    let a = match ctx.pick_position(tokens, &eligible, rng) {
+    let a = match pick_position(&eligible, rng) {
         Some(i) => i,
         None => return tokens.to_vec(),
     };
@@ -299,7 +240,7 @@ fn token_insert(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<Str
         .into_iter()
         .filter(|&i| ctx.thesaurus.has_synonym(&tokens[i]))
         .collect();
-    match ctx.pick_position(tokens, &eligible, rng) {
+    match pick_position(&eligible, rng) {
         Some(i) => {
             let syns = ctx.thesaurus.synonyms(&tokens[i]);
             let syn = syns[rng.random_range(0..syns.len())].to_string();
@@ -554,33 +495,6 @@ mod tests {
         let toks = tokenize("no separator here");
         let out = apply(DaOp::EntitySwap, &toks, &DaContext::default(), &mut rng());
         assert_eq!(out, toks);
-    }
-
-    #[test]
-    fn idf_sampling_prefers_common_tokens() {
-        let docs: Vec<Vec<String>> = vec![
-            tokenize("the red camera"),
-            tokenize("the blue phone"),
-            tokenize("the green laptop"),
-        ];
-        let refs: Vec<&[String]> = docs.iter().map(|d| d.as_slice()).collect();
-        let ctx = DaContext::with_idf(IdfIndex::build(refs));
-        let toks = tokenize("the red camera");
-        let mut deleted_the = 0;
-        let mut r = rng();
-        for _ in 0..1000 {
-            let out = apply(DaOp::TokenDel, &toks, &ctx, &mut r);
-            if !out.contains(&"the".to_string()) {
-                deleted_the += 1;
-            }
-        }
-        // "the" appears in every doc (IDF 0, weight 1.0) vs rare tokens
-        // (weight ≈ 0.71): expected ≈ 0.41·1000 = 413 deletions (σ ≈ 16),
-        // clearly above the uniform rate of 333.
-        assert!(
-            deleted_the > 370,
-            "deleted 'the' only {deleted_the}/1000 times"
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! "The model architecture is similar to Ditto but uses a different method
 //! to serialize entity records" — instead of `[COL]`/`[VAL]` markers, the
 //! attribute values are concatenated directly and the two entities are
-//! joined by `[SEP]`. Everything else (TinyLm encoder, [CLS] head,
+//! joined by `[SEP]`. Everything else (TinyLm encoder, \[CLS\] head,
 //! fine-tuning) is shared with the Rotom baseline.
 
 use rotom::{run_method, Method, RotomConfig, RunResult};

@@ -6,7 +6,7 @@
 //! attention, a symmetric comparison layer, and an MLP classifier.
 //!
 //! `DmEncoder::TinyLm` reproduces the paper's DM+RoBERTa ablation: the same
-//! comparison head over the [CLS] encodings of a Transformer encoder.
+//! comparison head over the \[CLS\] encodings of a Transformer encoder.
 
 use rotom::metrics::PrF1;
 use rotom::ModelConfig;
@@ -25,7 +25,7 @@ use rotom_text::vocab::Vocab;
 pub enum DmEncoder {
     /// GRU + soft attention (classic DeepMatcher hybrid).
     Gru,
-    /// Transformer [CLS] encoder (the DM+RoBERTa variant).
+    /// Transformer \[CLS\] encoder (the DM+RoBERTa variant).
     TinyLm,
 }
 

@@ -17,7 +17,7 @@
 //! learned operator can only make single-token edits (far less diverse than
 //! InvDA) and the weighting has no filtering stage.
 
-use rotom::{evaluate, Method, RotomConfig, RunResult, TinyLm};
+use rotom::{evaluate, RotomConfig, RunResult, TinyLm};
 use rotom_datasets::TaskDataset;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_rng::rngs::StdRng;
@@ -246,20 +246,6 @@ pub fn run_hu(
         train_size: train.len(),
         val_curve,
     }
-}
-
-/// The BERT-baseline row of Hu et al.'s table (plain fine-tuning in their
-/// exact sampling regime).
-pub fn run_hu_baseline(
-    task: &TaskDataset,
-    train: &[Example],
-    valid: &[Example],
-    cfg: &RotomConfig,
-    seed: u64,
-) -> RunResult {
-    let mut r = rotom::run_method(task, train, valid, Method::Baseline, cfg, None, seed);
-    r.method = "BERT (Hu setting)".to_string();
-    r
 }
 
 #[cfg(test)]

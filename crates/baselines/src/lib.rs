@@ -23,6 +23,6 @@ pub mod raha;
 pub use brunner::{run_brunner, serialize_plain, serialize_plain_pair};
 pub use deepmatcher::{DeepMatcher, DmConfig, DmEncoder};
 pub use gridsearch::{grid_search, Grid, GridSearchResult};
-pub use hu::{run_hu, run_hu_baseline, HuVariant, LearnedDaOp};
+pub use hu::{run_hu, HuVariant, LearnedDaOp};
 pub use kumar::{generate_examples, run_kumar, KumarVariant};
 pub use raha::{run_raha, Raha, RahaResult};

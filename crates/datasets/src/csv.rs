@@ -1,12 +1,9 @@
-//! Dependency-free CSV export/import for the generated benchmarks.
+//! Dependency-free CSV reading and writing.
 //!
-//! Real benchmark suites ship as CSV; exporting the synthetic datasets in
-//! the same shape lets them be inspected with standard tooling or fed to
-//! other systems. The writer quotes per RFC 4180 (commas, quotes, newlines);
-//! the reader accepts exactly what the writer emits.
+//! Real benchmark suites ship as CSV; the chunked reader feeds such tables
+//! into the blocking plane. The writer quotes per RFC 4180 (commas, quotes,
+//! newlines); the reader accepts exactly what the writer emits.
 
-use crate::edt::EdtDataset;
-use crate::em::EmDataset;
 use rotom_text::Record;
 
 /// Quote a field when needed (RFC 4180).
@@ -245,80 +242,22 @@ pub fn parse_row(line: &str) -> Option<Vec<String>> {
     Some(fields)
 }
 
-/// The union of attribute names across records, in first-seen order.
-pub fn union_schema(records: &[&Record]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for r in records {
-        for (attr, _) in &r.attrs {
-            if !out.contains(attr) {
-                out.push(attr.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Export labeled entity pairs as CSV with `left_*`/`right_*` columns plus a
-/// final `label` column.
-pub fn em_pairs_csv(data: &EmDataset) -> String {
-    let lefts: Vec<&Record> = data.train_pairs.iter().map(|p| &p.left).collect();
-    let rights: Vec<&Record> = data.train_pairs.iter().map(|p| &p.right).collect();
-    let l_schema = union_schema(&lefts);
-    let r_schema = union_schema(&rights);
-    let mut header: Vec<String> = l_schema.iter().map(|a| format!("left_{a}")).collect();
-    header.extend(r_schema.iter().map(|a| format!("right_{a}")));
-    header.push("label".to_string());
-    let mut out = write_row(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-    out.push('\n');
-    for p in &data.train_pairs {
-        let mut row: Vec<String> = Vec::with_capacity(header.len());
-        for a in &l_schema {
-            row.push(p.left.get(a).unwrap_or("").to_string());
-        }
-        for a in &r_schema {
-            row.push(p.right.get(a).unwrap_or("").to_string());
-        }
-        row.push((p.is_match as u8).to_string());
-        out.push_str(&write_row(
-            &row.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// Export a dirty table as CSV, plus a parallel 0/1 error-mask CSV.
-pub fn edt_table_csv(data: &EdtDataset) -> (String, String) {
-    let header: Vec<&str> = data.columns.iter().map(|c| c.as_str()).collect();
-    let mut table = write_row(&header);
-    table.push('\n');
-    let mut mask = write_row(&header);
-    mask.push('\n');
-    for (r, row) in data.rows.iter().enumerate() {
-        let values: Vec<&str> = data
-            .columns
-            .iter()
-            .map(|c| row.get(c).unwrap_or(""))
-            .collect();
-        table.push_str(&write_row(&values));
-        table.push('\n');
-        let bits: Vec<String> = data.mask[r]
-            .iter()
-            .map(|&b| (b as u8).to_string())
-            .collect();
-        mask.push_str(&write_row(
-            &bits.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-        ));
-        mask.push('\n');
-    }
-    (table, mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edt::{self, EdtConfig, EdtFlavor};
-    use crate::em::{self, EmConfig, EmFlavor};
+
+    /// A `rows`-row, three-column table whose fields need quoting.
+    fn sample_csv(rows: usize) -> String {
+        let mut text = write_row(&["title", "note", "label"]);
+        text.push('\n');
+        for i in 0..rows {
+            let title = format!("item {i}, \"v{}\"", i % 3);
+            let note = if i % 4 == 0 { "two\nlines" } else { "" };
+            text.push_str(&write_row(&[&title, note, &(i % 2).to_string()]));
+            text.push('\n');
+        }
+        text
+    }
 
     #[test]
     fn row_roundtrip_with_quoting() {
@@ -331,21 +270,6 @@ mod tests {
     #[test]
     fn malformed_quotes_rejected() {
         assert!(parse_row("\"unterminated").is_none());
-    }
-
-    #[test]
-    fn parse_table_roundtrips_exported_em_csv() {
-        let cfg = EmConfig {
-            num_entities: 20,
-            train_pairs: 25,
-            test_pairs: 10,
-            ..Default::default()
-        };
-        let data = em::generate(EmFlavor::AbtBuy, &cfg);
-        let (header, rows) = parse_table(&em_pairs_csv(&data)).unwrap();
-        assert_eq!(header.last().unwrap(), "label");
-        assert_eq!(rows.len(), 25);
-        assert!(rows.iter().all(|r| r.len() == header.len()));
     }
 
     #[test]
@@ -387,14 +311,11 @@ mod tests {
 
     #[test]
     fn table_chunks_matches_parse_table() {
-        let cfg = EmConfig {
-            num_entities: 20,
-            train_pairs: 37,
-            test_pairs: 10,
-            ..Default::default()
-        };
-        let csv = em_pairs_csv(&em::generate(EmFlavor::AbtBuy, &cfg));
+        let csv = sample_csv(37);
         let (header, rows) = parse_table(&csv).unwrap();
+        assert_eq!(rows.len(), 37);
+        assert_eq!(rows[1][0], "item 1, \"v1\"");
+        assert_eq!(rows[4][1], "two\nlines");
         for chunk_rows in [1, 5, 16, 1000] {
             let mut chunks = table_chunks(&csv, chunk_rows).unwrap();
             assert_eq!(chunks.header(), &header[..]);
@@ -433,51 +354,5 @@ mod tests {
         assert_eq!(recs[0].get("title"), Some("ok go"));
         assert_eq!(recs[0].get("price"), Some("9.99"));
         assert_eq!(recs[0].attrs[0].0, "title");
-    }
-
-    #[test]
-    fn em_csv_has_label_column_and_parses() {
-        let cfg = EmConfig {
-            num_entities: 20,
-            train_pairs: 30,
-            test_pairs: 10,
-            ..Default::default()
-        };
-        let data = em::generate(EmFlavor::AbtBuy, &cfg);
-        let csv = em_pairs_csv(&data);
-        let mut lines = csv.lines();
-        let header = parse_row(lines.next().unwrap()).unwrap();
-        assert_eq!(header.last().unwrap(), "label");
-        assert!(header.iter().any(|h| h.starts_with("left_")));
-        let width = header.len();
-        let mut n = 0;
-        for line in lines {
-            let row = parse_row(line).unwrap();
-            assert_eq!(row.len(), width);
-            assert!(row.last().unwrap() == "0" || row.last().unwrap() == "1");
-            n += 1;
-        }
-        assert_eq!(n, 30);
-    }
-
-    #[test]
-    fn edt_csv_mask_aligns() {
-        let data = edt::generate(
-            EdtFlavor::Beers,
-            &EdtConfig {
-                rows: Some(20),
-                ..Default::default()
-            },
-        );
-        let (table, mask) = edt_table_csv(&data);
-        assert_eq!(table.lines().count(), 21);
-        assert_eq!(mask.lines().count(), 21);
-        let ones: usize = mask
-            .lines()
-            .skip(1)
-            .flat_map(|l| parse_row(l).unwrap())
-            .filter(|v| v == "1")
-            .count();
-        assert_eq!(ones, data.num_errors());
     }
 }

@@ -697,23 +697,6 @@ pub fn block_candidates(
     out
 }
 
-/// Convenience: generate all 8 EM task datasets of Table 8 (5 clean + 3
-/// dirty) with the same config.
-pub fn all_em_tasks(cfg: &EmConfig) -> Vec<TaskDataset> {
-    let mut out = Vec::with_capacity(8);
-    for flavor in EmFlavor::ALL {
-        out.push(generate(flavor, cfg).to_task());
-    }
-    for flavor in EmFlavor::WITH_DIRTY {
-        let dirty_cfg = EmConfig {
-            dirty: true,
-            ..cfg.clone()
-        };
-        out.push(generate(flavor, &dirty_cfg).to_task());
-    }
-    out
-}
-
 /// A quick lexical-similarity score used in tests and by the Raha-style
 /// baseline: Jaccard similarity over *all* attribute tokens (unlike the
 /// blocking helpers, short tokens count — dropping them would change the
@@ -729,11 +712,6 @@ pub fn jaccard(left: &Record, right: &Record) -> f32 {
     } else {
         inter / union
     }
-}
-
-/// Sample a train/test-size report matching Table 6's columns.
-pub fn table6_row(d: &EmDataset) -> (String, usize, usize) {
-    (d.name.clone(), d.train_pairs.len(), d.test_pairs.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -1166,18 +1144,5 @@ mod tests {
         for k in 0..20_000 {
             assert!(seen.insert(corpus_word(k)), "collision at {k}");
         }
-    }
-
-    #[test]
-    fn all_em_tasks_yields_eight() {
-        let cfg = EmConfig {
-            num_entities: 20,
-            train_pairs: 30,
-            test_pairs: 10,
-            ..Default::default()
-        };
-        let tasks = all_em_tasks(&cfg);
-        assert_eq!(tasks.len(), 8);
-        assert!(tasks.iter().filter(|t| t.name.ends_with("-dirty")).count() == 3);
     }
 }

@@ -14,8 +14,8 @@
 //!   counts, generated from per-class template grammars.
 //!
 //! All generators are deterministic per seed and emit the common
-//! [`TaskDataset`] sequence-classification form. [`csv`] exports the
-//! generated benchmarks in the CSV shape the real suites ship in.
+//! [`TaskDataset`] sequence-classification form. [`csv`] reads tables in
+//! the CSV shape the real suites ship in.
 //!
 //! [`blocking`] scales the EM candidate-generation step to million-record
 //! collections: a sharded IDF-pruned inverted index with an optional

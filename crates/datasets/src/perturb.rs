@@ -95,18 +95,6 @@ pub fn pick<'a, T: ?Sized>(items: &'a [&'a T], rng: &mut StdRng) -> &'a T {
     items[rng.random_range(0..items.len())]
 }
 
-/// Pick `n` distinct indices from `0..len` (n ≤ len).
-pub fn pick_distinct(len: usize, n: usize, rng: &mut StdRng) -> Vec<usize> {
-    assert!(n <= len);
-    let mut idx: Vec<usize> = (0..len).collect();
-    for i in 0..n {
-        let j = rng.random_range(i..len);
-        idx.swap(i, j);
-    }
-    idx.truncate(n);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,16 +156,6 @@ mod tests {
     #[test]
     fn squash_removes_spaces() {
         assert_eq!(squash("1600 amphitheatre pkwy"), "1600amphitheatrepkwy");
-    }
-
-    #[test]
-    fn pick_distinct_unique() {
-        let mut r = rng();
-        let picks = pick_distinct(10, 5, &mut r);
-        let mut sorted = picks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
     }
 
     #[test]

@@ -124,14 +124,6 @@ pub fn generate(flavor: TextClsFlavor, cfg: &TextClsConfig) -> TaskDataset {
     }
 }
 
-/// Generate all eight TextCLS datasets with one config.
-pub fn all_textcls_tasks(cfg: &TextClsConfig) -> Vec<TaskDataset> {
-    TextClsFlavor::ALL
-        .iter()
-        .map(|&f| generate(f, cfg))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Per-flavor grammars
 // ---------------------------------------------------------------------------

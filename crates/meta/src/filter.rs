@@ -28,8 +28,6 @@ pub struct FilterModel {
     b: ParamId,
     num_classes: usize,
     opt: Adam,
-    /// Mean keep probability over the most recent batch (diagnostics).
-    pub last_keep_rate: f32,
 }
 
 impl FilterModel {
@@ -51,7 +49,6 @@ impl FilterModel {
             b,
             num_classes,
             opt: Adam::new(lr),
-            last_keep_rate: 1.0,
         }
     }
 
@@ -181,23 +178,6 @@ impl FilterModel {
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)
     }
-
-    /// Apply the filter to a batch: returns the kept indices, recording the
-    /// realized keep-rate.
-    pub fn filter_batch(&mut self, features: &[Vec<f32>], rng: &mut StdRng) -> Vec<usize> {
-        let mut kept = Vec::with_capacity(features.len());
-        let mut p_sum = 0.0f32;
-        for (i, f) in features.iter().enumerate() {
-            p_sum += self.prob_keep(f);
-            if self.sample_keep(f, rng) {
-                kept.push(i);
-            }
-        }
-        if !features.is_empty() {
-            self.last_keep_rate = p_sum / features.len() as f32;
-        }
-        kept
-    }
 }
 
 #[cfg(test)]
@@ -247,17 +227,5 @@ mod tests {
         }
         let after = m.prob_keep(&feat);
         assert!(after < before, "keep prob should fall: {before} -> {after}");
-    }
-
-    #[test]
-    fn filter_batch_returns_valid_indices() {
-        let mut m = FilterModel::new(2, 1e-2, 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let feats: Vec<Vec<f32>> = (0..10)
-            .map(|_| FilterModel::features(&uniform(2), &uniform(2), &uniform(2)))
-            .collect();
-        let kept = m.filter_batch(&feats, &mut rng);
-        assert!(kept.iter().all(|&i| i < 10));
-        assert!((0.0..=1.0).contains(&m.last_keep_rate));
     }
 }

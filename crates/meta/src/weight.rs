@@ -219,14 +219,6 @@ impl WeightModel {
             .load_state(bag, &format!("{prefix}.adam"), &self.store)
     }
 
-    /// Raw weight of a single example (diagnostic / inference use).
-    pub fn weight_of(&self, tokens: &[String], l2: f32) -> f32 {
-        let batch = self.forward_batch(&[(tokens, l2)]);
-        let w = batch.raw[0];
-        recycle_tape(batch.tape);
-        w
-    }
-
     fn encode(&self, tokens: &[String]) -> Vec<usize> {
         let mut ids = Vec::with_capacity(tokens.len() + 1);
         ids.push(self.vocab.special_id(rotom_text::token::CLS));
@@ -275,7 +267,8 @@ mod tests {
     #[test]
     fn raw_weights_in_expected_range() {
         let m = toy_model();
-        let w = m.weight_of(&tokenize("good plot"), 0.3);
+        let tokens = tokenize("good plot");
+        let w = m.forward_batch(&[(&tokens, 0.3)]).raw[0];
         // sigmoid ∈ (0,1) plus the l2 constant.
         assert!(w > 0.3 && w < 1.3, "weight {w}");
     }

@@ -117,7 +117,7 @@ impl GradCheckReport {
 }
 
 /// Compare analytic tape gradients against central differences over every
-/// trainable coordinate of `store`.
+/// coordinate of `store`.
 ///
 /// `run` must build the graph from the *current* store values and return the
 /// scalar loss; when its second argument is `true` it must additionally call
@@ -136,12 +136,10 @@ where
     let theta = store.flat_values();
 
     // Map flat offsets back to (tensor name, local index) for reporting.
-    let mut spans: Vec<(String, usize)> = Vec::new();
-    for id in store.ids().collect::<Vec<_>>() {
-        if store.is_trainable(id) {
-            spans.push((store.name(id).to_string(), store.value(id).len()));
-        }
-    }
+    let spans: Vec<(String, usize)> = store
+        .ids()
+        .map(|id| (store.name(id).to_string(), store.value(id).len()))
+        .collect();
 
     let locate = |flat: usize| -> (String, usize) {
         let mut offset = 0;

@@ -42,7 +42,7 @@
 //! swept down all row blocks while it sits in L1 (without the pack, large
 //! `n` re-streams the strided strip from L2 for every row block).
 //!
-//! The core is generic over how the right-hand operand is stored ([`BSrc`]):
+//! The core is generic over how the right-hand operand is stored (`BSrc`):
 //! row-major, **transposed** (panels are packed straight from the strided
 //! columns of the stored matrix, so `A·Bᵀ` and `Aᵀ·G` never materialize a
 //! transpose), or **prepacked** ([`PackedB`] — the panels were built earlier
@@ -105,7 +105,7 @@ pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 ///
 /// Each public GEMM entry point bumps one process-global counter for the
 /// path it chose (naive, tiled serial, tiled parallel). Counting is gated on
-/// [`telemetry::enabled`], so the disabled path costs one branch per GEMM
+/// [`crate::telemetry::enabled`], so the disabled path costs one branch per GEMM
 /// call and no atomic traffic; counts are cumulative and read out as gauges
 /// (typically once per epoch via [`profile::emit_gemm_gauges`]).
 pub mod profile {
@@ -1558,11 +1558,6 @@ impl QuantizedB {
         &self.scales
     }
 
-    /// Row-major quantized values (for tests).
-    pub fn quantized_rows(&self) -> &[i8] {
-        &self.rows
-    }
-
     /// The interleaved panel for the full strip starting at column `j0`.
     fn strip(&self, j0: usize) -> &[i8] {
         let len = self.quads * 4 * NR;
@@ -2001,7 +1996,7 @@ fn quant_block(
 /// Fused quantized `C = act(dequant(qa·qb) + bias)` inference entry — the
 /// i8 analogue of [`matmul_bias_act_into`]: quantize the `m×k` activations
 /// per row, run the integer GEMM (serial, or fanned out on `MR`-row
-/// boundaries with the same thresholds as [`tiled_dispatch`]), dequantize
+/// boundaries with the same thresholds as `tiled_dispatch`), dequantize
 /// into `out`, and apply the shared [`bias_act_apply`] epilogue.
 ///
 /// There is no naive tier, and activation quantization is per row, so any
@@ -2681,7 +2676,7 @@ mod tests {
     /// not, any thread count) must match it bit-for-bit.
     fn quant_reference(a: &[f32], qb: &QuantizedB, m: usize, k: usize, n: usize) -> Vec<f32> {
         let (qa, scales, zps, k_pad) = quantize_a(a, m, k);
-        let qw = qb.quantized_rows();
+        let qw = &qb.rows;
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -2797,7 +2792,7 @@ mod tests {
         for &(k, n) in &[(7usize, 5usize), (32, 16), (33, 65), (128, 48)] {
             let b = random_matrix(&mut rng, k, n);
             let qb = QuantizedB::quantize_row_major(&b, k, n);
-            let qw = qb.quantized_rows();
+            let qw = &qb.rows;
             for j in 0..n {
                 let colmax = (0..k).map(|p| b[p * n + j].abs()).fold(0.0f32, f32::max);
                 let s = qb.scales()[j];

@@ -81,13 +81,6 @@ impl Gru {
         }
         tape.concat_rows(&states)
     }
-
-    /// Run the GRU and return only the final hidden state (`1 x hidden`).
-    pub fn forward_last(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
-        let all = self.forward(tape, x, store);
-        let t_len = tape.value(all).rows();
-        tape.slice_rows(all, t_len - 1, 1)
-    }
 }
 
 #[cfg(test)]
@@ -104,8 +97,6 @@ mod tests {
         let x = tape.input(Tensor::full(4, 6, 0.3));
         let all = gru.forward(&mut tape, x, &store);
         assert_eq!((tape.value(all).rows(), tape.value(all).cols()), (4, 10));
-        let last = gru.forward_last(&mut tape, x, &store);
-        assert_eq!(tape.value(last).row_slice(0), tape.value(all).row_slice(3));
     }
 
     #[test]
@@ -115,8 +106,8 @@ mod tests {
         let gru = Gru::new(&mut store, &mut rng, "gru", 4, 5);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::full(3, 4, 0.5));
-        let last = gru.forward_last(&mut tape, x, &store);
-        let loss = tape.sum_all(last);
+        let states = gru.forward(&mut tape, x, &store);
+        let loss = tape.sum_all(states);
         store.zero_grad();
         tape.backward(loss, &mut store);
         assert!(

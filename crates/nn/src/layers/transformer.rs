@@ -391,11 +391,6 @@ impl TransformerEncoder {
         &self.cfg
     }
 
-    /// Token-embedding parameter id (for weight tying).
-    pub fn token_table(&self) -> crate::params::ParamId {
-        self.tok.table()
-    }
-
     /// Encode `ids` (truncated to `max_len`) into a `T x d` node.
     pub fn forward(&self, tape: &mut Tape, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
         self.forward_with(tape, ids, &[], ctx)
@@ -430,7 +425,7 @@ impl TransformerEncoder {
         self.ln_f.forward(tape, x, ctx.store)
     }
 
-    /// Encode and return the first-token ([CLS]) representation as `1 x d`.
+    /// Encode and return the first-token (\[CLS\]) representation as `1 x d`.
     pub fn encode_cls(&self, tape: &mut Tape, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
         let h = self.forward(tape, ids, ctx);
         tape.slice_rows(h, 0, 1)
@@ -525,7 +520,7 @@ impl TransformerEncoder {
         self.infer_band(ids, extras, |t| (0, t), store, pool, scratch)
     }
 
-    /// Forward-only [CLS] encoding into `cls_out` (`d_model` floats),
+    /// Forward-only \[CLS\] encoding into `cls_out` (`d_model` floats),
     /// bit-identical to [`encode_cls_with`](Self::encode_cls_with) under
     /// [`FwdCtx::eval`]. Only the final layer is band-restricted to the
     /// leading rows.

@@ -3,7 +3,7 @@
 //! The Rotom paper builds on PyTorch + HuggingFace Transformers; this crate
 //! is the from-scratch Rust replacement: dense `f32` tensors, a tape-based
 //! reverse-mode autodiff engine, the layers needed for Transformer
-//! encoders/decoders and GRUs, and SGD/Adam optimizers.
+//! encoders/decoders and GRUs, and the Adam optimizer.
 //!
 //! Two design choices are driven directly by Rotom's meta-learning algorithm
 //! (Algorithm 2 of the paper):
@@ -54,11 +54,10 @@ pub mod layers;
 mod optim;
 mod params;
 pub mod pool;
-pub mod schedule;
 pub mod telemetry;
 mod tensor;
 
-pub use checkpoint::{CheckpointError, NonFinitePolicy, StateBag, StateEntry};
+pub use checkpoint::{CheckpointError, StateBag, StateEntry};
 pub use faultpoint::{FaultKilled, FaultKind};
 pub use graph::{
     pooled_tape_stats, recycle_tape, take_pooled_tape, tape_eviction_count, with_pooled_tape,
@@ -72,10 +71,9 @@ pub use layers::{
     LayerNorm, Linear, MultiHeadAttention, TransformerConfig, TransformerDecoder,
     TransformerEncoder,
 };
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamPacks, ParamStore, QuantMode};
 pub use pool::RotomPool;
-pub use schedule::{LrSchedule, LrStepper};
 pub use tensor::Tensor;
 
 /// Numerically stable softmax over a slice (out-of-graph helper for

@@ -4,65 +4,6 @@ use crate::checkpoint::{CheckpointError, StateBag};
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Create an SGD optimizer with the given learning rate (no momentum).
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Enable classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Apply one update from the gradients currently in `store`.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.len() != store.num_params() {
-            self.velocity = store
-                .ids()
-                .map(|id| Tensor::zeros(store.value(id).rows(), store.value(id).cols()))
-                .collect();
-        }
-        for (k, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            if !store.is_trainable(id) {
-                continue;
-            }
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[k];
-                for (vv, &g) in v.data_mut().iter_mut().zip(store.grad(id).data()) {
-                    *vv = self.momentum * *vv + g;
-                }
-                store.value_mut(id).axpy(-self.lr, &self.velocity[k]);
-            } else {
-                let (value, grad) = store.value_grad_mut(id);
-                value.axpy(-self.lr, grad);
-            }
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Replace the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam with bias correction (Kingma & Ba, 2015) — the optimizer the paper
 /// uses for both the target model and the policy models.
 pub struct Adam {
@@ -70,7 +11,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -84,17 +24,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Decoupled weight decay (AdamW-style).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Current learning rate.
@@ -102,7 +35,7 @@ impl Adam {
         self.lr
     }
 
-    /// Replace the learning rate (for schedules).
+    /// Replace the learning rate.
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
@@ -121,9 +54,6 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (k, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            if !store.is_trainable(id) {
-                continue;
-            }
             {
                 let grad = store.grad(id);
                 let m = &mut self.m[k];
@@ -134,17 +64,13 @@ impl Adam {
                 }
             }
             let lr = self.lr;
-            let (eps, wd) = (self.eps, self.weight_decay);
+            let eps = self.eps;
             let (m, v) = (&self.m[k], &self.v[k]);
             let value = store.value_mut(id);
             for ((val, &mm), &vv) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let mhat = mm / bc1;
                 let vhat = vv / bc2;
-                let mut update = mhat / (vhat.sqrt() + eps);
-                if wd > 0.0 {
-                    update += wd * *val;
-                }
-                *val -= lr * update;
+                *val -= lr * (mhat / (vhat.sqrt() + eps));
             }
         }
     }
@@ -251,13 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_decreases_loss() {
-        let mut opt = Sgd::new(0.5);
-        let (first, last) = train_toy(|s| opt.step(s));
-        assert!(last < first * 0.5, "sgd failed: {first} -> {last}");
-    }
-
-    #[test]
     fn adam_decreases_loss() {
         let mut opt = Adam::new(0.1);
         let (first, last) = train_toy(|s| opt.step(s));
@@ -318,18 +237,5 @@ mod tests {
         bag.put_f32s("opt.v", vec![0.0; 5]);
         let mut opt = Adam::new(0.1);
         assert!(opt.load_state(&bag, "opt", &store).is_err());
-    }
-
-    #[test]
-    fn adam_skips_frozen() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut store = ParamStore::new();
-        let w = store.alloc("w", 1, 2, Initializer::Uniform(0.5), &mut rng);
-        store.set_trainable(w, false);
-        let before = store.value(w).clone();
-        store.grad_mut(w).data_mut().fill(1.0);
-        let mut opt = Adam::new(0.1);
-        opt.step(&mut store);
-        assert_eq!(store.value(w).data(), before.data());
     }
 }

@@ -139,8 +139,6 @@ struct ParamEntry {
     name: String,
     value: Tensor,
     grad: Tensor,
-    /// Frozen parameters are skipped by optimizers and flat updates.
-    trainable: bool,
     /// Bumped on every value mutation; pairs with the pack cache so packing
     /// cost is paid at most once per generation, not once per matmul.
     generation: u64,
@@ -215,7 +213,6 @@ impl ParamStore {
             name: name.into(),
             value,
             grad,
-            trainable: true,
             generation: 0,
             packs: Arc::new(ParamPacks::default()),
         });
@@ -292,16 +289,6 @@ impl ParamStore {
         &mut self.entries[id.0].grad
     }
 
-    /// Mark a parameter as frozen (excluded from optimization and flat updates).
-    pub fn set_trainable(&mut self, id: ParamId, trainable: bool) {
-        self.entries[id.0].trainable = trainable;
-    }
-
-    /// Whether the parameter participates in training.
-    pub fn is_trainable(&self, id: ParamId) -> bool {
-        self.entries[id.0].trainable
-    }
-
     /// Iterate over all parameter ids.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.entries.len()).map(ParamId)
@@ -314,7 +301,7 @@ impl ParamStore {
         }
     }
 
-    /// Concatenate all trainable parameter values into one vector.
+    /// Concatenate all parameter values into one vector.
     pub fn flat_values(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_scalars());
         self.flat_values_into(&mut out);
@@ -328,31 +315,24 @@ impl ParamStore {
         out.clear();
         out.reserve(self.num_scalars());
         for e in &self.entries {
-            if e.trainable {
-                out.extend_from_slice(e.value.data());
-            }
+            out.extend_from_slice(e.value.data());
         }
     }
 
-    /// Concatenate all trainable parameter gradients into one vector.
+    /// Concatenate all parameter gradients into one vector.
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_scalars());
         for e in &self.entries {
-            if e.trainable {
-                out.extend_from_slice(e.grad.data());
-            }
+            out.extend_from_slice(e.grad.data());
         }
         out
     }
 
-    /// Overwrite all trainable values from a flat vector produced by
+    /// Overwrite all values from a flat vector produced by
     /// [`flat_values`](Self::flat_values).
     pub fn set_flat(&mut self, flat: &[f32]) {
         let mut offset = 0;
         for e in &mut self.entries {
-            if !e.trainable {
-                continue;
-            }
             let n = e.value.len();
             e.invalidate();
             e.value
@@ -363,14 +343,11 @@ impl ParamStore {
         assert_eq!(offset, flat.len(), "flat vector length mismatch");
     }
 
-    /// In-place `values += alpha * delta` over all trainable parameters,
-    /// where `delta` is a flat vector aligned with [`flat_values`](Self::flat_values).
+    /// In-place `values += alpha * delta` over all parameters, where
+    /// `delta` is a flat vector aligned with [`flat_values`](Self::flat_values).
     pub fn add_scaled_flat(&mut self, delta: &[f32], alpha: f32) {
         let mut offset = 0;
         for e in &mut self.entries {
-            if !e.trainable {
-                continue;
-            }
             let n = e.value.len();
             e.invalidate();
             for (v, &d) in e
@@ -386,26 +363,23 @@ impl ParamStore {
         assert_eq!(offset, delta.len(), "flat vector length mismatch");
     }
 
-    /// Global L2 norm of all trainable gradients.
+    /// Global L2 norm of all gradients.
     pub fn grad_norm(&self) -> f32 {
         self.entries
             .iter()
-            .filter(|e| e.trainable)
             .map(|e| e.grad.data().iter().map(|g| g * g).sum::<f32>())
             .sum::<f32>()
             .sqrt()
     }
 
-    /// Scale all trainable gradients so their global norm is at most `max_norm`.
+    /// Scale all gradients so their global norm is at most `max_norm`.
     pub fn clip_grad_norm(&mut self, max_norm: f32) {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
             for e in &mut self.entries {
-                if e.trainable {
-                    for g in e.grad.data_mut() {
-                        *g *= scale;
-                    }
+                for g in e.grad.data_mut() {
+                    *g *= scale;
                 }
             }
         }
@@ -448,13 +422,6 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert!((a - b - 1.0).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn frozen_params_excluded_from_flat() {
-        let (mut s, a, _) = store();
-        s.set_trainable(a, false);
-        assert_eq!(s.flat_values().len(), 4);
     }
 
     #[test]

@@ -224,12 +224,6 @@ pub mod rngs {
     }
 
     impl StdRng {
-        /// Fork an independent child generator: draws one word to seed a new
-        /// stream through SplitMix64, decorrelating parent and child.
-        pub fn fork(&mut self) -> StdRng {
-            StdRng::seed_from_u64(self.next_u64())
-        }
-
         /// Snapshot the full 256-bit generator state. Together with
         /// [`from_state`](Self::from_state) this makes RNG streams
         /// checkpointable: a resumed stream continues bit-identically from
@@ -402,15 +396,6 @@ mod tests {
             seen[*rng.choose(&items).unwrap() - 1] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = StdRng::seed_from_u64(8);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

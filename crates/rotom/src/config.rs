@@ -1,7 +1,7 @@
 //! Top-level configuration for Rotom runs.
 
 use rotom_augment::InvDaConfig;
-use rotom_meta::{MetaConfig, SslConfig};
+use rotom_meta::MetaConfig;
 use rotom_nn::TransformerConfig;
 
 /// Target-model (TinyLm) hyper-parameters.
@@ -15,7 +15,7 @@ pub struct ModelConfig {
     pub d_ff: usize,
     /// Encoder layers.
     pub layers: usize,
-    /// Maximum sequence length (including [CLS]).
+    /// Maximum sequence length (including \[CLS\]).
     pub max_len: usize,
     /// Dropout probability during fine-tuning.
     pub dropout: f32,
@@ -159,12 +159,6 @@ impl RotomConfig {
         cfg.invda = InvDaConfig::test_tiny();
         cfg
     }
-
-    /// Enable the SSL extension with default sharpening parameters.
-    pub fn with_ssl(mut self) -> Self {
-        self.meta.ssl = Some(SslConfig::default());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -177,11 +171,5 @@ mod tests {
         let enc = m.encoder(1234);
         assert_eq!(enc.vocab, 1234);
         assert_eq!(enc.d_model, m.d_model);
-    }
-
-    #[test]
-    fn with_ssl_sets_ssl() {
-        assert!(RotomConfig::test_tiny().meta.ssl.is_none());
-        assert!(RotomConfig::test_tiny().with_ssl().meta.ssl.is_some());
     }
 }

@@ -14,7 +14,7 @@ use rotom_augment::{apply, apply_batch, DaContext, DaOp, InvDa};
 use rotom_datasets::{TaskDataset, TaskKind};
 use rotom_meta::{guard_step, MetaTarget, MetaTrainer, WeightedItem};
 use rotom_nn::telemetry::{self, Value};
-use rotom_nn::{CheckpointError, Halt, HealthMonitor, NonFinitePolicy, RotomPool, StateBag};
+use rotom_nn::{CheckpointError, Halt, HealthMonitor, RotomPool, StateBag};
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngCore, RngExt, SeedableRng};
 use rotom_text::example::{AugExample, Example};
@@ -269,9 +269,7 @@ pub fn run_method_ft(
     ft: &FtConfig,
 ) -> Result<(RunResult, FtReport), CheckpointError> {
     let resume_bag = match (&ft.checkpoint, ft.resume) {
-        (Some(path), true) if path.exists() => {
-            Some(StateBag::load_path(path, NonFinitePolicy::Reject)?)
-        }
+        (Some(path), true) if path.exists() => Some(StateBag::load_path(path)?),
         _ => None,
     };
     let tag = run_tag(method, cfg, train.len(), seed);

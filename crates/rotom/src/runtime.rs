@@ -8,7 +8,7 @@
 //!   (model parameters, optimizer moments, learning rate, every RNG stream,
 //!   the meta models `M_F`/`M_W` with their optimizers, the best-snapshot
 //!   and validation curve) is captured into a
-//!   [`StateBag`](rotom_nn::StateBag) and, when a checkpoint path is set,
+//!   [`StateBag`] and, when a checkpoint path is set,
 //!   written atomically with an integrity footer.
 //! * **Resume** — with `resume = true`, a run restarts from the latest
 //!   checkpoint and continues **bit-identically** to a run that was never

@@ -67,8 +67,8 @@ pub struct JobResult {
     pub param_generation: u64,
 }
 
-/// Why a job was refused or failed. Everything except [`ScorePanic`]
-/// (`JobError::ScorePanic`) is a *shed*: the server answers `503` with a
+/// Why a job was refused or failed. Everything except
+/// [`ScorePanic`](JobError::ScorePanic) is a *shed*: the server answers `503` with a
 /// `Retry-After` hint and the client may retry; a scoring panic is a `500`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {

@@ -5,7 +5,7 @@
 //!
 //! * **Three scoring endpoints** — `POST /match`, `/clean`, `/classify` —
 //!   one per Rotom task family, each backed by its own hot-swappable
-//!   [`TaskPlane`](plane::TaskPlane).
+//!   [`TaskPlane`].
 //! * **Windowed batching** ([`batcher`]) — concurrent requests within a
 //!   few-millisecond window ride one `score_batch` pass through the
 //!   scoring pool instead of one forward each.

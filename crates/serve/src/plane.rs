@@ -11,7 +11,7 @@
 //! existing generation machinery makes the swap itself cheap and safe:
 //!
 //! * every parameter write during the checkpoint load bumps that entry's
-//!   generation and detaches a **fresh [`ParamPacks`] slot**
+//!   generation and detaches a **fresh [`ParamPacks`](rotom_nn::ParamPacks) slot**
 //!   (`rotom_nn::params`), so packed GEMM panels are re-packed lazily under
 //!   the new weights and never mix generations;
 //! * the model's [`ScoreCache`](rotom_nn::ScoreCache), keyed on the store's
@@ -185,12 +185,6 @@ impl TaskPlane {
             generation: slot.swaps,
             param_generation: slot.model.generation_sum(),
         })
-    }
-
-    /// Current `(generation, param_generation)` without scoring.
-    pub fn generations(&self) -> (u64, u64) {
-        let slot = self.slot.read().unwrap_or_else(|e| e.into_inner());
-        (slot.swaps, slot.model.generation_sum())
     }
 
     /// Enable (capacity > 0) or disable the model's score cache.
@@ -390,7 +384,8 @@ mod tests {
         let bad = dir.join("bad.ckpt");
         std::fs::write(&bad, "not a checkpoint\n").unwrap();
         assert!(plane.swap(&bad).is_err());
-        let (gen, _) = plane.generations();
+        let inputs = vec![rotom_text::tokenize("a fine movie")];
+        let gen = plane.score(&inputs, &RotomPool::new(1)).generation;
         assert_eq!(gen, 0, "failed swap must not bump the generation");
         let _ = std::fs::remove_file(bad);
     }

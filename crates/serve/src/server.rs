@@ -17,7 +17,7 @@
 //!
 //! ## Error taxonomy
 //!
-//! Parse-level failures map through [`HttpError`]: 400 malformed syntax,
+//! Parse-level failures map through [`HttpError`](crate::http::HttpError): 400 malformed syntax,
 //! 408 idle timeout mid-request, 411 missing Content-Length, 413 oversized
 //! body, 431 oversized head, 501 chunked transfer-encoding, 505 bad
 //! version. Route-level failures: 404 unknown path, 405 wrong method,

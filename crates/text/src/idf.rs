@@ -1,10 +1,6 @@
 //! Inverse document frequency statistics.
 //!
-//! Rotom samples tokens for deletion/replacement "by the importance of each
-//! token … measured by its inverse document frequency (IDF) so that less
-//! important tokens are more likely to be replaced/deleted" (§2.3).
-//!
-//! The index also backs the blocking plane's IDF pruning: tokens whose
+//! The index backs the blocking plane's IDF pruning: tokens whose
 //! document frequency ([`IdfIndex::doc_freq`]) exceeds a ceiling are dropped
 //! from the sharded inverted index, bounding posting-list length.
 
@@ -15,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 /// only empty documents). With zero observations every token is novel, so it
 /// gets a fixed positive "maximally important" score rather than the 0.0 a
 /// naive `max` over an empty set would produce — 0.0 is the *minimum*
-/// importance and would invert every downstream sampling decision.
+/// importance.
 pub const EMPTY_CORPUS_IDF: f32 = 1.0;
 
 /// Corpus-level IDF index.
@@ -93,26 +89,11 @@ impl IdfIndex {
         self.stats.get(tok).map_or(0, |&(df, _)| df)
     }
 
-    /// Number of distinct tokens observed.
-    pub fn num_tokens(&self) -> usize {
-        self.stats.len()
-    }
-
     /// IDF of a token; unseen tokens get the maximum observed IDF (they are
     /// maximally "important"). On an empty corpus the maximum defaults to
     /// [`EMPTY_CORPUS_IDF`], so unseen tokens never score 0.
     pub fn idf(&self, tok: &str) -> f32 {
         self.stats.get(tok).map_or(self.max_idf, |&(_, idf)| idf)
-    }
-
-    /// Sampling weight for destructive DA: higher for *less* important
-    /// (low-IDF) tokens. Special tokens get weight 0.
-    pub fn removal_weight(&self, tok: &str) -> f32 {
-        if is_special(tok) {
-            return 0.0;
-        }
-        // Invert importance; +1 keeps frequent-token weights finite and > 0.
-        1.0 / (1.0 + self.idf(tok))
     }
 }
 
@@ -138,19 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_weight_prefers_common_tokens() {
-        let i = idx();
-        assert!(i.removal_weight("the") > i.removal_weight("cat"));
-    }
-
-    #[test]
-    fn special_tokens_never_sampled() {
-        let i = idx();
-        assert_eq!(i.removal_weight("[COL]"), 0.0);
-        assert_eq!(i.removal_weight("[SEP]"), 0.0);
-    }
-
-    #[test]
     fn unseen_token_is_maximally_important() {
         let i = idx();
         assert_eq!(i.idf("zebra"), i.idf("cat").max(i.idf("flew")));
@@ -163,7 +131,6 @@ mod tests {
         assert_eq!(i.doc_freq("cat"), 1);
         assert_eq!(i.doc_freq("zebra"), 0);
         assert_eq!(i.num_docs(), 3);
-        assert!(i.num_tokens() >= 8);
     }
 
     #[test]
@@ -174,8 +141,6 @@ mod tests {
         assert_eq!(empty.num_docs(), 0);
         assert_eq!(empty.idf("anything"), EMPTY_CORPUS_IDF);
         assert!(empty.idf("anything") > 0.0);
-        // removal_weight stays finite and below an observed-common-token's.
-        assert!(empty.removal_weight("anything") < 1.0);
         // Default::default() is the same empty index.
         assert_eq!(IdfIndex::default().idf("x"), EMPTY_CORPUS_IDF);
     }

@@ -1,6 +1,6 @@
 //! Synonym lookup for `token_repl` / `token_insert`.
 //!
-//! The paper uses WordNet [60]; offline we ship a compact built-in thesaurus
+//! The paper uses WordNet \[60\]; offline we ship a compact built-in thesaurus
 //! whose groups cover the vocabulary of the synthetic benchmark generators
 //! plus common English. Users can register additional synonym groups for
 //! their own domains (mirroring Rotom's "users may add customized
@@ -165,11 +165,6 @@ impl Thesaurus {
     /// Whether the word has at least one synonym.
     pub fn has_synonym(&self, word: &str) -> bool {
         !self.synonyms(word).is_empty()
-    }
-
-    /// Number of synonym groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
     }
 }
 

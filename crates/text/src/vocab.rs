@@ -113,11 +113,6 @@ impl Vocab {
             .unwrap_or_else(|| self.index[UNK])
     }
 
-    /// Id of `tok` only if present.
-    pub fn try_id(&self, tok: &str) -> Option<usize> {
-        self.index.get(tok).copied()
-    }
-
     /// Token string for `id`. Panics when out of range.
     pub fn token(&self, id: usize) -> &str {
         &self.tokens[id]

@@ -213,7 +213,8 @@ fn any_f32(rng: &mut StdRng) -> f32 {
 
 /// Checkpoint round-trip is exact for arbitrary f32 bit patterns: NaN
 /// payloads, infinities, subnormals, and signed zeros all survive
-/// serialize → parse bit-for-bit (with the opt-in non-finite policy).
+/// serialize → parse bit-for-bit (parsing does not check finiteness; file
+/// loads do).
 #[test]
 fn checkpoint_roundtrip_arbitrary_f32_bits() {
     use rotom_nn::StateBag;
@@ -231,8 +232,8 @@ fn checkpoint_roundtrip_arbitrary_f32_bits() {
             expected.push((name, vals));
         }
         let text = bag.serialize();
-        // Parsing never applies a finiteness policy; that's the loader's
-        // opt-in gate. Raw parse must accept any bit pattern.
+        // Parsing never checks finiteness; that is the file loader's gate.
+        // Raw parse must accept any bit pattern.
         let back = StateBag::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
         for (name, vals) in &expected {
             let got = back

@@ -22,6 +22,16 @@ const SEED: u64 = 23;
 const CLIENT_THREADS: usize = 4;
 const SWAPS: usize = 8;
 
+/// Wrap a checkpoint body in its `end <len> <fnv1a64>` integrity footer.
+fn with_footer(body: &str) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in body.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{body}end {} {h:016x}\n", body.len())
+}
+
 #[test]
 fn responses_during_hot_swap_are_wholly_old_or_new() {
     // Two checkpoints: the boot weights (A) and a perturbed copy (B).
@@ -151,6 +161,32 @@ fn responses_during_hot_swap_are_wholly_old_or_new() {
     assert!(hits > 0, "repeat probe input must hit the score cache");
     // Each distinct parameter state costs at least one miss to refill.
     assert!(misses >= 1);
+
+    // A checkpoint whose integrity footer is valid but whose section
+    // declares far more values than it carries is rejected with 422 (no
+    // allocation for the declared size), and the plane keeps serving the
+    // state it had.
+    let oversized = dir.join("oversized.ckpt");
+    std::fs::write(
+        &oversized,
+        with_footer("rotom-checkpoint v2\nf32s x 68719476736 00000000\n"),
+    )
+    .expect("write oversized checkpoint");
+    let req = format!(
+        "{{\"endpoint\": \"match\", \"checkpoint\": {}}}",
+        json::quote(&oversized.display().to_string())
+    );
+    let resp = admin.post("/admin/swap", &req).expect("swap");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    let resp = admin
+        .post("/match", &body)
+        .expect("match after rejected swap");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = json::parse(&resp.body).expect("JSON");
+    assert_eq!(
+        doc.get("generation").and_then(Json::as_u64),
+        Some(SWAPS as u64)
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
