@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo CI gate: formatting, offline release build, full test suite, perf smoke.
+# Repo CI gate: formatting, offline release build, full test suite, clippy
+# (deny-level lints), rustdoc, perf smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -16,6 +17,11 @@ cargo test -q --offline --workspace
 # so an API deletion could break one without failing the steps above.
 echo "== cargo check --all-targets"
 cargo check --offline --workspace --all-targets
+
+# Clippy at its default levels: deny-by-default lints (correctness, e.g.
+# approx_constant) fail CI; warn-level lints are printed but not gated.
+echo "== cargo clippy --all-targets"
+cargo clippy --offline --workspace --all-targets
 
 # Rustdoc warnings are errors: an intra-doc link to a deleted or private
 # item fails here.

@@ -16,11 +16,11 @@
 use crate::corrupt::corruption_pairs;
 use crate::ops::{DaContext, DaOp};
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, FwdCtx, ParamStore, TransformerConfig,
+    backward_mean_clipped, take_pooled_tape, Adam, FwdCtx, ParamStore, TransformerConfig,
     TransformerDecoder, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
-use rotom_rng::{RngExt, SeedableRng};
+use rotom_rng::{fnv1a64, RngExt, SeedableRng};
 use rotom_text::token::{BOS, EOS, PAD, UNK};
 use rotom_text::vocab::Vocab;
 use std::collections::HashMap;
@@ -126,18 +126,6 @@ pub struct InvDa {
     pub training_losses: Vec<f32>,
 }
 
-/// FNV-1a over the key string: a stable hash (unlike `std`'s `RandomState`,
-/// which is randomized per process) so cached variants are reproducible
-/// across runs.
-fn stable_key_hash(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl InvDa {
     /// Train InvDA on an (unlabeled) corpus of serialized token sequences
     /// following Algorithm 1.
@@ -184,11 +172,7 @@ impl InvDa {
                 &ctx,
                 rng,
             );
-            // Shuffle for SGD.
-            for i in (1..pairs.len()).rev() {
-                let j = rng.random_range(0..=i);
-                pairs.swap(i, j);
-            }
+            rng.shuffle(&mut pairs);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0usize;
             for chunk in pairs.chunks(self.cfg.batch_size) {
@@ -228,14 +212,9 @@ impl InvDa {
             let targets = one_hot_rows(&dec_tgt, self.vocab.len());
             losses.push(tape.cross_entropy(logits, &targets));
         }
-        let loss = tape.mean_nodes(&losses);
-        let value = tape.value(loss).item();
-        self.store.zero_grad();
-        tape.backward(loss, &mut self.store);
-        recycle_tape(tape);
-        self.store.clip_grad_norm(5.0);
+        let loss = backward_mean_clipped(tape, &losses, &mut self.store);
         opt.step(&mut self.store);
-        value
+        loss
     }
 
     fn clamp(&self, mut ids: Vec<usize>) -> Vec<usize> {
@@ -341,7 +320,7 @@ impl InvDa {
         }
         let mut gen_rng = StdRng::seed_from_u64(rotom_rng::split_seed(
             self.cache_seed,
-            stable_key_hash(&key),
+            fnv1a64(key.as_bytes()),
         ));
         let variants = self.generate_unique(tokens, self.cfg.max_unique, &mut gen_rng);
         self.cache.lock().unwrap().insert(key, variants.clone());

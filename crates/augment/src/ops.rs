@@ -285,11 +285,7 @@ fn span_shuffle(tokens: &[String], ctx: &DaContext, rng: &mut StdRng) -> Vec<Str
     let span = rng.random_range(2..=ctx.max_span.min(run_len).max(2).min(run_len));
     let start = a + rng.random_range(0..=run_len - span);
     let mut out = tokens.to_vec();
-    // Fisher–Yates over the chosen span.
-    for i in (1..span).rev() {
-        let j = rng.random_range(0..=i);
-        out.swap(start + i, start + j);
-    }
+    rng.shuffle(&mut out[start..start + span]);
     out
 }
 

@@ -12,8 +12,8 @@ use rotom::metrics::PrF1;
 use rotom::ModelConfig;
 use rotom_datasets::em::{EmDataset, LabeledPair};
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, with_pooled_tape, Adam, Embedding, FwdCtx, Gru, Linear, NodeId,
-    ParamStore, Tape, TransformerEncoder,
+    backward_mean_clipped, take_pooled_tape, with_pooled_tape, Adam, Embedding, FwdCtx, Gru,
+    Linear, NodeId, ParamStore, Tape, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -132,10 +132,7 @@ impl DeepMatcher {
         let mut opt = Adam::new(self.cfg.lr);
         let mut idx = train_idx.to_vec();
         for _ in 0..self.cfg.epochs {
-            for i in (1..idx.len()).rev() {
-                let j = rng.random_range(0..=i);
-                idx.swap(i, j);
-            }
+            rng.shuffle(&mut idx);
             for chunk in idx.chunks(self.cfg.batch_size) {
                 let mut tape = take_pooled_tape();
                 let mut losses = Vec::with_capacity(chunk.len());
@@ -149,11 +146,7 @@ impl DeepMatcher {
                     };
                     losses.push(tape.cross_entropy(logits, &target));
                 }
-                let loss = tape.mean_nodes(&losses);
-                self.store.zero_grad();
-                tape.backward(loss, &mut self.store);
-                recycle_tape(tape);
-                self.store.clip_grad_norm(5.0);
+                backward_mean_clipped(tape, &losses, &mut self.store);
                 opt.step(&mut self.store);
             }
         }

@@ -156,10 +156,7 @@ pub fn run_hu(
     let mut prev_val = f32::INFINITY;
     for _ in 0..cfg.train.epochs {
         let mut order: Vec<usize> = (0..train.len()).collect();
-        for i in (1..order.len()).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
-        }
+        rng.shuffle(&mut order);
         let mut used_candidates = Vec::new();
         for chunk in order.chunks(cfg.train.batch_size) {
             let weights = rotom_nn::softmax_slice(&weight_logits);

@@ -251,10 +251,7 @@ impl Raha {
         let mut candidates: Vec<usize> = (0..data.rows.len())
             .filter(|r| !data.test_rows.contains(r))
             .collect();
-        for i in (1..candidates.len()).rev() {
-            let j = rng.random_range(0..=i);
-            candidates.swap(i, j);
-        }
+        rng.shuffle(&mut candidates);
         let labeled = &candidates[..labeled_tuples.min(candidates.len())];
 
         let models: Vec<LogReg> = (0..data.columns.len())

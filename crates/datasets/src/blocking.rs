@@ -30,17 +30,14 @@
 //! * **Streaming pipeline** — left records are ingested in bounded chunks
 //!   (e.g. [`crate::em::EmCorpus::chunks`] or [`crate::csv::table_chunks`]),
 //!   candidates are flushed to the caller's sink whenever the buffer reaches
-//!   [`BlockingConfig::max_buffered_pairs`], and
-//!   [`stream_candidates_channel`] decouples production from consumption
-//!   through a bounded channel. Peak memory is O(index + chunk), never
-//!   O(candidates).
+//!   [`BlockingConfig::max_buffered_pairs`]. Peak memory is O(index +
+//!   chunk), never O(candidates).
 
 use crate::em::content_token_list;
 use rotom_nn::RotomPool;
-use rotom_rng::splitmix64;
+use rotom_rng::{fnv1a64, splitmix64};
 use rotom_text::{IdfIndex, Record};
 use std::ops::Range;
-use std::sync::mpsc;
 
 /// MinHash/LSH banding parameters. The signature has `bands * rows` hashes;
 /// two records collide when all `rows` hashes of any band agree, so the
@@ -94,9 +91,6 @@ pub struct BlockingConfig {
     /// sink. The observed peak never exceeds this by more than one record's
     /// candidate list ([`BlockingStats::peak_buffered_pairs`]).
     pub max_buffered_pairs: usize,
-    /// Capacity (in flushed batches) of [`stream_candidates_channel`]'s
-    /// bounded channel.
-    pub channel_batches: usize,
     /// Seed of the minhash hash streams.
     pub seed: u64,
 }
@@ -109,22 +103,9 @@ impl Default for BlockingConfig {
             num_shards: 8,
             lsh: None,
             max_buffered_pairs: 1 << 16,
-            channel_batches: 4,
             seed: 0x510c,
         }
     }
-}
-
-/// FNV-1a 64-bit hash of a token — the shard-assignment and minhash base
-/// hash. Fixed algorithm: changing it re-shards every index.
-#[inline]
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Shard owning a token hash: multiply-shift map of the hash onto
@@ -148,7 +129,7 @@ fn chunk_ids(start: usize, len: usize) -> Option<Range<u32>> {
 /// and probes it against. Records with no content tokens get no keys (they
 /// cannot match anything lexically).
 pub fn band_keys(tokens: &[String], params: LshParams, seed: u64) -> Vec<u64> {
-    let hashes: Vec<u64> = tokens.iter().map(|t| fnv1a64(t)).collect();
+    let hashes: Vec<u64> = tokens.iter().map(|t| fnv1a64(t.as_bytes())).collect();
     hashed_band_keys(&hashes, params, seed)
 }
 
@@ -358,7 +339,7 @@ impl IndexBuilder {
         // Hash every token once: shard assignment, the shard's token table
         // and the minhash signature all reuse it.
         let hashed: Vec<(Vec<u64>, Vec<u64>)> = pool.map(tokens.len(), |i| {
-            let hashes: Vec<u64> = tokens[i].iter().map(|t| fnv1a64(t)).collect();
+            let hashes: Vec<u64> = tokens[i].iter().map(|t| fnv1a64(t.as_bytes())).collect();
             let keys = lsh.map_or_else(Vec::new, |p| hashed_band_keys(&hashes, p, seed));
             (hashes, keys)
         });
@@ -663,7 +644,7 @@ impl ShardedIndex {
             hashes,
         } = scratch;
         hashes.clear();
-        hashes.extend(tokens.iter().map(|t| fnv1a64(t)));
+        hashes.extend(tokens.iter().map(|t| fnv1a64(t.as_bytes())));
         let ns = self.shards.len();
         for (t, &h) in tokens.iter().zip(hashes.iter()) {
             for &j in self.shards[token_shard(h, ns)].postings(h, t) {
@@ -754,41 +735,6 @@ where
         sink(&buf);
     }
     stats
-}
-
-/// [`stream_candidates`] with production and consumption decoupled through a
-/// bounded channel: a scoped producer thread runs the pipeline (pool
-/// fan-out included) and sends flushed batches through a
-/// [`BlockingConfig::channel_batches`]-deep channel while the calling
-/// thread consumes, so a slow consumer back-pressures the producer instead
-/// of buffering unbounded candidates.
-pub fn stream_candidates_channel<I, F>(
-    index: &ShardedIndex,
-    chunks: I,
-    pool: &RotomPool,
-    mut consume: F,
-) -> BlockingStats
-where
-    I: IntoIterator<Item = Vec<Record>> + Send,
-    F: FnMut(Vec<(usize, usize)>),
-{
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<Vec<(usize, usize)>>(index.cfg.channel_batches.max(1));
-        let producer = scope.spawn(move || {
-            stream_candidates(index, chunks, pool, |batch| {
-                // A dropped receiver only happens if the consumer panicked;
-                // the join below re-raises that, so the send error is moot.
-                let _ = tx.send(batch.to_vec());
-            })
-        });
-        for batch in rx {
-            consume(batch);
-        }
-        match producer.join() {
-            Ok(stats) => stats,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -986,22 +932,22 @@ mod tests {
         let mut table = TokenTable::default();
         let tokens: Vec<String> = (0..100).map(|i| format!("tok{i}")).collect();
         for (i, t) in tokens.iter().enumerate() {
-            assert_eq!(table.intern(fnv1a64(t), t), i as u32);
+            assert_eq!(table.intern(fnv1a64(t.as_bytes()), t), i as u32);
         }
         // Re-interning finds the existing index; the table grew past its
         // initial two slots and stays at most half full.
         for (i, t) in tokens.iter().enumerate() {
-            assert_eq!(table.intern(fnv1a64(t), t), i as u32);
-            assert_eq!(table.lookup(fnv1a64(t), t), Ok(i));
+            assert_eq!(table.intern(fnv1a64(t.as_bytes()), t), i as u32);
+            assert_eq!(table.lookup(fnv1a64(t.as_bytes()), t), Ok(i));
             assert_eq!(table.token(i), t);
         }
         assert_eq!(table.len(), 100);
         assert!(table.slots.len() >= 200);
-        assert!(table.lookup(fnv1a64("absent"), "absent").is_err());
+        assert!(table.lookup(fnv1a64(b"absent"), "absent").is_err());
         // A hash match alone is not a hit: the text must match too.
-        assert!(table.lookup(fnv1a64("tok7"), "tok8").is_err());
+        assert!(table.lookup(fnv1a64(b"tok7"), "tok8").is_err());
         assert!(TokenTable::default()
-            .lookup(fnv1a64("tok1"), "tok1")
+            .lookup(fnv1a64(b"tok1"), "tok1")
             .is_err());
     }
 
@@ -1037,32 +983,12 @@ mod tests {
     }
 
     #[test]
-    fn channel_variant_is_equivalent_and_bounded() {
-        let (left, right) = small_collections();
-        let pool = RotomPool::new(2);
-        let cfg = BlockingConfig {
-            min_shared: 2,
-            channel_batches: 2,
-            max_buffered_pairs: 32,
-            ..Default::default()
-        };
-        let index = ShardedIndex::build(&right, cfg, &pool);
-        let chunks: Vec<Vec<Record>> = left.chunks(8).map(|c| c.to_vec()).collect();
-        let mut streamed = Vec::new();
-        let stats = stream_candidates_channel(&index, chunks, &pool, |batch| {
-            streamed.extend(batch);
-        });
-        assert_eq!(streamed, block_candidates(&left, &right, 2));
-        assert_eq!(stats.candidates as usize, streamed.len());
-    }
-
-    #[test]
     fn token_shard_is_stable_and_in_range() {
         for ns in [1usize, 2, 7, 64] {
             for t in ["alpha", "beta", "x-100.5", "zu"] {
-                let s = token_shard(fnv1a64(t), ns);
+                let s = token_shard(fnv1a64(t.as_bytes()), ns);
                 assert!(s < ns);
-                assert_eq!(s, token_shard(fnv1a64(t), ns), "stable for {t}");
+                assert_eq!(s, token_shard(fnv1a64(t.as_bytes()), ns), "stable for {t}");
             }
         }
     }

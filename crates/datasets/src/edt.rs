@@ -11,7 +11,7 @@
 //! training sets of 50–200 cells are class-balanced between clean and dirty.
 
 use crate::perturb::{break_phone, phone, pick, squash, typo, zip};
-use crate::task::{shuffle, TaskDataset, TaskKind};
+use crate::task::{TaskDataset, TaskKind};
 use crate::words::*;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -437,7 +437,7 @@ pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
     let mut cells: Vec<(usize, usize)> = (0..n_rows)
         .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
         .collect();
-    shuffle(&mut cells, &mut rng);
+    rng.shuffle(&mut cells);
     for &(r, c) in cells.iter().take(n_errors) {
         let kind = inject(flavor, &mut rows[r], c, &mut rng);
         mask[r][c] = true;
@@ -445,7 +445,7 @@ pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
     }
 
     let mut row_ids: Vec<usize> = (0..n_rows).collect();
-    shuffle(&mut row_ids, &mut rng);
+    rng.shuffle(&mut row_ids);
     let test_rows = row_ids[..cfg.test_tuples.min(n_rows)].to_vec();
 
     EdtDataset {

@@ -13,7 +13,7 @@
 //! dirty protocol).
 
 use crate::perturb::{abbreviate, initial, jitter, pick, typo};
-use crate::task::{shuffle, TaskDataset, TaskKind};
+use crate::task::{TaskDataset, TaskKind};
 use crate::words::*;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{split_seed, RngExt, SeedableRng};
@@ -557,7 +557,7 @@ pub fn generate(flavor: EmFlavor, cfg: &EmConfig) -> EmDataset {
             is_match: false,
         });
     }
-    shuffle(&mut pairs, &mut rng);
+    rng.shuffle(&mut pairs);
     let test_pairs = pairs.split_off(cfg.train_pairs.min(pairs.len()));
     let name = if cfg.dirty {
         format!("{}-dirty", flavor.name())

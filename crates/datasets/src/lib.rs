@@ -33,8 +33,8 @@ pub mod textcls;
 pub mod words;
 
 pub use blocking::{
-    stream_candidates, stream_candidates_channel, BlockingConfig, BlockingStats, IndexBuilder,
-    IndexStats, LshParams, ShardedIndex,
+    stream_candidates, BlockingConfig, BlockingStats, IndexBuilder, IndexStats, LshParams,
+    ShardedIndex,
 };
 pub use edt::{EdtConfig, EdtDataset, EdtFlavor};
 pub use em::{CorpusConfig, CorpusSide, EmConfig, EmCorpus, EmDataset, EmFlavor, LabeledPair};

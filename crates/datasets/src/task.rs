@@ -56,19 +56,19 @@ impl TaskDataset {
         let mut out: Vec<Example> = Vec::with_capacity(size);
         let mut leftovers: Vec<&Example> = Vec::new();
         for class_pool in &mut by_class {
-            shuffle(class_pool, &mut rng);
+            rng.shuffle(class_pool);
             let take = per_class.min(class_pool.len());
             out.extend(class_pool[..take].iter().map(|e| (*e).clone()));
             leftovers.extend(class_pool[take..].iter().copied());
         }
-        shuffle(&mut leftovers, &mut rng);
+        rng.shuffle(&mut leftovers);
         while out.len() < size {
             match leftovers.pop() {
                 Some(e) => out.push(e.clone()),
                 None => break,
             }
         }
-        shuffle(&mut out, &mut rng);
+        rng.shuffle(&mut out);
         out
     }
 
@@ -76,14 +76,6 @@ impl TaskDataset {
     pub fn sample_unlabeled(&self, n: usize, seed: u64) -> Vec<Vec<String>> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         sample_without_replacement(&self.unlabeled, n, &mut rng)
-    }
-}
-
-/// Fisher–Yates shuffle.
-pub fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.random_range(0..=i);
-        items.swap(i, j);
     }
 }
 

@@ -6,7 +6,7 @@
 //! not trivial at low resource).
 
 use crate::perturb::pick;
-use crate::task::{shuffle, TaskDataset, TaskKind};
+use crate::task::{TaskDataset, TaskKind};
 use crate::words::*;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -109,7 +109,7 @@ pub fn generate(flavor: TextClsFlavor, cfg: &TextClsConfig) -> TaskDataset {
         let text = render(flavor, class, &mut rng);
         examples.push(Example::new(tokenize(&text), class));
     }
-    shuffle(&mut examples, &mut rng);
+    rng.shuffle(&mut examples);
     let mut train_pool = examples;
     let mut rest = train_pool.split_off(cfg.train_pool);
     let test = rest.split_off(rest.len() - cfg.test.min(rest.len()));

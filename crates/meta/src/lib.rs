@@ -31,14 +31,3 @@ pub use sharpen::{guess_label, sharpen_v1, sharpen_v2};
 pub use target::{MetaTarget, WeightedItem};
 pub use trainer::{guard_step, AblationConfig, EpochStats, MetaConfig, MetaTrainer, SslConfig};
 pub use weight::{l2_distance, WeightBatch, WeightModel};
-
-use rotom_rng::rngs::StdRng;
-use rotom_rng::RngExt;
-
-/// Fisher–Yates shuffle (shared helper).
-pub(crate) fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.random_range(0..=i);
-        items.swap(i, j);
-    }
-}

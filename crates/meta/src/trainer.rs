@@ -203,7 +203,7 @@ impl MetaTrainer {
         let b = self.cfg.batch_size;
         let workers = RotomPool::global();
         let mut order: Vec<usize> = (0..train_aug.len()).collect();
-        crate::shuffle(&mut order, &mut self.rng);
+        self.rng.shuffle(&mut order);
 
         let mut stats = EpochStats::default();
         let mut cursor = 0usize;
@@ -459,7 +459,7 @@ impl MetaTrainer {
     pub fn save_state(&self, bag: &mut StateBag, prefix: &str) {
         self.filter.save_state(bag, &format!("{prefix}.filter"));
         self.weight.save_state(bag, &format!("{prefix}.weight"));
-        bag.put_u64s(format!("{prefix}.rng"), self.rng.state().to_vec());
+        bag.put_rng(format!("{prefix}.rng"), &self.rng);
         bag.put_f32(format!("{prefix}.baseline"), self.val_baseline);
         bag.put_u64(
             format!("{prefix}.baseline_init"),
@@ -472,14 +472,7 @@ impl MetaTrainer {
     pub fn load_state(&mut self, bag: &StateBag, prefix: &str) -> Result<(), CheckpointError> {
         self.filter.load_state(bag, &format!("{prefix}.filter"))?;
         self.weight.load_state(bag, &format!("{prefix}.weight"))?;
-        let rng = bag.get_u64s(&format!("{prefix}.rng"))?;
-        if rng.len() != 4 {
-            return Err(CheckpointError::Mismatch(format!(
-                "{prefix}.rng: expected 4 state words, found {}",
-                rng.len()
-            )));
-        }
-        self.rng = StdRng::from_state([rng[0], rng[1], rng[2], rng[3]]);
+        self.rng = bag.get_rng(&format!("{prefix}.rng"))?;
         self.val_baseline = bag.get_f32(&format!("{prefix}.baseline"))?;
         self.baseline_initialized = bag.get_u64(&format!("{prefix}.baseline_init"))? != 0;
         Ok(())

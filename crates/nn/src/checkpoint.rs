@@ -31,6 +31,8 @@
 use crate::faultpoint::{self, FaultKind};
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
+use rotom_rng::fnv1a64;
+use rotom_rng::rngs::StdRng;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -92,15 +94,6 @@ pub struct StateBag {
     entries: Vec<(String, StateEntry)>,
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl StateBag {
     /// An empty bag.
     pub fn new() -> Self {
@@ -160,6 +153,11 @@ impl StateBag {
         self.put_u64s(name, vec![value]);
     }
 
+    /// Add a generator's state as a 4-word `u64` section.
+    pub fn put_rng(&mut self, name: impl Into<String>, rng: &StdRng) {
+        self.put_u64s(name, rng.state().to_vec());
+    }
+
     /// Add a named tensor section.
     pub fn put_tensor(&mut self, name: impl Into<String>, value: Tensor) {
         self.put(name, StateEntry::Tensor(value));
@@ -213,6 +211,19 @@ impl StateBag {
             )));
         }
         Ok(v[0])
+    }
+
+    /// Rebuild a generator from a section written by
+    /// [`put_rng`](Self::put_rng); it continues the saved stream exactly.
+    pub fn get_rng(&self, name: &str) -> Result<StdRng, CheckpointError> {
+        let words = self.get_u64s(name)?;
+        let state = <[u64; 4]>::try_from(words).map_err(|_| {
+            CheckpointError::Mismatch(format!(
+                "{name}: expected 4 state words, found {}",
+                words.len()
+            ))
+        })?;
+        Ok(StdRng::from_state(state))
     }
 
     /// Fetch a tensor section by name.
@@ -683,6 +694,25 @@ mod tests {
             bag.get_f32s("absent"),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn rng_section_resumes_the_stream_and_checks_its_length() {
+        use rotom_rng::RngCore;
+        let mut rng = StdRng::seed_from_u64(11);
+        rng.next_u64();
+        let mut bag = StateBag::new();
+        bag.put_rng("loop.rng", &rng);
+        bag.put_u64s("short.rng", vec![1, 2, 3]);
+        let bag = StateBag::parse(&bag.serialize()).unwrap();
+        let mut resumed = bag.get_rng("loop.rng").unwrap();
+        assert_eq!(resumed.next_u64(), rng.next_u64());
+        match bag.get_rng("short.rng") {
+            Err(CheckpointError::Mismatch(m)) => {
+                assert_eq!(m, "short.rng: expected 4 state words, found 3")
+            }
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
     }
 
     /// Section lines that pass the integrity footer but are malformed fail

@@ -1320,6 +1320,20 @@ pub fn recycle_tape(mut tape: Tape) {
     pool.push(tape);
 }
 
+/// The mini-batch epilogue every training loop shares: average `losses`
+/// on `tape`, zero `store`'s gradients, backpropagate, return the tape to
+/// the pool with [`recycle_tape`], and clip the gradient L2 norm to 5.
+/// Returns the mean loss. The caller applies its own optimizer step.
+pub fn backward_mean_clipped(mut tape: Tape, losses: &[NodeId], store: &mut ParamStore) -> f32 {
+    let loss = tape.mean_nodes(losses);
+    let value = tape.value(loss).item();
+    store.zero_grad();
+    tape.backward(loss, store);
+    recycle_tape(tape);
+    store.clip_grad_norm(5.0);
+    value
+}
+
 /// Cumulative count of tapes [`recycle_tape`] dropped instead of pooling
 /// (process lifetime). Exposed as the `arena.tape_evictions` gauge.
 pub fn tape_eviction_count() -> u64 {

@@ -29,6 +29,7 @@
 //! pass; a full pass is the band that covers every row.
 
 use crate::telemetry::{self, Value};
+use rotom_rng::{fnv1a64, fnv1a64_extend};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -116,17 +117,11 @@ pub fn with_infer_scratch<R>(f: impl FnOnce(&mut InferScratch) -> R) -> R {
 // Score cache
 // ---------------------------------------------------------------------------
 
-/// FNV-1a-64 over a token sequence (offset basis / prime of the reference
-/// implementation), hashing each id's little-endian bytes.
+/// FNV-1a-64 over a token sequence, hashing each id's little-endian bytes.
 fn fnv1a_tokens(tokens: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &t in tokens {
-        for b in (t as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    tokens.iter().fold(fnv1a64(&[]), |h, &t| {
+        fnv1a64_extend(h, &(t as u64).to_le_bytes())
+    })
 }
 
 /// Sentinel slab index for "no entry" in the intrusive recency list.

@@ -121,18 +121,6 @@ pub mod profile {
     // without requiring telemetry to be on.
     pub(super) static QUANT_I8: AtomicU64 = AtomicU64::new(0);
 
-    // Forward-kernel tier counters (tape ops and the tape-free forward alike):
-    // per elementwise kernel family, one counter for the SIMD tier and one
-    // for the scalar fallback, plus one for the fused GEMM+bias+activation
-    // entry point.
-    pub(super) static SOFTMAX_SIMD: AtomicU64 = AtomicU64::new(0);
-    pub(super) static SOFTMAX_SCALAR: AtomicU64 = AtomicU64::new(0);
-    pub(super) static LAYERNORM_SIMD: AtomicU64 = AtomicU64::new(0);
-    pub(super) static LAYERNORM_SCALAR: AtomicU64 = AtomicU64::new(0);
-    pub(super) static GELU_SIMD: AtomicU64 = AtomicU64::new(0);
-    pub(super) static GELU_SCALAR: AtomicU64 = AtomicU64::new(0);
-    pub(super) static FUSED_BIAS_ACT: AtomicU64 = AtomicU64::new(0);
-
     #[inline]
     pub(super) fn bump(counter: &AtomicU64) {
         if telemetry::enabled() {
@@ -197,45 +185,6 @@ pub mod profile {
                 ("quant_i8", Value::U64(quant_i8_count())),
                 ("fma", Value::U64(fma_active() as u64)),
                 ("quant_simd", Value::U64(quant_simd_active() as u64)),
-            ],
-        );
-    }
-
-    /// Cumulative forward-kernel tier counts since process start, as
-    /// `(softmax_simd, softmax_scalar, layernorm_simd, layernorm_scalar,
-    /// gelu_simd, gelu_scalar, fused_bias_act)` (all zero unless telemetry is
-    /// enabled).
-    #[allow(clippy::type_complexity)]
-    pub fn forward_counters() -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            SOFTMAX_SIMD.load(Ordering::Relaxed),
-            SOFTMAX_SCALAR.load(Ordering::Relaxed),
-            LAYERNORM_SIMD.load(Ordering::Relaxed),
-            LAYERNORM_SCALAR.load(Ordering::Relaxed),
-            GELU_SIMD.load(Ordering::Relaxed),
-            GELU_SCALAR.load(Ordering::Relaxed),
-            FUSED_BIAS_ACT.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Emit one `gauge` record with the cumulative forward-kernel tier
-    /// counters. No-op when telemetry is disabled.
-    pub fn emit_forward_gauges() {
-        if !telemetry::enabled() {
-            return;
-        }
-        let (sm_v, sm_s, ln_v, ln_s, ge_v, ge_s, fused) = forward_counters();
-        telemetry::emit(
-            "gauge",
-            "kernels.forward_dispatch",
-            &[
-                ("softmax_simd", Value::U64(sm_v)),
-                ("softmax_scalar", Value::U64(sm_s)),
-                ("layernorm_simd", Value::U64(ln_v)),
-                ("layernorm_scalar", Value::U64(ln_s)),
-                ("gelu_simd", Value::U64(ge_v)),
-                ("gelu_scalar", Value::U64(ge_s)),
-                ("fused_bias_act", Value::U64(fused)),
             ],
         );
     }
@@ -1440,7 +1389,6 @@ pub fn matmul_bias_act_into(
     out: &mut [f32],
 ) {
     matmul_into(a, b, pk, full_m, m, k, n, pool, out);
-    profile::bump(&profile::FUSED_BIAS_ACT);
     bias_act_apply(out, m, n, bias, act);
 }
 
@@ -2169,15 +2117,6 @@ pub fn softmax_fwd(x: &[f32], mask: Option<&[f32]>, rows: usize, cols: usize, ou
     if let Some(mm) = mask {
         debug_assert_eq!(mm.len(), rows * cols);
     }
-    #[cfg(target_arch = "x86_64")]
-    let simd = avx::available();
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = false;
-    profile::bump(if simd {
-        &profile::SOFTMAX_SIMD
-    } else {
-        &profile::SOFTMAX_SCALAR
-    });
     for i in 0..rows {
         let row = &x[i * cols..(i + 1) * cols];
         let mrow = mask.map(|mm| &mm[i * cols..(i + 1) * cols]);
@@ -2213,13 +2152,6 @@ pub fn layernorm_fwd(
     }
     #[cfg(target_arch = "x86_64")]
     let simd = avx::available();
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = false;
-    profile::bump(if simd {
-        &profile::LAYERNORM_SIMD
-    } else {
-        &profile::LAYERNORM_SCALAR
-    });
     let nf = n as f32;
     for i in 0..rows {
         let row = &x[i * n..(i + 1) * n];
@@ -2278,13 +2210,11 @@ fn gelu_fwd_inplace(x: &mut [f32]) {
 unsafe fn gelu_ptr(xp: *const f32, n: usize, op: *mut f32, tp: *mut f32) {
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
-        profile::bump(&profile::GELU_SIMD);
         // SAFETY: `available()` checked; the pointer requirements are this
         // function's own contract.
         avx::gelu_ptr(xp, n, GELU_C, GELU_A, op, tp);
         return;
     }
-    profile::bump(&profile::GELU_SCALAR);
     // SAFETY (loop): every `j < n` is in bounds for `xp`, `op` and non-null
     // `tp` by this function's contract; `xp[j]` is read before `op[j]` is
     // written, so equal `xp`/`op` is fine.

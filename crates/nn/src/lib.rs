@@ -49,6 +49,7 @@ mod graph;
 pub mod health;
 pub mod infer;
 mod init;
+pub mod json;
 pub mod kernels;
 pub mod layers;
 mod optim;
@@ -60,8 +61,8 @@ mod tensor;
 pub use checkpoint::{CheckpointError, StateBag, StateEntry};
 pub use faultpoint::{FaultKilled, FaultKind};
 pub use graph::{
-    pooled_tape_stats, recycle_tape, take_pooled_tape, tape_eviction_count, with_pooled_tape,
-    AttnMask, NodeId, Tape,
+    backward_mean_clipped, pooled_tape_stats, recycle_tape, take_pooled_tape, tape_eviction_count,
+    with_pooled_tape, AttnMask, NodeId, Tape,
 };
 pub use health::{Halt, HealthConfig, HealthEvent, HealthMonitor, Verdict};
 pub use infer::{with_infer_scratch, InferScratch, ScoreCache};

@@ -5,10 +5,10 @@
 //! time. This module is the zero-dependency observability plane every crate
 //! in the workspace emits into:
 //!
-//! * **Records** are line-delimited JSON objects, hand-serialized (the
-//!   workspace carries no serde). Every record carries three required
-//!   fields — `ts_step` (a process-global monotonic sequence number),
-//!   `kind`, and `name` — plus arbitrary flat key/value fields.
+//! * **Records** are line-delimited JSON objects, written and read with
+//!   the workspace's one JSON codec, [`crate::json`]. Every record carries
+//!   three required fields — `ts_step` (a process-global monotonic sequence
+//!   number), `kind`, and `name` — plus arbitrary flat key/value fields.
 //! * **Kinds** are a small closed vocabulary: `step` (one optimizer step of
 //!   a target model), `meta` (one `M_F`/`M_W` decision batch), `aug` (one
 //!   augmentation batch per operator), `pool` (one worker-pool dispatch),
@@ -38,6 +38,7 @@
 //! and never mutates training state, so runs are bit-identical with
 //! telemetry on or off.
 
+use crate::json::{self, Json};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,7 +202,7 @@ pub fn enabled() -> bool {
 /// Append one JSON field (`,"key":value`) to a line under construction.
 fn push_field(line: &mut String, key: &str, value: &Value) {
     line.push(',');
-    push_json_str(line, key);
+    json::push_quoted(line, key);
     line.push(':');
     match value {
         Value::U64(v) => {
@@ -214,27 +215,8 @@ fn push_field(line: &mut String, key: &str, value: &Value) {
             let _ = write!(line, "{v:?}");
         }
         Value::F64(_) | Value::Null => line.push_str("null"),
-        Value::Str(s) => push_json_str(line, s),
+        Value::Str(s) => json::push_quoted(line, s),
     }
-}
-
-/// Append a JSON string literal (quoted, escaped).
-fn push_json_str(line: &mut String, s: &str) {
-    line.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            '\n' => line.push_str("\\n"),
-            '\r' => line.push_str("\\r"),
-            '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(line, "\\u{:04x}", c as u32);
-            }
-            c => line.push(c),
-        }
-    }
-    line.push('"');
 }
 
 /// Render one record to its JSONL form (no trailing newline). Exposed so the
@@ -328,13 +310,21 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 
 /// Parse one JSONL telemetry line into a [`Record`], validating the schema:
-/// a flat JSON object whose first fields are `ts_step` (unsigned integer),
-/// `kind`, and `name` (strings), followed by scalar fields only.
+/// a flat JSON object (read by [`json::parse`]) holding `ts_step` (unsigned
+/// integer), `kind`, and `name` (non-empty strings) plus scalar fields only.
+/// Numbers map to the narrowest [`Value`]: `U64`, then `I64` for integer
+/// text, else `F64`; `true`/`false` become `U64(1)`/`U64(0)`.
 pub fn parse_line(line: &str) -> Result<Record, String> {
-    let mut fields = parse_flat_object(line.trim())?;
-    if fields.len() < 3 {
+    let Json::Obj(object) = json::parse(line.trim())? else {
+        return Err("record must be a JSON object".to_string());
+    };
+    if object.len() < 3 {
         return Err("record must carry ts_step, kind, name".to_string());
     }
+    let mut fields = object
+        .into_iter()
+        .map(|(k, v)| Ok((k, scalar(v)?)))
+        .collect::<Result<Vec<_>, String>>()?;
     let take = |fields: &mut Vec<(String, Value)>, key: &str| -> Result<Value, String> {
         let i = fields
             .iter()
@@ -366,133 +356,26 @@ pub fn parse_line(line: &str) -> Result<Record, String> {
     })
 }
 
-/// Parse a flat (non-nested) JSON object into ordered key/value pairs.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, Value)>, String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    };
-    skip_ws(&mut pos);
-    if pos >= bytes.len() || bytes[pos] != b'{' {
-        return Err("expected '{'".to_string());
-    }
-    pos += 1;
-    let mut out = Vec::new();
-    loop {
-        skip_ws(&mut pos);
-        if pos < bytes.len() && bytes[pos] == b'}' {
-            pos += 1;
-            break;
-        }
-        if !out.is_empty() {
-            if pos >= bytes.len() || bytes[pos] != b',' {
-                return Err(format!("expected ',' at byte {pos}"));
-            }
-            pos += 1;
-            skip_ws(&mut pos);
-        }
-        let key = parse_json_string(s, &mut pos)?;
-        skip_ws(&mut pos);
-        if pos >= bytes.len() || bytes[pos] != b':' {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = parse_scalar(s, &mut pos)?;
-        out.push((key, value));
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes after object at {pos}"));
-    }
-    Ok(out)
-}
-
-/// Parse a JSON string literal starting at `*pos`.
-fn parse_json_string(s: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = s.as_bytes();
-    if *pos >= bytes.len() || bytes[*pos] != b'"' {
-        return Err(format!("expected '\"' at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    let mut chars = s[*pos..].char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                *pos += i + 1;
-                return Ok(out);
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((j, 'u')) => {
-                    let hex = s
-                        .get(*pos + j + 1..*pos + j + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                    // Skip the 4 hex digits.
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-/// Parse a scalar JSON value (string, number, `null`, `true`, `false`).
-fn parse_scalar(s: &str, pos: &mut usize) -> Result<Value, String> {
-    let bytes = s.as_bytes();
-    match bytes.get(*pos) {
-        Some(b'"') => Ok(Value::Str(parse_json_string(s, pos)?)),
-        Some(b'n') if s[*pos..].starts_with("null") => {
-            *pos += 4;
-            Ok(Value::Null)
-        }
-        Some(b't') if s[*pos..].starts_with("true") => {
-            *pos += 4;
-            Ok(Value::U64(1))
-        }
-        Some(b'f') if s[*pos..].starts_with("false") => {
-            *pos += 5;
-            Ok(Value::U64(0))
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            {
-                *pos += 1;
-            }
-            let tok = &s[start..*pos];
-            if tok.is_empty() {
-                return Err(format!("expected a value at byte {start}"));
-            }
-            if !tok.contains(['.', 'e', 'E']) {
-                if let Ok(v) = tok.parse::<u64>() {
+/// One field value of a flat record (see [`parse_line`]).
+fn scalar(value: Json) -> Result<Value, String> {
+    match value {
+        Json::Null => Ok(Value::Null),
+        Json::Bool(b) => Ok(Value::U64(b as u64)),
+        Json::Str(s) => Ok(Value::Str(s)),
+        Json::Num(raw) => {
+            if !raw.contains(['.', 'e', 'E']) {
+                if let Ok(v) = raw.parse::<u64>() {
                     return Ok(Value::U64(v));
                 }
-                if let Ok(v) = tok.parse::<i64>() {
+                if let Ok(v) = raw.parse::<i64>() {
                     return Ok(Value::I64(v));
                 }
             }
-            tok.parse::<f64>()
+            raw.parse::<f64>()
                 .map(Value::F64)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
+                .map_err(|e| format!("bad number {raw:?}: {e}"))
         }
-        None => Err("expected a value, found end of line".to_string()),
+        Json::Arr(_) | Json::Obj(_) => Err("record fields must be scalars".to_string()),
     }
 }
 
@@ -523,6 +406,13 @@ mod tests {
             ("null", Value::Null),
         ];
         let line = render_record(3, "gauge", "test", &fields);
+        assert_eq!(
+            line,
+            "{\"ts_step\":3,\"kind\":\"gauge\",\"name\":\"test\",\
+             \"u\":18446744073709551615,\"i\":-42,\"f\":1.5,\"zero\":0.0,\
+             \"s\":\"a \\\"quoted\\\"\\nline\\twith \\\\ and ✓\",\
+             \"nan\":null,\"inf\":null,\"null\":null}"
+        );
         let rec = parse_line(&line).unwrap();
         assert_eq!(rec.ts_step, 3);
         assert_eq!(rec.kind, "gauge");
@@ -550,6 +440,23 @@ mod tests {
         assert!(parse_line("{\"ts_step\":1,\"kind\":\"\",\"name\":\"y\"}").is_err());
         assert!(parse_line("{\"ts_step\":1,\"kind\":\"a\",\"name\":\"b\"} extra").is_err());
         assert!(parse_line("{\"ts_step\":1,\"kind\":\"a\",\"name\":\"b\",}").is_err());
+        // Nested values, number forms outside JSON's grammar, a sign in a
+        // `\u` escape and raw control characters are all rejected.
+        let rec = |extra: &str| format!("{{\"ts_step\":1,\"kind\":\"a\",\"name\":\"b\",{extra}}}");
+        for extra in [
+            "\"x\":[1]",
+            "\"x\":{}",
+            "\"x\":01",
+            "\"x\":+1",
+            "\"x\":.5",
+            "\"x\":1.",
+            "\"x\":\"\\u+041\"",
+            "\"x\":\"a\u{1}b\"",
+        ] {
+            assert!(parse_line(&rec(extra)).is_err(), "{extra:?}");
+        }
+        assert!(parse_line("{\"ts_step\":01,\"kind\":\"a\",\"name\":\"b\"}").is_err());
+        assert!(parse_line(&rec("\"x\":\"\\b\\u0041\"")).is_ok());
     }
 
     #[test]

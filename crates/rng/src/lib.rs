@@ -49,6 +49,30 @@ pub fn split_seed(base: u64, index: u64) -> u64 {
     splitmix64(&mut s) ^ a.rotate_left(17)
 }
 
+/// FNV-1a 64-bit hash of `bytes` (the reference offset basis and prime).
+/// A fixed algorithm, not a randomized one: checkpoint checksums, score
+/// cache keys, the InvDA cache seeds and the blocking index's shard and
+/// minhash hashes all depend on it. `fnv1a64(&[])` is the offset basis,
+/// the start value for [`fnv1a64_extend`].
+///
+/// `#[inline]` so the blocking probe, which hashes every token, inlines it
+/// across crates.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash `h` over more `bytes`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+#[inline]
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A source of raw random words. [`RngExt`] builds every higher-level draw
 /// on top of this single method.
 pub trait RngCore {
@@ -364,6 +388,37 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "50 elements should not shuffle to identity");
+    }
+
+    #[test]
+    fn shuffle_draws_match_the_random_range_loop() {
+        // Callers replaced hand-written `random_range(0..=i)` Fisher–Yates
+        // loops with `shuffle`; the permutation and the draws consumed must
+        // be the same.
+        for seed in [0u64, 1, 7, 0x9a17, u64::MAX] {
+            for len in [0usize, 1, 2, 3, 10, 64, 257] {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let mut shuffled: Vec<usize> = (0..len).collect();
+                a.shuffle(&mut shuffled);
+                let mut looped: Vec<usize> = (0..len).collect();
+                for i in (1..looped.len()).rev() {
+                    let j = b.random_range(0..=i);
+                    looped.swap(i, j);
+                }
+                assert_eq!(shuffled, looped, "seed {seed} len {len}");
+                assert_eq!(a.next_u64(), b.next_u64(), "seed {seed} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::config::ModelConfig;
 use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
-    kernels, recycle_tape, take_pooled_tape, with_infer_scratch, with_pooled_tape, Adam, Embedding,
-    FwdCtx, Linear, NodeId, ParamStore, QuantMode, RotomPool, ScoreCache, Tape, TransformerEncoder,
+    backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_scratch,
+    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, QuantMode, RotomPool,
+    ScoreCache, Tape, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -170,10 +171,7 @@ impl TinyLm {
         let vocab_len = self.vocab.len();
         for _ in 0..self.cfg.pretrain_epochs {
             let mut order: Vec<usize> = (0..corpus.len()).collect();
-            for i in (1..order.len()).rev() {
-                let j = self.rng.random_range(0..=i);
-                order.swap(i, j);
-            }
+            self.rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for chunk in order.chunks(batch_size) {
@@ -220,13 +218,8 @@ impl TinyLm {
                     recycle_tape(tape);
                     continue;
                 }
-                let loss = tape.mean_nodes(&losses);
-                epoch_loss += tape.value(loss).item();
+                epoch_loss += backward_mean_clipped(tape, &losses, &mut self.store);
                 batches += 1;
-                self.store.zero_grad();
-                tape.backward(loss, &mut self.store);
-                recycle_tape(tape);
-                self.store.clip_grad_norm(5.0);
                 opt.step(&mut self.store);
             }
             self.pretrain_losses
@@ -258,10 +251,7 @@ impl TinyLm {
         ];
         for _ in 0..epochs {
             let mut order: Vec<usize> = (0..records.len()).collect();
-            for i in (1..order.len()).rev() {
-                let j = rng.random_range(0..=i);
-                order.swap(i, j);
-            }
+            rng.shuffle(&mut order);
             for chunk in order.chunks(batch_size) {
                 let mut tape = take_pooled_tape();
                 let mut losses = Vec::with_capacity(chunk.len());
@@ -324,12 +314,8 @@ impl TinyLm {
                     let target = if positive { [0.0, 1.0] } else { [1.0, 0.0] };
                     losses.push(tape.cross_entropy(logits, &target));
                 }
-                let loss = tape.mean_nodes(&losses);
-                self.pretrain_losses.push(tape.value(loss).item());
-                self.store.zero_grad();
-                tape.backward(loss, &mut self.store);
-                recycle_tape(tape);
-                self.store.clip_grad_norm(5.0);
+                let loss = backward_mean_clipped(tape, &losses, &mut self.store);
+                self.pretrain_losses.push(loss);
                 opt.step(&mut self.store);
             }
         }
@@ -522,13 +508,7 @@ impl TinyLm {
             target[*label] = 1.0;
             losses.push(tape.cross_entropy(logits, &target));
         }
-        let loss = tape.mean_nodes(&losses);
-        let value = tape.value(loss).item();
-        self.store.zero_grad();
-        tape.backward(loss, &mut self.store);
-        recycle_tape(tape);
-        self.store.clip_grad_norm(5.0);
-        value
+        backward_mean_clipped(tape, &losses, &mut self.store)
     }
 
     /// Apply one optimizer step (after an explicit `*_loss_backward`).
@@ -566,7 +546,7 @@ impl TinyLm {
         bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
         self.opt.save_state(bag, &format!("{prefix}.adam"));
         bag.put_f32(format!("{prefix}.lr"), self.lr);
-        bag.put_u64s(format!("{prefix}.rng"), self.rng.state().to_vec());
+        bag.put_rng(format!("{prefix}.rng"), &self.rng);
     }
 
     /// Restore state saved by [`save_train_state`](Self::save_train_state).
@@ -588,14 +568,7 @@ impl TinyLm {
             .load_state(bag, &format!("{prefix}.adam"), &self.store)?;
         self.lr = bag.get_f32(&format!("{prefix}.lr"))?;
         self.opt.set_lr(self.lr);
-        let rng = bag.get_u64s(&format!("{prefix}.rng"))?;
-        if rng.len() != 4 {
-            return Err(rotom_nn::CheckpointError::Mismatch(format!(
-                "{prefix}.rng: expected 4 state words, found {}",
-                rng.len()
-            )));
-        }
-        self.rng = StdRng::from_state([rng[0], rng[1], rng[2], rng[3]]);
+        self.rng = bag.get_rng(&format!("{prefix}.rng"))?;
         Ok(())
     }
 
@@ -656,13 +629,7 @@ impl MetaTarget for TinyLm {
             let ce = tape.cross_entropy(logits, &item.target);
             losses.push(tape.scale(ce, item.weight));
         }
-        let loss = tape.mean_nodes(&losses);
-        let value = tape.value(loss).item();
-        self.store.zero_grad();
-        tape.backward(loss, &mut self.store);
-        recycle_tape(tape);
-        self.store.clip_grad_norm(5.0);
-        value
+        backward_mean_clipped(tape, &losses, &mut self.store)
     }
 
     fn per_example_losses(&self, items: &[WeightedItem]) -> Vec<f32> {

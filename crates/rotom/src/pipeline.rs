@@ -390,10 +390,7 @@ fn run_method_impl(
 
 fn shuffled<'a>(items: &'a [Example], rng: &mut StdRng) -> Vec<&'a Example> {
     let mut refs: Vec<&Example> = items.iter().collect();
-    for i in (1..refs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        refs.swap(i, j);
-    }
+    rng.shuffle(&mut refs);
     refs
 }
 
@@ -575,7 +572,7 @@ fn capture_state(
     bag.put_u64("run.epoch", epoch as u64);
     bag.put_u64("run.steps", session.monitor.step());
     bag.put_u64("run.rollbacks", session.monitor.rollbacks() as u64);
-    bag.put_u64s("loop.rng", rng.state().to_vec());
+    bag.put_rng("loop.rng", rng);
     bag.put_f32("best.metric", best.0);
     bag.put_f32s("best.params", best.1.clone());
     bag.put_f32s("curve", curve.to_vec());
@@ -614,14 +611,7 @@ fn restore_state(
     }
     *epoch = bag.get_u64("run.epoch")? as usize;
     session.monitor.set_step(bag.get_u64("run.steps")?);
-    let rng_state = bag.get_u64s("loop.rng")?;
-    if rng_state.len() != 4 {
-        return Err(CheckpointError::Mismatch(format!(
-            "loop.rng: expected 4 state words, found {}",
-            rng_state.len()
-        )));
-    }
-    *rng = StdRng::from_state([rng_state[0], rng_state[1], rng_state[2], rng_state[3]]);
+    *rng = bag.get_rng("loop.rng")?;
     best.0 = bag.get_f32("best.metric")?;
     best.1 = bag.get_f32s("best.params")?.to_vec();
     let model_params = bag.get_f32s("model.params")?.len();

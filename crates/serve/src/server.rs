@@ -526,7 +526,7 @@ fn handle_score(req: &Request, inner: &Inner, endpoint: Endpoint) -> Routed {
     let plane = &inner.planes[idx];
     let mut body = String::with_capacity(64 + result.scores.len() * 32);
     body.push_str("{\"model\":");
-    body.push_str(&json::quote(plane.model_name()));
+    json::push_quoted(&mut body, plane.model_name());
     body.push_str(",\"scores\":");
     body.push_str(&json::render_scores(&result.scores));
     body.push_str(&format!(

@@ -9,8 +9,7 @@
 //! explicit pool widths so both axes are covered in one process.
 
 use rotom_datasets::blocking::{
-    band_keys, stream_candidates, stream_candidates_channel, BlockingConfig, IndexBuilder,
-    LshParams, ShardedIndex,
+    band_keys, stream_candidates, BlockingConfig, IndexBuilder, LshParams, ShardedIndex,
 };
 use rotom_datasets::csv;
 use rotom_datasets::em::{
@@ -147,32 +146,6 @@ fn df_ceiling_carries_stopword_stress_with_bounded_buffer() {
         "stopword blowup not pruned: {} pairs",
         pairs.len()
     );
-}
-
-/// The bounded-channel variant emits exactly the same candidate stream as
-/// the direct sink, at every pool width.
-#[test]
-fn channel_pipeline_is_equivalent_to_direct_sink() {
-    let c = corpus(200, 0);
-    let left = c.chunk(CorpusSide::Left, 0..200);
-    let right = c.chunk(CorpusSide::Right, 0..200);
-    for threads in [1usize, 8] {
-        let pool = RotomPool::new(threads);
-        let cfg = BlockingConfig {
-            min_shared: 2,
-            max_buffered_pairs: 64,
-            channel_batches: 2,
-            ..Default::default()
-        };
-        let index = ShardedIndex::build(&right, cfg, &pool);
-        let direct = streamed_pairs(&index, &left, 32, &pool);
-        let chunks: Vec<Vec<Record>> = left.chunks(32).map(|c| c.to_vec()).collect();
-        let mut channeled = Vec::new();
-        let stats =
-            stream_candidates_channel(&index, chunks, &pool, |batch| channeled.extend(batch));
-        assert_eq!(channeled, direct, "threads={threads}");
-        assert_eq!(stats.candidates as usize, direct.len());
-    }
 }
 
 /// End-to-end ingestion path: corpus -> CSV text -> `table_chunks` ->

@@ -1,10 +1,9 @@
 //! Inference-plane equivalence with a **live telemetry sink**.
 //!
-//! The forward-kernel tier counters and score-cache gauges must be purely
-//! observational: with records being captured, tape-free scoring still
-//! matches the tape forward bit-for-bit. The sink is process-global and
-//! initialize-once, so this file holds a single test function (the
-//! telemetry-off twin is `infer_equivalence.rs`).
+//! The score-cache gauges must be purely observational: with records being
+//! captured, tape-free scoring still matches the tape forward bit-for-bit.
+//! The sink is process-global and initialize-once, so this file holds a
+//! single test function (the telemetry-off twin is `infer_equivalence.rs`).
 
 mod common;
 
@@ -39,10 +38,9 @@ fn infer_matches_tape_with_telemetry_enabled() {
     common::check_equivalence(&m);
     common::check_equivalence(&m);
 
-    // The score-cache and forward-dispatch gauges must flow through the
-    // live sink without perturbing the scores above.
+    // The score-cache gauges must flow through the live sink without
+    // perturbing the scores above.
     m.score_cache().unwrap().emit_gauges();
-    rotom_nn::kernels::profile::emit_forward_gauges();
     let bytes = buf.lock().unwrap().clone();
     let text = String::from_utf8(bytes).unwrap();
     assert!(
@@ -56,9 +54,5 @@ fn infer_matches_tape_with_telemetry_enabled() {
     assert!(
         cache_gauge.contains("\"evictions\""),
         "score-cache gauge must report the LRU eviction counter: {cache_gauge}"
-    );
-    assert!(
-        text.contains("kernels.forward_dispatch"),
-        "forward-dispatch gauge missing from sink"
     );
 }
