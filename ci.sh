@@ -38,6 +38,15 @@ echo "== gradcheck (autodiff vs central differences, every layer)"
 cargo test -q --offline -p rotom-nn gradcheck
 cargo test -q --offline -p rotom-nn --test gradcheck_layers
 
+# The eight-lane tanh/exp ports (GELU, softmax) must return the scalar
+# ports' bits on every one of the 2^32 inputs: an exhaustive sweep in a
+# release build, fanned over the worker pool (about 75 s on two cores). The
+# scalar ports' own comparison with the host libm is host-specific and runs
+# by hand (vmath::tests::scalar_ports_match_host_libm_on_every_input).
+echo "== SIMD tanh/exp vs scalar ports (all 2^32 inputs)"
+cargo test -q --release --offline -p rotom-nn --lib \
+    vmath::tests::simd_matches_scalar_port_on_every_input -- --ignored
+
 echo "== golden snapshots present"
 if ! ls tests/golden/*.txt >/dev/null 2>&1; then
     echo "tests/golden/ has no snapshots; regenerate with" >&2
@@ -69,9 +78,11 @@ ROTOM_THREADS=8 cargo test -q --offline --test fault_injection
 # non-zero on every gate violation, including a checked-in row or key that
 # a gate needs and cannot find. Each stanza names its bin's gates.
 #
-# Serial tiled matmul must stay at least 2x naive at 512^3: both sides are
+# Serial tiled matmul must stay at least 2x naive at 512^3, and gelu_fwd at
+# least 2x / softmax_fwd at least 1.25x their scalar-libm twins (the same
+# 256x256 block through f32::tanh / f32::exp): both sides of each ratio are
 # timed on the same machine in the same run.
-echo "== perfsmoke (writes BENCH_compute.json, gates tiled vs naive matmul)"
+echo "== perfsmoke (writes BENCH_compute.json, gates tiled vs naive matmul, SIMD vs libm forward kernels)"
 cargo run --release --offline -p rotom-bench --bin perfsmoke -- --check
 
 echo "== alloc budget (steady-state train step, ROTOM_THREADS pinned inside)"

@@ -380,9 +380,20 @@ fn one_hot_rows(ids: &[usize], vocab: usize) -> Vec<f32> {
     out
 }
 
+/// The sampling rank: probability descending, then id ascending (a total
+/// order on softmax outputs, which are never NaN or `-0.0`).
+fn rank_order(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
 /// Top-k within top-p sampling (Holtzman et al.): restrict to the smallest
 /// set of tokens covering probability mass `p`, intersect with the `k` most
 /// likely, renormalize, sample. `banned` ids are excluded first.
+///
+/// Only the `k` most likely ids can be sampled, and the nucleus cut-off
+/// only matters when it falls inside them, so the head is found by a
+/// partial selection and only it is sorted: linear in the vocabulary where
+/// a full sort is not.
 fn sample_top_k_top_p(
     logits: &[f32],
     k: usize,
@@ -397,7 +408,12 @@ fn sample_top_k_top_p(
         .enumerate()
         .filter(|(i, _)| !banned.contains(i))
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let head = k.max(1);
+    if head < ranked.len() {
+        ranked.select_nth_unstable_by(head - 1, rank_order);
+        ranked.truncate(head);
+    }
+    ranked.sort_unstable_by(rank_order);
     // Nucleus cut.
     let mut mass = 0.0f32;
     let mut cutoff = ranked.len();
@@ -423,6 +439,7 @@ fn sample_top_k_top_p(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotom_rng::RngCore;
     use rotom_text::tokenizer::tokenize;
 
     fn tiny_corpus() -> Vec<Vec<String>> {
@@ -553,6 +570,80 @@ mod tests {
         for _ in 0..20 {
             let s = sample_top_k_top_p(&logits, 5, 0.98, &[0], &mut rng);
             assert_ne!(s, 0);
+        }
+    }
+
+    /// The full-vocabulary sort this sampler replaced, kept as the
+    /// reference: a stable sort by descending probability (ties keep id
+    /// order), then the nucleus cut over the whole ranking.
+    fn sample_full_sort(
+        logits: &[f32],
+        k: usize,
+        p: f32,
+        banned: &[usize],
+        rng: &mut StdRng,
+    ) -> usize {
+        let probs = rotom_nn::softmax_slice(logits);
+        let mut ranked: Vec<(usize, f32)> = probs
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(i, _)| !banned.contains(i))
+            .collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let mut mass = 0.0f32;
+        let mut cutoff = ranked.len();
+        for (i, (_, pr)) in ranked.iter().enumerate() {
+            mass += pr;
+            if mass >= p {
+                cutoff = i + 1;
+                break;
+            }
+        }
+        let pool = &ranked[..cutoff.min(k).max(1)];
+        let total: f32 = pool.iter().map(|(_, pr)| pr).sum();
+        let mut r = rng.random_range(0.0..total.max(f32::MIN_POSITIVE));
+        for &(id, pr) in pool {
+            if r < pr {
+                return id;
+            }
+            r -= pr;
+        }
+        pool[pool.len() - 1].0
+    }
+
+    #[test]
+    fn partial_selection_samples_what_the_full_sort_sampled() {
+        let v = 300;
+        let mut gen = StdRng::seed_from_u64(0x1d5a);
+        for case in 0..60u64 {
+            // Logits on a coarse grid, so probabilities tie often; a few
+            // cases are one plateau, where every id ties.
+            let levels = if case % 10 == 0 {
+                1
+            } else {
+                1 + case as usize % 7
+            };
+            let logits: Vec<f32> = (0..v)
+                .map(|_| gen.random_range(0..levels) as f32 * 0.75)
+                .collect();
+            let banned: Vec<usize> = (0..case as usize % 4)
+                .map(|_| gen.random_range(0..v))
+                .collect();
+            for k in [1, 5, 20, v] {
+                for p in [0.5f32, 0.98, 1.0] {
+                    let mut fast = StdRng::seed_from_u64(case);
+                    let mut reference = StdRng::seed_from_u64(case);
+                    for draw in 0..8 {
+                        assert_eq!(
+                            sample_top_k_top_p(&logits, k, p, &banned, &mut fast),
+                            sample_full_sort(&logits, k, p, &banned, &mut reference),
+                            "case {case} k {k} p {p} draw {draw}"
+                        );
+                    }
+                    assert_eq!(fast.next_u64(), reference.next_u64(), "same draws consumed");
+                }
+            }
         }
     }
 }

@@ -6,9 +6,12 @@
 //! sections time the forward kernels and one InvDA augmentation batch
 //! (serial vs parallel fan-out).
 //!
-//! Gate (`--check`): serial tiled matmul at least 2x naive at 512³ — a
-//! ratio measured on the same machine in the same run, so it holds on any
-//! host.
+//! Gates (`--check`), each a ratio measured on the same machine in the
+//! same run, so they hold on any host:
+//! * serial tiled matmul at least 2x naive at 512³;
+//! * `gelu_fwd` at least 2x and `softmax_fwd` at least 1.25x its
+//!   scalar-libm twin (`libm_s`: the same block through `f32::tanh` /
+//!   `f32::exp`), the speedup of the vectorized `tanhf` / `expf` ports.
 //!
 //!   cargo run --release --offline --bin perfsmoke [-- --check]
 
@@ -54,9 +57,34 @@ fn bench_matmul(size: usize, pool: &RotomPool) -> Row {
         .num("speedup_parallel", naive_s / tiled_parallel_s, 3)
 }
 
+/// Softmax rows of `x` into `out` with scalar libm `exp`: the formula of
+/// [`kernels::softmax_fwd`] before its `expf` port.
+fn softmax_libm(x: &[f32], cols: usize, out: &mut [f32]) {
+    for (row, orow) in x.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for (o, &v) in orow.iter_mut().zip(row) {
+            *o = (v - max).exp();
+            sum += *o;
+        }
+        let inv = 1.0 / sum;
+        orow.iter_mut().for_each(|o| *o *= inv);
+    }
+}
+
+/// GELU with scalar libm `tanh`: the formula of [`kernels::gelu_fwd`]
+/// before its `tanhf` port.
+fn gelu_libm(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        let th = (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh();
+        *o = 0.5 * v * (1.0 + th);
+    }
+}
+
 /// Forward-only SIMD kernels from the inference plane: softmax, layernorm
 /// and GELU over a `rows x cols` activation block (one attention-score /
-/// hidden-state sized panel per call).
+/// hidden-state sized panel per call). Softmax and GELU carry a
+/// scalar-libm twin over the same block.
 fn bench_forward_kernels() -> Vec<Row> {
     let (rows, cols) = (256, 256);
     let mut rng = StdRng::seed_from_u64(41);
@@ -78,19 +106,31 @@ fn bench_forward_kernels() -> Vec<Row> {
         kernels::gelu_fwd(&x, &mut out, None);
         std::hint::black_box(&mut out);
     });
-    [
-        ("softmax_fwd", softmax_s),
-        ("layernorm_fwd", layernorm_s),
-        ("gelu_fwd", gelu_s),
-    ]
-    .map(|(op, time_s)| {
+    let softmax_libm_s = time_best(9, || {
+        softmax_libm(&x, cols, &mut out);
+        std::hint::black_box(&mut out);
+    });
+    let gelu_libm_s = time_best(9, || {
+        gelu_libm(&x, &mut out);
+        std::hint::black_box(&mut out);
+    });
+    let row = |op: &str, time_s: f64| {
         Row::new()
             .text("op", op)
             .num("rows", rows as f64, 0)
             .num("cols", cols as f64, 0)
             .num("time_s", time_s, 9)
-    })
-    .to_vec()
+    };
+    let with_libm = |op: &str, time_s: f64, libm_s: f64| {
+        row(op, time_s)
+            .num("libm_s", libm_s, 9)
+            .num("speedup_vs_libm", libm_s / time_s, 3)
+    };
+    vec![
+        with_libm("softmax_fwd", softmax_s, softmax_libm_s),
+        row("layernorm_fwd", layernorm_s),
+        with_libm("gelu_fwd", gelu_s, gelu_libm_s),
+    ]
 }
 
 fn bench_invda(pool: &RotomPool) -> Row {
@@ -142,7 +182,15 @@ fn main() {
             Ratio::inverse("tiled_serial_ratio", "tiled_serial_s", 3),
             Ratio::inverse("tiled_parallel_ratio", "tiled_parallel_s", 3),
         ],
-        rules: &[Rule::at_least("naive_s", 2.0, Ref::Field("tiled_serial_s")).only_row(512.0)],
+        rules: &[
+            Rule::at_least("naive_s", 2.0, Ref::Field("tiled_serial_s")).only_row("512"),
+            Rule::at_least("libm_s", 2.0, Ref::Field("time_s"))
+                .in_section("forward_kernels")
+                .only_row("gelu_fwd"),
+            Rule::at_least("libm_s", 1.25, Ref::Field("time_s"))
+                .in_section("forward_kernels")
+                .only_row("softmax_fwd"),
+        ],
     }
     .finish(args.check);
 }

@@ -195,7 +195,7 @@ pub struct Rule {
     floor: bool,
     factor: f64,
     of: Ref,
-    row: Option<f64>,
+    row: Option<&'static str>,
     when_same: Option<&'static str>,
 }
 
@@ -227,8 +227,9 @@ impl Rule {
         Rule { section, ..self }
     }
 
-    /// Gate only the row whose identifying value is `id`.
-    pub const fn only_row(self, id: f64) -> Rule {
+    /// Gate only the row whose identifying value renders as `id` (a number
+    /// as written, e.g. `"512"`, or a string without its quotes).
+    pub const fn only_row(self, id: &'static str) -> Rule {
         Rule {
             row: Some(id),
             ..self
@@ -291,7 +292,7 @@ fn violations(file: &str, rules: &[Rule], old: Option<&BenchFile>, new: &BenchFi
             continue;
         };
         let gated = rows.iter().filter(|r| {
-            rule.row.is_none() || r.0.first().and_then(|(_, v)| v.parse().ok()) == rule.row
+            rule.row.is_none() || r.0.first().map(|(_, v)| v.trim_matches('"')) == rule.row
         });
         for row in gated {
             let now = row.get(rule.field).ok_or(format!(
@@ -745,10 +746,21 @@ mod tests {
                 row(512, &[("x", 3.0), ("records", 20.0)]),
             ],
         )]);
-        let only_512 = [Rule::at_least("x", 2.0, Ref::Absolute).only_row(512.0)];
+        let only_512 = [Rule::at_least("x", 2.0, Ref::Absolute).only_row("512")];
         assert!(violations("F", &only_512, None, &new).is_empty());
         let all = [Rule::at_least("x", 2.0, Ref::Absolute)];
         assert_eq!(violations("F", &all, None, &new).len(), 1);
+        let named = file(&[(
+            "current",
+            vec![
+                Row::new().text("op", "gelu").num("x", 3.0, 1),
+                Row::new().text("op", "softmax").num("x", 1.0, 1),
+            ],
+        )]);
+        let only_gelu = [Rule::at_least("x", 2.0, Ref::Absolute).only_row("gelu")];
+        assert!(violations("F", &only_gelu, None, &named).is_empty());
+        let only_softmax = [Rule::at_least("x", 2.0, Ref::Absolute).only_row("softmax")];
+        assert_eq!(violations("F", &only_softmax, None, &named).len(), 1);
 
         let old = file(&[(
             "current",

@@ -221,7 +221,10 @@ impl MetaTrainer {
             // after), so scoring one window ahead across the worker pool
             // yields exactly the values the serial loop would compute, in
             // the same order. Scores left over when the batch closes are
-            // discarded — the optimizer step invalidates them.
+            // discarded — the optimizer step invalidates them. An entry
+            // whose augmentation left it unchanged is scored once:
+            // `predict_proba` is a pure function of the tokens and the
+            // parameters, so the copy is the value a second call returns.
             let mut scored: VecDeque<(Vec<f32>, Vec<f32>)> = VecDeque::new();
             let mut scored_to = cursor;
             while items.len() < b && cursor < order.len() {
@@ -230,7 +233,13 @@ impl MetaTrainer {
                     let t: &T = target;
                     scored.extend(workers.map(window.len(), |j| {
                         let e = &train_aug[window[j]];
-                        (t.predict_proba(&e.orig), t.predict_proba(&e.aug))
+                        let p_orig = t.predict_proba(&e.orig);
+                        let p_aug = if e.aug == e.orig {
+                            p_orig.clone()
+                        } else {
+                            t.predict_proba(&e.aug)
+                        };
+                        (p_orig, p_aug)
                     }));
                     scored_to += window.len();
                 }

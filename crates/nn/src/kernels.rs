@@ -52,11 +52,31 @@
 //!
 //! # SIMD dispatch
 //!
-//! On x86-64 the full-tile micro-kernel has an AVX2+FMA variant selected
-//! once per process by runtime feature detection (the workspace compiles
-//! against baseline x86-64, so the intrinsics path is how wide vectors are
-//! reached without `-C target-cpu`). Detection is process-global, so every
-//! invocation — serial or parallel, any thread — takes the same code path.
+//! On x86-64 two vector tiers are selected once per process by runtime
+//! feature detection (the workspace compiles against baseline x86-64, so
+//! the intrinsics path is how wide vectors are reached without
+//! `-C target-cpu`). Detection is process-global, so every invocation —
+//! serial or parallel, any thread — takes the same code path.
+//!
+//! * **AVX2+FMA**: the tiled core's full-tile micro-kernel (fused
+//!   multiply-add), plus GELU's `tanh` and softmax's `exp` eight lanes at a
+//!   time.
+//! * **AVX** (no FMA contraction): the naive tier below [`SMALL_FLOPS`]
+//!   (four output rows per register block, sharing each load of `B`), the
+//!   tiled core's ragged row block against the packed panel, and the
+//!   element-wise forward passes.
+//!
+//! Every vector kernel except the full-tile FMA micro-kernel reproduces its
+//! scalar fallback bit for bit: the same operations, the same roundings, in
+//! the same per-element order. The transcendentals are no exception. `tanh`
+//! and `exp` are ports of glibc's binary32 `tanhf` and `expf` (the private
+//! `vmath` module) rather than calls into the host libm, so the two tiers
+//! agree on every host and no result depends on the libm it links. The
+//! contract is checked at three levels: SIMD port against scalar port on
+//! all 2³² inputs (`#[ignore]`d, run by `ci.sh`) and on a strided sweep
+//! plus every branch boundary (default suite); scalar port against glibc
+//! 2.36's libm on all 2³² inputs (`#[ignore]`d, host-specific); SIMD GEMM
+//! tiers against the scalar kernels on ragged shapes (default suite).
 //!
 //! # Determinism
 //!
@@ -85,6 +105,7 @@
 //! allocation.
 
 use crate::pool::RotomPool;
+use crate::vmath;
 use std::cell::RefCell;
 
 /// Rows of `C` per register tile.
@@ -249,9 +270,27 @@ fn put_qscratch(v: Vec<u8>) {
 /// Reference kernel: the seed's naive i-k-j loop (single accumulator per
 /// element, increasing `k`), kept as the ground truth for property tests and
 /// the benchmark baseline.
+///
+/// It computes one row per pass (32 columns in registers on the AVX tier),
+/// as the naive tier did before it took four-row register blocks, so the
+/// baseline `perfsmoke` times the tiled kernel against stays the same
+/// kernel; every tier returns the same bits.
 pub fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
-    matmul_naive_into(a, b, m, k, n, &mut out);
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        for i in 0..m {
+            // SAFETY: `available()` checked; row `i` of `a` is
+            // `a[i·k..][..k]`, `b` is `k×n` and row `i` of `out` has `n`
+            // elements.
+            unsafe {
+                let (a, o) = (a.as_ptr().add(i * k), out.as_mut_ptr().add(i * n));
+                avx::rows_accum::<1, 4, true>(a, 0, 1, k, b.as_ptr(), n, n, o, n)
+            };
+        }
+        return out;
+    }
+    matmul_naive_scalar(a, b, m, k, n, &mut out);
     out
 }
 
@@ -262,13 +301,19 @@ fn matmul_naive_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &m
     debug_assert_eq!(out.len(), m * n);
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
-        for i in 0..m {
-            let o_row = &mut out[i * n..(i + 1) * n];
-            // In-bounds: row `i` of `a` spans `cnt·stride = k` elements.
-            unsafe { avx::row_accum(a.as_ptr().add(i * k), 1, k, b.as_ptr(), n, o_row) };
-        }
+        // SAFETY: `available()` checked; row `i` of `a` is `a[i·k..][..k]`,
+        // `b` is `k×n` and `out` is `m×n`.
+        unsafe {
+            avx::rows_accum_all::<true>(a.as_ptr(), m, k, 1, k, b.as_ptr(), n, n, out.as_mut_ptr())
+        };
         return;
     }
+    matmul_naive_scalar(a, b, m, k, n, out);
+}
+
+/// The scalar tier of [`matmul_naive_into`]: i-k-j saxpy, skipping zero
+/// terms of `A`.
+fn matmul_naive_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     out.fill(0.0);
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
@@ -491,10 +536,13 @@ fn micro_full(a_rows: [&[f32]; MR], panel: &[f32], j0: usize, out_rows: &mut [&m
     }
 }
 
-/// AVX2+FMA micro-kernel, selected at runtime on x86-64.
+/// AVX2+FMA tier, selected at runtime on x86-64: the tiled core's
+/// full-tile micro-kernel and the eight-lane GELU and softmax `exp` sweeps
+/// over the bit-exact libm ports.
 #[cfg(target_arch = "x86_64")]
 mod fma {
     use super::{MR, NR};
+    use crate::vmath;
     use core::arch::x86_64::*;
 
     /// Whether the running CPU supports the AVX2+FMA micro-kernel. Detected
@@ -544,6 +592,81 @@ mod fma {
             _mm256_storeu_ps(op.add(8), acc[r][1]);
         }
     }
+
+    /// One eight-lane GELU step: `(0.5·x)·(1 + t)` with
+    /// `t = tanh(c·(x + ((a·x)·x)·x))`, every step one rounding (no FMA) and
+    /// `tanh` the port of `tanhf`. Returns `(gelu, t)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gelu8(xv: __m256, c: f32, a: f32) -> (__m256, __m256) {
+        let t1 = _mm256_mul_ps(_mm256_set1_ps(a), xv);
+        let t2 = _mm256_mul_ps(t1, xv);
+        let t3 = _mm256_mul_ps(t2, xv);
+        let u = _mm256_mul_ps(_mm256_set1_ps(c), _mm256_add_ps(xv, t3));
+        let th = vmath::x86::tanh8(u);
+        let hx = _mm256_mul_ps(_mm256_set1_ps(0.5), xv);
+        (
+            _mm256_mul_ps(hx, _mm256_add_ps(_mm256_set1_ps(1.0), th)),
+            th,
+        )
+    }
+
+    /// Tanh-approximation GELU over raw pointers (`xp` and `op` may be
+    /// equal for in-place use) with the eight-lane `tanhf` port; a ragged
+    /// tail runs through the same vector step on a padded copy. Non-null
+    /// `tp` receives the `tanh` factors.
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`]; `xp` must be readable and
+    /// `op` writable for `n` elements, equal or disjoint (each lane is read
+    /// before it is written); `tp` is null or writable for `n` elements.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gelu_ptr(xp: *const f32, n: usize, c: f32, a: f32, op: *mut f32, tp: *mut f32) {
+        let mut j = 0;
+        while j + 8 <= n {
+            let (g, th) = gelu8(_mm256_loadu_ps(xp.add(j)), c, a);
+            if !tp.is_null() {
+                _mm256_storeu_ps(tp.add(j), th);
+            }
+            _mm256_storeu_ps(op.add(j), g);
+            j += 8;
+        }
+        if j < n {
+            let rest = n - j;
+            let mut lanes = [0.0f32; 8];
+            std::ptr::copy_nonoverlapping(xp.add(j), lanes.as_mut_ptr(), rest);
+            let (g, th) = gelu8(_mm256_loadu_ps(lanes.as_ptr()), c, a);
+            if !tp.is_null() {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), th);
+                std::ptr::copy_nonoverlapping(lanes.as_ptr(), tp.add(j), rest);
+            }
+            _mm256_storeu_ps(lanes.as_mut_ptr(), g);
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), op.add(j), rest);
+        }
+    }
+
+    /// `x[j] = exp(x[j] − shift)` with the eight-lane `expf` port; a ragged
+    /// tail runs through the same vector step on a padded copy.
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn exp_shifted(x: &mut [f32], shift: f32) {
+        let vs = _mm256_set1_ps(shift);
+        let mut chunks = x.chunks_exact_mut(8);
+        for c in &mut chunks {
+            let v = _mm256_sub_ps(_mm256_loadu_ps(c.as_ptr()), vs);
+            _mm256_storeu_ps(c.as_mut_ptr(), vmath::x86::exp8(v));
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            let mut lanes = [0.0f32; 8];
+            lanes[..rest.len()].copy_from_slice(rest);
+            let v = _mm256_sub_ps(_mm256_loadu_ps(lanes.as_ptr()), vs);
+            _mm256_storeu_ps(lanes.as_mut_ptr(), vmath::x86::exp8(v));
+            rest.copy_from_slice(&lanes[..rest.len()]);
+        }
+    }
 }
 
 /// Plain-AVX helper for the naive kernels, selected at runtime on x86-64.
@@ -556,6 +679,7 @@ mod fma {
 /// threshold.
 #[cfg(target_arch = "x86_64")]
 mod avx {
+    use super::NR;
     use core::arch::x86_64::*;
 
     /// Whether the running CPU supports AVX. Detected once (process-global,
@@ -567,80 +691,159 @@ mod avx {
         *AVAILABLE.get_or_init(|| std::is_x86_feature_detected!("avx"))
     }
 
-    /// One output row of a saxpy-form product, the row held in registers
-    /// across the whole reduction:
-    /// `o_row[j] = Σ_p a(p) · b[p·n + j]` with `a(p) = avs[p·stride]`.
+    /// `R` output rows of a saxpy-form product, held in registers across
+    /// the whole reduction:
+    /// `out[r·ldo + j] = Σ_p a(r, p) · b[p·ldb + j]` for `j < n`, with
+    /// `a(r, p) = avs[r·row_step + p·stride]`.
     ///
     /// Every output scalar keeps the increasing-`p` single-accumulator
     /// order with *separate* mul and add roundings (no FMA contraction —
-    /// only the `avx` feature is enabled) and the same `a(p) == 0.0` skip
-    /// as the scalar loop, so results are bit-identical; the registers
-    /// merely remove the per-`p` load/store round-trip of the output row.
+    /// only the `avx` feature is enabled), so results are bit-identical to
+    /// the scalar loops. With `SKIP_ZERO` a term with `a(r, p) == 0.0` is
+    /// skipped, as the scalar saxpy loop does (adding `0·b` would turn the
+    /// sum NaN where `b` is infinite or NaN). Columns go `8·W` at a time
+    /// (then 8, then one): the `R` rows share each load of `b`, and the
+    /// `R·W` accumulator chains hide the `vaddps` latency.
     ///
     /// # Safety
-    /// Caller must have checked [`available`], `avs` must be readable at
-    /// `p·stride` for `p < cnt`, and `b` at `p·n + j` for `j < n`.
+    /// Caller must have checked [`available`]; `avs` must be readable at
+    /// `r·row_step + p·stride` for `r < R`, `p < cnt`, `b` at `p·ldb + j`
+    /// for `j < n`, and `out` writable at `r·ldo + j`.
     #[target_feature(enable = "avx")]
-    pub unsafe fn row_accum(
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn rows_accum<const R: usize, const W: usize, const SKIP_ZERO: bool>(
         avs: *const f32,
+        row_step: usize,
         stride: usize,
         cnt: usize,
         b: *const f32,
+        ldb: usize,
         n: usize,
-        o_row: &mut [f32],
+        out: *mut f32,
+        ldo: usize,
     ) {
-        debug_assert_eq!(o_row.len(), n);
+        let a = |r: usize, p: usize| *avs.add(r * row_step + p * stride);
         let mut j = 0usize;
-        // Four independent 8-lane accumulators per pass: enough chains to
-        // hide the vaddps latency while staying within 16 ymm registers.
-        while j + 32 <= n {
-            let mut v0 = _mm256_setzero_ps();
-            let mut v1 = _mm256_setzero_ps();
-            let mut v2 = _mm256_setzero_ps();
-            let mut v3 = _mm256_setzero_ps();
+        while j + 8 * W <= n {
+            let mut acc = [[_mm256_setzero_ps(); W]; R];
             for p in 0..cnt {
-                let av = *avs.add(p * stride);
-                if av == 0.0 {
-                    continue;
+                let bp = b.add(p * ldb + j);
+                let bv: [__m256; W] = std::array::from_fn(|w| _mm256_loadu_ps(bp.add(8 * w)));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = a(r, p);
+                    if SKIP_ZERO && av == 0.0 {
+                        continue;
+                    }
+                    let va = _mm256_set1_ps(av);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, bv));
+                    }
                 }
-                let va = _mm256_set1_ps(av);
-                let bp = b.add(p * n + j);
-                v0 = _mm256_add_ps(v0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-                v1 = _mm256_add_ps(v1, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8))));
-                v2 = _mm256_add_ps(v2, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(16))));
-                v3 = _mm256_add_ps(v3, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(24))));
             }
-            let op = o_row.as_mut_ptr().add(j);
-            _mm256_storeu_ps(op, v0);
-            _mm256_storeu_ps(op.add(8), v1);
-            _mm256_storeu_ps(op.add(16), v2);
-            _mm256_storeu_ps(op.add(24), v3);
-            j += 32;
+            for (r, acc) in acc.iter().enumerate() {
+                for (w, &acc) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(out.add(r * ldo + j + 8 * w), acc);
+                }
+            }
+            j += 8 * W;
         }
         while j + 8 <= n {
-            let mut v = _mm256_setzero_ps();
+            let mut acc = [_mm256_setzero_ps(); R];
             for p in 0..cnt {
-                let av = *avs.add(p * stride);
-                if av == 0.0 {
-                    continue;
+                let b0 = _mm256_loadu_ps(b.add(p * ldb + j));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = a(r, p);
+                    if SKIP_ZERO && av == 0.0 {
+                        continue;
+                    }
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(av), b0));
                 }
-                let vb = _mm256_loadu_ps(b.add(p * n + j));
-                v = _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(av), vb));
             }
-            _mm256_storeu_ps(o_row.as_mut_ptr().add(j), v);
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(out.add(r * ldo + j), *acc);
+            }
             j += 8;
         }
         while j < n {
-            let mut s = 0.0f32;
-            for p in 0..cnt {
-                let av = *avs.add(p * stride);
-                if av == 0.0 {
-                    continue;
+            for r in 0..R {
+                let mut s = 0.0f32;
+                for p in 0..cnt {
+                    let av = a(r, p);
+                    if SKIP_ZERO && av == 0.0 {
+                        continue;
+                    }
+                    s += av * *b.add(p * ldb + j);
                 }
-                s += av * *b.add(p * n + j);
+                *out.add(r * ldo + j) = s;
             }
-            *o_row.get_unchecked_mut(j) = s;
             j += 1;
+        }
+    }
+
+    /// [`rows_accum`] over `rows` output rows in register blocks of four
+    /// rows by 16 columns (then one block of the 1–3 rows left over); row
+    /// `i` reads `avs + i·row_step` and writes `out + i·n`.
+    ///
+    /// # Safety
+    /// As [`rows_accum`], for every `r < rows`.
+    #[target_feature(enable = "avx")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn rows_accum_all<const SKIP_ZERO: bool>(
+        avs: *const f32,
+        rows: usize,
+        row_step: usize,
+        stride: usize,
+        cnt: usize,
+        b: *const f32,
+        ldb: usize,
+        n: usize,
+        out: *mut f32,
+    ) {
+        let mut i = 0;
+        while i + 4 <= rows {
+            let (a, o) = (avs.add(i * row_step), out.add(i * n));
+            rows_accum::<4, 2, SKIP_ZERO>(a, row_step, stride, cnt, b, ldb, n, o, n);
+            i += 4;
+        }
+        let (a, o) = (avs.add(i * row_step), out.add(i * n));
+        match rows - i {
+            1 => rows_accum::<1, 4, SKIP_ZERO>(a, row_step, stride, cnt, b, ldb, n, o, n),
+            2 => rows_accum::<2, 4, SKIP_ZERO>(a, row_step, stride, cnt, b, ldb, n, o, n),
+            3 => rows_accum::<3, 2, SKIP_ZERO>(a, row_step, stride, cnt, b, ldb, n, o, n),
+            _ => {}
+        }
+    }
+
+    /// Ragged row block of the tiled core: `mr < MR` rows of `A` (row `r`
+    /// at `a[r·k..]`) against one packed `k×NR` panel, into columns
+    /// `j0..j0 + NR` of `out` (row stride `n`).
+    ///
+    /// The same separate mul and add roundings in increasing `p` as the
+    /// scalar edge kernel this replaces on full column strips, so the bits
+    /// are unchanged; the panel is the one the full tiles above just used.
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`]; `a` holds `mr·k` elements,
+    /// `panel` `k·NR`, and `out` rows `0..mr` are `n ≥ j0 + NR` long.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn micro_ragged(
+        a: &[f32],
+        mr: usize,
+        k: usize,
+        panel: &[f32],
+        j0: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(
+            a.len() >= mr * k && panel.len() >= k * NR && out.len() >= (mr - 1) * n + j0 + NR
+        );
+        let (ap, bp, op) = (a.as_ptr(), panel.as_ptr(), out.as_mut_ptr().add(j0));
+        match mr {
+            1 => rows_accum::<1, 2, false>(ap, k, 1, k, bp, NR, NR, op, n),
+            2 => rows_accum::<2, 2, false>(ap, k, 1, k, bp, NR, NR, op, n),
+            3 => rows_accum::<3, 2, false>(ap, k, 1, k, bp, NR, NR, op, n),
+            _ => unreachable!("ragged block of {mr} rows"),
         }
     }
 
@@ -801,64 +1004,15 @@ mod avx {
             j += 1;
         }
     }
-
-    /// Tanh-approximation GELU over raw pointers (`xp` and `op` may be
-    /// equal for in-place use), replicating the scalar op sequence exactly:
-    /// the polynomial and the final combine run as separate vector mul/add
-    /// steps (one rounding each, no FMA), and `tanh` itself is evaluated per
-    /// lane with the scalar libm call — so every element takes the identical
-    /// sequence of roundings as the scalar loop. Non-null `tp` receives the
-    /// `tanh` factors.
-    ///
-    /// # Safety
-    /// Caller must have checked [`available`]; `xp` must be readable and
-    /// `op` writable for `n` elements, equal or disjoint (each lane is read
-    /// before it is written); `tp` is null or writable for `n` elements.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn gelu_ptr(xp: *const f32, n: usize, c: f32, a: f32, op: *mut f32, tp: *mut f32) {
-        let va = _mm256_set1_ps(a);
-        let vc = _mm256_set1_ps(c);
-        let vhalf = _mm256_set1_ps(0.5);
-        let vone = _mm256_set1_ps(1.0);
-        let mut j = 0;
-        while j + 8 <= n {
-            let xv = _mm256_loadu_ps(xp.add(j));
-            // u = c * (x + ((a*x)*x)*x), each step one rounding.
-            let t1 = _mm256_mul_ps(va, xv);
-            let t2 = _mm256_mul_ps(t1, xv);
-            let t3 = _mm256_mul_ps(t2, xv);
-            let t4 = _mm256_add_ps(xv, t3);
-            let u = _mm256_mul_ps(vc, t4);
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), u);
-            for l in lanes.iter_mut() {
-                *l = l.tanh();
-            }
-            if !tp.is_null() {
-                std::ptr::copy_nonoverlapping(lanes.as_ptr(), tp.add(j), 8);
-            }
-            let th = _mm256_loadu_ps(lanes.as_ptr());
-            let hx = _mm256_mul_ps(vhalf, xv);
-            let opt = _mm256_add_ps(vone, th);
-            _mm256_storeu_ps(op.add(j), _mm256_mul_ps(hx, opt));
-            j += 8;
-        }
-        while j < n {
-            let xv = *xp.add(j);
-            let th = (c * (xv + a * xv * xv * xv)).tanh();
-            if !tp.is_null() {
-                *tp.add(j) = th;
-            }
-            *op.add(j) = 0.5 * xv * (1.0 + th);
-            j += 1;
-        }
-    }
 }
 
 /// Edge tile: `mr ≤ MR` rows by `nr ≤ NR` columns. Same accumulation order
-/// as [`micro_full`] (per-element single accumulator, `p` increasing),
-/// scalar-indexed for the ragged bounds, reading the raw operand through
-/// [`BSrc::at`].
+/// as [`micro_full`] (per-element single accumulator, `p` increasing, one
+/// mul and one add rounding per step), scalar-indexed for the ragged bounds,
+/// reading the raw operand through [`BSrc::at`]. It covers the ragged
+/// column strip; the ragged row block on full strips takes
+/// `avx::micro_ragged`, the same roundings against the packed panel, where
+/// AVX is available.
 #[inline]
 fn micro_edge<B: BSrc>(
     a_block: &[f32],
@@ -913,7 +1067,7 @@ fn matmul_block_tiled<B: BSrc>(
     let full_rows = rows - rows % MR;
     let full_cols = n - n % NR;
     #[cfg(target_arch = "x86_64")]
-    let use_fma = fma::available();
+    let (use_fma, use_avx) = (fma::available(), avx::available());
     let mut scratch = take_scratch(k * NR);
     let mut j0 = 0;
     while j0 < full_cols {
@@ -940,19 +1094,41 @@ fn matmul_block_tiled<B: BSrc>(
             micro_full([a0, a1, a2, a3], panel, j0, &mut out_rows);
             i0 += MR;
         }
+        // The ragged row block (`rows % MR` rows) on this full strip reuses
+        // the packed panel.
+        if full_rows < rows {
+            let mr = rows - full_rows;
+            #[cfg(target_arch = "x86_64")]
+            if use_avx {
+                let a = &a_block[full_rows * k..];
+                let out = &mut out_block[full_rows * n..];
+                // SAFETY: `available()` checked; `a` is `mr×k`, the panel
+                // `k×NR` and `out` holds `mr` rows of `n ≥ j0 + NR`.
+                unsafe { avx::micro_ragged(a, mr, k, panel, j0, n, out) };
+                j0 += NR;
+                continue;
+            }
+            micro_edge(a_block, k, bsrc, n, full_rows, j0, mr, NR, out_block);
+        }
         j0 += NR;
     }
     put_scratch(scratch);
-    // Edges share the scalar kernel and read the operand directly: the
-    // ragged column strip (j ≥ full_cols, all rows) and the ragged row block
-    // (i ≥ full_rows, full-width columns).
-    for i0 in (0..rows).step_by(MR) {
-        let mr = (rows - i0).min(MR);
-        let mut j0 = if i0 < full_rows { full_cols } else { 0 };
-        while j0 < n {
-            let nr = (n - j0).min(NR);
-            micro_edge(a_block, k, bsrc, n, i0, j0, mr, nr, out_block);
-            j0 += nr;
+    // The ragged column strip (j ≥ full_cols, all rows) shares the scalar
+    // edge kernel and reads the operand directly.
+    if full_cols < n {
+        for i0 in (0..rows).step_by(MR) {
+            let mr = (rows - i0).min(MR);
+            micro_edge(
+                a_block,
+                k,
+                bsrc,
+                n,
+                i0,
+                full_cols,
+                mr,
+                n - full_cols,
+                out_block,
+            );
         }
     }
 }
@@ -1062,6 +1238,48 @@ fn matmul_transpose_b_naive_into(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        // Pack `Bᵀ` (`k×n`) once so the dot products become the saxpy form
+        // of the naive `A·B` kernel: each output scalar still accumulates
+        // `a[i][p]·b[j][p]` in increasing `p` with separate roundings (no
+        // zero skip, as in the dot loop below), so the bits are unchanged.
+        let mut bt = take_scratch(k * n);
+        for j in 0..n {
+            for p in 0..k {
+                bt[p * n + j] = b[j * k + p];
+            }
+        }
+        // SAFETY: `available()` checked; `a` is `m×k`, `bt` is `k×n` and
+        // `out` is `m×n`.
+        unsafe {
+            avx::rows_accum_all::<false>(
+                a.as_ptr(),
+                m,
+                k,
+                1,
+                k,
+                bt.as_ptr(),
+                n,
+                n,
+                out.as_mut_ptr(),
+            )
+        };
+        put_scratch(bt);
+        return;
+    }
+    matmul_transpose_b_naive_scalar(a, b, m, k, n, out);
+}
+
+/// The scalar tier of [`matmul_transpose_b_naive_into`]: dot products.
+fn matmul_transpose_b_naive_scalar(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     // Each output scalar is one dot product accumulated in increasing `k`
     // with a single accumulator — a serial FP dependency chain. Running four
     // output columns (and two rows) concurrently keeps their chains
@@ -1205,27 +1423,24 @@ pub fn matmul_transpose_a_into(
         // Direct q-i-j form: out[q][j] += a[i][q] * g[i][j], i increasing.
         #[cfg(target_arch = "x86_64")]
         if avx::available() {
-            for q in 0..k {
-                let o_row = &mut out[q * n..(q + 1) * n];
-                // In-bounds: column `q` of `a` is read at `q + i·k < m·k`.
-                unsafe { avx::row_accum(a.as_ptr().add(q), k, m, g.as_ptr(), n, o_row) };
-            }
+            // SAFETY: `available()` checked; output row `q` reads column `q`
+            // of `a` at `q + i·k < m·k`, `g` is `m×n` and `out` is `k×n`.
+            unsafe {
+                avx::rows_accum_all::<true>(
+                    a.as_ptr(),
+                    k,
+                    1,
+                    k,
+                    m,
+                    g.as_ptr(),
+                    n,
+                    n,
+                    out.as_mut_ptr(),
+                )
+            };
             return;
         }
-        out.fill(0.0);
-        for q in 0..k {
-            let o_row = &mut out[q * n..(q + 1) * n];
-            for i in 0..m {
-                let av = a[i * k + q];
-                if av == 0.0 {
-                    continue;
-                }
-                let g_row = &g[i * n..(i + 1) * n];
-                for (o, &gv) in o_row.iter_mut().zip(g_row) {
-                    *o += av * gv;
-                }
-            }
-        }
+        matmul_transpose_a_naive_scalar(a, g, m, k, n, out);
         return;
     }
     if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || k < 2 * MR {
@@ -1244,6 +1459,32 @@ pub fn matmul_transpose_a_into(
             };
             transpose_a_block(a, g, m, k, n, range.start, range.end, out_block);
         });
+    }
+}
+
+/// The scalar tier of [`matmul_transpose_a_into`]'s small-shape path: the
+/// q-i-j saxpy form, skipping zero terms of `A`.
+fn matmul_transpose_a_naive_scalar(
+    a: &[f32],
+    g: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    out.fill(0.0);
+    for q in 0..k {
+        let o_row = &mut out[q * n..(q + 1) * n];
+        for i in 0..m {
+            let av = a[i * k + q];
+            if av == 0.0 {
+                continue;
+            }
+            let g_row = &g[i * n..(i + 1) * n];
+            for (o, &gv) in o_row.iter_mut().zip(g_row) {
+                *o += av * gv;
+            }
+        }
     }
 }
 
@@ -2057,14 +2298,18 @@ pub fn scale_fwd(x: &mut [f32], c: f32) {
 }
 
 /// One softmax row: max-shift over `v + m` (mask value `m`, or `+ 0.0`
-/// when unmasked), scalar `exp` and sum in index order, then a uniform
-/// `1/sum` scale. Returns `(max, sum)` — the pieces a cross-entropy needs
-/// for `lse = sum.ln() + max`.
+/// when unmasked), `exp`, a sum in index order, then a uniform `1/sum`
+/// scale. Returns `(max, sum)` — the pieces a cross-entropy needs for
+/// `lse = sum.ln() + max`.
 ///
-/// The SIMD tier vectorizes only the order-independent or elementwise
+/// `exp` is the port of glibc's `expf`, never the host libm: on the
+/// AVX2+FMA tier eight lanes at a time, elsewhere the scalar port, with
+/// the same bits for every input (an exhaustive sweep
+/// checks the two, and the scalar port against glibc 2.36's `expf`). The
+/// SIMD tier also vectorizes the other element-wise or order-independent
 /// stages (the additive mask shift, the max reduction, the final scale);
-/// the order-sensitive `exp`-and-accumulate stage stays scalar, so both
-/// tiers produce identical bits.
+/// only the order-sensitive sum stays a scalar chain, so both tiers
+/// produce identical bits.
 pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
     let n = row.len();
     debug_assert_eq!(out.len(), n);
@@ -2079,10 +2324,9 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
             None => unsafe { avx::add_scalar_into(row, 0.0, out) },
         }
         let max = unsafe { avx::max_val(out) };
+        exp_shifted(out, max);
         let mut sum = 0.0f32;
-        for o in out.iter_mut() {
-            let e = (*o - max).exp();
-            *o = e;
+        for &e in out.iter() {
             sum += e;
         }
         let inv = 1.0 / sum;
@@ -2097,7 +2341,7 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
     let mut sum = 0.0f32;
     for (j, &v) in row.iter().enumerate() {
         let m = mask.map_or(0.0, |mm| mm[j]);
-        let e = (v + m - max).exp();
+        let e = vmath::exp(v + m - max);
         out[j] = e;
         sum += e;
     }
@@ -2106,6 +2350,21 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
         *o *= inv;
     }
     (max, sum)
+}
+
+/// `x[j] = exp(x[j] − shift)` in place, with the port of glibc's `expf`
+/// (eight lanes on the AVX2+FMA tier, scalar otherwise; the two agree bit
+/// for bit). The softmax of [`softmax_row_fwd`] and `softmax_slice`.
+pub(crate) fn exp_shifted(x: &mut [f32], shift: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if fma::available() {
+        // SAFETY: `available()` checked.
+        unsafe { fma::exp_shifted(x, shift) };
+        return;
+    }
+    for v in x.iter_mut() {
+        *v = vmath::exp(*v - shift);
+    }
 }
 
 /// Row-wise softmax over a `rows×cols` buffer with an optional additive
@@ -2176,9 +2435,15 @@ pub fn layernorm_fwd(
 /// Elementwise tanh-approximation GELU — the values of the tape's `gelu`
 /// op and of the fused [`Act::Gelu`] epilogue. `tanh_out`, when given (same
 /// length as `x`), receives each element's `tanh` factor for the tape's
-/// backward rule. Both tiers produce identical bits: the
-/// SIMD tier keeps every polynomial step a separate rounding and evaluates
-/// `tanh` with the scalar libm call per lane.
+/// backward rule.
+///
+/// `tanh` is the port of glibc's binary32 `tanhf` (fdlibm's algorithm over
+/// `expm1f`, every step one float rounding), never the host libm: eight
+/// lanes at a time on the AVX2+FMA tier, the scalar port elsewhere. The
+/// polynomial and the final combine are separate mul/add roundings on both
+/// tiers, so they produce identical bits; an exhaustive sweep checks the
+/// vector `tanh` against the scalar port, and the scalar port against
+/// glibc 2.36's `tanhf`, on all 2³² inputs.
 pub fn gelu_fwd(x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
     debug_assert_eq!(x.len(), out.len());
     let tp = match tanh_out {
@@ -2209,10 +2474,10 @@ fn gelu_fwd_inplace(x: &mut [f32]) {
 /// both.
 unsafe fn gelu_ptr(xp: *const f32, n: usize, op: *mut f32, tp: *mut f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx::available() {
+    if fma::available() {
         // SAFETY: `available()` checked; the pointer requirements are this
         // function's own contract.
-        avx::gelu_ptr(xp, n, GELU_C, GELU_A, op, tp);
+        fma::gelu_ptr(xp, n, GELU_C, GELU_A, op, tp);
         return;
     }
     // SAFETY (loop): every `j < n` is in bounds for `xp`, `op` and non-null
@@ -2220,7 +2485,7 @@ unsafe fn gelu_ptr(xp: *const f32, n: usize, op: *mut f32, tp: *mut f32) {
     // written, so equal `xp`/`op` is fine.
     for j in 0..n {
         let v = *xp.add(j);
-        let th = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+        let th = vmath::tanh(GELU_C * (v + GELU_A * v * v * v));
         if !tp.is_null() {
             *tp.add(j) = th;
         }
@@ -2459,7 +2724,7 @@ mod tests {
             let mut sum = 0.0f32;
             for (j, &v) in row.iter().enumerate() {
                 let m = mrow.map_or(0.0, |mm| mm[j]);
-                let e = (v + m - max).exp();
+                let e = vmath::exp(v + m - max);
                 orow[j] = e;
                 sum += e;
             }
@@ -2547,10 +2812,115 @@ mod tests {
             gelu_fwd(&x, &mut plain, None);
             assert_eq!(out, plain, "gelu len={len}: tanh output changes nothing");
             for (j, (&v, &o)) in x.iter().zip(&out).enumerate() {
-                let th = (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh();
+                let th = vmath::tanh(0.797_884_6f32 * (v + 0.044_715 * v * v * v));
                 let expect = 0.5 * v * (1.0 + th);
                 assert_eq!(o, expect, "gelu len={len} j={j}");
                 assert_eq!(tanh[j], th, "gelu tanh len={len} j={j}");
+            }
+        }
+    }
+
+    /// A random matrix with about one entry in eight an exact `±0.0` and
+    /// one in a hundred infinite, so the naive kernels' zero skip (which
+    /// keeps `0·inf` out of a sum) and signed-zero sums are exercised.
+    fn sparse_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols)
+            .map(|_| match rng.random_range(0u32..200) {
+                0..=12 => 0.0,
+                13..=25 => -0.0,
+                26 => f32::INFINITY,
+                27 => f32::NEG_INFINITY,
+                _ => rng.random_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Row counts with `m % MR` ∈ {1, 2, 3}: one small set that keeps every
+    /// `(k, n)` below [`SMALL_FLOPS`] (naive tier) and one large enough to
+    /// reach the tiled core.
+    fn ragged_rows(k: usize, n: usize) -> impl Iterator<Item = usize> {
+        let big = (SMALL_FLOPS / (k * n)).next_multiple_of(MR) + MR;
+        (1..MR).flat_map(move |r| [MR + r, big + r])
+    }
+
+    #[test]
+    fn simd_naive_tier_matches_scalar_kernels_bitwise() {
+        for k in [1usize, 8, 33] {
+            for n in [1usize, 2, 8, 17, 32, 64] {
+                for m in ragged_rows(k, n).filter(|m| m * k * n < SMALL_FLOPS) {
+                    let mut rng =
+                        StdRng::seed_from_u64(split_seed(0x4f6, (m * 1000 + k * 100 + n) as u64));
+                    let a = sparse_matrix(&mut rng, m, k);
+                    let b = sparse_matrix(&mut rng, k, n);
+                    let bt = sparse_matrix(&mut rng, n, k);
+                    let g = sparse_matrix(&mut rng, m, n);
+                    let mut want = vec![0.0f32; m * n];
+                    let mut want_ta = vec![0.0f32; k * n];
+                    for threads in [1, 8] {
+                        let pool = RotomPool::new(threads);
+                        let ctx = format!("{m}x{k}x{n} threads={threads}");
+                        matmul_naive_scalar(&a, &b, m, k, n, &mut want);
+                        assert_eq!(bits(&mm(&a, &b, m, k, n, &pool)), bits(&want), "A·B {ctx}");
+                        matmul_transpose_b_naive_scalar(&a, &bt, m, k, n, &mut want);
+                        assert_eq!(
+                            bits(&mm_tb(&a, &bt, m, k, n, &pool)),
+                            bits(&want),
+                            "A·Bᵀ {ctx}"
+                        );
+                        matmul_transpose_a_naive_scalar(&a, &g, m, k, n, &mut want_ta);
+                        assert_eq!(
+                            bits(&mm_ta(&a, &g, m, k, n, &pool)),
+                            bits(&want_ta),
+                            "Aᵀ·G {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The last `m % MR` rows of `A·B` through the scalar edge kernel,
+    /// which the AVX path replaced on full column strips.
+    fn edge_rows<B: BSrc>(a: &[f32], m: usize, k: usize, n: usize, bsrc: &B) -> Vec<f32> {
+        let full = m - m % MR;
+        let mut out = vec![0.0f32; (m - full) * n];
+        for j0 in (0..n).step_by(NR) {
+            let nr = (n - j0).min(NR);
+            micro_edge(&a[full * k..], k, bsrc, n, 0, j0, m - full, nr, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn tiled_ragged_rows_match_scalar_edge_kernel_bitwise() {
+        for k in [1usize, 8, 33] {
+            for n in [1usize, 2, 8, 17, 32, 64] {
+                for m in ragged_rows(k, n).filter(|m| m * k * n >= SMALL_FLOPS) {
+                    let mut rng =
+                        StdRng::seed_from_u64(split_seed(0x4f7, (m * 1000 + k * 100 + n) as u64));
+                    let a = sparse_matrix(&mut rng, m, k);
+                    let b = sparse_matrix(&mut rng, k, n);
+                    let bt = sparse_matrix(&mut rng, n, k);
+                    let pk = PackedB::pack_row_major(&b, k, n);
+                    let full = m - m % MR;
+                    let want = edge_rows(&a, m, k, n, &BRowMajor { b: &b, n });
+                    let want_tb = edge_rows(&a, m, k, n, &BTransposed { b: &bt, k });
+                    for threads in [1, 8] {
+                        let pool = RotomPool::new(threads);
+                        let ctx = format!("{m}x{k}x{n} threads={threads}");
+                        let cold = mm(&a, &b, m, k, n, &pool);
+                        assert_eq!(bits(&cold[full * n..]), bits(&want), "A·B {ctx}");
+                        let mut warm = vec![0.0f32; m * n];
+                        matmul_into(&a, &b, Some(&pk), m, m, k, n, &pool, &mut warm);
+                        assert_eq!(bits(&warm), bits(&cold), "A·B prepacked {ctx}");
+                        let tb = mm_tb(&a, &bt, m, k, n, &pool);
+                        assert_eq!(bits(&tb[full * n..]), bits(&want_tb), "A·Bᵀ {ctx}");
+                    }
+                }
             }
         }
     }

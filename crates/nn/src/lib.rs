@@ -57,6 +57,7 @@ mod params;
 pub mod pool;
 pub mod telemetry;
 mod tensor;
+mod vmath;
 
 pub use checkpoint::{CheckpointError, StateBag, StateEntry};
 pub use faultpoint::{FaultKilled, FaultKind};
@@ -81,7 +82,8 @@ pub use tensor::Tensor;
 /// inference-time probability computations).
 pub fn softmax_slice(logits: &[f32]) -> Vec<f32> {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
+    let mut exps = logits.to_vec();
+    kernels::exp_shifted(&mut exps, max);
     let sum: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / sum).collect()
 }

@@ -16,6 +16,14 @@
 //! machines whose matmul kernels round differently (FMA vs non-FMA paths
 //! may differ by ~1e-4 per dot product; the training pipeline itself is
 //! bit-deterministic at any `ROTOM_THREADS` on one machine).
+//!
+//! Each snapshot also pins its bits: a `# fnv1a64 <hex>` line holds the
+//! FNV-1a hash of every snapshot value's `f32` bits (the metrics and the
+//! validation curve), in snapshot order. Where the AVX2+FMA kernels run
+//! ([`rotom_nn::kernels::profile::fma_active`]) the run must reproduce that
+//! hash exactly, so a kernel rewrite that moves any bit fails even when
+//! every metric stays within `TOL`; other hosts round the tiled GEMM
+//! differently and are held to the tolerance alone.
 
 use rotom::pipeline::{prepare_base, run_method_with_base, Method};
 use rotom::{MetricsSnapshot, RotomConfig, RunResult, TaskDataset};
@@ -23,6 +31,8 @@ use rotom_augment::{InvDa, InvDaConfig};
 use rotom_datasets::edt::{self, EdtConfig, EdtFlavor};
 use rotom_datasets::em::{self, EmConfig, EmFlavor};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
+use rotom_nn::kernels;
+use rotom_rng::{fnv1a64, fnv1a64_extend};
 use rotom_text::example::Example;
 use std::path::PathBuf;
 
@@ -54,13 +64,25 @@ fn method_slug(method: Method) -> &'static str {
     }
 }
 
+/// Prefix of the snapshot line that pins the run's bits.
+const BITS_PIN: &str = "# fnv1a64 ";
+
+/// FNV-1a over the snapshot's `f32` bits (little-endian), in entry order.
+fn snapshot_bits(snap: &MetricsSnapshot) -> u64 {
+    snap.entries.iter().fold(fnv1a64(&[]), |h, (_, v)| {
+        fnv1a64_extend(h, &v.to_bits().to_le_bytes())
+    })
+}
+
 /// Compare (or bless) one run's snapshot against `tests/golden/<name>.txt`.
 fn check_against_golden(name: &str, result: &RunResult) {
     let snap = result.snapshot();
+    let bits = snapshot_bits(&snap);
     let path = golden_dir().join(format!("{name}.txt"));
     if blessing() {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, snap.to_text()).expect("write golden snapshot");
+        let text = format!("{}{BITS_PIN}{bits:016x}\n", snap.to_text());
+        std::fs::write(&path, text).expect("write golden snapshot");
         return;
     }
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -79,6 +101,19 @@ fn check_against_golden(name: &str, result: &RunResult) {
          is intended, re-bless with `ROTOM_BLESS=1 cargo test --test golden`.",
         errors.join("\n  ")
     );
+    if kernels::profile::fma_active() {
+        let pin = text
+            .lines()
+            .find_map(|l| l.strip_prefix(BITS_PIN))
+            .unwrap_or_else(|| panic!("{} has no `{BITS_PIN}` line", path.display()));
+        assert_eq!(
+            format!("{bits:016x}"),
+            pin,
+            "golden bits moved for {name}: every metric is within {TOL} but not \
+             bit-identical. If this change is intended, re-bless with \
+             `ROTOM_BLESS=1 cargo test --test golden`."
+        );
+    }
 }
 
 /// Run every method on one task with a shared pre-trained base and a shared
