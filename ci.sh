@@ -85,7 +85,11 @@ ROTOM_THREADS=8 cargo test -q --offline --test fault_injection
 echo "== perfsmoke (writes BENCH_compute.json, gates tiled vs naive matmul, SIMD vs libm forward kernels)"
 cargo run --release --offline -p rotom-bench --bin perfsmoke -- --check
 
-echo "== alloc budget (steady-state train step, ROTOM_THREADS pinned inside)"
+# Two budgets in tests/golden/alloc_budget.txt: bytes_per_step (an SST-2
+# meta step) and mixda_bytes_per_step (a MixDA step on variable-length
+# Abt-Buy pairs at the benchmark shapes, the path a tape arena that misses
+# on new lengths would thrash).
+echo "== alloc budgets (steady-state meta and MixDA train steps, ROTOM_THREADS pinned inside)"
 cargo test -q --release --offline --test alloc_budget
 
 # Steps/sec at each thread count must stay at least 0.8x the checked-in
@@ -100,6 +104,14 @@ for t in 1 8; do
     echo "== inference-plane equivalence (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline --test infer_equivalence \
         --test infer_equivalence_telemetry
+done
+
+# Tape reuse: a pooled tape replaying encoder graphs of cycling token counts
+# must match a fresh tape bit for bit. Pool workers take pooled tapes, so
+# each worker count reuses arenas differently (one process per count).
+for t in 1 8; do
+    echo "== varying-length tape reuse (ROTOM_THREADS=$t)"
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test tape_reuse
 done
 
 # Tape-free scoring and decode throughput must stay at least 0.8x the

@@ -14,9 +14,14 @@
 //! its own memory instead of round-tripping through the allocator:
 //!
 //! * Every node value, gradient, and heavy op payload is drawn from a
-//!   per-tape [`BufArena`] — a free list keyed by element count. After
-//!   [`Tape::reset`] returns those buffers, the next identically-shaped
-//!   graph allocates nothing.
+//!   per-tape [`BufArena`] — a free list of size classes (exact up to 8
+//!   floats, then four per octave), so a buffer freed by one sequence
+//!   length serves the next batch's neighbouring lengths too. After
+//!   [`Tape::reset`] returns those buffers, the next graph of similar
+//!   shapes allocates next to nothing.
+//! * [`Tape::backward`] returns each non-leaf gradient to the arena as
+//!   soon as its rule has run, so later rules in the same sweep reuse it;
+//!   only `input` and `param` gradients stay readable afterwards.
 //! * Whole tapes are recycled through a global pool
 //!   ([`take_pooled_tape`] / [`recycle_tape`] / [`with_pooled_tape`]), so
 //!   hot loops that build one tape per batch reuse warm arenas across
@@ -40,6 +45,7 @@
 //! inference plane calls, so the two forward paths share one copy of every
 //! formula.
 
+use crate::arena::BufArena;
 use crate::kernels;
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
@@ -160,78 +166,21 @@ struct Node {
     grad: Option<Tensor>,
 }
 
-/// Retained-floats cap per tape arena (32 MB). A training tape for the
-/// models in this workspace retains a few hundred KB; the cap only guards
-/// against pathological one-off graphs pinning memory forever.
+/// Retained-capacity cap per tape arena (8M floats, 32 MB). At the
+/// benchmark's EM shapes (d_model 32, max_len 72) one batch's tape peaks at
+/// 2.3–5.4M floats in use, InvDA training's decoder tapes being the
+/// largest; releasing non-leaf gradients during [`Tape::backward`] keeps
+/// that under the cap, so a warm tape serves a batch almost entirely from
+/// its arena. The cap keeps a pathological one-off graph from pinning
+/// memory forever.
 const ARENA_CAP_FLOATS: usize = 8 << 20;
-
-/// Free-list of `f32` buffers keyed by exact element count. `take_*` pops a
-/// recycled buffer or allocates; `put` returns one for reuse. After one
-/// warm-up pass over a graph shape, steady-state traffic is allocation-free.
-///
-/// Buckets live in a small vector scanned linearly: a training graph has a
-/// few dozen distinct buffer sizes, and `take`/`put` sit on the per-node hot
-/// path where a hashed lookup (SipHash on a `usize`) costs more than the
-/// scan. Freshly used sizes move to the front so steady-state lookups hit
-/// within the first few entries.
-#[derive(Default)]
-struct BufArena {
-    free: Vec<(usize, Vec<Vec<f32>>)>,
-    retained: usize,
-}
-
-impl BufArena {
-    /// Index of the bucket for `len`, moved one slot toward the front per
-    /// hit so hot sizes bubble up.
-    fn bucket(&mut self, len: usize) -> Option<usize> {
-        let i = self.free.iter().position(|(l, _)| *l == len)?;
-        if i > 0 {
-            self.free.swap(i - 1, i);
-            Some(i - 1)
-        } else {
-            Some(i)
-        }
-    }
-
-    /// A buffer of exactly `len` floats with arbitrary contents. Callers
-    /// must fully overwrite it.
-    fn take_dirty(&mut self, len: usize) -> Vec<f32> {
-        if let Some(i) = self.bucket(len) {
-            if let Some(buf) = self.free[i].1.pop() {
-                self.retained -= len;
-                return buf;
-            }
-        }
-        vec![0.0; len]
-    }
-
-    /// A zero-filled buffer of exactly `len` floats.
-    fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.take_dirty(len);
-        buf.fill(0.0);
-        buf
-    }
-
-    /// Return a buffer for reuse (dropped silently past the retention cap).
-    fn put(&mut self, buf: Vec<f32>) {
-        let len = buf.len();
-        if len == 0 || self.retained + len > ARENA_CAP_FLOATS {
-            return;
-        }
-        self.retained += len;
-        match self.bucket(len) {
-            Some(i) => self.free[i].1.push(buf),
-            None => self.free.push((len, vec![buf])),
-        }
-    }
-}
 
 /// A gradient tape. Create one per forward pass (typically per batch) — or
 /// better, reuse one via [`with_pooled_tape`] so its arena stays warm.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    arena: BufArena,
+    arena: BufArena<ARENA_CAP_FLOATS>,
     /// Recycled `Vec<usize>` payloads (embedding indices).
     ids_pool: Vec<Vec<usize>>,
     /// Recycled `Vec<NodeId>` payloads (concat/sum fan-ins).
@@ -308,8 +257,10 @@ impl Tape {
         &self.nodes[id.0].value
     }
 
-    /// Gradient of a node after [`backward`](Self::backward); zeros if the
-    /// node did not participate.
+    /// Gradient of a leaf ([`input`](Self::input) or [`param`](Self::param)
+    /// node) after [`backward`](Self::backward); zeros if the node did not
+    /// participate. The sweep releases every other node's gradient once its
+    /// rule has run, so for those this also reads zeros.
     pub fn grad(&self, id: NodeId) -> Tensor {
         match &self.nodes[id.0].grad {
             Some(g) => g.clone(),
@@ -856,8 +807,13 @@ impl Tape {
                 None => continue,
             };
             self.accumulate(i, &grad, store);
-            // Leaf gradients are kept readable after the sweep.
-            self.nodes[i].grad = Some(grad);
+            // Leaf gradients stay readable after the sweep; every other
+            // gradient has been consumed and goes back to the arena, where
+            // the rules still to run draw their buffers.
+            match self.nodes[i].op {
+                Op::Input | Op::Param { .. } => self.nodes[i].grad = Some(grad),
+                _ => self.arena.put(grad.into_vec()),
+            }
         }
     }
 
@@ -1312,8 +1268,8 @@ pub fn take_pooled_tape() -> Tape {
 pub fn recycle_tape(mut tape: Tape) {
     tape.reset();
     let mut pool = TAPE_POOL.lock().unwrap();
-    let pooled_retained: usize = pool.iter().map(|t| t.arena.retained).sum();
-    if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained) {
+    let pooled_retained: usize = pool.iter().map(|t| t.arena.retained()).sum();
+    if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained()) {
         TAPE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -1356,7 +1312,7 @@ pub fn with_pooled_tape<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
 /// beyond one short lock.
 pub fn pooled_tape_stats() -> (usize, usize) {
     let pool = TAPE_POOL.lock().unwrap();
-    let retained: usize = pool.iter().map(|t| t.arena.retained).sum();
+    let retained: usize = pool.iter().map(|t| t.arena.retained()).sum();
     (pool.len(), retained)
 }
 
@@ -1746,5 +1702,29 @@ mod tests {
         let (l2, g2) = with_pooled_tape(|t| run(t, &mut store));
         assert_eq!(l0.to_bits(), l2.to_bits());
         assert_eq!(g0, g2);
+    }
+
+    /// `backward` keeps `input` and `param` gradients readable and returns
+    /// every other gradient to the arena during the sweep.
+    #[test]
+    fn backward_keeps_leaf_gradients_and_releases_the_rest() {
+        let mut store = ParamStore::new();
+        let w = store.push("w", Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], 2, 2));
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(vec![2.0, 3.0], 1, 2));
+        let wn = tape.param(w, &store);
+        let y = tape.matmul(x, wn);
+        let z = tape.scale(y, 2.0);
+        let loss = tape.sum_all(z);
+        tape.backward(loss, &mut store);
+        // d loss/dx = 2 · (row sums of W); d loss/dW = 2 · xᵀ · ones.
+        assert_eq!(tape.grad(x).data(), &[-2.0, 7.0]);
+        assert_eq!(tape.grad(wn).data(), &[4.0, 4.0, 6.0, 6.0]);
+        assert_eq!(store.grad(w).data(), tape.grad(wn).data());
+        for released in [y, z, loss] {
+            assert!(tape.nodes[released.0].grad.is_none());
+        }
+        // The released buffers went back to the arena.
+        assert!(tape.arena.retained() > 0);
     }
 }

@@ -8,10 +8,10 @@
 //! — **bit-for-bit** — but straight into preallocated `Vec<f32>`
 //! workspaces:
 //!
-//! * [`InferScratch`] — an exact-length free-list of activation buffers. A
-//!   forward pass takes buffers, runs the forward kernels in
-//!   [`kernels`](crate::kernels), and returns them; steady-state scoring
-//!   performs no heap allocation.
+//! * [`InferScratch`] — a size-classed free list of activation buffers
+//!   (the tape arena's pool type). A forward pass takes buffers, runs the
+//!   forward kernels in [`kernels`](crate::kernels), and returns them;
+//!   steady-state scoring performs no heap allocation.
 //! * [`with_infer_scratch`] — a process-global pool of `InferScratch`
 //!   instances (mirroring the pooled-tape free list), so concurrent pool
 //!   workers each grab a private workspace and recycle it across batches.
@@ -28,6 +28,7 @@
 //! section of DESIGN.md). Each `infer_forward` computes a row band of a
 //! pass; a full pass is the band that covers every row.
 
+use crate::arena::BufArena;
 use crate::telemetry::{self, Value};
 use rotom_rng::{fnv1a64, fnv1a64_extend};
 use std::collections::HashMap;
@@ -38,25 +39,25 @@ use std::sync::Mutex;
 // Activation workspaces
 // ---------------------------------------------------------------------------
 
-/// Cap on floats retained inside one [`InferScratch`] free list (4M floats =
-/// 16 MiB): buffers beyond the cap are dropped on return instead of pooled.
+/// Cap on float capacity retained inside one [`InferScratch`] free list (4M
+/// floats = 16 MiB): buffers beyond the cap are dropped on return instead of
+/// pooled.
 const SCRATCH_CAP_FLOATS: usize = 4 << 20;
 
 /// Number of [`InferScratch`] instances the global pool retains.
 const MAX_POOLED_SCRATCH: usize = 8;
 
-/// Exact-length free-list of activation buffers for forward-only passes.
+/// Free list of activation buffers for forward-only passes.
 ///
 /// `take(len)` hands out a buffer of exactly `len` elements with
 /// **unspecified contents** — every inference kernel fully overwrites its
 /// output, so no clearing pass is paid. `put` returns a buffer for reuse.
-/// Buffers are bucketed by exact length because transformer activations
-/// recur in a handful of shapes per model; a steady-state scoring loop hits
-/// the free list for every buffer.
+/// Buffers live in the same size-classed pool as the tape arena, so a
+/// steady-state scoring loop hits the free list for every buffer even as
+/// sequence lengths vary.
 #[derive(Default)]
 pub struct InferScratch {
-    free: HashMap<usize, Vec<Vec<f32>>>,
-    retained: usize,
+    pool: BufArena<SCRATCH_CAP_FLOATS>,
 }
 
 impl InferScratch {
@@ -68,30 +69,18 @@ impl InferScratch {
     /// Take a buffer of exactly `len` elements. Contents are unspecified
     /// (previous activations); the caller must fully overwrite them.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        if let Some(bucket) = self.free.get_mut(&len) {
-            if let Some(v) = bucket.pop() {
-                self.retained -= len;
-                debug_assert_eq!(v.len(), len);
-                return v;
-            }
-        }
-        vec![0.0; len]
+        self.pool.take_dirty(len)
     }
 
-    /// Return a buffer to the free list (dropped once the retained-float cap
-    /// is reached).
+    /// Return a buffer to the free list (dropped once the retained-capacity
+    /// cap is reached).
     pub fn put(&mut self, v: Vec<f32>) {
-        let len = v.len();
-        if len == 0 || self.retained + len > SCRATCH_CAP_FLOATS {
-            return;
-        }
-        self.retained += len;
-        self.free.entry(len).or_default().push(v);
+        self.pool.put(v);
     }
 
-    /// Floats currently held on the free list (diagnostics).
+    /// Float capacity currently held on the free list (diagnostics).
     pub fn retained_floats(&self) -> usize {
-        self.retained
+        self.pool.retained()
     }
 }
 
@@ -423,7 +412,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scratch_recycles_exact_lengths() {
+    fn scratch_recycles_buffers() {
         let mut s = InferScratch::new();
         let mut a = s.take(16);
         a[0] = 42.0;
@@ -433,9 +422,10 @@ mod tests {
         let b = s.take(16);
         assert_eq!(b.as_ptr(), ptr, "same buffer handed back");
         assert_eq!(s.retained_floats(), 0);
-        // A different length misses the bucket.
-        let c = s.take(8);
-        assert_eq!(c.len(), 8);
+        // A nearby length in the same size class reuses the buffer too.
+        s.put(b);
+        let c = s.take(15);
+        assert_eq!((c.len(), c.as_ptr()), (15, ptr));
     }
 
     #[test]

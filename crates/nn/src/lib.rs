@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 pub mod checkpoint;
 pub mod env;
 pub mod faultpoint;
