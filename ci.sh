@@ -109,9 +109,14 @@ done
 # Tape reuse: a pooled tape replaying encoder graphs of cycling token counts
 # must match a fresh tape bit for bit. Pool workers take pooled tapes, so
 # each worker count reuses arenas differently (one process per count).
+# The [CLS] band: training's encode_cls runs the last layer on at most MR
+# rows and must match the full-rows forward bit for bit (values, loss,
+# every gradient, RNG state); its wide shape takes the parallel GEMM path
+# only at 8 workers.
 for t in 1 8; do
-    echo "== varying-length tape reuse (ROTOM_THREADS=$t)"
+    echo "== varying-length tape reuse + [CLS] band vs full rows (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test tape_reuse
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test cls_band
 done
 
 # Tape-free scoring and decode throughput must stay at least 0.8x the

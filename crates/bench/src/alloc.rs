@@ -17,16 +17,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `System` allocator with byte counters (see the module doc).
 pub struct CountingAlloc;
 
+/// The three counters on one cache line of their own. As separate statics
+/// their placement followed the size of whatever was linked before them,
+/// and a pair that straddled two lines slowed every allocation of an
+/// unrelated workload.
+#[repr(align(64))]
+struct Counters {
+    total: AtomicU64,
+    live: AtomicU64,
+    peak: AtomicU64,
+}
+
 // The counters are statistics that publish no other data: `Relaxed`.
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
+static COUNTERS: Counters = Counters {
+    total: AtomicU64::new(0),
+    live: AtomicU64::new(0),
+    peak: AtomicU64::new(0),
+};
 
 fn grow(bytes: usize) {
     let bytes = bytes as u64;
-    TOTAL.fetch_add(bytes, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    COUNTERS.total.fetch_add(bytes, Ordering::Relaxed);
+    let live = COUNTERS.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    COUNTERS.peak.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -38,14 +51,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        COUNTERS
+            .live
+            .fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
             grow(new_size - layout.size());
         } else {
-            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
+            COUNTERS
+                .live
+                .fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -54,10 +71,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Bytes handed out so far: every allocation plus the grown portion of
 /// every reallocation, across all threads.
 pub fn total_bytes() -> u64 {
-    TOTAL.load(Ordering::Relaxed)
+    COUNTERS.total.load(Ordering::Relaxed)
 }
 
 /// High-water mark of live bytes.
 pub fn peak_bytes() -> u64 {
-    PEAK.load(Ordering::Relaxed)
+    COUNTERS.peak.load(Ordering::Relaxed)
 }

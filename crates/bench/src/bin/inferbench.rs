@@ -63,7 +63,10 @@ fn run_child() -> Row {
     let passes = if quick { 3 } else { 9 };
 
     // Tape baseline: the pre-inference-plane scoring path, fanned out over
-    // the same pool `score_batch` uses.
+    // the same pool `score_batch` uses. `predict_proba_tape` runs the
+    // full-rows tape forward, not training's [CLS] band: the ratio measures
+    // the inference plane against the tape's full pass. A tape twin that ran
+    // the band too would shrink the ratio with no change to the plane.
     let tape_s = time_best(passes, || {
         std::hint::black_box(pool.map(batch.len(), |i| model.predict_proba_tape(&batch[i])));
     });

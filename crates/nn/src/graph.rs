@@ -38,6 +38,21 @@
 //! All of this is bit-transparent: dispatch thresholds and accumulation
 //! orders are unchanged, so results are identical to the allocating paths.
 //!
+//! # Row bands
+//!
+//! A classifier loss reads only the \[CLS\] row of the last encoder layer,
+//! so [`TransformerEncoder::encode_cls_with`](crate::TransformerEncoder::encode_cls_with)
+//! builds that layer on the `kernels::band_rows(t, 0)` band (at most
+//! [`kernels::MR`] rows) instead of all `t` rows, as the inference plane
+//! does. [`Tape::matmul_band`] and [`Tape::matmul_tb_band`] take the leading
+//! row band of a `full_m`-row operand and record `full_m` on the node: the
+//! forward GEMM and both backward contractions (`dA`, and `dW = Aᵀ·dC`
+//! through [`kernels::matmul_transpose_a_into`]) dispatch on it, so every
+//! GEMM rounds as it would in the full-rows graph, where the rows outside
+//! the band carry only zero gradients. The band's values, the gradients and
+//! the dropout RNG stream are therefore bit-identical to the full pass, and
+//! a full pass is the all-rows band of the same layer code.
+//!
 //! The op set is deliberately small — exactly what a Transformer
 //! encoder/decoder, the Rotom filtering/weighting models, and the baseline
 //! RNNs need. The Transformer ops (matmuls, `add`, `scale`, softmax, layer
@@ -82,10 +97,20 @@ enum Op {
         table: ParamId,
         indices: Vec<usize>,
     },
-    /// `a (m x k) * b (k x n)`.
-    Matmul(NodeId, NodeId),
-    /// `a (m x k) * b^T (n x k)`.
-    MatmulTb(NodeId, NodeId),
+    /// `a (m x k) * b (k x n)`, where `a` holds the leading `m` rows of a
+    /// `full_m`-row operand (`m == full_m` for a full product); GEMMs
+    /// dispatch on `full_m`, forward and backward.
+    Matmul {
+        a: NodeId,
+        b: NodeId,
+        full_m: usize,
+    },
+    /// `a (m x k) * b^T (n x k)`, with `Matmul`'s `full_m` rule.
+    MatmulTb {
+        a: NodeId,
+        b: NodeId,
+        full_m: usize,
+    },
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
@@ -369,9 +394,23 @@ impl Tape {
     /// dispatches to the tiled path, runs on the generation's cached panels
     /// (bit-identical to packing on the fly).
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let full_m = self.shape(a).0;
+        self.matmul_band(a, b, full_m)
+    }
+
+    /// [`matmul`](Self::matmul) where `a` holds the leading row band of a
+    /// `full_m`-row operand: every GEMM of the node, forward and backward,
+    /// dispatches on `full_m`, so the band's rows (and, when the other rows
+    /// get no gradient, the weight gradient) are bit-identical to the
+    /// full-rows product's.
+    pub fn matmul_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
         let (m, k) = self.shape(a);
         let (k2, n) = self.shape(b);
         assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
+        assert!(
+            m <= full_m,
+            "band of {m} rows exceeds its {full_m} full rows"
+        );
         let mut out = self.arena.take_dirty(m * n);
         {
             let av = self.nodes[a.0].value.data();
@@ -379,29 +418,40 @@ impl Tape {
             let bv = bn.value.data();
             let pool = RotomPool::global();
             let pk = match &bn.op {
-                Op::Param { packs, .. } if m * k * n >= kernels::SMALL_FLOPS => {
+                Op::Param { packs, .. } if full_m * k * n >= kernels::SMALL_FLOPS => {
                     packs.direct(&bn.value)
                 }
                 _ => None,
             };
-            kernels::matmul_into(av, bv, pk, m, m, k, n, pool, &mut out);
+            kernels::matmul_into(av, bv, pk, full_m, m, k, n, pool, &mut out);
         }
-        self.push(Op::Matmul(a, b), Tensor::from_vec(out, m, n))
+        self.push(Op::Matmul { a, b, full_m }, Tensor::from_vec(out, m, n))
     }
 
     /// `a * b^T` without materializing the transpose.
     pub fn matmul_tb(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let full_m = self.shape(a).0;
+        self.matmul_tb_band(a, b, full_m)
+    }
+
+    /// [`matmul_tb`](Self::matmul_tb) with [`matmul_band`](Self::matmul_band)'s
+    /// `full_m` rule.
+    pub fn matmul_tb_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
         let (m, k) = self.shape(a);
         let (n, k2) = self.shape(b);
         assert_eq!(k, k2, "matmul_tb shape mismatch: {m}x{k} * ({n}x{k2})^T");
+        assert!(
+            m <= full_m,
+            "band of {m} rows exceeds its {full_m} full rows"
+        );
         let mut out = self.arena.take_dirty(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let bv = self.nodes[b.0].value.data();
             let pool = RotomPool::global();
-            kernels::matmul_transpose_b_into(av, bv, None, m, m, k, n, pool, &mut out);
+            kernels::matmul_transpose_b_into(av, bv, None, full_m, m, k, n, pool, &mut out);
         }
-        self.push(Op::MatmulTb(a, b), Tensor::from_vec(out, m, n))
+        self.push(Op::MatmulTb { a, b, full_m }, Tensor::from_vec(out, m, n))
     }
 
     /// Elementwise `a + b`.
@@ -591,7 +641,7 @@ impl Tape {
 
     /// Inverted dropout with keep-probability `1 - p`. `mask_bits` must have
     /// one Bernoulli(1-p) draw per element; pass `None` to disable (eval).
-    pub fn dropout(&mut self, x: NodeId, p: f32, mask_bits: Option<Vec<bool>>) -> NodeId {
+    pub fn dropout(&mut self, x: NodeId, p: f32, mask_bits: Option<&[bool]>) -> NodeId {
         match mask_bits {
             None => x,
             Some(bits) => {
@@ -599,7 +649,7 @@ impl Tape {
                 assert_eq!(bits.len(), m * n, "dropout mask length mismatch");
                 let keep = 1.0 - p;
                 let mut mask = self.arena.take_dirty(m * n);
-                for (o, &b) in mask.iter_mut().zip(&bits) {
+                for (o, &b) in mask.iter_mut().zip(bits) {
                     *o = if b { 1.0 / keep } else { 0.0 };
                 }
                 let mut data = self.arena.take_dirty(m * n);
@@ -861,10 +911,11 @@ impl Tape {
                     }
                 }
             }
-            Op::Matmul(a, b) => {
+            Op::Matmul { a, b, full_m } => {
                 // dA = dC * B^T ; dB = A^T * dC — both transpose-free, and
                 // dA runs on the prepacked transposed panels when B is a
-                // parameter.
+                // parameter. Both dispatch on the full row count.
+                let full_m = *full_m;
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
                 let mut da = self.arena.take_dirty(m * k);
@@ -875,20 +926,21 @@ impl Tape {
                     let bv = bn.value.data();
                     let pool = RotomPool::global();
                     let pt = match &bn.op {
-                        Op::Param { packs, .. } if m * n * k >= kernels::SMALL_FLOPS => {
+                        Op::Param { packs, .. } if full_m * n * k >= kernels::SMALL_FLOPS => {
                             packs.transposed(&bn.value)
                         }
                         _ => None,
                     };
                     let g = grad.data();
-                    kernels::matmul_transpose_b_into(g, bv, pt, m, m, n, k, pool, &mut da);
-                    kernels::matmul_transpose_a_into(av, g, m, k, n, pool, &mut db);
+                    kernels::matmul_transpose_b_into(g, bv, pt, full_m, m, n, k, pool, &mut da);
+                    kernels::matmul_transpose_a_into(av, g, full_m, m, k, n, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, k, n));
             }
-            Op::MatmulTb(a, b) => {
+            Op::MatmulTb { a, b, full_m } => {
                 // C = A * B^T ; dA = dC * B ; dB = dC^T * A
+                let full_m = *full_m;
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
                 let mut da = self.arena.take_dirty(m * k);
@@ -899,14 +951,14 @@ impl Tape {
                     let bv = bn.value.data();
                     let pool = RotomPool::global();
                     let pk = match &bn.op {
-                        Op::Param { packs, .. } if m * n * k >= kernels::SMALL_FLOPS => {
+                        Op::Param { packs, .. } if full_m * n * k >= kernels::SMALL_FLOPS => {
                             packs.direct(&bn.value)
                         }
                         _ => None,
                     };
                     let g = grad.data();
-                    kernels::matmul_into(g, bv, pk, m, m, n, k, pool, &mut da);
-                    kernels::matmul_transpose_a_into(g, av, m, n, k, pool, &mut db);
+                    kernels::matmul_into(g, bv, pk, full_m, m, n, k, pool, &mut da);
+                    kernels::matmul_transpose_a_into(g, av, full_m, m, n, k, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, n, k));
@@ -1610,7 +1662,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(vec![2.0, 4.0], 1, 2));
-        let y = tape.dropout(x, 0.5, Some(vec![true, false]));
+        let y = tape.dropout(x, 0.5, Some(&[true, false]));
         assert_eq!(tape.value(y).data(), &[4.0, 0.0]);
         let loss = tape.sum_all(y);
         tape.backward(loss, &mut store);

@@ -26,6 +26,12 @@
 //! the full product, and a full pass is simply the band that covers every
 //! row (`m == full_m`).
 //!
+//! [`matmul_transpose_a_into`] takes `full_m` too. There the band's rows
+//! are the contraction's: the backward of a band GEMM contracts only the
+//! band's rows of `dY`, where the full-rows graph also added rows of zeros.
+//! Dispatching on `full_m` keeps the tier, and so the rounding, of the full
+//! contraction, and a zero row adds only `x·0` terms.
+//!
 //! The forward kernels ([`softmax_fwd`], [`layernorm_fwd`], [`gelu_fwd`],
 //! [`add_fwd`], [`scale_fwd`]) compute the tape ops' values too, so the tape
 //! and the inference plane share one copy of every formula.
@@ -1398,27 +1404,37 @@ pub fn matmul_transpose_b_into(
 }
 
 /// `C = Aᵀ·G` into a caller buffer (`A`: `m×k`, `G`: `m×n`, `out`: `k×n`,
-/// fully overwritten).
+/// fully overwritten), where the `m` rows are the leading band of a
+/// `full_m`-row contraction whose other rows of `G` are zero. A full pass
+/// passes `m == full_m`.
 ///
 /// This is the weight-gradient contraction (`dW = Xᵀ·dY`) in every matmul
-/// backward. Large shapes transpose `A` in `TA_CHUNK`-row slices into
-/// thread-local scratch *inside* each worker's row range (the former global
-/// `O(m·k)` transpose allocation is gone and the copy parallelizes with the
-/// compute); accumulation runs over `m` in increasing order on every path.
+/// backward; a tape graph that computes only a row band of a layer passes
+/// the layer's full row count. Naive-vs-tiled dispatch is decided on
+/// `full_m·k·n`, so the band rounds like the full contraction: the rows it
+/// leaves out would only add `x·0` terms. Large shapes transpose `A` in
+/// `TA_CHUNK`-row slices into thread-local scratch *inside* each worker's
+/// row range (the former global `O(m·k)` transpose allocation is gone and
+/// the copy parallelizes with the compute); accumulation runs over `m` in
+/// increasing order on every path, and the fan-out splits output rows, so
+/// it never changes values.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_transpose_a_into(
     a: &[f32],
     g: &[f32],
+    full_m: usize,
     m: usize,
     k: usize,
     n: usize,
     pool: &RotomPool,
     out: &mut [f32],
 ) {
+    debug_assert!(m <= full_m);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(g.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
     let flops = m * k * n;
-    if flops < SMALL_FLOPS {
+    if full_m * k * n < SMALL_FLOPS {
         profile::bump(&profile::NAIVE);
         // Direct q-i-j form: out[q][j] += a[i][q] * g[i][j], i increasing.
         #[cfg(target_arch = "x86_64")]
@@ -2529,7 +2545,7 @@ mod tests {
     /// `Aᵀ·G` (`(m×k)ᵀ · m×n`) into a fresh buffer.
     fn mm_ta(a: &[f32], g: &[f32], m: usize, k: usize, n: usize, pool: &RotomPool) -> Vec<f32> {
         let mut out = vec![0.0f32; k * n];
-        matmul_transpose_a_into(a, g, m, k, n, pool, &mut out);
+        matmul_transpose_a_into(a, g, m, m, k, n, pool, &mut out);
         out
     }
 

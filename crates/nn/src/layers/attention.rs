@@ -53,9 +53,28 @@ impl MultiHeadAttention {
         mask: Option<&AttnMask>,
         store: &ParamStore,
     ) -> NodeId {
+        let full_tq = tape.value(q_in).rows();
+        self.forward_band(tape, q_in, full_tq, kv_in, mask, store)
+    }
+
+    /// Attend `q_in`, the leading row band of a `full_tq`-row query input,
+    /// to all of `kv_in`. Every GEMM on a band operand (the Q and output
+    /// projections, each head's scores and context) dispatches on
+    /// `full_tq`, so the band's rows are bit-identical to the same rows of
+    /// [`forward`](Self::forward), which is the all-rows band. `mask`, if
+    /// given, holds the band's rows of the additive mask.
+    pub fn forward_band(
+        &self,
+        tape: &mut Tape,
+        q_in: NodeId,
+        full_tq: usize,
+        kv_in: NodeId,
+        mask: Option<&AttnMask>,
+        store: &ParamStore,
+    ) -> NodeId {
         let dk = self.d_model / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
-        let q = self.wq.forward(tape, q_in, store);
+        let q = self.wq.forward_band(tape, q_in, full_tq, store);
         let k = self.wk.forward(tape, kv_in, store);
         let v = self.wv.forward(tape, kv_in, store);
         let mut head_outputs = Vec::with_capacity(self.heads);
@@ -63,13 +82,13 @@ impl MultiHeadAttention {
             let qs = tape.slice_cols(q, h * dk, dk);
             let ks = tape.slice_cols(k, h * dk, dk);
             let vs = tape.slice_cols(v, h * dk, dk);
-            let scores = tape.matmul_tb(qs, ks);
+            let scores = tape.matmul_tb_band(qs, ks, full_tq);
             let scores = tape.scale(scores, scale);
             let attn = tape.masked_softmax(scores, mask);
-            head_outputs.push(tape.matmul(attn, vs));
+            head_outputs.push(tape.matmul_band(attn, vs, full_tq));
         }
         let concat = tape.concat_cols(&head_outputs);
-        self.wo.forward(tape, concat, store)
+        self.wo.forward_band(tape, concat, full_tq, store)
     }
 
     /// Model width (for sizing inference workspaces).

@@ -68,8 +68,23 @@ impl Linear {
 
     /// Apply the layer to an `m x in_dim` node.
     pub fn forward(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
+        let full_rows = tape.value(x).rows();
+        self.forward_band(tape, x, full_rows, store)
+    }
+
+    /// Apply the layer to `x`, the leading row band of a `full_rows`-row
+    /// input: the GEMM dispatches on `full_rows` (see [`Tape::matmul_band`]),
+    /// so the band's rows are bit-identical to the same rows of
+    /// [`forward`](Self::forward), which is the all-rows band.
+    pub fn forward_band(
+        &self,
+        tape: &mut Tape,
+        x: NodeId,
+        full_rows: usize,
+        store: &ParamStore,
+    ) -> NodeId {
         let w = tape.param(self.w, store);
-        let y = tape.matmul(x, w);
+        let y = tape.matmul_band(x, w, full_rows);
         match self.b {
             Some(b) => {
                 let bn = tape.param(b, store);

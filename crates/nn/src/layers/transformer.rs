@@ -88,9 +88,24 @@ impl FeedForward {
 
     /// Apply the block.
     pub fn forward(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
-        let h = self.l1.forward(tape, x, store);
+        let full_rows = tape.value(x).rows();
+        self.forward_band(tape, x, full_rows, store)
+    }
+
+    /// Apply the block to `x`, the leading row band of a `full_rows`-row
+    /// input. Both GEMMs dispatch on `full_rows`, so the band's rows are
+    /// bit-identical to the same rows of [`forward`](Self::forward), which
+    /// is the all-rows band.
+    pub fn forward_band(
+        &self,
+        tape: &mut Tape,
+        x: NodeId,
+        full_rows: usize,
+        store: &ParamStore,
+    ) -> NodeId {
+        let h = self.l1.forward_band(tape, x, full_rows, store);
         let h = tape.gelu(h);
-        self.l2.forward(tape, h, store)
+        self.l2.forward_band(tape, h, full_rows, store)
     }
 
     /// Forward-only application to a `rows`-row band of a `full_rows`-row
@@ -150,13 +165,46 @@ impl EncoderLayer {
 
     /// Apply the layer to a `T x d` node.
     pub fn forward(&self, tape: &mut Tape, x: NodeId, ctx: &mut FwdCtx<'_>) -> NodeId {
+        let t = tape.value(x).rows();
+        self.forward_band(tape, x, t, ctx)
+    }
+
+    /// Apply the layer to the full `t × d` node `x`, computing only output
+    /// rows `0..rows` (a [`kernels::band_rows`] band, or `t` for
+    /// [`forward`](Self::forward)). The first layer norm and the K/V
+    /// projections cover all `t` rows, because every query row attends to
+    /// every key; the Q projection, attention, output projection, both
+    /// residuals, the second norm, the feed-forward block and both dropouts
+    /// run on the band. Every GEMM on a band operand dispatches on `t`, and
+    /// each dropout draws its full `t × d` mask and applies the band's rows,
+    /// so the band's values, the gradients of a loss that reads only those
+    /// rows, and the RNG stream are bit-identical to the full pass.
+    pub fn forward_band(
+        &self,
+        tape: &mut Tape,
+        x: NodeId,
+        rows: usize,
+        ctx: &mut FwdCtx<'_>,
+    ) -> NodeId {
+        let t = tape.value(x).rows();
+        let band = |tape: &mut Tape, node| {
+            if rows == t {
+                node
+            } else {
+                tape.slice_rows(node, 0, rows)
+            }
+        };
         let n1 = self.ln1.forward(tape, x, ctx.store);
-        let a = self.attn.forward(tape, n1, n1, None, ctx.store);
-        let a = apply_dropout(tape, a, ctx);
-        let x = tape.add(x, a);
+        // The query band is cut before the K/V projections, so backward
+        // sums `n1`'s gradient in the full pass's order: V, K, then Q.
+        let q_in = band(tape, n1);
+        let a = self.attn.forward_band(tape, q_in, t, n1, None, ctx.store);
+        let a = apply_dropout(tape, a, t, ctx);
+        let xb = band(tape, x);
+        let x = tape.add(xb, a);
         let n2 = self.ln2.forward(tape, x, ctx.store);
-        let f = self.ff.forward(tape, n2, ctx.store);
-        let f = apply_dropout(tape, f, ctx);
+        let f = self.ff.forward_band(tape, n2, t, ctx.store);
+        let f = apply_dropout(tape, f, t, ctx);
         tape.add(x, f)
     }
 
@@ -266,19 +314,20 @@ impl DecoderLayer {
         self_mask: &AttnMask,
         ctx: &mut FwdCtx<'_>,
     ) -> NodeId {
+        let t = tape.value(x).rows();
         let n1 = self.ln1.forward(tape, x, ctx.store);
         let a = self
             .self_attn
             .forward(tape, n1, n1, Some(self_mask), ctx.store);
-        let a = apply_dropout(tape, a, ctx);
+        let a = apply_dropout(tape, a, t, ctx);
         let x = tape.add(x, a);
         let n2 = self.ln2.forward(tape, x, ctx.store);
         let c = self.cross_attn.forward(tape, n2, memory, None, ctx.store);
-        let c = apply_dropout(tape, c, ctx);
+        let c = apply_dropout(tape, c, t, ctx);
         let x = tape.add(x, c);
         let n3 = self.ln3.forward(tape, x, ctx.store);
         let f = self.ff.forward(tape, n3, ctx.store);
-        let f = apply_dropout(tape, f, ctx);
+        let f = apply_dropout(tape, f, t, ctx);
         tape.add(x, f)
     }
 
@@ -347,10 +396,13 @@ impl DecoderLayer {
     }
 }
 
-fn apply_dropout(tape: &mut Tape, x: NodeId, ctx: &mut FwdCtx<'_>) -> NodeId {
+/// Dropout on `x`, the leading row band of a `full_rows`-row activation.
+/// The mask is drawn for all `full_rows` rows, so a band consumes the RNG
+/// stream exactly as the full pass does, and its rows get the same bits.
+fn apply_dropout(tape: &mut Tape, x: NodeId, full_rows: usize, ctx: &mut FwdCtx<'_>) -> NodeId {
     let n = tape.value(x).len();
-    let mask = ctx.dropout_mask(n);
-    tape.dropout(x, ctx.dropout, mask)
+    let mask = ctx.dropout_mask(full_rows * tape.value(x).cols());
+    tape.dropout(x, ctx.dropout, mask.as_deref().map(|bits| &bits[..n]))
 }
 
 /// Token + positional embedding followed by a stack of encoder layers and a
@@ -407,6 +459,22 @@ impl TransformerEncoder {
         extras: &[(&Embedding, &[usize])],
         ctx: &mut FwdCtx<'_>,
     ) -> NodeId {
+        self.forward_band(tape, ids, extras, |t| t, ctx)
+    }
+
+    /// Embed `ids` and run the stack on the tape, computing only output rows
+    /// `0..band(t)` of the last layer and the final norm (`t` is the
+    /// truncated length); [`forward_with`](Self::forward_with) is the
+    /// all-rows band `band(t) == t`. A stack without layers computes every
+    /// row, which the \[CLS\] slice then reads the same way.
+    fn forward_band(
+        &self,
+        tape: &mut Tape,
+        ids: &[usize],
+        extras: &[(&Embedding, &[usize])],
+        band: impl FnOnce(usize) -> usize,
+        ctx: &mut FwdCtx<'_>,
+    ) -> NodeId {
         let t = ids.len().min(self.cfg.max_len);
         let ids = &ids[..t];
         let positions: Vec<usize> = (0..t).collect();
@@ -418,20 +486,33 @@ impl TransformerEncoder {
             let fe = table.forward(tape, ctx.store, &feats[..t]);
             x = tape.add(x, fe);
         }
-        x = apply_dropout(tape, x, ctx);
-        for layer in &self.layers {
-            x = layer.forward(tape, x, ctx);
+        x = apply_dropout(tape, x, t, ctx);
+        let rows = band(t);
+        let last = self.layers.len().saturating_sub(1);
+        for (i, layer) in self.layers.iter().enumerate() {
+            x = layer.forward_band(tape, x, if i == last { rows } else { t }, ctx);
         }
         self.ln_f.forward(tape, x, ctx.store)
     }
 
     /// Encode and return the first-token (\[CLS\]) representation as `1 x d`.
+    ///
+    /// Only the \[CLS\] band of the last layer is computed (see
+    /// [`encode_cls_with`](Self::encode_cls_with)).
     pub fn encode_cls(&self, tape: &mut Tape, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
-        let h = self.forward(tape, ids, ctx);
-        tape.slice_rows(h, 0, 1)
+        self.encode_cls_with(tape, ids, &[], ctx)
     }
 
     /// [`encode_cls`](Self::encode_cls) with extra input features.
+    ///
+    /// The last encoder layer and the final norm run only on the
+    /// `kernels::band_rows(t, 0)` band (at most [`kernels::MR`] rows), as
+    /// [`infer_encode_cls_with`](Self::infer_encode_cls_with) does on the
+    /// inference plane; every earlier layer runs all `t` rows, because its
+    /// output feeds every position of the next attention. The \[CLS\] row,
+    /// every gradient backward computes from it, and the dropout RNG stream
+    /// are bit-identical to `slice_rows(forward_with(..), 0, 1)`: see
+    /// [`EncoderLayer::forward_band`].
     pub fn encode_cls_with(
         &self,
         tape: &mut Tape,
@@ -439,7 +520,8 @@ impl TransformerEncoder {
         extras: &[(&Embedding, &[usize])],
         ctx: &mut FwdCtx<'_>,
     ) -> NodeId {
-        let h = self.forward_with(tape, ids, extras, ctx);
+        let band = |t| kernels::band_rows(t, 0).1;
+        let h = self.forward_band(tape, ids, extras, band, ctx);
         tape.slice_rows(h, 0, 1)
     }
 
@@ -595,7 +677,7 @@ impl TransformerDecoder {
         let te = self.tok.forward(tape, ctx.store, ids);
         let pe = self.pos.forward(tape, ctx.store, &positions);
         let mut x = tape.add(te, pe);
-        x = apply_dropout(tape, x, ctx);
+        x = apply_dropout(tape, x, t, ctx);
         let mask = causal_mask(t, t);
         for layer in &self.layers {
             x = layer.forward(tape, x, memory, &mask, ctx);

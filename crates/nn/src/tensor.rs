@@ -194,7 +194,7 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; k * n];
         let pool = RotomPool::global();
-        kernels::matmul_transpose_a_into(&self.data, &other.data, m, k, n, pool, &mut out);
+        kernels::matmul_transpose_a_into(&self.data, &other.data, m, m, k, n, pool, &mut out);
         Tensor::from_vec(out, k, n)
     }
 

@@ -9,7 +9,9 @@
 //! bug in tile-edge handling, panel packing, or the parallel row split
 //! cannot hide behind a lucky fixed shape. The same draws drive the band
 //! property: every [`band_rows`] band of a product must equal the same rows
-//! of the full call bit for bit.
+//! of the full call bit for bit, and a band's weight-gradient contraction
+//! `Aᵀ·G` must equal the full-rows contraction whose other rows of `G` are
+//! zero.
 
 use rotom_nn::kernels::{
     band_rows, matmul_bias_act_i8_into, matmul_bias_act_into, matmul_into, matmul_naive,
@@ -69,7 +71,7 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
         matmul_transpose_b_into(&a, &bt, None, m, m, k, n, &pool, &mut out);
         assert_close(&out, &abt, &format!("matmul_tb {m}x{k}x{n} workers={w}"));
         let mut out = vec![0.0f32; k * n];
-        matmul_transpose_a_into(&a, &g, m, k, n, &pool, &mut out);
+        matmul_transpose_a_into(&a, &g, m, m, k, n, &pool, &mut out);
         assert_close(&out, &atg, &format!("matmul_ta {m}x{k}x{n} workers={w}"));
     }
 }
@@ -191,6 +193,65 @@ fn every_band_matches_the_full_call_bitwise() {
     shapes.extend([(8, 16, 16), (33, 33, 33), (80, 65, 72)]);
     for (case, &(m, k, n)) in shapes.iter().enumerate() {
         check_band_shape(m, k, n, split_seed(0x5a63, case as u64));
+    }
+}
+
+/// `Aᵀ·G` over the leading `live` rows, dispatched on `full_m`, equals the
+/// full `full_m`-row contraction whose rows of `G` past `live` are zero, bit
+/// for bit, for every `live` in `1..=MR`. This is the backward of a tape
+/// GEMM on a row band: only the band's rows carry a gradient.
+fn check_transpose_a_band(full_m: usize, k: usize, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = random_matrix(&mut rng, full_m, k);
+    let g = random_matrix(&mut rng, full_m, n);
+    for live in 1..=MR.min(full_m) {
+        let mut g_full = vec![0.0f32; full_m * n];
+        g_full[..live * n].copy_from_slice(&g[..live * n]);
+        for w in [1, 8] {
+            let pool = RotomPool::new(w);
+            let mut want = vec![0.0f32; k * n];
+            matmul_transpose_a_into(&a, &g_full, full_m, full_m, k, n, &pool, &mut want);
+            let mut got = vec![f32::NAN; k * n];
+            let (a_band, g_band) = (&a[..live * k], &g[..live * n]);
+            matmul_transpose_a_into(a_band, g_band, full_m, live, k, n, &pool, &mut got);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "matmul_ta {full_m}x{k}x{n} band of {live} rows workers={w}"
+            );
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn transpose_a_band_matches_the_zero_padded_full_contraction_bitwise() {
+    // Full contractions on both sides of SMALL_FLOPS and PAR_MIN_FLOPS (a
+    // band of at most MR rows is always below both), the encoder's
+    // weight-gradient shapes at the benchmark's d_model 32 (projections,
+    // FFN, per-head scores and context), and the random edge draws.
+    let mut shapes = vec![
+        (8, 16, 16),
+        (31, 33, 32),
+        (32, 33, 32),
+        (63, 64, 65),
+        (64, 64, 65),
+        (80, 65, 72),
+        (72, 32, 32),
+        (39, 32, 64),
+        (39, 64, 32),
+        (72, 72, 8),
+        (20, 20, 8),
+    ];
+    let flops = |i: usize| shapes[i].0 * shapes[i].1 * shapes[i].2;
+    assert!(flops(1) < SMALL_FLOPS && flops(2) >= SMALL_FLOPS);
+    assert!(flops(3) < PAR_MIN_FLOPS && flops(4) >= PAR_MIN_FLOPS);
+    shapes.extend(edge_shapes().into_iter().filter(|&(m, _, _)| m > 0));
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        check_transpose_a_band(m, k, n, split_seed(0x5a64, case as u64));
     }
 }
 

@@ -5,7 +5,10 @@
 //! before writing it would change bits only on reuse. These tests replay
 //! encoder forward+backward graphs whose token counts cycle up and down
 //! through neighbouring size classes, on one pooled tape and across the
-//! worker pool's pooled tapes, and require every node value captured, the
+//! worker pool's pooled tapes. Each graph holds both a full-rows encoder
+//! pass and a \[CLS\]-band pass (`encode_cls`, whose last layer runs on at
+//! most four rows), so full-rows and band buffers share one arena. The
+//! tests require every node value captured, the
 //! loss, the leaf gradients and every parameter gradient to match a fresh
 //! tape bit for bit. The pool is sized once per process, so CI runs this
 //! file once per `ROTOM_THREADS` value.
@@ -56,6 +59,7 @@ fn model() -> Model {
 #[derive(Debug, PartialEq)]
 struct Bits {
     hidden: Vec<u32>,
+    cls: Vec<u32>,
     logits: Vec<u32>,
     loss: u32,
     input_grad: Vec<u32>,
@@ -67,26 +71,32 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One training-mode forward (dropout on) and backward over `len` tokens.
+/// One training-mode forward (dropout on) and backward over `len` tokens:
+/// the mean of the full-rows hidden states plus the \[CLS\] band of the
+/// same tokens reversed feed a linear head.
 fn run(tape: &mut Tape, len: usize, k: usize) -> Bits {
     let mut m = model();
     let ids: Vec<usize> = (0..len).map(|i| (i * 7 + k) % VOCAB).collect();
+    let rev: Vec<usize> = ids.iter().rev().copied().collect();
     let mut rng = StdRng::seed_from_u64(k as u64);
-    let (h, w, shift, logits, loss) = {
+    let (h, cls, w, shift, logits, loss) = {
         let mut ctx = FwdCtx::train(&m.store, 0.1, &mut rng);
         let h = m.enc.forward(tape, &ids, &mut ctx);
-        let pooled = tape.mean_rows(h);
+        let cls = m.enc.encode_cls(tape, &rev, &mut ctx);
+        let mean = tape.mean_rows(h);
+        let pooled = tape.add(mean, cls);
         let w = tape.param(m.head, &m.store);
         let logits = tape.matmul(pooled, w);
         let shift = tape.input(Tensor::from_vec(vec![0.1, -0.2, 0.3], 1, CLASSES));
         let logits = tape.add(logits, shift);
         let loss = tape.cross_entropy(logits, &[0.0, 1.0, 0.0]);
-        (h, w, shift, logits, loss)
+        (h, cls, w, shift, logits, loss)
     };
     m.store.zero_grad();
     tape.backward(loss, &mut m.store);
     Bits {
         hidden: bits(tape.value(h).data()),
+        cls: bits(tape.value(cls).data()),
         logits: bits(tape.value(logits).data()),
         loss: tape.value(loss).item().to_bits(),
         input_grad: bits(tape.grad(shift).data()),

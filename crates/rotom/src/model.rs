@@ -453,26 +453,50 @@ impl TinyLm {
         })
     }
 
+    /// The \[CLS\] node via the full-rows tape forward: the last encoder
+    /// layer runs over all `t` rows and the \[CLS\] row is sliced out
+    /// afterwards. Training's [`cls_node`](Self::cls_node) computes only the
+    /// \[CLS\] band; this is the forward that shares no band logic with it
+    /// or with the inference plane.
+    fn cls_node_full_rows(
+        &self,
+        tape: &mut Tape,
+        tokens: &[String],
+        ctx: &mut FwdCtx<'_>,
+    ) -> NodeId {
+        let (ids, segs, dups) = self.encode_input(tokens);
+        let extras: [(&Embedding, &[usize]); 2] = [(&self.seg_emb, &segs), (&self.dup_emb, &dups)];
+        let h = self.encoder.forward_with(tape, &ids, &extras, ctx);
+        tape.slice_rows(h, 0, 1)
+    }
+
     /// Class probabilities via the original tape-building forward. Kept for
     /// the inference-plane equivalence tests and benchmarks; regular callers
     /// should use [`predict_proba`](MetaTarget::predict_proba).
+    ///
+    /// It stays on the full-rows forward (every row of the last layer, then
+    /// the \[CLS\] slice) rather than training's \[CLS\] band. As the
+    /// equivalence oracle it must not share the band logic it checks, and
+    /// as the denominator of inferbench's `speedup_vs_tape` it measures the
+    /// tape plane's full forward, not a second copy of the band.
     pub fn predict_proba_tape(&self, tokens: &[String]) -> Vec<f32> {
         with_pooled_tape(|tape| {
             let mut ctx = FwdCtx::eval(&self.store);
-            let cls = self.cls_node(tape, tokens, &mut ctx);
+            let cls = self.cls_node_full_rows(tape, tokens, &mut ctx);
             let logits = self.head.forward(tape, cls, &self.store);
             rotom_nn::softmax_slice(tape.value(logits).row_slice(0))
         })
     }
 
     /// Per-example cross-entropy losses via the tape forward (equivalence
-    /// baseline for [`MetaTarget::per_example_losses`]).
+    /// baseline for [`MetaTarget::per_example_losses`]). Full-rows, for
+    /// the reason given at [`predict_proba_tape`](Self::predict_proba_tape).
     pub fn per_example_losses_tape(&self, items: &[WeightedItem]) -> Vec<f32> {
         RotomPool::global().map(items.len(), |i| {
             let item = &items[i];
             with_pooled_tape(|tape| {
                 let mut ctx = FwdCtx::eval(&self.store);
-                let cls = self.cls_node(tape, &item.tokens, &mut ctx);
+                let cls = self.cls_node_full_rows(tape, &item.tokens, &mut ctx);
                 let logits = self.head.forward(tape, cls, &self.store);
                 let ce = tape.cross_entropy(logits, &item.target);
                 tape.value(ce).item()

@@ -21,10 +21,12 @@
 //!   ROTOM_BLESS=1 cargo test --release --test alloc_budget
 //!
 //! and commit the file. Each run pins `ROTOM_THREADS=1` (the variable is
-//! read once per process) so the count is machine-independent, and the
-//! tests take turns: the allocator counts every thread. They share the
-//! process-global tape pool, so whichever runs second finds warmer arenas
-//! and reads up to ~10% lower; the headroom covers either order.
+//! read once per process) so the count is machine-independent. Both
+//! measurements share the process-global tape pool, so the second finds
+//! arenas the first warmed: run alone, the SST-2 figure used to read ~10%
+//! higher than after the MixDA test. The process therefore takes both
+//! measurements once, always in the same order, and each test checks its
+//! own line, so neither figure depends on test order or filtering.
 
 use rotom::config::ModelConfig;
 use rotom::TinyLm;
@@ -36,7 +38,7 @@ use rotom_meta::{MetaConfig, MetaTrainer};
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
 use rotom_text::example::AugExample;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 #[global_allocator]
 static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
@@ -52,7 +54,8 @@ fn blessing() -> bool {
     std::env::var("ROTOM_BLESS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// One measurement at a time: the allocator counts every thread.
+/// One test at a time: the allocator counts every thread, and blessing
+/// rewrites the shared budget file.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn budget_lines() -> Vec<(String, u64)> {
@@ -111,13 +114,22 @@ fn check_budget(key: &str, measured: f64) {
     );
 }
 
+/// `(bytes_per_step, mixda_bytes_per_step)`, measured once per process in
+/// that order (see the module doc).
+fn measurements() -> (f64, f64) {
+    static MEASURED: OnceLock<(f64, f64)> = OnceLock::new();
+    *MEASURED.get_or_init(|| {
+        // `ROTOM_THREADS` is read once at first pool use; pin it before any
+        // rotom code runs so the measurement is single-threaded everywhere.
+        std::env::set_var("ROTOM_THREADS", "1");
+        let meta = measure_bytes_per_step();
+        (meta, measure_mixda_bytes_per_step())
+    })
+}
+
 /// Run the trainbench workload (scaled down) and return bytes allocated per
 /// steady-state step.
 fn measure_bytes_per_step() -> f64 {
-    // `ROTOM_THREADS` is read once at first pool use; pin it before any
-    // rotom code runs so the measurement is single-threaded everywhere.
-    std::env::set_var("ROTOM_THREADS", "1");
-
     let data_cfg = TextClsConfig {
         train_pool: 32,
         test: 8,
@@ -164,8 +176,6 @@ type MixPair = (Vec<String>, Vec<String>, usize);
 /// (d_model 32, 4 heads, d_ff 64, 2 layers, max_len 72, batch 16); returns
 /// bytes allocated per steady-state step, optimizer included.
 fn measure_mixda_bytes_per_step() -> f64 {
-    std::env::set_var("ROTOM_THREADS", "1");
-
     let em_cfg = EmConfig {
         num_entities: 160,
         train_pairs: 400,
@@ -224,11 +234,11 @@ fn measure_mixda_bytes_per_step() -> f64 {
 #[test]
 fn steady_state_step_allocation_stays_under_budget() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    check_budget("bytes_per_step", measure_bytes_per_step());
+    check_budget("bytes_per_step", measurements().0);
 }
 
 #[test]
 fn mixda_step_allocation_stays_under_budget() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    check_budget("mixda_bytes_per_step", measure_mixda_bytes_per_step());
+    check_budget("mixda_bytes_per_step", measurements().1);
 }
