@@ -18,10 +18,11 @@ cargo test -q --offline --workspace
 echo "== cargo check --all-targets"
 cargo check --offline --workspace --all-targets
 
-# Clippy at its default levels: deny-by-default lints (correctness, e.g.
-# approx_constant) fail CI; warn-level lints are printed but not gated.
-echo "== cargo clippy --all-targets"
-cargo clippy --offline --workspace --all-targets
+# Clippy with warnings as errors: every lint at its default level gates.
+# A lint kept on purpose (a hot kernel loop left as written) carries an
+# `#[allow(clippy::..., reason = "...")]` at its site.
+echo "== cargo clippy --all-targets (-D warnings)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Rustdoc warnings are errors: an intra-doc link to a deleted or private
 # item fails here.
@@ -121,22 +122,9 @@ done
 
 # Tape-free scoring and decode throughput must stay at least 0.8x the
 # checked-in `current` and 0.9x the `baseline`; the tape-free speedup over
-# the tape path at least 2x; the quantized i8 tier at least 1.5x f32.
+# the tape path at least 2x.
 echo "== inferbench (writes BENCH_infer.json, gates scoring throughput)"
 cargo run --release --offline -p rotom-bench --bin inferbench -- --check
-
-# Quantized i8 inference tier gates: kernel-level round-trip and GEMM
-# relative-error property tests, then the accuracy-delta gate (a trained
-# model's task metrics must not move when scored on the i8 tier, and
-# switching back to f32 must be bit-exact). Both at worker counts 1 and 8 —
-# the quant GEMM fans out over the pool on MR-row boundaries like the f32
-# kernel, so each count exercises a different dispatch path.
-for t in 1 8; do
-    echo "== quant i8 property tests (ROTOM_THREADS=$t)"
-    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn quant
-    echo "== quant i8 accuracy-delta gate (ROTOM_THREADS=$t)"
-    ROTOM_THREADS=$t cargo test -q --release --offline --test quant_accuracy
-done
 
 # Serving plane gates. The HTTP/1.1 parser property suite (torn reads,
 # oversized heads, Content-Length abuse, pipelining, byte-level fuzz) and

@@ -108,11 +108,7 @@ fn value_positions(tokens: &[String]) -> Vec<usize> {
     let s = parse_structure(tokens);
     let mut out = Vec::new();
     for (a, b) in s.value_spans {
-        for i in a..b {
-            if !is_structural(&tokens[i]) {
-                out.push(i);
-            }
-        }
+        out.extend((a..b).filter(|&i| !is_structural(&tokens[i])));
     }
     out
 }

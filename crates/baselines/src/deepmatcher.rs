@@ -98,12 +98,14 @@ impl DeepMatcher {
                 gru: Gru::new(&mut store, &mut rng, "dm.gru", h, h),
             },
             DmEncoder::TinyLm => {
-                let mut mc = ModelConfig::default();
-                mc.d_model = h;
-                mc.heads = if h % 4 == 0 { 4 } else { 2 };
-                mc.d_ff = 2 * h;
-                mc.layers = 1;
-                mc.max_len = cfg.max_len;
+                let mc = ModelConfig {
+                    d_model: h,
+                    heads: if h.is_multiple_of(4) { 4 } else { 2 },
+                    d_ff: 2 * h,
+                    layers: 1,
+                    max_len: cfg.max_len,
+                    ..ModelConfig::default()
+                };
                 EncoderImpl::TinyLm(TransformerEncoder::new(
                     &mut store,
                     &mut rng,

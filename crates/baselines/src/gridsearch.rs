@@ -104,7 +104,7 @@ pub fn grid_search(
         );
         let val_metric = r.headline(task.kind);
         let label = ops.iter().map(|o| o.name()).collect::<Vec<_>>().join("+");
-        if best.as_ref().map_or(true, |(m, _, _)| val_metric > *m) {
+        if best.as_ref().is_none_or(|(m, _, _)| val_metric > *m) {
             best = Some((val_metric, r, label));
         }
     }

@@ -118,9 +118,7 @@ impl ColumnStats {
         let missing = MISSING_TOKENS.contains(&value.to_lowercase().as_str()) as u8 as f32;
         let ws_mismatch = {
             let has = value.contains(' ');
-            if self.whitespace_rate > 0.8 && !has {
-                1.0
-            } else if self.whitespace_rate < 0.2 && has {
+            if (self.whitespace_rate > 0.8 && !has) || (self.whitespace_rate < 0.2 && has) {
                 1.0
             } else {
                 0.0

@@ -8,9 +8,7 @@
 //! re-exec is needed). Four client threads issue keep-alive
 //! `POST /classify` requests as fast as the server answers them; per-request
 //! wall times give exact p50/p99 (sorted samples, not histogram buckets).
-//! Extra sections: `quant` compares f32 vs i8 serving on 40-token inputs
-//! (long enough that the i8 tier engages); `overload` drives 8 clients at a
-//! capacity-starved server.
+//! Extra section: `overload` drives 8 clients at a capacity-starved server.
 //!
 //! Gates (`--check`): req/sec at least 0.8x the checked-in `current`; p99 at
 //! most 3x it; every overload row sheds (`shed > 0`), accepts
@@ -22,9 +20,7 @@
 
 use rotom_bench::record::{Args, Bench, Ratio, Ref, Row, Rule, THREAD_COUNTS};
 use rotom_bench::Scale;
-use rotom_serve::{
-    demo_model, demo_model_config, Client, Endpoint, Server, ServerConfig, TaskPlane,
-};
+use rotom_serve::{Client, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,9 +41,9 @@ fn short_bodies() -> Vec<String> {
     .collect()
 }
 
-/// Heavier bodies for the quant on/off comparison: 8 inputs of 40 tokens
-/// per request, so each round trip is dominated by scoring rather than the
-/// batch window + HTTP overhead the short set measures.
+/// Heavier bodies for the overload row: 8 inputs of 40 tokens per request,
+/// so each round trip is dominated by scoring rather than the batch window
+/// + HTTP overhead the short set measures.
 fn long_bodies() -> Vec<String> {
     let words = [
         "a", "movie", "of", "rare", "depth", "and", "feeling", "that", "never", "loses",
@@ -66,60 +62,23 @@ fn long_bodies() -> Vec<String> {
         .collect()
 }
 
-fn bench_config(threads: usize, window: Duration) -> ServerConfig {
-    ServerConfig {
+/// Run one measured configuration: boot the server with a `threads`-wide
+/// scoring pool over the default demo model and the standard 1ms window,
+/// hammer it from `CLIENTS` keep-alive connections, and return throughput
+/// + exact latency quantiles. Shuts the server down.
+fn run_config(threads: usize, requests_per_client: usize) -> Row {
+    let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        window,
+        window: Duration::from_millis(1),
         max_batch: 32,
         score_threads: threads,
         score_cache: 0, // measure scoring, not memoization
         seed: 7,
         ..ServerConfig::default()
-    }
-}
-
-/// Run one measured configuration: boot the server with a `threads`-wide
-/// scoring pool over the default demo model and the standard 1ms window,
-/// hammer it from `CLIENTS` keep-alive connections, and return throughput
-/// + exact latency quantiles.
-fn run_config(threads: usize, requests_per_client: usize) -> Row {
-    let server = Server::start(bench_config(threads, Duration::from_millis(1)))
-        .expect("servebench: server boots");
-    measure(server, threads, requests_per_client, short_bodies())
-}
-
-/// Quant on/off configuration: an inference-scale classifier (d_model 128,
-/// matching `inferbench`) served via [`Server::start_with_planes`], with a
-/// 100µs window so the round trip is scoring-bound rather than
-/// window-bound. The stock demo model (d_model 32) sits right at the i8
-/// tier's size threshold, where quantize overhead cancels the GEMM win —
-/// this row measures the tier on a model shaped like what serving is for.
-fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> Row {
-    let mut model_cfg = demo_model_config();
-    model_cfg.d_model = 128;
-    model_cfg.heads = 8;
-    model_cfg.d_ff = 256;
-    let planes = Endpoint::ALL.map(|e| {
-        let (model, name) = demo_model(e.task_kind(), &model_cfg, 7);
-        let plane = TaskPlane::new(e, name, model);
-        if quant {
-            plane.set_quant_mode(rotom_nn::QuantMode::I8);
-        }
-        plane
-    });
-    let server = Server::start_with_planes(
-        bench_config(threads, Duration::from_micros(100)),
-        Arc::new(planes),
-    )
-    .expect("servebench: quant server boots");
-    measure(server, threads, requests_per_client, long_bodies())
-}
-
-/// Hammer a booted server from `CLIENTS` keep-alive connections and return
-/// throughput + exact latency quantiles. Shuts the server down.
-fn measure(server: Server, threads: usize, requests_per_client: usize, bodies: Vec<String>) -> Row {
+    })
+    .expect("servebench: server boots");
     let addr = server.local_addr();
-    let bodies: Arc<Vec<String>> = Arc::new(bodies);
+    let bodies: Arc<Vec<String>> = Arc::new(short_bodies());
 
     // Warmup: one request per client count so connection setup and first
     // forward passes stay out of the measured window.
@@ -275,32 +234,8 @@ fn main() {
     let args = Args::from_env(USAGE, &[]);
     let quick = Scale::from_env(Scale::Full) == Scale::Quick;
     let requests_per_client = if quick { 24 } else { 96 };
-    let get = |r: &Row, k: &str| r.get(k).unwrap_or_default();
 
     let current = THREAD_COUNTS.map(|t| run_config(t, requests_per_client));
-
-    // Quant on/off comparison: inference-scale model, 40-token inputs,
-    // scoring-bound window (see `run_quant_config`). Informational, not
-    // gated: the serving ratio is diluted by HTTP + batching overhead, so
-    // the hard speedup floor lives in `inferbench --check` where the GEMMs
-    // are measured directly.
-    let quant_rows: Vec<Row> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let f = run_quant_config(t, requests_per_client, false);
-            let q = run_quant_config(t, requests_per_client, true);
-            let (f_rps, q_rps) = (get(&f, "requests_per_sec"), get(&q, "requests_per_sec"));
-            Row::new()
-                .num("threads", t as f64, 0)
-                .num("f32_requests_per_sec", f_rps, 2)
-                .num("i8_requests_per_sec", q_rps, 2)
-                .num("i8_speedup", q_rps / f_rps, 3)
-                .num("f32_p50_latency_us", get(&f, "p50_latency_us"), 1)
-                .num("i8_p50_latency_us", get(&q, "p50_latency_us"), 1)
-                .num("f32_p99_latency_us", get(&f, "p99_latency_us"), 1)
-                .num("i8_p99_latency_us", get(&q, "p99_latency_us"), 1)
-        })
-        .collect();
 
     // Overload rows: offered load > capacity; gated on shape, not speed.
     let overload_rows = THREAD_COUNTS.map(|t| run_overload_config(t, requests_per_client));
@@ -311,7 +246,7 @@ fn main() {
             "rotom-serve POST /classify, 4 keep-alive clients, 1ms batch window, demo SST-2 model"
                 .into(),
         current: current.to_vec(),
-        extra: vec![("quant", quant_rows), ("overload", overload_rows.to_vec())],
+        extra: vec![("overload", overload_rows.to_vec())],
         trajectory: &[
             Ratio::of("throughput_ratio", "requests_per_sec", 3),
             Ratio::of("p99_ratio", "p99_latency_us", 3),

@@ -8,7 +8,7 @@
 //!   "workload": "<what was measured>",
 //!   "baseline": [<rows>],    the first run's `current`, kept verbatim after
 //!   "current": [<rows>],     this run
-//!   "<extra>": [<rows>],     bin-specific sections (serve's `quant`, ...)
+//!   "<extra>": [<rows>],     bin-specific sections (serve's `overload`, ...)
 //!   "trajectory": [<rows>]   current-vs-baseline ratios, one per current row
 //! }
 //! ```

@@ -162,10 +162,10 @@ impl EdtDataset {
         };
         let mut train_pool = Vec::new();
         let mut test = Vec::new();
-        for r in 0..self.rows.len() {
+        for (r, &held_out) in is_test.iter().enumerate() {
             for c in 0..self.columns.len() {
                 let ex = self.cell_example(r, c);
-                if is_test[r] {
+                if held_out {
                     test.push(ex);
                 } else {
                     train_pool.push(ex);

@@ -233,7 +233,7 @@ fn trec(class: usize, rng: &mut StdRng) -> String {
         1 => match rng.random_range(0..3u8) {
             0 => format!("what {thing} won the award last year"),
             1 => format!("which {} is used in {field}", pick(PRODUCT_TYPES, rng)),
-            _ => format!("what breed of dog is the largest"),
+            _ => "what breed of dog is the largest".to_string(),
         },
         // description
         2 => match rng.random_range(0..3u8) {
@@ -298,7 +298,7 @@ fn atis(class: usize, rng: &mut StdRng) -> String {
         1 => format!("what is the airfare from {a} to {b}"),
         2 => format!("what ground transportation is available in {a}"),
         3 => format!("which airlines fly from {a} to {b}"),
-        4 => format!("what does fare code q mean"),
+        4 => "what does fare code q mean".to_string(),
         5 => format!("what type of aircraft is used from {a} to {b}"),
         6 => format!("what time does the flight from {a} arrive"),
         7 => format!("how many flights does {airline} have from {a}"),

@@ -223,7 +223,7 @@ mod tests {
         let feat = FilterModel::features(&[1.0, 0.0], &[0.9, 0.1], &[0.2, 0.8]);
         let before = m.prob_keep(&feat);
         for _ in 0..20 {
-            m.reinforce_update(&[feat.clone()], 2.0);
+            m.reinforce_update(std::slice::from_ref(&feat), 2.0);
         }
         let after = m.prob_keep(&feat);
         assert!(after < before, "keep prob should fall: {before} -> {after}");

@@ -577,8 +577,8 @@ mod tests {
             let mut z = vec![0.0f32; self.k];
             for (i, &fi) in f.iter().enumerate() {
                 if fi != 0.0 {
-                    for c in 0..self.k {
-                        z[c] += fi * self.w[i * self.k + c];
+                    for (zc, &wc) in z.iter_mut().zip(&self.w[i * self.k..(i + 1) * self.k]) {
+                        *zc += fi * wc;
                     }
                 }
             }
@@ -605,16 +605,16 @@ mod tests {
             for it in items {
                 let f = self.feats(&it.tokens);
                 let p = rotom_nn::softmax_slice(&self.logits(&f));
-                for c in 0..self.k {
-                    if it.target[c] > 0.0 {
-                        loss -= it.weight * it.target[c] * p[c].max(1e-9).ln() / n;
+                for (&t, &pc) in it.target.iter().zip(&p) {
+                    if t > 0.0 {
+                        loss -= it.weight * t * pc.max(1e-9).ln() / n;
                     }
                 }
                 for (i, &fi) in f.iter().enumerate() {
                     if fi != 0.0 {
-                        for c in 0..self.k {
-                            self.grads[i * self.k + c] +=
-                                it.weight * fi * (p[c] - it.target[c]) / n;
+                        let row = &mut self.grads[i * self.k..(i + 1) * self.k];
+                        for ((g, &pc), &t) in row.iter_mut().zip(&p).zip(&it.target) {
+                            *g += it.weight * fi * (pc - t) / n;
                         }
                     }
                 }

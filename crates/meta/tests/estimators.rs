@@ -97,19 +97,22 @@ fn tiny_weight_model() -> (WeightModel, Vec<(Vec<String>, f32)>) {
     (wm, items)
 }
 
-fn darts_fixture() -> (Vec<f32>, Vec<(Vec<f32>, usize)>, Vec<(Vec<f32>, usize)>) {
+/// Labeled feature vectors: `(features, class)`.
+type Labeled = Vec<(Vec<f32>, usize)>;
+
+fn darts_fixture() -> (Vec<f32>, Labeled, Labeled) {
     let mut rng = StdRng::seed_from_u64(0xD1);
     let m0: Vec<f32> = (0..WORDS.len() * K)
         .map(|_| rng.random_range(-0.5f32..=0.5))
         .collect();
     // Train batch aligned with the four weight-model items above.
-    let train: Vec<(Vec<f32>, usize)> = vec![
+    let train: Labeled = vec![
         (feats(&tokenize("alpha beta")), 0),
         (feats(&tokenize("gamma delta gamma")), 1),
         (feats(&tokenize("epsilon zeta")), 0),
         (feats(&tokenize("beta delta zeta")), 1),
     ];
-    let val: Vec<(Vec<f32>, usize)> = vec![
+    let val: Labeled = vec![
         (feats(&tokenize("alpha alpha beta")), 0),
         (feats(&tokenize("gamma delta")), 1),
         (feats(&tokenize("epsilon epsilon")), 0),

@@ -282,7 +282,7 @@ impl StateBag {
             }
             body.push('\n');
         }
-        let _ = write!(body, "end {} {:016x}\n", body.len(), {
+        let _ = writeln!(body, "end {} {:016x}", body.len(), {
             fnv1a64(&body.as_bytes()[..body.len()])
         });
         body

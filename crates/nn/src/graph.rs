@@ -65,6 +65,8 @@ use crate::kernels;
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
 use crate::tensor::Tensor;
+use rotom_rng::rngs::StdRng;
+use rotom_rng::RngExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -239,29 +241,25 @@ impl Tape {
                 self.arena.put(g.into_vec());
             }
             match op {
-                Op::Embedding { mut indices, .. } => {
-                    if self.ids_pool.len() < SMALL_POOL_CAP {
-                        indices.clear();
-                        self.ids_pool.push(indices);
-                    }
+                Op::Embedding { mut indices, .. } if self.ids_pool.len() < SMALL_POOL_CAP => {
+                    indices.clear();
+                    self.ids_pool.push(indices);
                 }
                 Op::Dropout { mask, .. } => self.arena.put(mask),
                 Op::Gelu { t, .. } => self.arena.put(t),
-                Op::LayerNorm { mut cache, .. } => {
-                    if self.ln_pool.len() < SMALL_POOL_CAP {
-                        cache.clear();
-                        self.ln_pool.push(cache);
-                    }
+                Op::LayerNorm { mut cache, .. } if self.ln_pool.len() < SMALL_POOL_CAP => {
+                    cache.clear();
+                    self.ln_pool.push(cache);
                 }
                 Op::CrossEntropy { targets, probs, .. } => {
                     self.arena.put(targets);
                     self.arena.put(probs);
                 }
-                Op::ConcatCols(mut v) | Op::ConcatRows(mut v) | Op::SumNodes(mut v) => {
-                    if self.nids_pool.len() < SMALL_POOL_CAP {
-                        v.clear();
-                        self.nids_pool.push(v);
-                    }
+                Op::ConcatCols(mut v) | Op::ConcatRows(mut v) | Op::SumNodes(mut v)
+                    if self.nids_pool.len() < SMALL_POOL_CAP =>
+                {
+                    v.clear();
+                    self.nids_pool.push(v);
                 }
                 _ => {}
             }
@@ -639,27 +637,33 @@ impl Tape {
         )
     }
 
-    /// Inverted dropout with keep-probability `1 - p`. `mask_bits` must have
-    /// one Bernoulli(1-p) draw per element; pass `None` to disable (eval).
-    pub fn dropout(&mut self, x: NodeId, p: f32, mask_bits: Option<&[bool]>) -> NodeId {
-        match mask_bits {
-            None => x,
-            Some(bits) => {
-                let (m, n) = self.shape(x);
-                assert_eq!(bits.len(), m * n, "dropout mask length mismatch");
-                let keep = 1.0 - p;
-                let mut mask = self.arena.take_dirty(m * n);
-                for (o, &b) in mask.iter_mut().zip(bits) {
-                    *o = if b { 1.0 / keep } else { 0.0 };
-                }
-                let mut data = self.arena.take_dirty(m * n);
-                for ((o, &v), &mv) in data.iter_mut().zip(self.nodes[x.0].value.data()).zip(&mask) {
-                    *o = v * mv;
-                }
-                let value = Tensor::from_vec(data, m, n);
-                self.push(Op::Dropout { x, mask }, value)
-            }
+    /// Inverted dropout with keep-probability `1 - p`. Draws `draws`
+    /// Bernoulli(1-p) bits from `rng` in element order straight into the
+    /// arena mask (`1/(1-p)` kept, `0` dropped) and discards the draws past
+    /// `x`'s elements: a leading row band of a larger activation passes that
+    /// activation's element count, so it consumes the RNG stream exactly as
+    /// the full pass does and its rows get the same bits.
+    pub fn dropout(&mut self, x: NodeId, p: f32, rng: &mut StdRng, draws: usize) -> NodeId {
+        let (m, n) = self.shape(x);
+        assert!(draws >= m * n, "dropout draws fewer bits than elements");
+        let keep = 1.0 - p;
+        let mut mask = self.arena.take_dirty(m * n);
+        for o in mask.iter_mut() {
+            *o = if rng.random_bool(keep as f64) {
+                1.0 / keep
+            } else {
+                0.0
+            };
         }
+        for _ in m * n..draws {
+            rng.random_bool(keep as f64);
+        }
+        let mut data = self.arena.take_dirty(m * n);
+        for ((o, &v), &mv) in data.iter_mut().zip(self.nodes[x.0].value.data()).zip(&mask) {
+            *o = v * mv;
+        }
+        let value = Tensor::from_vec(data, m, n);
+        self.push(Op::Dropout { x, mask }, value)
     }
 
     // ------------------------------------------------------------------
@@ -1372,7 +1376,6 @@ pub fn pooled_tape_stats() -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::init::Initializer;
-    use rotom_rng::rngs::StdRng;
     use rotom_rng::SeedableRng;
 
     #[test]
@@ -1650,23 +1653,30 @@ mod tests {
     }
 
     #[test]
-    fn dropout_eval_mode_is_identity() {
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::from_vec(vec![1.0, 2.0], 1, 2));
-        let y = tape.dropout(x, 0.5, None);
-        assert_eq!(x, y);
-    }
-
-    #[test]
     fn dropout_train_scales_kept_values() {
         let mut store = ParamStore::new();
         let mut tape = Tape::new();
-        let x = tape.input(Tensor::from_vec(vec![2.0, 4.0], 1, 2));
-        let y = tape.dropout(x, 0.5, Some(&[true, false]));
-        assert_eq!(tape.value(y).data(), &[4.0, 0.0]);
+        let x = tape.input(Tensor::from_vec(vec![2.0; 64], 1, 64));
+        let mut rng = StdRng::seed_from_u64(3);
+        let y = tape.dropout(x, 0.5, &mut rng, 64);
+        let ys = tape.value(y).data().to_vec();
+        assert!(ys.iter().all(|&v| v == 0.0 || v == 4.0), "{ys:?}");
+        assert!(ys.contains(&0.0) && ys.contains(&4.0));
         let loss = tape.sum_all(y);
         tape.backward(loss, &mut store);
-        assert_eq!(tape.grad(x).data(), &[2.0, 0.0]);
+        let want: Vec<f32> = ys.iter().map(|&v| v / 2.0).collect();
+        assert_eq!(tape.grad(x).data(), &want[..]);
+    }
+
+    #[test]
+    fn dropout_mask_has_expected_density() {
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(vec![1.0; 4000], 1, 4000));
+        let mut rng = StdRng::seed_from_u64(1);
+        let y = tape.dropout(x, 0.25, &mut rng, 4000);
+        let kept = tape.value(y).data().iter().filter(|&&v| v != 0.0).count();
+        // Keep probability 0.75: expect ~3000 ± noise.
+        assert!((2800..3200).contains(&kept), "kept {kept}");
     }
 
     #[test]

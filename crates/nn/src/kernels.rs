@@ -10,9 +10,8 @@
 //! * [`matmul_transpose_a_into`] — `C = Aᵀ·G` (the weight-gradient
 //!   contraction in backward passes),
 //!
-//! plus the fused forward epilogues [`matmul_bias_act_into`] (f32) and
-//! [`matmul_bias_act_i8_into`] (quantized tier). [`matmul_naive`] and
-//! [`matmul_transpose_b_naive`] are the test oracles.
+//! plus the fused forward epilogue [`matmul_bias_act_into`]. [`matmul_naive`]
+//! and [`matmul_transpose_b_naive`] are the test oracles.
 //!
 //! # Bands
 //!
@@ -142,11 +141,6 @@ pub mod profile {
     pub(super) static NAIVE: AtomicU64 = AtomicU64::new(0);
     pub(super) static TILED_SERIAL: AtomicU64 = AtomicU64::new(0);
     pub(super) static TILED_PARALLEL: AtomicU64 = AtomicU64::new(0);
-    // Quantized i8 GEMM dispatches. Unlike the tiers above this counter is
-    // bumped unconditionally (one relaxed fetch_add per GEMM, negligible
-    // next to the GEMM itself) so `/metrics` can report the quant tier
-    // without requiring telemetry to be on.
-    pub(super) static QUANT_I8: AtomicU64 = AtomicU64::new(0);
 
     #[inline]
     pub(super) fn bump(counter: &AtomicU64) {
@@ -165,29 +159,11 @@ pub mod profile {
         )
     }
 
-    /// Cumulative quantized-i8 GEMM dispatch count since process start.
-    /// Counted unconditionally (not gated on telemetry).
-    pub fn quant_i8_count() -> u64 {
-        QUANT_I8.load(Ordering::Relaxed)
-    }
-
     /// Whether the AVX2+FMA micro-kernel is active on this machine.
     pub fn fma_active() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             super::fma::available()
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// Whether the AVX2 i8 micro-kernel is active on this machine.
-    pub fn quant_simd_active() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            super::qi8::available()
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -209,9 +185,7 @@ pub mod profile {
                 ("naive", Value::U64(naive)),
                 ("tiled_serial", Value::U64(serial)),
                 ("tiled_parallel", Value::U64(parallel)),
-                ("quant_i8", Value::U64(quant_i8_count())),
                 ("fma", Value::U64(fma_active() as u64)),
-                ("quant_simd", Value::U64(quant_simd_active() as u64)),
             ],
         );
     }
@@ -242,30 +216,6 @@ fn take_scratch(len: usize) -> Vec<f32> {
 /// Return a scratch buffer to the thread-local pool (capped for hygiene).
 fn put_scratch(v: Vec<f32>) {
     SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        if s.len() < 8 {
-            s.push(v);
-        }
-    });
-}
-
-thread_local! {
-    /// Recycled byte buffers for the quantized-activation staging area of
-    /// the i8 GEMM path (same lifecycle as [`SCRATCH`]).
-    static QSCRATCH: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Take a `len`-byte zeroed buffer from the thread-local byte pool.
-fn take_qscratch(len: usize) -> Vec<u8> {
-    let mut v = QSCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
-    v.clear();
-    v.resize(len, 0);
-    v
-}
-
-/// Return a byte buffer to the thread-local pool (capped for hygiene).
-fn put_qscratch(v: Vec<u8>) {
-    QSCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         if s.len() < 8 {
             s.push(v);
@@ -1020,6 +970,14 @@ mod avx {
 /// `avx::micro_ragged`, the same roundings against the packed panel, where
 /// AVX is available.
 #[inline]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the tile's operands and bounds, passed flat in the hot loop"
+)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "`c` indexes both `acc` and the B column; the hot loop stays as written so its codegen does not move"
+)]
 fn micro_edge<B: BSrc>(
     a_block: &[f32],
     k: usize,
@@ -1513,6 +1471,10 @@ const TA_CHUNK: usize = 64;
 /// of `C` depends only on column `q` of `A` and the shared `G` panels, so
 /// slicing never changes values — each slice is bit-identical to the same
 /// rows of a whole-matrix `transpose(A)` followed by the tiled core.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the operands, shape and row range, passed flat to the pool workers"
+)]
 fn transpose_a_block(
     a: &[f32],
     g: &[f32],
@@ -1646,624 +1608,6 @@ pub fn matmul_bias_act_into(
     out: &mut [f32],
 ) {
     matmul_into(a, b, pk, full_m, m, k, n, pool, out);
-    bias_act_apply(out, m, n, bias, act);
-}
-
-// ---------------------------------------------------------------------------
-// Quantized i8 inference GEMM
-// ---------------------------------------------------------------------------
-//
-// Inference-only integer tier: weights are quantized once per parameter
-// generation to symmetric per-output-row i8 (one f32 scale per output
-// feature, i.e. per row of the transposed weight), activations are quantized
-// per batch row at call time to asymmetric 7-bit u8 (scale + zero point, the
-// [0,127] range keeps the AVX2 `vpmaddubsw` pair sums inside i16), the
-// product accumulates in exact i32, and the epilogue dequantizes into the
-// caller's f32 buffer before the shared bias/activation sweep.
-//
-// Because the integer accumulation is exact, the quantized path is
-// bit-identical across thread counts and across the SIMD/scalar tiers *by
-// construction* — quantization error is purely a property of the rounding in
-// `quantize` (bounded, property-tested against the f32 kernel), never of the
-// execution schedule. Training never touches this path; it stays bit-exact
-// f32.
-
-/// Per-output-feature i8 quantization of a `k×n` row-major weight matrix,
-/// prepacked for the i8 micro-kernel — the quantized analogue of
-/// [`PackedB`], cached per parameter generation in `params.rs`.
-///
-/// Scale scheme: column `j` (one output feature; a *row* of the transposed
-/// weight) gets `scale[j] = max_p |b[p][j]| / 127`, `qw = round(b / scale)`
-/// ∈ [-127, 127]. All-zero columns take scale 1.0 — every quantized entry is
-/// 0, so the scale value never matters and no division by zero or NaN can
-/// occur. `colsum[j] = Σ_p qw[p][j]` is precomputed for the activation
-/// zero-point correction.
-pub struct QuantizedB {
-    k: usize,
-    n: usize,
-    /// Per-output-column dequantization scale (`n` entries).
-    scales: Vec<f32>,
-    /// Per-column sum of quantized weights (`n` entries), exact i32.
-    colsums: Vec<i32>,
-    /// Row-major quantized copy (`k×n`), used by the scalar paths and the
-    /// `n % NR` edge columns.
-    rows: Vec<i8>,
-    /// K-quad interleaved panels for full `NR`-wide strips: per strip, per
-    /// quad of 4 consecutive `k` indices, 16 columns × 4 bytes laid out so
-    /// one 32-byte load feeds `vpmaddubsw` for 8 columns. `k` is padded to a
-    /// multiple of 4 with zero rows (they contribute nothing and leave the
-    /// colsums untouched).
-    panels: Vec<i8>,
-    /// Number of k-quads (`ceil(k / 4)`).
-    quads: usize,
-}
-
-impl QuantizedB {
-    /// Quantize a `k×n` row-major matrix.
-    pub fn quantize_row_major(b: &[f32], k: usize, n: usize) -> Self {
-        debug_assert_eq!(b.len(), k * n);
-        let quads = k.div_ceil(4);
-        let mut maxabs = vec![0.0f32; n];
-        for p in 0..k {
-            for (m, &v) in maxabs.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-                *m = m.max(v.abs());
-            }
-        }
-        let scales: Vec<f32> = maxabs
-            .iter()
-            .map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 })
-            .collect();
-        let mut rows = vec![0i8; k * n];
-        let mut colsums = vec![0i32; n];
-        for p in 0..k {
-            for j in 0..n {
-                let q = (b[p * n + j] / scales[j]).round().clamp(-127.0, 127.0) as i8;
-                rows[p * n + j] = q;
-                colsums[j] += q as i32;
-            }
-        }
-        let n_full = n - n % NR;
-        let mut panels = Vec::with_capacity((n_full / NR) * quads * 4 * NR);
-        for j0 in (0..n_full).step_by(NR) {
-            for q in 0..quads {
-                for j in j0..j0 + NR {
-                    for d in 0..4 {
-                        let p = q * 4 + d;
-                        panels.push(if p < k { rows[p * n + j] } else { 0 });
-                    }
-                }
-            }
-        }
-        Self {
-            k,
-            n,
-            scales,
-            colsums,
-            rows,
-            panels,
-            quads,
-        }
-    }
-
-    /// Logical `(k, n)` shape of the quantized matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.k, self.n)
-    }
-
-    /// Total heap bytes held (cache accounting).
-    pub fn bytes(&self) -> usize {
-        self.rows.len()
-            + self.panels.len()
-            + self.scales.len() * std::mem::size_of::<f32>()
-            + self.colsums.len() * std::mem::size_of::<i32>()
-    }
-
-    /// Per-output-column scales (for tests and error-bound computation).
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// The interleaved panel for the full strip starting at column `j0`.
-    fn strip(&self, j0: usize) -> &[i8] {
-        let len = self.quads * 4 * NR;
-        &self.panels[(j0 / NR) * len..(j0 / NR + 1) * len]
-    }
-}
-
-/// Asymmetric 7-bit row quantization of activations: `rows×k` f32 in,
-/// per-row `u8 ∈ [0,127]` out (padded to `quads*4` bytes per row with
-/// zeros), plus per-row scale and zero point.
-///
-/// The quantization range is the row's `[min(0, min), max(0, max)]` — always
-/// bracketing zero, so the zero point lands in `[0, 127]` and every value
-/// maps into range with at most 0.5·scale rounding error. Degenerate rows
-/// (all zero, or constant zero-range) take scale 1.0: no division by zero,
-/// no NaN, and an all-zero row quantizes to all zero points (exact).
-pub fn quantize_activations(
-    a: &[f32],
-    rows: usize,
-    k: usize,
-    quads: usize,
-    qa: &mut [u8],
-    scales: &mut [f32],
-    zero_points: &mut [u8],
-) {
-    let k_pad = quads * 4;
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(qa.len(), rows * k_pad);
-    debug_assert!(scales.len() >= rows && zero_points.len() >= rows);
-    #[cfg(target_arch = "x86_64")]
-    if qi8::available() {
-        for i in 0..rows {
-            let row = &a[i * k..(i + 1) * k];
-            let qrow = &mut qa[i * k_pad..(i + 1) * k_pad];
-            // SAFETY: `available()` checked; `qrow` holds ≥ `k` bytes.
-            let (scale, zp) = unsafe { qi8::quantize_row(row, qrow) };
-            for q in qrow[k..].iter_mut() {
-                *q = 0;
-            }
-            scales[i] = scale;
-            zero_points[i] = zp;
-        }
-        return;
-    }
-    for i in 0..rows {
-        let row = &a[i * k..(i + 1) * k];
-        // Comparison-form min/max so the reduction vectorizes (`f32::min`'s
-        // NaN-select blocks it). Seeding at 0.0 brackets zero and drops NaN
-        // from the range, like the doc comment promises.
-        let mut min = 0.0f32;
-        let mut max = 0.0f32;
-        for &v in row {
-            min = if v < min { v } else { min };
-            max = if v > max { v } else { max };
-        }
-        let range = max - min;
-        let scale = if range > 0.0 { range / 127.0 } else { 1.0 };
-        let inv = 1.0 / scale;
-        let zp = (-min * inv).round().clamp(0.0, 127.0) as u8;
-        // `floor(x + 0.5)` instead of `round(x)`: identical up to ties
-        // (which stay within the half-step error bound), and it lowers to
-        // `vroundps` so the whole loop vectorizes — this pass runs on every
-        // GEMM call, and the divide/round form costs more than the integer
-        // core it feeds.
-        let offset = zp as f32 + 0.5;
-        let qrow = &mut qa[i * k_pad..(i + 1) * k_pad];
-        for (q, &v) in qrow.iter_mut().zip(row) {
-            *q = (v * inv + offset).floor().clamp(0.0, 127.0) as u8;
-        }
-        for q in qrow[k..].iter_mut() {
-            *q = 0;
-        }
-        scales[i] = scale;
-        zero_points[i] = zp;
-    }
-}
-
-/// AVX2 i8 micro-kernel, selected at runtime on x86-64.
-#[cfg(target_arch = "x86_64")]
-mod qi8 {
-    use super::{MR, NR};
-    use core::arch::x86_64::*;
-
-    /// Whether the running CPU supports the AVX2 i8 micro-kernel. Detected
-    /// once (process-global, like [`super::fma::available`]); the scalar
-    /// fallback computes the same exact integers, so the tiers agree
-    /// bit-for-bit and the dispatch only affects speed.
-    #[inline]
-    pub fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| std::is_x86_feature_detected!("avx2"))
-    }
-
-    /// `MR×NR` i32 tile over a k-quad panel: per quad, `vpmaddubsw` (u8×i8
-    /// pairs → i16) then `vpmaddwd` against ones (i16 pairs → i32) reduce 4
-    /// consecutive `k` steps for 8 columns per 32-byte panel load — 3
-    /// arithmetic instructions per 32 multiply-adds. Activations are 7-bit
-    /// (≤127), so the worst `vpmaddubsw` pair sum is 2·127·127 = 32258 <
-    /// 32767: no saturation, the accumulation is exact.
-    ///
-    /// # Safety
-    /// Caller must have checked [`available`]; `qa_rows` must each hold
-    /// `4·quads` bytes and `panel` must hold `quads·4·NR` bytes.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn micro_i8(
-        qa_rows: [&[u8]; MR],
-        panel: &[i8],
-        quads: usize,
-        acc_out: &mut [[i32; NR]; MR],
-    ) {
-        debug_assert!(panel.len() >= quads * 4 * NR);
-        let ones = _mm256_set1_epi16(1);
-        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        for q in 0..quads {
-            let bp = panel.as_ptr().add(q * 4 * NR);
-            let b0 = _mm256_loadu_si256(bp as *const __m256i);
-            let b1 = _mm256_loadu_si256(bp.add(32) as *const __m256i);
-            for r in 0..MR {
-                let quad = (qa_rows[r].as_ptr().add(q * 4) as *const i32).read_unaligned();
-                let av = _mm256_set1_epi32(quad);
-                let p0 = _mm256_maddubs_epi16(av, b0);
-                let p1 = _mm256_maddubs_epi16(av, b1);
-                acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(p0, ones));
-                acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(p1, ones));
-            }
-        }
-        for r in 0..MR {
-            _mm256_storeu_si256(acc_out[r].as_mut_ptr() as *mut __m256i, acc[r][0]);
-            _mm256_storeu_si256(acc_out[r].as_mut_ptr().add(8) as *mut __m256i, acc[r][1]);
-        }
-    }
-
-    /// Quantize one activation row: the vector lanes apply exactly the
-    /// per-element formula of the scalar path (`mul`, `add`, `floor`,
-    /// `clamp`, narrow — same IEEE ops in the same per-element order), and
-    /// min/max reduction over comparisons is order-independent, so tier
-    /// dispatch never changes the quantized bytes, scale, or zero point.
-    ///
-    /// # Safety
-    /// Caller must have checked [`available`]; `qrow.len() >= row.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn quantize_row(row: &[f32], qrow: &mut [u8]) -> (f32, u8) {
-        let k = row.len();
-        let mut vmin = _mm256_setzero_ps();
-        let mut vmax = _mm256_setzero_ps();
-        let mut p = 0usize;
-        while p + 8 <= k {
-            let v = _mm256_loadu_ps(row.as_ptr().add(p));
-            // Operand order matters: `min_ps(v, acc)` keeps the accumulator
-            // when `v` is NaN, matching the scalar comparison form.
-            vmin = _mm256_min_ps(v, vmin);
-            vmax = _mm256_max_ps(v, vmax);
-            p += 8;
-        }
-        let mut lanes_min = [0.0f32; 8];
-        let mut lanes_max = [0.0f32; 8];
-        _mm256_storeu_ps(lanes_min.as_mut_ptr(), vmin);
-        _mm256_storeu_ps(lanes_max.as_mut_ptr(), vmax);
-        let mut min = 0.0f32;
-        let mut max = 0.0f32;
-        for i in 0..8 {
-            min = if lanes_min[i] < min {
-                lanes_min[i]
-            } else {
-                min
-            };
-            max = if lanes_max[i] > max {
-                lanes_max[i]
-            } else {
-                max
-            };
-        }
-        for &v in &row[p..] {
-            min = if v < min { v } else { min };
-            max = if v > max { v } else { max };
-        }
-        let range = max - min;
-        let scale = if range > 0.0 { range / 127.0 } else { 1.0 };
-        let inv = 1.0 / scale;
-        let zp = (-min * inv).round().clamp(0.0, 127.0) as u8;
-        let offset = zp as f32 + 0.5;
-
-        let invv = _mm256_set1_ps(inv);
-        let offv = _mm256_set1_ps(offset);
-        let zero = _mm256_setzero_ps();
-        let hi = _mm256_set1_ps(127.0);
-        // Dword shuffle fixing `packs`/`packus` 128-bit-lane interleave so
-        // the 16 quantized bytes land in element order.
-        let fix = _mm256_setr_epi32(0, 4, 1, 5, 0, 0, 0, 0);
-        let mut p = 0usize;
-        while p + 16 <= k {
-            let q8 = {
-                let mut halves = [_mm256_setzero_si256(); 2];
-                for (h, half) in halves.iter_mut().enumerate() {
-                    let v = _mm256_loadu_ps(row.as_ptr().add(p + 8 * h));
-                    let x = _mm256_floor_ps(_mm256_add_ps(_mm256_mul_ps(v, invv), offv));
-                    // `max_ps(x, bound)` returns the bound when `x` is NaN —
-                    // same 0 byte the scalar NaN cast produces.
-                    let x = _mm256_min_ps(_mm256_max_ps(x, zero), hi);
-                    *half = _mm256_cvtps_epi32(x);
-                }
-                _mm256_packus_epi16(
-                    _mm256_packs_epi32(halves[0], halves[1]),
-                    _mm256_setzero_si256(),
-                )
-            };
-            let ordered = _mm256_permutevar8x32_epi32(q8, fix);
-            _mm_storeu_si128(
-                qrow.as_mut_ptr().add(p) as *mut __m128i,
-                _mm256_castsi256_si128(ordered),
-            );
-            p += 16;
-        }
-        for (q, &v) in qrow[p..k].iter_mut().zip(&row[p..]) {
-            *q = (v * inv + offset).floor().clamp(0.0, 127.0) as u8;
-        }
-        (scale, zp)
-    }
-
-    /// Dequantize 16 i32 accumulators into f32 out lanes:
-    /// `out[j] = (acc[j] − zp·colsum[j]) as f32 · (a_scale · wscale[j])` —
-    /// the exact expression (and operation order) of the scalar
-    /// `quant_dequant_row`, so the tiers stay bit-identical.
-    ///
-    /// # Safety
-    /// Caller must have checked [`available`]; `colsums`/`wscales` must hold
-    /// `NR` readable values and `out` `NR` writable floats.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_row16(
-        acc: &[i32; NR],
-        colsums: *const i32,
-        wscales: *const f32,
-        a_scale: f32,
-        zp: i32,
-        out: *mut f32,
-    ) {
-        let zpv = _mm256_set1_epi32(zp);
-        let asv = _mm256_set1_ps(a_scale);
-        for h in 0..2 {
-            let a = _mm256_loadu_si256(acc.as_ptr().add(8 * h) as *const __m256i);
-            let cs = _mm256_loadu_si256(colsums.add(8 * h) as *const __m256i);
-            let corrected = _mm256_sub_epi32(a, _mm256_mullo_epi32(zpv, cs));
-            let scale = _mm256_mul_ps(asv, _mm256_loadu_ps(wscales.add(8 * h)));
-            let r = _mm256_mul_ps(_mm256_cvtepi32_ps(corrected), scale);
-            _mm256_storeu_ps(out.add(8 * h), r);
-        }
-    }
-}
-
-/// Scalar i8 reference: `acc[j] = Σ_p qa[p]·qw[p][j]` for `j ∈ [j_lo, j_hi)`
-/// over the row-major quantized copy. Exact integers — bit-identical to the
-/// SIMD micro-kernel's lanes.
-fn quant_row_scalar(qa_row: &[u8], qb: &QuantizedB, j_lo: usize, j_hi: usize, acc: &mut [i32]) {
-    let n = qb.n;
-    for a in acc[..j_hi - j_lo].iter_mut() {
-        *a = 0;
-    }
-    for p in 0..qb.k {
-        let av = qa_row[p] as i32;
-        if av == 0 {
-            continue;
-        }
-        let brow = &qb.rows[p * n + j_lo..p * n + j_hi];
-        for (a, &w) in acc.iter_mut().zip(brow) {
-            *a += av * w as i32;
-        }
-    }
-}
-
-/// Dequantize one row segment of i32 accumulators into f32 output:
-/// `out[j] = a_scale · w_scale[j] · (acc[j] − zp · colsum[j])`.
-#[inline]
-fn quant_dequant_row(
-    acc: &[i32],
-    qb: &QuantizedB,
-    j_lo: usize,
-    a_scale: f32,
-    zp: i32,
-    out: &mut [f32],
-) {
-    for (jj, (&sum, o)) in acc.iter().zip(out.iter_mut()).enumerate() {
-        let j = j_lo + jj;
-        let corrected = sum - zp * qb.colsums[j];
-        *o = corrected as f32 * (a_scale * qb.scales[j]);
-    }
-}
-
-/// Serial i8 core over a block of quantized rows: full `MR`-row ×
-/// `NR`-column tiles through the SIMD micro-kernel when available, exact
-/// scalar integers for row remainders and edge columns, dequantizing each
-/// tile into `out` as it completes.
-fn quant_block(
-    qa: &[u8],
-    a_scales: &[f32],
-    zero_points: &[u8],
-    rows: usize,
-    qb: &QuantizedB,
-    out: &mut [f32],
-) {
-    let n = qb.n;
-    let k_pad = qb.quads * 4;
-    let n_full = n - n % NR;
-    #[cfg(target_arch = "x86_64")]
-    let use_simd = qi8::available();
-    #[cfg(not(target_arch = "x86_64"))]
-    let use_simd = false;
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-
-    let mut acc_tile = [[0i32; NR]; MR];
-    let mut r0 = 0usize;
-    while r0 + MR <= rows {
-        let qa_rows: [&[u8]; MR] =
-            std::array::from_fn(|r| &qa[(r0 + r) * k_pad..(r0 + r + 1) * k_pad]);
-        for j0 in (0..n_full).step_by(NR) {
-            #[cfg(target_arch = "x86_64")]
-            if use_simd {
-                // SAFETY: `available()` checked; slice lengths established
-                // by the callers' debug asserts and the pack layout.
-                unsafe {
-                    qi8::micro_i8(qa_rows, qb.strip(j0), qb.quads, &mut acc_tile);
-                    for r in 0..MR {
-                        let i = r0 + r;
-                        qi8::dequant_row16(
-                            &acc_tile[r],
-                            qb.colsums.as_ptr().add(j0),
-                            qb.scales.as_ptr().add(j0),
-                            a_scales[i],
-                            zero_points[i] as i32,
-                            out.as_mut_ptr().add(i * n + j0),
-                        );
-                    }
-                }
-                continue;
-            }
-            for (r, qa_row) in qa_rows.iter().enumerate() {
-                quant_row_scalar(qa_row, qb, j0, j0 + NR, &mut acc_tile[r]);
-            }
-            for r in 0..MR {
-                let i = r0 + r;
-                quant_dequant_row(
-                    &acc_tile[r],
-                    qb,
-                    j0,
-                    a_scales[i],
-                    zero_points[i] as i32,
-                    &mut out[i * n + j0..i * n + j0 + NR],
-                );
-            }
-        }
-        if n_full < n {
-            for r in 0..MR {
-                let i = r0 + r;
-                quant_row_scalar(qa_rows[r], qb, n_full, n, &mut acc_tile[0][..n - n_full]);
-                let (head, _) = acc_tile.split_at(1);
-                quant_dequant_row(
-                    &head[0][..n - n_full],
-                    qb,
-                    n_full,
-                    a_scales[i],
-                    zero_points[i] as i32,
-                    &mut out[i * n + n_full..(i + 1) * n],
-                );
-            }
-        }
-        r0 += MR;
-    }
-    // Row remainder (< MR rows — this is also the whole band-replay case):
-    // run the SIMD tile anyway with the last row repeated into the unused
-    // slots and dequantize only the real rows. The duplicated lanes cost
-    // less than a scalar k×NR loop per row, and the real rows' integers are
-    // unchanged (each lane only ever reads its own row pointer).
-    #[cfg(target_arch = "x86_64")]
-    if use_simd && r0 < rows {
-        let rem = rows - r0;
-        let qa_rows: [&[u8]; MR] = std::array::from_fn(|r| {
-            let i = r0 + r.min(rem - 1);
-            &qa[i * k_pad..(i + 1) * k_pad]
-        });
-        for j0 in (0..n_full).step_by(NR) {
-            // SAFETY: same preconditions as the full-tile call above.
-            unsafe {
-                qi8::micro_i8(qa_rows, qb.strip(j0), qb.quads, &mut acc_tile);
-                for r in 0..rem {
-                    let i = r0 + r;
-                    qi8::dequant_row16(
-                        &acc_tile[r],
-                        qb.colsums.as_ptr().add(j0),
-                        qb.scales.as_ptr().add(j0),
-                        a_scales[i],
-                        zero_points[i] as i32,
-                        out.as_mut_ptr().add(i * n + j0),
-                    );
-                }
-            }
-        }
-        if n_full < n {
-            for r in 0..rem {
-                let i = r0 + r;
-                quant_row_scalar(qa_rows[r], qb, n_full, n, &mut acc_tile[0][..n - n_full]);
-                let (head, _) = acc_tile.split_at(1);
-                quant_dequant_row(
-                    &head[0][..n - n_full],
-                    qb,
-                    n_full,
-                    a_scales[i],
-                    zero_points[i] as i32,
-                    &mut out[i * n + n_full..(i + 1) * n],
-                );
-            }
-        }
-        return;
-    }
-    // Row remainder: exact scalar over the full width.
-    for i in r0..rows {
-        let qa_row = &qa[i * k_pad..(i + 1) * k_pad];
-        let mut j0 = 0usize;
-        while j0 < n {
-            let j1 = (j0 + NR).min(n);
-            quant_row_scalar(qa_row, qb, j0, j1, &mut acc_tile[0][..j1 - j0]);
-            let (head, _) = acc_tile.split_at(1);
-            quant_dequant_row(
-                &head[0][..j1 - j0],
-                qb,
-                j0,
-                a_scales[i],
-                zero_points[i] as i32,
-                &mut out[i * n + j0..i * n + j1],
-            );
-            j0 = j1;
-        }
-    }
-}
-
-/// Fused quantized `C = act(dequant(qa·qb) + bias)` inference entry — the
-/// i8 analogue of [`matmul_bias_act_into`]: quantize the `m×k` activations
-/// per row, run the integer GEMM (serial, or fanned out on `MR`-row
-/// boundaries with the same thresholds as `tiled_dispatch`), dequantize
-/// into `out`, and apply the shared [`bias_act_apply`] epilogue.
-///
-/// There is no naive tier, and activation quantization is per row, so any
-/// [`band_rows`] band of `A` computes exactly the same rows of the full
-/// product — a band is just a call with fewer rows.
-///
-/// The result is deterministic and bit-identical at every thread count and
-/// SIMD tier (exact integer accumulation); it differs from the f32 kernel by
-/// the bounded quantization error (see the property tests).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_bias_act_i8_into(
-    a: &[f32],
-    qb: &QuantizedB,
-    bias: Option<&[f32]>,
-    act: Act,
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &RotomPool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(qb.shape(), (k, n));
-    debug_assert_eq!(out.len(), m * n);
-    profile::QUANT_I8.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-    let k_pad = qb.quads * 4;
-    let mut qa = take_qscratch(m * k_pad);
-    let mut zps = take_qscratch(m);
-    let mut a_scales = take_scratch(m);
-    quantize_activations(a, m, k, qb.quads, &mut qa, &mut a_scales, &mut zps);
-
-    let flops = m * k * n;
-    if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || m < 2 * MR {
-        quant_block(&qa, &a_scales, &zps, m, qb, out);
-    } else {
-        // Same fan-out shape (and soundness argument) as `tiled_dispatch`:
-        // disjoint MR-row ranges, joined before return.
-        let qa = &qa[..];
-        let a_scales = &a_scales[..];
-        let zps = &zps[..];
-        let out_base = SendPtr(out.as_mut_ptr());
-        let out_base = &out_base;
-        pool.run_ranges(m, MR, move |range| {
-            let rows = range.end - range.start;
-            let qa_block = &qa[range.start * k_pad..range.end * k_pad];
-            let out_block = unsafe {
-                std::slice::from_raw_parts_mut(out_base.0.add(range.start * n), rows * n)
-            };
-            quant_block(
-                qa_block,
-                &a_scales[range.start..range.end],
-                &zps[range.start..range.end],
-                rows,
-                qb,
-                out_block,
-            );
-        });
-    }
-    put_scratch(a_scales);
-    put_qscratch(zps);
-    put_qscratch(qa);
     bias_act_apply(out, m, n, bias, act);
 }
 
@@ -2970,244 +2314,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    // -- Quantized i8 GEMM ---------------------------------------------------
-
-    /// Run the quantized activation pass the way the kernel entry does and
-    /// return `(qa, scales, zero_points, k_pad)`.
-    fn quantize_a(a: &[f32], m: usize, k: usize) -> (Vec<u8>, Vec<f32>, Vec<u8>, usize) {
-        let quads = k.div_ceil(4);
-        let k_pad = quads * 4;
-        let mut qa = vec![0u8; m * k_pad];
-        let mut scales = vec![0.0f32; m];
-        let mut zps = vec![0u8; m];
-        quantize_activations(a, m, k, quads, &mut qa, &mut scales, &mut zps);
-        (qa, scales, zps, k_pad)
-    }
-
-    /// Exact-integer scalar reference for the whole quantized product,
-    /// including the dequantization formula verbatim — the kernel (SIMD or
-    /// not, any thread count) must match it bit-for-bit.
-    fn quant_reference(a: &[f32], qb: &QuantizedB, m: usize, k: usize, n: usize) -> Vec<f32> {
-        let (qa, scales, zps, k_pad) = quantize_a(a, m, k);
-        let qw = &qb.rows;
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                let mut colsum = 0i64;
-                for p in 0..k {
-                    acc += qa[i * k_pad + p] as i64 * qw[p * n + j] as i64;
-                    colsum += qw[p * n + j] as i64;
-                }
-                let corrected = (acc - zps[i] as i64 * colsum) as i32;
-                out[i * n + j] = corrected as f32 * (scales[i] * qb.scales()[j]);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn quant_matches_exact_integer_reference_bitwise_at_any_thread_count() {
-        // Integer accumulation is exact, so the kernel — scalar or AVX2,
-        // serial or fanned out — must agree with the plain-Rust reference
-        // bit-for-bit. This is the cross-tier equivalence proof: whichever
-        // SIMD tier this machine dispatches to, it reproduced the scalar
-        // integers exactly.
-        for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(split_seed(0x4f0, case as u64));
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let qb = QuantizedB::quantize_row_major(&b, k, n);
-            let expect = quant_reference(&a, &qb, m, k, n);
-            for threads in [1, 2, 8] {
-                let pool = RotomPool::new(threads);
-                let mut out = vec![f32::NAN; m * n];
-                matmul_bias_act_i8_into(&a, &qb, None, Act::None, m, k, n, &pool, &mut out);
-                assert_eq!(out, expect, "quant {m}x{k}x{n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn quant_error_stays_within_analytic_bound() {
-        // Rounding model: a = r·(qa−z) + eₐ with |eₐ| ≤ 0.5r, w = s·qw + e_w
-        // with |e_w| ≤ 0.5s, so per element
-        //   |C_q − C| ≤ 0.5·s_j·Σ_p|a[i][p]| + 0.5·r_i·Σ_p|w[p][j]| + 0.25·k·r_i·s_j
-        // plus a small absolute slack for the f32 evaluation of both sides.
-        for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(split_seed(0x4f1, case as u64));
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let qb = QuantizedB::quantize_row_major(&b, k, n);
-            let (_, a_scales, _, _) = quantize_a(&a, m, k);
-            let exact = matmul_naive(&a, &b, m, k, n);
-            let pool = RotomPool::new(1);
-            let mut quant = vec![0.0f32; m * n];
-            matmul_bias_act_i8_into(&a, &qb, None, Act::None, m, k, n, &pool, &mut quant);
-            for i in 0..m {
-                let a_abs: f32 = a[i * k..(i + 1) * k].iter().map(|v| v.abs()).sum();
-                for j in 0..n {
-                    let w_abs: f32 = (0..k).map(|p| b[p * n + j].abs()).sum();
-                    let r = a_scales[i];
-                    let s = qb.scales()[j];
-                    let bound = 0.5 * s * a_abs + 0.5 * r * w_abs + 0.25 * k as f32 * r * s + 1e-3;
-                    let err = (quant[i * n + j] - exact[i * n + j]).abs();
-                    assert!(
-                        err <= bound,
-                        "quant {m}x{k}x{n} [{i},{j}]: err {err} > bound {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quant_degenerate_rows_and_columns_are_exact_and_finite() {
-        let (m, k, n) = (6, 40, 20);
-        let mut rng = StdRng::seed_from_u64(0x4f2);
-        let mut a = random_matrix(&mut rng, m, k);
-        let mut b = random_matrix(&mut rng, k, n);
-        // Row 0 of A all zero; row 2 constant; column 3 of B all zero.
-        for v in &mut a[..k] {
-            *v = 0.0;
-        }
-        for v in &mut a[2 * k..3 * k] {
-            *v = 1.25;
-        }
-        for p in 0..k {
-            b[p * n + 3] = 0.0;
-        }
-        let qb = QuantizedB::quantize_row_major(&b, k, n);
-        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 1.0).collect();
-        let pool = RotomPool::new(1);
-        let mut out = vec![f32::NAN; m * n];
-        matmul_bias_act_i8_into(&a, &qb, Some(&bias), Act::None, m, k, n, &pool, &mut out);
-        assert!(out.iter().all(|v| v.is_finite()), "no NaN/inf anywhere");
-        for j in 0..n {
-            // Zero activation row: 0·W + bias exactly.
-            assert_eq!(out[j], bias[j], "zero row col {j}");
-        }
-        for i in 0..m {
-            // Zero weight column: bias exactly.
-            assert_eq!(out[i * n + 3], bias[3], "zero col row {i}");
-        }
-        // All-zero inputs on both sides (the fully degenerate case).
-        let za = vec![0.0f32; m * k];
-        let zb = QuantizedB::quantize_row_major(&vec![0.0f32; k * n], k, n);
-        let mut zout = vec![f32::NAN; m * n];
-        matmul_bias_act_i8_into(&za, &zb, None, Act::None, m, k, n, &pool, &mut zout);
-        assert!(zout.iter().all(|&v| v == 0.0), "zero·zero is exactly zero");
-    }
-
-    #[test]
-    fn quant_weight_roundtrip_bounds_per_element_relative_error() {
-        let mut rng = StdRng::seed_from_u64(0x4f3);
-        for &(k, n) in &[(7usize, 5usize), (32, 16), (33, 65), (128, 48)] {
-            let b = random_matrix(&mut rng, k, n);
-            let qb = QuantizedB::quantize_row_major(&b, k, n);
-            let qw = &qb.rows;
-            for j in 0..n {
-                let colmax = (0..k).map(|p| b[p * n + j].abs()).fold(0.0f32, f32::max);
-                let s = qb.scales()[j];
-                for p in 0..k {
-                    let rt = qw[p * n + j] as f32 * s;
-                    let err = (rt - b[p * n + j]).abs();
-                    // Round-trip error ≤ half a quantization step, i.e.
-                    // ≤ colmax/254 + f32 slack: bounded relative to the
-                    // column's max magnitude.
-                    assert!(
-                        err <= 0.5 * s + colmax * 1e-6 + 1e-7,
-                        "roundtrip {k}x{n} [{p},{j}]: {rt} vs {} (err {err})",
-                        b[p * n + j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quant_fused_epilogue_matches_shared_bias_act() {
-        // The epilogue is the same `bias_act_apply` the f32 path uses, so
-        // quant-with-bias/gelu must equal quant-plain + manual epilogue.
-        let (m, k, n) = (9, 48, 33);
-        let mut rng = StdRng::seed_from_u64(0x4f4);
-        let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
-        let bias = random_matrix(&mut rng, 1, n);
-        let qb = QuantizedB::quantize_row_major(&b, k, n);
-        let pool = RotomPool::new(1);
-        let mut plain = vec![0.0f32; m * n];
-        matmul_bias_act_i8_into(&a, &qb, None, Act::None, m, k, n, &pool, &mut plain);
-        bias_act_apply(&mut plain, m, n, Some(&bias), Act::Gelu);
-        let mut fused = vec![0.0f32; m * n];
-        matmul_bias_act_i8_into(&a, &qb, Some(&bias), Act::Gelu, m, k, n, &pool, &mut fused);
-        assert_eq!(fused, plain, "fused quant epilogue");
-    }
-
-    /// Manual micro-benchmark (not a correctness test):
-    /// `cargo test --release -p rotom-nn quant_kernel_speed -- --ignored --nocapture`
-    #[test]
-    #[ignore = "timing diagnostics, run manually with --nocapture"]
-    fn quant_kernel_speed_vs_f32() {
-        use std::time::Instant;
-        let pool = RotomPool::new(1);
-        for (m, k, n) in [
-            (12usize, 128usize, 128usize),
-            (48, 128, 256),
-            (48, 256, 128),
-        ] {
-            let mut rng = StdRng::seed_from_u64(0x4f5);
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let pk = PackedB::pack_row_major(&b, k, n);
-            let qb = QuantizedB::quantize_row_major(&b, k, n);
-            let mut out = vec![0.0f32; m * n];
-            let reps = 20_000usize;
-            let time = |f: &mut dyn FnMut()| {
-                f();
-                let t = Instant::now();
-                for _ in 0..reps {
-                    f();
-                }
-                t.elapsed().as_secs_f64() / reps as f64
-            };
-            let f32_s = time(&mut || {
-                matmul_bias_act_into(
-                    &a,
-                    &b,
-                    Some(&pk),
-                    None,
-                    Act::None,
-                    m,
-                    m,
-                    k,
-                    n,
-                    &pool,
-                    &mut out,
-                )
-            });
-            let i8_s = time(&mut || {
-                matmul_bias_act_i8_into(&a, &qb, None, Act::None, m, k, n, &pool, &mut out)
-            });
-            let k_pad = qb.quads * 4;
-            let mut qa = vec![0u8; m * k_pad];
-            let mut scales = vec![0.0f32; m];
-            let mut zps = vec![0u8; m];
-            let quantize_s = time(&mut || {
-                quantize_activations(&a, m, k, qb.quads, &mut qa, &mut scales, &mut zps)
-            });
-            let core_s = time(&mut || quant_block(&qa, &scales, &zps, m, &qb, &mut out));
-            println!(
-                "{m}x{k}x{n}: f32 {:.2}us | i8 {:.2}us ({:.2}x) | quantize {:.2}us core {:.2}us",
-                f32_s * 1e6,
-                i8_s * 1e6,
-                f32_s / i8_s,
-                quantize_s * 1e6,
-                core_s * 1e6,
-            );
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::graph::{NodeId, Tape};
 use crate::init::Initializer;
 use crate::kernels;
-use crate::params::{ParamId, ParamStore, QuantMode};
+use crate::params::{ParamId, ParamStore};
 use rotom_rng::rngs::StdRng;
 
 /// `y = x W + b` with Xavier-initialized `W` and zero-initialized `b`.
@@ -117,17 +117,6 @@ impl Linear {
         let above_small = full_rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
         let bias = self.b.map(|b| store.value(b).data());
         let (k, n) = (self.in_dim, self.out_dim);
-        // Quantized tier: opt-in per store, and only for GEMMs the f32 path
-        // would tile anyway — sub-threshold shapes stay on the (cheaper
-        // there) f32 naive kernel, so tiny heads/meta-models never pay
-        // quantization overhead. The gate reads the full shape, so a band
-        // takes the same tier as the full pass.
-        if store.quant_mode() == QuantMode::I8 && above_small {
-            if let Some(qb) = packs.quant(w) {
-                kernels::matmul_bias_act_i8_into(x, qb, bias, act, rows, k, n, pool, out);
-                return;
-            }
-        }
         let pk = if above_small { packs.direct(w) } else { None };
         kernels::matmul_bias_act_into(x, w.data(), pk, bias, act, full_rows, rows, k, n, pool, out);
     }

@@ -56,18 +56,15 @@ impl<'a> FwdCtx<'a> {
         }
     }
 
-    /// Draw a dropout mask of `n` Bernoulli(1-p) bits, or `None` in eval mode
-    /// or when `p == 0`.
-    pub fn dropout_mask(&mut self, n: usize) -> Option<Vec<bool>> {
+    /// The dropout probability and RNG a dropout site draws its mask from
+    /// (see [`Tape::dropout`](crate::graph::Tape::dropout)), or `None` in
+    /// eval mode or when `p == 0`.
+    pub fn dropout_source(&mut self) -> Option<(f32, &mut StdRng)> {
         if self.dropout <= 0.0 {
             return None;
         }
         let p = self.dropout;
-        self.rng.as_deref_mut().map(|rng| {
-            (0..n)
-                .map(|_| rotom_rng::RngExt::random_bool(rng, (1.0 - p) as f64))
-                .collect()
-        })
+        self.rng.as_deref_mut().map(|rng| (p, rng))
     }
 }
 
@@ -81,7 +78,7 @@ mod tests {
     fn eval_ctx_never_produces_masks() {
         let store = ParamStore::new();
         let mut ctx = FwdCtx::eval(&store);
-        assert!(ctx.dropout_mask(16).is_none());
+        assert!(ctx.dropout_source().is_none());
     }
 
     #[test]
@@ -89,17 +86,6 @@ mod tests {
         let store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = FwdCtx::train(&store, 0.0, &mut rng);
-        assert!(ctx.dropout_mask(16).is_none());
-    }
-
-    #[test]
-    fn train_ctx_mask_has_expected_density() {
-        let store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ctx = FwdCtx::train(&store, 0.25, &mut rng);
-        let mask = ctx.dropout_mask(4000).unwrap();
-        let kept = mask.iter().filter(|&&b| b).count();
-        // Keep probability 0.75: expect ~3000 ± noise.
-        assert!((2800..3200).contains(&kept), "kept {kept}");
+        assert!(ctx.dropout_source().is_none());
     }
 }

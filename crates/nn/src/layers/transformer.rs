@@ -400,9 +400,11 @@ impl DecoderLayer {
 /// The mask is drawn for all `full_rows` rows, so a band consumes the RNG
 /// stream exactly as the full pass does, and its rows get the same bits.
 fn apply_dropout(tape: &mut Tape, x: NodeId, full_rows: usize, ctx: &mut FwdCtx<'_>) -> NodeId {
-    let n = tape.value(x).len();
-    let mask = ctx.dropout_mask(full_rows * tape.value(x).cols());
-    tape.dropout(x, ctx.dropout, mask.as_deref().map(|bits| &bits[..n]))
+    let draws = full_rows * tape.value(x).cols();
+    match ctx.dropout_source() {
+        Some((p, rng)) => tape.dropout(x, p, rng, draws),
+        None => x,
+    }
 }
 
 /// Token + positional embedding followed by a stack of encoder layers and a

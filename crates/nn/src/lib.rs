@@ -75,7 +75,7 @@ pub use layers::{
     TransformerEncoder,
 };
 pub use optim::Adam;
-pub use params::{ParamId, ParamPacks, ParamStore, QuantMode};
+pub use params::{ParamId, ParamPacks, ParamStore};
 pub use pool::RotomPool;
 pub use tensor::Tensor;
 

@@ -30,11 +30,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Replace the learning rate.
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;

@@ -7,55 +7,10 @@
 //! walks rather than per-layer bookkeeping.
 
 use crate::init::Initializer;
-use crate::kernels::{PackedB, QuantizedB, NR};
+use crate::kernels::{PackedB, NR};
 use crate::tensor::Tensor;
 use rotom_rng::rngs::StdRng;
 use std::sync::{Arc, OnceLock};
-
-/// Numeric mode of the inference plane for one model (one [`ParamStore`]).
-///
-/// Consulted only by the tape-free forward (`Linear::infer_forward`, the
-/// one GEMM site of every inference pass, full or band) — the training tape
-/// never reads it, so training stays bit-exact f32 regardless of the mode.
-/// [`QuantMode::I8`] routes large-enough inference GEMMs through the
-/// quantized i8 kernel with per-output-row weight scales (see
-/// `kernels::matmul_bias_act_i8_into`); results then carry a bounded
-/// quantization error instead of bit-identity with the tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuantMode {
-    /// Full-precision inference, bit-identical to the tape forward.
-    #[default]
-    F32,
-    /// Quantized i8 inference GEMMs (opt-in; `ROTOM_QUANT=i8` or
-    /// `set_quant_mode`).
-    I8,
-}
-
-impl QuantMode {
-    /// Read the process-default mode from `ROTOM_QUANT`: `i8` enables the
-    /// quantized tier, `f32` or unset stays f32, and any other value falls
-    /// back to f32 with a warning (see [`crate::env`]).
-    pub fn from_env() -> Self {
-        crate::env::read("ROTOM_QUANT", |v| {
-            if v.eq_ignore_ascii_case("i8") {
-                Ok(QuantMode::I8)
-            } else if v.eq_ignore_ascii_case("f32") {
-                Ok(QuantMode::F32)
-            } else {
-                Err("expected i8 or f32".to_string())
-            }
-        })
-        .unwrap_or_default()
-    }
-
-    /// Short label for metrics/telemetry.
-    pub fn label(self) -> &'static str {
-        match self {
-            QuantMode::F32 => "f32",
-            QuantMode::I8 => "i8",
-        }
-    }
-}
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +36,6 @@ pub struct ParamId(pub(crate) usize);
 pub struct ParamPacks {
     direct: OnceLock<PackedB>,
     transposed: OnceLock<PackedB>,
-    quant: OnceLock<QuantizedB>,
 }
 
 impl ParamPacks {
@@ -115,24 +69,6 @@ impl ParamPacks {
                 .get_or_init(|| PackedB::pack_transposed(value.data(), cols, rows)),
         )
     }
-
-    /// Quantized i8 panels of `value` as the direct `B` operand, built on
-    /// first use under the same snapshot contract as
-    /// [`direct`](Self::direct) — the slot lives and dies with the
-    /// parameter generation, so a hot checkpoint swap (or any value
-    /// mutation) invalidates the quantized weights exactly like the f32
-    /// panels. Shape gate matches `direct` so quant and f32 dispatch agree
-    /// on which weights are pack-eligible.
-    pub fn quant(&self, value: &Tensor) -> Option<&QuantizedB> {
-        let (rows, cols) = (value.rows(), value.cols());
-        if rows < 2 || cols < NR {
-            return None;
-        }
-        Some(
-            self.quant
-                .get_or_init(|| QuantizedB::quantize_row_major(value.data(), rows, cols)),
-        )
-    }
 }
 
 struct ParamEntry {
@@ -164,33 +100,12 @@ impl ParamEntry {
 #[derive(Default)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
-    /// Inference-plane numeric mode for the model owning this store (the
-    /// training tape never reads it). Per-store, so e.g. each serving
-    /// `TaskPlane` toggles quantization independently.
-    quant_mode: QuantMode,
 }
 
 impl ParamStore {
-    /// Create an empty store. The inference quant mode starts from the
-    /// `ROTOM_QUANT` process default ([`QuantMode::from_env`]).
+    /// Create an empty store.
     pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            quant_mode: QuantMode::from_env(),
-        }
-    }
-
-    /// Inference-plane numeric mode (see [`QuantMode`]).
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant_mode
-    }
-
-    /// Set the inference-plane numeric mode. Takes effect on the next
-    /// inference call; training is unaffected. Quantized panels are built
-    /// lazily per generation, so toggling costs nothing until a quantized
-    /// GEMM actually runs.
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        self.quant_mode = mode;
+        Self::default()
     }
 
     /// Register a parameter initialized by `init`.
@@ -245,15 +160,6 @@ impl ParamStore {
         let e = &mut self.entries[id.0];
         e.invalidate();
         &mut e.value
-    }
-
-    /// Split mutable/shared borrow of a parameter's value and gradient (the
-    /// optimizer update loop: `value -= f(grad)` without cloning either).
-    /// Invalidates the pack cache like [`value_mut`](Self::value_mut).
-    pub fn value_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
-        let e = &mut self.entries[id.0];
-        e.invalidate();
-        (&mut e.value, &e.grad)
     }
 
     /// Mutation generation of a parameter: bumped every time the value is

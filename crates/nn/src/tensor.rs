@@ -182,22 +182,6 @@ impl Tensor {
         Tensor::from_vec(out, m, n)
     }
 
-    /// `self^T (k x m) * other (m x n) -> k x n` — the weight-gradient
-    /// contraction used by matmul backward passes, without the caller
-    /// materializing the transpose.
-    pub fn matmul_transpose_a(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transpose_a shape mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; k * n];
-        let pool = RotomPool::global();
-        kernels::matmul_transpose_a_into(&self.data, &other.data, m, m, k, n, pool, &mut out);
-        Tensor::from_vec(out, k, n)
-    }
-
     /// `self^T (k x m)^T=(m x k)… ` — transpose of an `m x k` tensor,
     /// producing `k x m`.
     pub fn transpose(&self) -> Tensor {

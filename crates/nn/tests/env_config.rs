@@ -6,7 +6,7 @@
 //! Each test owns one variable and nothing else in this binary reads it, so
 //! the tests can run in parallel.
 
-use rotom_nn::{env, faultpoint, FaultKind, ParamStore, QuantMode, RotomPool, ScoreCache};
+use rotom_nn::{env, faultpoint, FaultKind, RotomPool, ScoreCache};
 
 fn detected_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -25,26 +25,6 @@ fn rotom_threads_falls_back_to_detected_parallelism() {
         assert_eq!(RotomPool::from_env().threads(), detected_parallelism());
         assert_eq!(env::rejections(var), i as u64 + 1, "{bad:?} is rejected");
     }
-}
-
-#[test]
-fn rotom_quant_int8_falls_back_to_f32() {
-    let var = "ROTOM_QUANT";
-    for (value, mode) in [
-        (" I8 ", QuantMode::I8),
-        ("f32", QuantMode::F32),
-        ("", QuantMode::F32),
-    ] {
-        std::env::set_var(var, value);
-        assert_eq!(QuantMode::from_env(), mode, "{value:?}");
-    }
-    assert_eq!(env::rejections(var), 0, "i8, f32 and blank are silent");
-    std::env::set_var(var, "int8");
-    assert_eq!(QuantMode::from_env(), QuantMode::F32);
-    assert_eq!(env::rejections(var), 1);
-    // Every store reads the process default through the same rule.
-    assert_eq!(ParamStore::new().quant_mode(), QuantMode::F32);
-    assert_eq!(env::rejections(var), 2);
 }
 
 #[test]

@@ -14,9 +14,9 @@
 //! zero.
 
 use rotom_nn::kernels::{
-    band_rows, matmul_bias_act_i8_into, matmul_bias_act_into, matmul_into, matmul_naive,
-    matmul_transpose_a_into, matmul_transpose_b_into, matmul_transpose_b_naive, transpose, Act,
-    PackedB, QuantizedB, MR, NR, PAR_MIN_FLOPS, SMALL_FLOPS,
+    band_rows, matmul_bias_act_into, matmul_into, matmul_naive, matmul_transpose_a_into,
+    matmul_transpose_b_into, matmul_transpose_b_naive, transpose, Act, PackedB, MR, NR,
+    PAR_MIN_FLOPS, SMALL_FLOPS,
 };
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
@@ -115,7 +115,7 @@ fn check_bands(
     }
 }
 
-/// The band property for all four forward GEMM entry points at one shape.
+/// The band property for all three forward GEMM entry points at one shape.
 fn check_band_shape(m: usize, k: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let a = random_matrix(&mut rng, m, k);
@@ -124,7 +124,6 @@ fn check_band_shape(m: usize, k: usize, n: usize, seed: u64) {
     let bias = random_matrix(&mut rng, 1, n);
     let pk = PackedB::pack_row_major(&b, k, n);
     let pk_t = PackedB::pack_transposed(&bt, k, n);
-    let qb = QuantizedB::quantize_row_major(&b, k, n);
     check_bands(
         "matmul",
         &a,
@@ -155,17 +154,6 @@ fn check_band_shape(m: usize, k: usize, n: usize, seed: u64) {
         &|a, full, rows, pk, pool, out| {
             let bias = Some(&bias[..]);
             matmul_bias_act_into(a, &b, pk, bias, Act::Gelu, full, rows, k, n, pool, out)
-        },
-    );
-    check_bands(
-        "i8_bias_gelu",
-        &a,
-        m,
-        k,
-        n,
-        None,
-        &|a, _full, rows, _pk, pool, out| {
-            matmul_bias_act_i8_into(a, &qb, Some(&bias), Act::Gelu, rows, k, n, pool, out)
         },
     );
 }

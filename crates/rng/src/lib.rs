@@ -352,7 +352,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10_000 {
             let v: f32 = rng.random_range(f32::EPSILON..1.0);
-            assert!(v >= f32::EPSILON && v < 1.0, "{v}");
+            assert!((f32::EPSILON..1.0).contains(&v), "{v}");
             let w: f64 = rng.random_range(0.0..1.0);
             assert!((0.0..1.0).contains(&w));
             let x: f32 = rng.random_range(-2.0f32..=2.0);

@@ -150,13 +150,15 @@ impl RotomConfig {
 
     /// Minimal configuration for unit tests.
     pub fn test_tiny() -> Self {
-        let mut cfg = Self::default();
-        cfg.model = ModelConfig::test_tiny();
+        let mut cfg = Self {
+            model: ModelConfig::test_tiny(),
+            invda: InvDaConfig::test_tiny(),
+            ..Self::default()
+        };
         cfg.train.epochs = 2;
         cfg.train.batch_size = 8;
         cfg.meta.batch_size = 6;
         cfg.meta.val_batch_size = 8;
-        cfg.invda = InvDaConfig::test_tiny();
         cfg
     }
 }

@@ -15,8 +15,8 @@ use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
     backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_scratch,
-    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, QuantMode, RotomPool,
-    ScoreCache, Tape, TransformerEncoder,
+    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, RotomPool, ScoreCache,
+    Tape, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -362,19 +362,6 @@ impl TinyLm {
         self.num_classes
     }
 
-    /// Select the inference GEMM tier (f32 or quantized i8). Training is
-    /// unaffected — the tape never consults the mode — and the f32 weights
-    /// stay authoritative: quantized panels are derived lazily and
-    /// invalidated by the same generation slots as the packed f32 panels.
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        self.store.set_quant_mode(mode);
-    }
-
-    /// The active inference GEMM tier.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.store.quant_mode()
-    }
-
     /// The parameter store's monotone generation fingerprint: the sum of
     /// every tensor's write-generation. Any parameter mutation — an
     /// optimizer step or a checkpoint load — strictly increases it, which
@@ -382,15 +369,6 @@ impl TinyLm {
     /// one exact parameter state.
     pub fn generation_sum(&self) -> u64 {
         self.store.generation_sum()
-    }
-
-    /// Score-cache fingerprint: the generation sum with the quant tier
-    /// folded into the (practically unreachable) top bit, so switching
-    /// between f32 and i8 inference invalidates cached scores exactly like
-    /// a parameter write would.
-    fn cache_fingerprint(&self) -> u64 {
-        let quant_bit = (self.store.quant_mode() == QuantMode::I8) as u64;
-        self.store.generation_sum() ^ (quant_bit << 63)
     }
 
     /// Tape-free class logits for a sequence — the inference plane's entry
@@ -413,7 +391,7 @@ impl TinyLm {
             k
         });
         if let (Some(cache), Some(key)) = (&self.score_cache, &key) {
-            if let Some(hit) = cache.lookup(self.cache_fingerprint(), key) {
+            if let Some(hit) = cache.lookup(self.generation_sum(), key) {
                 return hit;
             }
         }
@@ -438,7 +416,7 @@ impl TinyLm {
             logits
         });
         if let (Some(cache), Some(key)) = (&self.score_cache, &key) {
-            cache.insert(self.cache_fingerprint(), key, &logits);
+            cache.insert(self.generation_sum(), key, &logits);
         }
         logits
     }

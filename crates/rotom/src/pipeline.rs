@@ -402,6 +402,10 @@ enum MixSource<'a> {
 /// Method-specific state of one epoch-loop run. The loop skeleton
 /// (shuffling, validation, checkpoint selection, fault tolerance) is shared
 /// by [`run_epoch_loop`]; the body holds what differs per method.
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one body lives per run, on the stack; boxing the trainer buys nothing"
+)]
 enum EpochBody<'a> {
     /// Plain fine-tuning on the original examples.
     Plain,
@@ -454,6 +458,10 @@ fn emit_step_record(
 /// Run one training epoch. With a guard, every optimizer step is health
 /// checked (and subject to injected faults); `Err(Halt)` reports the first
 /// divergent step without applying it.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the epoch's model, data, config, body, RNG and guard are all distinct borrows"
+)]
 fn run_one_epoch(
     model: &mut TinyLm,
     train: &[Example],

@@ -121,7 +121,7 @@ impl FtSession {
     ) -> Result<(), CheckpointError> {
         let every = self.cfg.every_epochs.max(1);
         if let Some(path) = &self.cfg.checkpoint {
-            if epoch % every == 0 {
+            if epoch.is_multiple_of(every) {
                 let _span = rotom_nn::telemetry::span("ft.checkpoint_write");
                 bag.save_atomic(path)?;
                 self.report.checkpoints_written += 1;

@@ -387,7 +387,7 @@ impl Batcher {
         loop {
             let finished = {
                 let slot = self.worker.lock().unwrap_or_else(|e| e.into_inner());
-                slot.handle.as_ref().map_or(true, |h| h.is_finished())
+                slot.handle.as_ref().is_none_or(|h| h.is_finished())
             };
             if finished {
                 break;
@@ -497,7 +497,7 @@ fn watchdog_check(
         }
     }
     let mut slot = worker.lock().unwrap_or_else(|e| e.into_inner());
-    let dead = slot.handle.as_ref().map_or(true, |h| h.is_finished());
+    let dead = slot.handle.as_ref().is_none_or(|h| h.is_finished());
     let wedged = {
         let busy = slot.busy_since_us.load(Ordering::Relaxed);
         busy != 0 && shared.now_us().saturating_sub(busy) > cfg.wedge_timeout.as_micros() as u64

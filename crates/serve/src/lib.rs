@@ -41,6 +41,6 @@ pub mod server;
 
 pub use batcher::{Batcher, BatcherConfig, DrainReport, JobError, JobReply, JobResult};
 pub use client::{post_with_retry, Client, Response, RetryPolicy};
-pub use metrics::{LatencyHistogram, ServeMetrics};
+pub use metrics::{CacheStats, LatencyHistogram, ServeMetrics};
 pub use plane::{demo_model, demo_model_config, Endpoint, ScoredBatch, SwapInfo, TaskPlane};
 pub use server::{Server, ServerConfig, MAX_INPUTS_PER_REQUEST};

@@ -16,13 +16,11 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: rotom-serve [--addr HOST:PORT] [--window-ms N] [--max-batch N]\n\
-         \x20                  [--threads N] [--score-cache N] [--seed N] [--quant]\n\
+         \x20                  [--threads N] [--score-cache N] [--seed N]\n\
          \x20                  [--max-queue N] [--deadline-ms N] [--drain-ms N] [--max-conns N]\n\
          \n\
          Serves POST /match, /clean, /classify; GET /healthz, /metrics;\n\
          POST /admin/swap {{\"endpoint\": ..., \"checkpoint\": ...}}.\n\
-         --quant boots every plane on the i8 inference GEMM tier\n\
-         (ROTOM_QUANT=i8 sets the same default process-wide).\n\
          \n\
          Overload protection: the batcher queue is capped at --max-queue\n\
          jobs (0 = unbounded) with a --deadline-ms admission/expiry budget\n\
@@ -113,7 +111,6 @@ fn main() {
                 Ok(n) => cfg.seed = n,
                 Err(_) => usage(),
             },
-            "--quant" => cfg.quant = true,
             "--max-queue" => match value("--max-queue").parse() {
                 Ok(n) => cfg.max_queue = n,
                 Err(_) => usage(),

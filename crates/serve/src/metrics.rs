@@ -9,6 +9,9 @@
 use rotom_nn::telemetry::{self, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One plane's score-cache statistics: `(hits, misses, evictions, entries)`.
+pub type CacheStats = (u64, u64, u64, usize);
+
 /// Number of log2 latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` microseconds, with the last bucket open-ended
 /// (≥ ~34 s — nothing a request should ever see).
@@ -53,12 +56,10 @@ impl LatencyHistogram {
 
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_us(&self) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            0
-        } else {
-            self.total_us.load(Ordering::Relaxed) / n
-        }
+        self.total_us
+            .load(Ordering::Relaxed)
+            .checked_div(self.count())
+            .unwrap_or(0)
     }
 
     /// Upper-bound estimate of quantile `q` (0 < q ≤ 1) in microseconds:
@@ -142,23 +143,20 @@ impl ServeMetrics {
     }
 
     /// Render the `/metrics` JSON document. `planes` supplies per-endpoint
-    /// state as `(endpoint_name, quant_tier_label, Option<(hits, misses,
-    /// evictions, entries)>)`.
-    pub fn render_json(&self, planes: &[(&str, &str, Option<(u64, u64, u64, usize)>)]) -> String {
-        use rotom_nn::kernels::profile;
+    /// state as `(endpoint_name, cache stats if the cache is enabled)`.
+    pub fn render_json(&self, planes: &[(&str, Option<CacheStats>)]) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"endpoints\":{");
-        for (i, (name, quant, cache)) in planes.iter().enumerate() {
+        for (i, (name, cache)) in planes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let m = &self.endpoints[i];
             out.push_str(&format!(
-                "\"{}\":{{\"requests\":{},\"inputs\":{},\"quant\":\"{}\",\"latency_us\":{{\"mean\":{},\"p50\":{},\"p99\":{}}}",
+                "\"{}\":{{\"requests\":{},\"inputs\":{},\"latency_us\":{{\"mean\":{},\"p50\":{},\"p99\":{}}}",
                 name,
                 m.requests.load(Ordering::Relaxed),
                 m.inputs.load(Ordering::Relaxed),
-                quant,
                 m.latency.mean_us(),
                 m.latency.quantile_us(0.5),
                 m.latency.quantile_us(0.99),
@@ -171,7 +169,7 @@ impl ServeMetrics {
             }
         }
         out.push_str(&format!(
-            "}},\"status\":{{\"2xx\":{},\"4xx\":{},\"5xx\":{}}},\"connections\":{},\"conns_rejected\":{},\"accept_errors\":{},\"parse_errors\":{},\"batcher\":{{\"batches\":{},\"jobs\":{},\"queue_wait_us\":{},\"queue_depth\":{},\"shed_total\":{},\"batcher_respawns\":{},\"drain_deadline_exceeded\":{}}},\"swaps\":{},\"gemm\":{{\"quant_i8_calls\":{},\"fma\":{},\"quant_simd\":{}}}}}",
+            "}},\"status\":{{\"2xx\":{},\"4xx\":{},\"5xx\":{}}},\"connections\":{},\"conns_rejected\":{},\"accept_errors\":{},\"parse_errors\":{},\"batcher\":{{\"batches\":{},\"jobs\":{},\"queue_wait_us\":{},\"queue_depth\":{},\"shed_total\":{},\"batcher_respawns\":{},\"drain_deadline_exceeded\":{}}},\"swaps\":{},\"gemm\":{{\"fma\":{}}}}}",
             self.status_2xx.load(Ordering::Relaxed),
             self.status_4xx.load(Ordering::Relaxed),
             self.status_5xx.load(Ordering::Relaxed),
@@ -187,9 +185,7 @@ impl ServeMetrics {
             self.batcher_respawns.load(Ordering::Relaxed),
             self.drain_deadline_exceeded.load(Ordering::Relaxed),
             self.swaps.load(Ordering::Relaxed),
-            profile::quant_i8_count(),
-            profile::fma_active(),
-            profile::quant_simd_active(),
+            rotom_nn::kernels::profile::fma_active(),
         ));
         out
     }
@@ -236,10 +232,6 @@ impl ServeMetrics {
                     Value::U64(self.batcher_respawns.load(Ordering::Relaxed)),
                 ),
                 ("swaps", Value::U64(self.swaps.load(Ordering::Relaxed))),
-                (
-                    "quant_i8_calls",
-                    Value::U64(rotom_nn::kernels::profile::quant_i8_count()),
-                ),
             ],
         );
     }
@@ -283,9 +275,9 @@ mod tests {
         m.record_status(404);
         m.record_status(500);
         let doc = m.render_json(&[
-            ("match", "i8", Some((1, 2, 3, 4))),
-            ("clean", "f32", None),
-            ("classify", "f32", None),
+            ("match", Some((1, 2, 3, 4))),
+            ("clean", None),
+            ("classify", None),
         ]);
         let parsed = crate::json::parse(&doc).expect("valid JSON");
         assert_eq!(
@@ -312,21 +304,12 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(1)
         );
-        assert_eq!(
-            parsed
-                .get("endpoints")
-                .and_then(|e| e.get("match"))
-                .and_then(|m| m.get("quant"))
-                .and_then(|q| q.as_str()),
-            Some("i8")
-        );
         assert!(
-            parsed
-                .get("gemm")
-                .and_then(|g| g.get("quant_i8_calls"))
-                .and_then(|v| v.as_u64())
-                .is_some(),
-            "gemm dispatch-tier counters present"
+            matches!(
+                parsed.get("gemm").and_then(|g| g.get("fma")),
+                Some(crate::json::Json::Bool(_))
+            ),
+            "gemm SIMD tier present"
         );
     }
 
@@ -338,11 +321,7 @@ mod tests {
         m.batcher_respawns.fetch_add(1, Ordering::Relaxed);
         m.drain_deadline_exceeded.fetch_add(2, Ordering::Relaxed);
         m.conns_rejected.fetch_add(4, Ordering::Relaxed);
-        let doc = m.render_json(&[
-            ("match", "f32", None),
-            ("clean", "f32", None),
-            ("classify", "f32", None),
-        ]);
+        let doc = m.render_json(&[("match", None), ("clean", None), ("classify", None)]);
         let parsed = crate::json::parse(&doc).expect("valid JSON");
         let batcher = parsed.get("batcher").expect("batcher section");
         for (key, want) in [

@@ -23,6 +23,7 @@
 //! the concurrent-swap test — can attribute every score to one exact
 //! parameter state.
 
+use crate::metrics::CacheStats;
 use rotom::{ModelConfig, TinyLm};
 use rotom_datasets::{
     edt::{self, EdtConfig, EdtFlavor},
@@ -193,25 +194,9 @@ impl TaskPlane {
         slot.model.set_score_cache(capacity);
     }
 
-    /// Select the inference GEMM tier (f32 or quantized i8) for this plane's
-    /// model. Taken under the write lock, so in-flight batches drain first
-    /// and later batches score wholly under the new tier; the model's score
-    /// cache self-invalidates because the tier is folded into its
-    /// fingerprint.
-    pub fn set_quant_mode(&self, mode: rotom_nn::QuantMode) {
-        let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
-        slot.model.set_quant_mode(mode);
-    }
-
-    /// The plane's active inference GEMM tier.
-    pub fn quant_mode(&self) -> rotom_nn::QuantMode {
-        let slot = self.slot.read().unwrap_or_else(|e| e.into_inner());
-        slot.model.quant_mode()
-    }
-
     /// Score-cache statistics `(hits, misses, evictions, entries)`, if the
     /// cache is enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64, u64, usize)> {
+    pub fn cache_stats(&self) -> Option<CacheStats> {
         let slot = self.slot.read().unwrap_or_else(|e| e.into_inner());
         slot.model.score_cache().map(|c| {
             let (h, m) = c.hit_miss();

@@ -27,7 +27,7 @@
 use crate::batcher::{endpoint_index, Batcher, BatcherConfig, DrainReport, JobError};
 use crate::http::{self, Request};
 use crate::json::{self, Json};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{CacheStats, ServeMetrics};
 use crate::plane::{demo_model, demo_model_config, Endpoint, TaskPlane};
 use rotom_nn::faultpoint::{self, FaultKind};
 use std::io::{ErrorKind, Read, Write};
@@ -55,9 +55,6 @@ pub struct ServerConfig {
     pub score_cache: usize,
     /// Seed for the demo models the planes boot with.
     pub seed: u64,
-    /// Boot every plane on the quantized i8 inference tier (default f32).
-    /// Per-plane overrides are available via [`TaskPlane::set_quant_mode`].
-    pub quant: bool,
     /// Close connections idle longer than this between requests; a
     /// connection idle mid-request gets a 408 first.
     pub idle_timeout: Duration,
@@ -88,7 +85,6 @@ impl Default for ServerConfig {
             score_threads: 1,
             score_cache: 0,
             seed: 7,
-            quant: false,
             idle_timeout: Duration::from_secs(30),
             max_queue: batcher.max_queue,
             deadline: batcher.deadline,
@@ -141,9 +137,6 @@ impl Server {
             let plane = TaskPlane::new(e, name, model);
             if cfg.score_cache > 0 {
                 plane.set_score_cache(cfg.score_cache);
-            }
-            if cfg.quant {
-                plane.set_quant_mode(rotom_nn::QuantMode::I8);
             }
             plane
         });
@@ -476,10 +469,10 @@ fn route(req: &Request, inner: &Inner) -> Routed {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Routed::ok("{\"status\":\"ok\"}".into()),
         ("GET", "/metrics") => {
-            let stats: Vec<(&str, &str, Option<(u64, u64, u64, usize)>)> = inner
+            let stats: Vec<(&str, Option<CacheStats>)> = inner
                 .planes
                 .iter()
-                .map(|p| (p.endpoint().name(), p.quant_mode().label(), p.cache_stats()))
+                .map(|p| (p.endpoint().name(), p.cache_stats()))
                 .collect();
             inner.metrics.emit_telemetry();
             Routed::ok(inner.metrics.render_json(&stats))

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn fallback_splits_oov_into_chars() {
         let v = sample_vocab();
-        let ids = v.encode_fallback(&vec!["quick".to_string(), "zebra7".to_string()]);
+        let ids = v.encode_fallback(&["quick".to_string(), "zebra7".to_string()]);
         // "quick" is one id; "zebra7" becomes 6 character ids, none UNK.
         assert_eq!(ids.len(), 7);
         assert_eq!(ids[0], v.id("quick"));

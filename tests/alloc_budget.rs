@@ -137,9 +137,11 @@ fn measure_bytes_per_step() -> f64 {
         seed: 11,
     };
     let task = textcls::generate(TextClsFlavor::Sst2, &data_cfg);
-    let mut model_cfg = ModelConfig::default();
-    model_cfg.pretrain_epochs = 0;
-    model_cfg.pair_pretrain_epochs = 0;
+    let model_cfg = ModelConfig {
+        pretrain_epochs: 0,
+        pair_pretrain_epochs: 0,
+        ..ModelConfig::default()
+    };
     let corpus: Vec<Vec<String>> = task.train_pool.iter().map(|e| e.tokens.clone()).collect();
     let mut target = TinyLm::from_corpus(&corpus, task.num_classes, &model_cfg, 5e-4, 7);
     let aug: Vec<AugExample> = task.train_pool.iter().map(AugExample::identity).collect();

@@ -102,7 +102,7 @@ fn responses_during_hot_swap_are_wholly_old_or_new() {
                     // and the generation parity says which. Even swap counts
                     // (0 included) are state A, odd are state B, because the
                     // swapper alternates B, A, B, A, ...
-                    let expect = if generation % 2 == 0 {
+                    let expect = if generation.is_multiple_of(2) {
                         &scores_a
                     } else {
                         &scores_b
