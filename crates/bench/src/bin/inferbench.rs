@@ -1,6 +1,6 @@
 //! Inference-plane benchmark: scored examples/sec on the tape path vs the
-//! tape-free path, InvDA decode tokens/sec, and score-cache hit throughput,
-//! written to `BENCH_infer.json`.
+//! tape-free path, InvDA decode tokens/sec, and the hit throughput of a
+//! serving plane's score cache (`/classify`), written to `BENCH_infer.json`.
 //!
 //! The workload is batch-64 classifier scoring with an inference-scale
 //! model (d_model 128, 1 layer): the tape baseline maps
@@ -26,6 +26,7 @@ use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
+use rotom_serve::{Endpoint, TaskPlane};
 
 const USAGE: &str = "usage: inferbench [--check]";
 const BATCH: usize = 64;
@@ -55,8 +56,7 @@ fn run_child() -> Row {
     cfg.model.pair_pretrain_epochs = 0;
     cfg.invda.epochs = 1;
     let batch: Vec<Vec<String>> = task.train_pool.iter().map(|e| e.tokens.clone()).collect();
-    let mut model = TinyLm::from_corpus(&batch, task.num_classes, &cfg.model, 5e-4, 7);
-    assert!(model.score_cache().is_none(), "cache must start disabled");
+    let model = TinyLm::from_corpus(&batch, task.num_classes, &cfg.model, 5e-4, 7);
 
     let pool = RotomPool::global();
     let quick = Scale::from_env(Scale::Full) == Scale::Quick;
@@ -96,44 +96,49 @@ fn run_child() -> Row {
     assert!(decode_tokens > 0, "decode emitted no tokens");
     let decode_tok_s = decode_tokens as f64 / decode_s;
 
-    // Score cache: populate once, then measure steady-state hit throughput.
-    model.set_score_cache(4096);
-    std::hint::black_box(model.score_batch(&batch, pool));
+    // Score cache, through the serving plane that owns it: populate once,
+    // then measure steady-state hit throughput. The plane looks inputs up
+    // serially, so the counts are exact at any pool width: one miss per
+    // input in the populate pass, then one hit per input per timed call.
+    let plane = TaskPlane::new(Endpoint::Classify, task.name.clone(), model);
+    plane.set_score_cache(4096);
+    let uncached = std::hint::black_box(plane.score(&batch, pool).scores);
+    let mut calls = 0u64;
     let cache_s = time_best(passes, || {
-        std::hint::black_box(model.score_batch(&batch, pool));
+        calls += 1;
+        std::hint::black_box(plane.score(&batch, pool));
     });
-    let (hits, misses) = model.score_cache().expect("cache enabled").hit_miss();
-    assert!(hits > 0, "repeat scoring must hit the cache");
+    let n = batch.len() as u64;
+    let (hits, misses, evictions, _) = plane.cache_stats().expect("cache enabled");
     assert_eq!(
-        model.score_cache().expect("cache enabled").evictions(),
-        0,
-        "capacity 4096 holds the whole batch-64 working set"
+        (hits, misses, evictions),
+        (calls * n, n, 0),
+        "capacity 4096 holds the whole batch-{BATCH} working set"
     );
     let cache_hit_rate = hits as f64 / (hits + misses) as f64;
     let cache_eps = batch.len() as f64 / cache_s;
 
     // Eviction path: shrink the cache below the working set so every pass
     // churns through LRU eviction, and pin the capacity/eviction behavior
-    // the steady-state row above never exercises (its 4096-entry cache
-    // holds all 64 inputs). Scoring stays bit-identical either way; this
-    // guards the bookkeeping, not the numbers.
-    model.set_score_cache(BATCH / 2);
-    let full = model.score_batch(&batch, pool);
-    let evicting = model.score_batch(&batch, pool);
-    assert_eq!(full, evicting, "eviction churn must not change scores");
-    let cache = model.score_cache().expect("cache enabled");
+    // the steady-state row above never exercises. Scores stay bit-identical
+    // to the uncached pass; this guards the bookkeeping, not the numbers.
+    plane.set_score_cache(BATCH / 2);
+    let bits =
+        |rows: &[Vec<f32>]| -> Vec<u32> { rows.iter().flatten().map(|p| p.to_bits()).collect() };
+    for _ in 0..2 {
+        let scores = plane.score(&batch, pool).scores;
+        assert_eq!(bits(&scores), bits(&uncached), "caching changed scores");
+    }
+    let (_, _, evictions, entries) = plane.cache_stats().expect("cache enabled");
     assert!(
-        cache.evictions() > 0,
-        "batch-64 through a {}-entry cache must evict",
+        evictions > 0,
+        "batch-{BATCH} through a {}-entry cache must evict",
         BATCH / 2
     );
     assert!(
-        cache.len() <= BATCH / 2,
-        "cache must stay within capacity ({} entries)",
-        cache.len()
+        entries <= BATCH / 2,
+        "cache must stay within capacity ({entries} entries)"
     );
-    cache.emit_gauges();
-    model.set_score_cache(0);
 
     Row::new()
         .num("threads", pool.threads() as f64, 0)

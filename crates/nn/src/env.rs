@@ -5,8 +5,8 @@
 //! the default, but loudly: the first rejection of each variable prints one
 //! stderr warning and emits one telemetry counter naming the value and the
 //! reason, and every rejection is counted in [`rejections`]. An operator's
-//! typo (`ROTOM_THREADS=eight`, `ROTOM_SCORE_CACHE=10k`) is therefore never
-//! silently ignored, and never panics.
+//! typo (`ROTOM_THREADS=eight`, `ROTOM_FAULT=kill@epoch=3`) is therefore
+//! never silently ignored, and never panics.
 
 use crate::telemetry::{self, Value};
 use std::sync::Mutex;

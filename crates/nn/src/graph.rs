@@ -118,8 +118,6 @@ enum Op {
     Mul(NodeId, NodeId),
     /// Broadcast add of a `1 x n` row to every row of an `m x n` matrix.
     AddRow(NodeId, NodeId),
-    /// Broadcast multiply of a `1 x n` row into every row of an `m x n` matrix.
-    MulRow(NodeId, NodeId),
     Scale(NodeId, f32),
     AddConst(NodeId, f32),
     Relu(NodeId),
@@ -166,11 +164,6 @@ enum Op {
     MeanRows(NodeId),
     /// Sum of equal-shaped nodes.
     SumNodes(Vec<NodeId>),
-    /// Multiply a tensor by a `1x1` scalar node.
-    MulScalar {
-        x: NodeId,
-        s: NodeId,
-    },
     /// Mean cross-entropy over rows of logits against soft targets.
     CrossEntropy {
         logits: NodeId,
@@ -500,29 +493,6 @@ impl Tape {
         self.push(Op::AddRow(a, row), Tensor::from_vec(out, m, n))
     }
 
-    /// Multiply every row of an `m x n` node by a `1 x n` row vector node.
-    pub fn mul_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let (m, n) = self.shape(a);
-        let (rr, rc) = self.shape(row);
-        assert_eq!(rr, 1, "mul_row expects a 1 x n row vector");
-        assert_eq!(n, rc, "mul_row width mismatch");
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            let rv = self.nodes[row.0].value.data();
-            for i in 0..m {
-                for ((o, &x), &s) in out[i * n..(i + 1) * n]
-                    .iter_mut()
-                    .zip(&av[i * n..(i + 1) * n])
-                    .zip(rv)
-                {
-                    *o = x * s;
-                }
-            }
-        }
-        self.push(Op::MulRow(a, row), Tensor::from_vec(out, m, n))
-    }
-
     /// `a * c` for a compile-time constant `c`.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         let (r, cols) = self.shape(a);
@@ -772,14 +742,6 @@ impl Tape {
         self.scale(s, 1.0 / parts.len() as f32)
     }
 
-    /// Multiply tensor `x` by scalar node `s` (`1x1`).
-    pub fn mul_scalar(&mut self, x: NodeId, s: NodeId) -> NodeId {
-        assert_eq!(self.value(s).len(), 1, "mul_scalar expects 1x1 scalar node");
-        let sv = self.value(s).item();
-        let v = self.map_into(x, |a| a * sv);
-        self.push(Op::MulScalar { x, s }, v)
-    }
-
     /// Sum of all elements as a `1x1` node.
     pub fn sum_all(&mut self, x: NodeId) -> NodeId {
         let s = self.value(x).sum();
@@ -1007,31 +969,6 @@ impl Tape {
                 }
                 self.add_grad_owned(*row, Tensor::from_vec(rg, 1, n));
             }
-            Op::MulRow(a, row) => {
-                let (m, n) = (grad.rows(), grad.cols());
-                let mut da = self.arena.take_dirty(m * n);
-                let mut rg = self.arena.take_zeroed(n);
-                {
-                    let rv = self.nodes[row.0].value.data();
-                    let av = &self.nodes[a.0].value;
-                    for r in 0..m {
-                        for ((d, &g), &s) in da[r * n..(r + 1) * n]
-                            .iter_mut()
-                            .zip(grad.row_slice(r))
-                            .zip(rv)
-                        {
-                            *d = g * s;
-                        }
-                        for ((o, &g), &a_) in
-                            rg.iter_mut().zip(grad.row_slice(r)).zip(av.row_slice(r))
-                        {
-                            *o += g * a_;
-                        }
-                    }
-                }
-                self.add_grad_owned(*a, Tensor::from_vec(da, m, n));
-                self.add_grad_owned(*row, Tensor::from_vec(rg, 1, n));
-            }
             Op::Scale(a, c) => {
                 let c = *c;
                 let mut da = self.arena.take_dirty(grad.len());
@@ -1205,23 +1142,6 @@ impl Tape {
                 for &p in parts {
                     self.add_grad(p, grad);
                 }
-            }
-            Op::MulScalar { x, s } => {
-                let sv = self.nodes[s.0].value.item();
-                let mut dx = self.arena.take_dirty(grad.len());
-                for (o, &g) in dx.iter_mut().zip(grad.data()) {
-                    *o = g * sv;
-                }
-                self.add_grad_owned(*x, Tensor::from_vec(dx, grad.rows(), grad.cols()));
-                let ds: f32 = grad
-                    .data()
-                    .iter()
-                    .zip(self.nodes[x.0].value.data())
-                    .map(|(&g, &xv)| g * xv)
-                    .sum();
-                let mut dsb = self.arena.take_dirty(1);
-                dsb[0] = ds;
-                self.add_grad_owned(*s, Tensor::from_vec(dsb, 1, 1));
             }
             Op::SumAll(x) => {
                 let g = grad.item();
@@ -1562,18 +1482,6 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_mul_row() {
-        gradcheck_param(1, 4, |t, w| {
-            let x = t.input(Tensor::from_vec(
-                vec![0.3, -0.7, 1.2, 0.5, 0.1, -0.4, 0.8, -1.1],
-                2,
-                4,
-            ));
-            t.mul_row(x, w)
-        });
-    }
-
-    #[test]
     fn gradcheck_concat_and_slice() {
         gradcheck_param(2, 3, |t, w| {
             let a = t.slice_cols(w, 0, 2);
@@ -1677,19 +1585,6 @@ mod tests {
         let kept = tape.value(y).data().iter().filter(|&&v| v != 0.0).count();
         // Keep probability 0.75: expect ~3000 ± noise.
         assert!((2800..3200).contains(&kept), "kept {kept}");
-    }
-
-    #[test]
-    fn mul_scalar_gradients_flow_to_both() {
-        let mut store = ParamStore::new();
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::from_vec(vec![2.0, 3.0], 1, 2));
-        let s = tape.input(Tensor::scalar(4.0));
-        let y = tape.mul_scalar(x, s);
-        let loss = tape.sum_all(y);
-        tape.backward(loss, &mut store);
-        assert_eq!(tape.grad(x).data(), &[4.0, 4.0]);
-        assert_eq!(tape.grad(s).item(), 5.0);
     }
 
     #[test]

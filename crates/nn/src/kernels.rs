@@ -246,64 +246,85 @@ pub fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
         }
         return out;
     }
-    matmul_naive_scalar(a, b, m, k, n, &mut out);
+    naive_rows::<true>(a, m, k, 1, k, b, n, n, &mut out);
     out
 }
 
-/// [`matmul_naive`] writing into a caller buffer (fully overwritten).
-fn matmul_naive_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+/// The naive tier: `rows` output rows of the saxpy-form product
+/// `out[i·n + j] = Σ_p a(i, p)·b[p·ldb + j]` for `p < cnt`, with
+/// `a(i, p) = avs[i·row_step + p·stride]` (`out` is `rows×n`, fully
+/// overwritten). Strides serve all three layouts: `A·B`, `A·Bᵀ` against a
+/// packed `Bᵀ`, and `Aᵀ·G` reading `A`'s columns.
+///
+/// Runs [`avx::rows_accum_all`] where AVX is available, else
+/// [`rows_accum_scalar`]; the two return the same bits.
+#[allow(clippy::too_many_arguments)]
+fn naive_rows<const SKIP_ZERO: bool>(
+    avs: &[f32],
+    rows: usize,
+    row_step: usize,
+    stride: usize,
+    cnt: usize,
+    b: &[f32],
+    ldb: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert!(rows == 0 || cnt == 0 || (rows - 1) * row_step + (cnt - 1) * stride < avs.len());
+    debug_assert!(cnt == 0 || (cnt - 1) * ldb + n <= b.len());
+    debug_assert_eq!(out.len(), rows * n);
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
-        // SAFETY: `available()` checked; row `i` of `a` is `a[i·k..][..k]`,
-        // `b` is `k×n` and `out` is `m×n`.
+        // SAFETY: `available()` checked; the bounds are the ones asserted
+        // above, which every caller's shapes satisfy.
         unsafe {
-            avx::rows_accum_all::<true>(a.as_ptr(), m, k, 1, k, b.as_ptr(), n, n, out.as_mut_ptr())
+            avx::rows_accum_all::<SKIP_ZERO>(
+                avs.as_ptr(),
+                rows,
+                row_step,
+                stride,
+                cnt,
+                b.as_ptr(),
+                ldb,
+                n,
+                out.as_mut_ptr(),
+            )
         };
         return;
     }
-    matmul_naive_scalar(a, b, m, k, n, out);
+    rows_accum_scalar::<SKIP_ZERO>(avs, rows, row_step, stride, cnt, b, ldb, n, out);
 }
 
-/// The scalar tier of [`matmul_naive_into`]: i-k-j saxpy, skipping zero
-/// terms of `A`.
-fn matmul_naive_scalar(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+/// The scalar twin of [`avx::rows_accum_all`], with the same arguments:
+/// every output scalar starts from zero and accumulates in increasing `p`
+/// with separate mul and add roundings. With `SKIP_ZERO` a term whose
+/// `a(i, p)` is zero is skipped (adding `0·b` would turn the sum NaN where
+/// `b` is infinite or NaN).
+#[allow(clippy::too_many_arguments)]
+fn rows_accum_scalar<const SKIP_ZERO: bool>(
+    avs: &[f32],
+    rows: usize,
+    row_step: usize,
+    stride: usize,
+    cnt: usize,
+    b: &[f32],
+    ldb: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     out.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
+    for i in 0..rows {
         let o_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
+        for p in 0..cnt {
+            let av = avs[i * row_step + p * stride];
+            if SKIP_ZERO && av == 0.0 {
                 continue;
             }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+            for (o, &bv) in o_row.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
                 *o += av * bv;
             }
         }
     }
-}
-
-/// Blocked out-of-place transpose: `src` is `rows×cols`, the result is
-/// `cols×rows`. Blocking keeps both access streams within a few cache lines.
-pub fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    debug_assert_eq!(src.len(), rows * cols);
-    const TB: usize = 32;
-    let mut out = vec![0.0f32; rows * cols];
-    for r0 in (0..rows).step_by(TB) {
-        let r1 = (r0 + TB).min(rows);
-        for c0 in (0..cols).step_by(TB) {
-            let c1 = (c0 + TB).min(cols);
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    out[c * rows + r] = src[r * cols + c];
-                }
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,7 +1191,7 @@ pub fn matmul_into(
     debug_assert_eq!(out.len(), m * n);
     if full_m * k * n < SMALL_FLOPS {
         profile::bump(&profile::NAIVE);
-        matmul_naive_into(a, b, m, k, n, out);
+        naive_rows::<true>(a, m, k, 1, k, b, n, n, out);
         return;
     }
     let edge = BRowMajor { b, n };
@@ -1201,124 +1222,17 @@ fn matmul_transpose_b_naive_into(
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        // Pack `Bᵀ` (`k×n`) once so the dot products become the saxpy form
-        // of the naive `A·B` kernel: each output scalar still accumulates
-        // `a[i][p]·b[j][p]` in increasing `p` with separate roundings (no
-        // zero skip, as in the dot loop below), so the bits are unchanged.
-        let mut bt = take_scratch(k * n);
-        for j in 0..n {
-            for p in 0..k {
-                bt[p * n + j] = b[j * k + p];
-            }
-        }
-        // SAFETY: `available()` checked; `a` is `m×k`, `bt` is `k×n` and
-        // `out` is `m×n`.
-        unsafe {
-            avx::rows_accum_all::<false>(
-                a.as_ptr(),
-                m,
-                k,
-                1,
-                k,
-                bt.as_ptr(),
-                n,
-                n,
-                out.as_mut_ptr(),
-            )
-        };
-        put_scratch(bt);
-        return;
-    }
-    matmul_transpose_b_naive_scalar(a, b, m, k, n, out);
-}
-
-/// The scalar tier of [`matmul_transpose_b_naive_into`]: dot products.
-fn matmul_transpose_b_naive_scalar(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    // Each output scalar is one dot product accumulated in increasing `k`
-    // with a single accumulator — a serial FP dependency chain. Running four
-    // output columns (and two rows) concurrently keeps their chains
-    // independent, so the per-scalar operation sequence — and hence every
-    // result bit — is unchanged while the add-latency bubbles overlap.
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut s = [0.0f32; 8];
-            for p in 0..k {
-                let (x0, x1) = (a0[p], a1[p]);
-                let (y0, y1, y2, y3) = (b0[p], b1[p], b2[p], b3[p]);
-                s[0] += x0 * y0;
-                s[1] += x0 * y1;
-                s[2] += x0 * y2;
-                s[3] += x0 * y3;
-                s[4] += x1 * y0;
-                s[5] += x1 * y1;
-                s[6] += x1 * y2;
-                s[7] += x1 * y3;
-            }
-            out[i * n + j..i * n + j + 4].copy_from_slice(&s[..4]);
-            out[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&s[4..]);
-            j += 4;
-        }
-        while j < n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let (mut s0, mut s1) = (0.0f32, 0.0f32);
-            for p in 0..k {
-                let bv = b_row[p];
-                s0 += a0[p] * bv;
-                s1 += a1[p] * bv;
-            }
-            out[i * n + j] = s0;
-            out[(i + 1) * n + j] = s1;
-            j += 1;
-        }
-        i += 2;
-    }
-    if i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut s = [0.0f32; 4];
-            for p in 0..k {
-                let av = a_row[p];
-                s[0] += av * b0[p];
-                s[1] += av * b1[p];
-                s[2] += av * b2[p];
-                s[3] += av * b3[p];
-            }
-            out[i * n + j..i * n + j + 4].copy_from_slice(&s);
-            j += 4;
-        }
-        while j < n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-            j += 1;
+    // Pack `Bᵀ` (`k×n`) so the dot products take the saxpy form of the
+    // naive `A·B` tier: each output scalar still accumulates `a[i][p]·b[j][p]`
+    // in increasing `p` with separate roundings, and no zero skip.
+    let mut bt = take_scratch(k * n);
+    for j in 0..n {
+        for p in 0..k {
+            bt[p * n + j] = b[j * k + p];
         }
     }
+    naive_rows::<false>(a, m, k, 1, k, &bt, n, n, out);
+    put_scratch(bt);
 }
 
 /// `C = A·Bᵀ` for an `m`-row band of a `full_m`-row product into a caller
@@ -1327,8 +1241,8 @@ fn matmul_transpose_b_naive_scalar(
 ///
 /// Large shapes stream `B`'s stored columns straight into packed panels
 /// (transpose-free; contents bit-identical to packing a materialized
-/// transpose); small shapes use the dot form directly. Both paths share the
-/// increasing-`k` single-accumulator order, so the choice never changes
+/// transpose); small shapes pack `Bᵀ` for the naive tier. Both paths share
+/// the increasing-`k` single-accumulator order, so the choice never changes
 /// results. `pk`, when present, must be [`PackedB::pack_transposed`] of `b`.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_transpose_b_into(
@@ -1395,26 +1309,7 @@ pub fn matmul_transpose_a_into(
     if full_m * k * n < SMALL_FLOPS {
         profile::bump(&profile::NAIVE);
         // Direct q-i-j form: out[q][j] += a[i][q] * g[i][j], i increasing.
-        #[cfg(target_arch = "x86_64")]
-        if avx::available() {
-            // SAFETY: `available()` checked; output row `q` reads column `q`
-            // of `a` at `q + i·k < m·k`, `g` is `m×n` and `out` is `k×n`.
-            unsafe {
-                avx::rows_accum_all::<true>(
-                    a.as_ptr(),
-                    k,
-                    1,
-                    k,
-                    m,
-                    g.as_ptr(),
-                    n,
-                    n,
-                    out.as_mut_ptr(),
-                )
-            };
-            return;
-        }
-        matmul_transpose_a_naive_scalar(a, g, m, k, n, out);
+        naive_rows::<true>(a, k, 1, k, m, g, n, n, out);
         return;
     }
     if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || k < 2 * MR {
@@ -1433,32 +1328,6 @@ pub fn matmul_transpose_a_into(
             };
             transpose_a_block(a, g, m, k, n, range.start, range.end, out_block);
         });
-    }
-}
-
-/// The scalar tier of [`matmul_transpose_a_into`]'s small-shape path: the
-/// q-i-j saxpy form, skipping zero terms of `A`.
-fn matmul_transpose_a_naive_scalar(
-    a: &[f32],
-    g: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    out.fill(0.0);
-    for q in 0..k {
-        let o_row = &mut out[q * n..(q + 1) * n];
-        for i in 0..m {
-            let av = a[i * k + q];
-            if av == 0.0 {
-                continue;
-            }
-            let g_row = &g[i * n..(i + 1) * n];
-            for (o, &gv) in o_row.iter_mut().zip(g_row) {
-                *o += av * gv;
-            }
-        }
     }
 }
 
@@ -1859,6 +1728,17 @@ mod tests {
     use rotom_rng::rngs::StdRng;
     use rotom_rng::{split_seed, RngExt, SeedableRng};
 
+    /// Out-of-place transpose: `src` is `rows×cols`, the result `cols×rows`.
+    fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                out[c * rows + r] = src[r * cols + c];
+            }
+        }
+        out
+    }
+
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
         (0..rows * cols)
             .map(|_| rng.random_range(-2.0f32..2.0))
@@ -2031,16 +1911,6 @@ mod tests {
                 matmul_transpose_b_into(&a, &b, Some(&pk), m, m, k, n, &pool, &mut warm);
                 assert_eq!(cold, warm, "tb prepacked {m}x{k}x{n} threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(0x4e6);
-        for &(rows, cols) in &[(1, 1), (1, 17), (33, 65), (64, 64), (100, 3)] {
-            let src = random_matrix(&mut rng, rows, cols);
-            let rt = transpose(&transpose(&src, rows, cols), cols, rows);
-            assert_eq!(src, rt, "{rows}x{cols}");
         }
     }
 
@@ -2223,15 +2093,16 @@ mod tests {
                     for threads in [1, 8] {
                         let pool = RotomPool::new(threads);
                         let ctx = format!("{m}x{k}x{n} threads={threads}");
-                        matmul_naive_scalar(&a, &b, m, k, n, &mut want);
+                        rows_accum_scalar::<true>(&a, m, k, 1, k, &b, n, n, &mut want);
                         assert_eq!(bits(&mm(&a, &b, m, k, n, &pool)), bits(&want), "A·B {ctx}");
-                        matmul_transpose_b_naive_scalar(&a, &bt, m, k, n, &mut want);
+                        let packed = transpose(&bt, n, k);
+                        rows_accum_scalar::<false>(&a, m, k, 1, k, &packed, n, n, &mut want);
                         assert_eq!(
                             bits(&mm_tb(&a, &bt, m, k, n, &pool)),
                             bits(&want),
                             "A·Bᵀ {ctx}"
                         );
-                        matmul_transpose_a_naive_scalar(&a, &g, m, k, n, &mut want_ta);
+                        rows_accum_scalar::<true>(&a, k, 1, k, m, &g, n, n, &mut want_ta);
                         assert_eq!(
                             bits(&mm_ta(&a, &g, m, k, n, &pool)),
                             bits(&want_ta),

@@ -67,7 +67,7 @@ pub use graph::{
     with_pooled_tape, AttnMask, NodeId, Tape,
 };
 pub use health::{Halt, HealthConfig, HealthEvent, HealthMonitor, Verdict};
-pub use infer::{with_infer_scratch, InferScratch, ScoreCache};
+pub use infer::{with_infer_scratch, InferScratch};
 pub use init::Initializer;
 pub use layers::{
     causal_mask, DecoderKvCache, DecoderLayer, Embedding, EncoderLayer, FeedForward, FwdCtx, Gru,

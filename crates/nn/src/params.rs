@@ -171,8 +171,8 @@ impl ParamStore {
 
     /// Sum of all parameter generations — a cheap fingerprint of "has any
     /// value possibly changed". Monotonically non-decreasing (generations
-    /// only ever grow), so value-derived caches such as the inference-plane
-    /// score cache can compare one `u64` instead of walking every entry.
+    /// only ever grow), so one `u64` names a parameter state, as the
+    /// serving planes report with every batch.
     pub fn generation_sum(&self) -> u64 {
         self.entries.iter().map(|e| e.generation).sum()
     }

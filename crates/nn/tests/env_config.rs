@@ -6,7 +6,7 @@
 //! Each test owns one variable and nothing else in this binary reads it, so
 //! the tests can run in parallel.
 
-use rotom_nn::{env, faultpoint, FaultKind, RotomPool, ScoreCache};
+use rotom_nn::{env, faultpoint, FaultKind, RotomPool};
 
 fn detected_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -25,24 +25,6 @@ fn rotom_threads_falls_back_to_detected_parallelism() {
         assert_eq!(RotomPool::from_env().threads(), detected_parallelism());
         assert_eq!(env::rejections(var), i as u64 + 1, "{bad:?} is rejected");
     }
-}
-
-#[test]
-fn rotom_score_cache_10k_falls_back_to_no_cache() {
-    let var = "ROTOM_SCORE_CACHE";
-    std::env::set_var(var, " 16 ");
-    assert_eq!(ScoreCache::from_env().map(|c| c.capacity()), Some(16));
-    for silent in ["0", ""] {
-        std::env::set_var(var, silent);
-        assert!(
-            ScoreCache::from_env().is_none(),
-            "{silent:?} disables caching"
-        );
-    }
-    assert_eq!(env::rejections(var), 0, "0 and blank are silent");
-    std::env::set_var(var, "10k");
-    assert!(ScoreCache::from_env().is_none());
-    assert_eq!(env::rejections(var), 1);
 }
 
 #[test]

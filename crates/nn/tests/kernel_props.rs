@@ -15,8 +15,8 @@
 
 use rotom_nn::kernels::{
     band_rows, matmul_bias_act_into, matmul_into, matmul_naive, matmul_transpose_a_into,
-    matmul_transpose_b_into, matmul_transpose_b_naive, transpose, Act, PackedB, MR, NR,
-    PAR_MIN_FLOPS, SMALL_FLOPS,
+    matmul_transpose_b_into, matmul_transpose_b_naive, Act, PackedB, MR, NR, PAR_MIN_FLOPS,
+    SMALL_FLOPS,
 };
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
@@ -39,6 +39,17 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
     (0..rows * cols)
         .map(|_| rng.random_range(-2.0f32..2.0))
         .collect()
+}
+
+/// Out-of-place transpose: `src` is `rows×cols`, the result `cols×rows`.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            out[c * rows + r] = src[r * cols + c];
+        }
+    }
+    out
 }
 
 fn assert_close(got: &[f32], want: &[f32], ctx: &str) {

@@ -15,8 +15,8 @@ use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
     backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_scratch,
-    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, RotomPool, ScoreCache,
-    Tape, TransformerEncoder,
+    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, RotomPool, Tape,
+    TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -45,10 +45,6 @@ pub struct TinyLm {
     rng: StdRng,
     /// Losses recorded during MLM pre-training (diagnostics).
     pub pretrain_losses: Vec<f32>,
-    /// Optional memoization of tape-free logits (`ROTOM_SCORE_CACHE=<cap>`,
-    /// or [`set_score_cache`](Self::set_score_cache)). Invalidated whenever
-    /// any parameter changes, so hits are always bit-identical to recompute.
-    score_cache: Option<ScoreCache>,
 }
 
 impl TinyLm {
@@ -78,7 +74,6 @@ impl TinyLm {
             lr,
             rng,
             pretrain_losses: Vec::new(),
-            score_cache: ScoreCache::from_env(),
         }
     }
 
@@ -345,18 +340,6 @@ impl TinyLm {
         rotom_nn::argmax(&self.predict_proba(tokens))
     }
 
-    /// Enable (capacity > 0) or disable the score cache, replacing any
-    /// environment-derived setting. Mainly for benchmarks and tests, which
-    /// should not mutate process-wide environment variables.
-    pub fn set_score_cache(&mut self, capacity: usize) {
-        self.score_cache = (capacity > 0).then(|| ScoreCache::with_capacity(capacity));
-    }
-
-    /// The score cache, if enabled (telemetry / diagnostics).
-    pub fn score_cache(&self) -> Option<&ScoreCache> {
-        self.score_cache.as_ref()
-    }
-
     /// Number of classes in the classification head's output.
     pub fn num_classes(&self) -> usize {
         self.num_classes
@@ -365,8 +348,8 @@ impl TinyLm {
     /// The parameter store's monotone generation fingerprint: the sum of
     /// every tensor's write-generation. Any parameter mutation — an
     /// optimizer step or a checkpoint load — strictly increases it, which
-    /// is what lets score caches and serving planes attribute results to
-    /// one exact parameter state.
+    /// is what lets serving planes attribute results to one exact parameter
+    /// state.
     pub fn generation_sum(&self) -> u64 {
         self.store.generation_sum()
     }
@@ -378,25 +361,8 @@ impl TinyLm {
     /// tape forward in eval mode.
     fn infer_logits(&self, tokens: &[String]) -> Vec<f32> {
         let (ids, segs, dups) = self.encode_input(tokens);
-        // Cache key: the full encoded input. `ids` alone is not sufficient
-        // (segment/duplicate features are separate model inputs), so all
-        // three streams are joined with an out-of-vocabulary separator.
-        let key: Option<Vec<usize>> = self.score_cache.as_ref().map(|_| {
-            let mut k = Vec::with_capacity(3 * ids.len() + 2);
-            k.extend_from_slice(&ids);
-            k.push(usize::MAX);
-            k.extend_from_slice(&segs);
-            k.push(usize::MAX);
-            k.extend_from_slice(&dups);
-            k
-        });
-        if let (Some(cache), Some(key)) = (&self.score_cache, &key) {
-            if let Some(hit) = cache.lookup(self.generation_sum(), key) {
-                return hit;
-            }
-        }
         let pool = RotomPool::global();
-        let logits = with_infer_scratch(|scratch| {
+        with_infer_scratch(|scratch| {
             let mut cls = scratch.take(self.cfg.d_model);
             let extras: [(&Embedding, &[usize]); 2] =
                 [(&self.seg_emb, &segs), (&self.dup_emb, &dups)];
@@ -414,20 +380,20 @@ impl TinyLm {
             );
             scratch.put(cls);
             logits
-        });
-        if let (Some(cache), Some(key)) = (&self.score_cache, &key) {
-            cache.insert(self.generation_sum(), key, &logits);
-        }
-        logits
+        })
     }
 
     /// Tape-free class probabilities for a whole batch, fanned out over
     /// `pool` (input order preserved). Equivalent to mapping
     /// [`predict_proba`](MetaTarget::predict_proba) but named to make the
     /// execution plane explicit at call sites.
-    pub fn score_batch(&self, batch: &[Vec<String>], pool: &RotomPool) -> Vec<Vec<f32>> {
+    pub fn score_batch<T: AsRef<[String]> + Sync>(
+        &self,
+        batch: &[T],
+        pool: &RotomPool,
+    ) -> Vec<Vec<f32>> {
         pool.map(batch.len(), |i| {
-            rotom_nn::softmax_slice(&self.infer_logits(&batch[i]))
+            rotom_nn::softmax_slice(&self.infer_logits(batch[i].as_ref()))
         })
     }
 
@@ -836,27 +802,6 @@ mod tests {
             m.per_example_losses(&items),
             m.per_example_losses_tape(&items)
         );
-    }
-
-    #[test]
-    fn score_cache_hits_are_bit_identical_and_invalidate_on_update() {
-        let mut m = model();
-        m.set_score_cache(64);
-        let toks = tokenize("the quick brown fox jumps");
-        let cold = m.predict_proba(&toks);
-        let warm = m.predict_proba(&toks);
-        assert_eq!(cold, warm);
-        let (hits, misses) = m.score_cache().unwrap().hit_miss();
-        assert_eq!((hits, misses), (1, 1));
-        // A parameter update must invalidate: the next score recomputes.
-        let items = vec![WeightedItem::hard(tokenize("the quick fox"), 0, 2)];
-        let mut rng = StdRng::seed_from_u64(4);
-        m.weighted_loss_backward(&items, true, &mut rng);
-        m.optimizer_step();
-        let updated = m.predict_proba(&toks);
-        assert_eq!(updated, m.predict_proba_tape(&toks));
-        let (_, misses_after) = m.score_cache().unwrap().hit_miss();
-        assert!(misses_after > misses, "post-update score must be a miss");
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!   scoring pool instead of one forward each.
 //! * **Hot swap** — `POST /admin/swap` loads a StateBag checkpoint into a
 //!   live plane under its write lock; every response reports the plane
-//!   generation and parameter fingerprint that produced it, and the score
-//!   cache self-invalidates across swaps (see [`plane`]).
+//!   generation and parameter fingerprint that produced it, and the swap
+//!   clears the plane's score cache (see [`plane`]).
+//! * **Score cache** — an optional per-plane LRU memo of input tokens →
+//!   probabilities (`ServerConfig::score_cache`, `--score-cache`; see
+//!   [`plane`]).
 //! * **Observability** — `GET /healthz`, `GET /metrics` (JSON counters +
 //!   log2-bucketed latency quantiles, mirrored into the `ROTOM_TELEMETRY`
 //!   plane as `serve` records).
@@ -32,6 +35,7 @@
 //! matching minimal client used by the e2e tests and `servebench`.
 
 pub mod batcher;
+mod cache;
 pub mod client;
 pub mod http;
 pub mod json;

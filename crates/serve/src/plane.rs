@@ -7,22 +7,25 @@
 //! the live model. The lock is what makes swap-under-load sound at the
 //! *request* granularity — a batch holds the read lock for its entire
 //! forward pass, so every response is computed wholly under the old or
-//! wholly under the new weights, never a torn mix. Below the lock, the
-//! existing generation machinery makes the swap itself cheap and safe:
+//! wholly under the new weights, never a torn mix. Every parameter write
+//! during the checkpoint load bumps that entry's generation and detaches a
+//! **fresh [`ParamPacks`](rotom_nn::ParamPacks) slot** (`rotom_nn::params`),
+//! so packed GEMM panels are re-packed lazily under the new weights and
+//! never mix generations.
 //!
-//! * every parameter write during the checkpoint load bumps that entry's
-//!   generation and detaches a **fresh [`ParamPacks`](rotom_nn::ParamPacks) slot**
-//!   (`rotom_nn::params`), so packed GEMM panels are re-packed lazily under
-//!   the new weights and never mix generations;
-//! * the model's [`ScoreCache`](rotom_nn::ScoreCache), keyed on the store's
-//!   monotone `generation_sum`, self-invalidates wholesale on the first
-//!   lookup after the swap — a cached score can never cross a swap.
+//! The plane is also the only owner of score memoization: an optional LRU
+//! score cache sits in the slot beside the model. A batch looks every
+//! input up serially, scores only the misses, and stores their rows, so
+//! the hit and miss counts depend on the inputs alone, never on how the
+//! pool schedules the misses. A swap clears the entries under the write
+//! lock, so a cached score never crosses a swap.
 //!
 //! Each plane carries a `swaps` counter updated under the same write lock;
 //! responses echo it (with the parameter `generation_sum`) so clients — and
 //! the concurrent-swap test — can attribute every score to one exact
 //! parameter state.
 
+use crate::cache::ScoreCache;
 use crate::metrics::CacheStats;
 use rotom::{ModelConfig, TinyLm};
 use rotom_datasets::{
@@ -33,7 +36,7 @@ use rotom_datasets::{
 };
 use rotom_nn::{CheckpointError, RotomPool};
 use std::path::Path;
-use std::sync::RwLock;
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// The scoring endpoints the server exposes, one per Rotom task family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +82,13 @@ impl Endpoint {
     }
 }
 
-/// Everything guarded by a plane's lock: the model and the swap counter
-/// (updated together, under the write lock, so a reader always sees a
-/// matched pair).
+/// Everything guarded by a plane's lock: the model, the swap counter and
+/// the score cache (updated together, under the write lock, so a reader
+/// always sees a matched set). Readers share the cache through its mutex.
 struct Slot {
     model: TinyLm,
     swaps: u64,
+    cache: Option<Mutex<ScoreCache>>,
 }
 
 /// One batch's scores, stamped with the exact parameter state that produced
@@ -125,7 +129,11 @@ impl TaskPlane {
             endpoint,
             model_name: model_name.into(),
             num_classes,
-            slot: RwLock::new(Slot { model, swaps: 0 }),
+            slot: RwLock::new(Slot {
+                model,
+                swaps: 0,
+                cache: None,
+            }),
         }
     }
 
@@ -144,10 +152,10 @@ impl TaskPlane {
         self.num_classes
     }
 
-    /// Score a batch on the tape-free inference plane under the read lock.
-    /// The swap counter and parameter fingerprint are captured under the
-    /// same lock, so they describe exactly the weights that produced the
-    /// scores.
+    /// Score a batch on the tape-free inference plane under the read lock,
+    /// serving repeats from the score cache when it is enabled. The swap
+    /// counter and parameter fingerprint are captured under the same lock,
+    /// so they describe exactly the weights that produced the scores.
     ///
     /// Two serve-side faultpoints fire here (before the lock, so a stalled
     /// batch never blocks a hot swap): `slow_score` stalls the batch for
@@ -167,19 +175,32 @@ impl TaskPlane {
         if faultpoint::fire_global(FaultKind::ScorePanic).is_some() {
             panic!("injected score_panic faultpoint");
         }
-        let slot = self.slot.read().unwrap_or_else(|e| e.into_inner());
+        let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
+        let scores = match &slot.cache {
+            Some(cache) => score_cached(&slot.model, cache, inputs, pool),
+            None => slot.model.score_batch(inputs, pool),
+        };
         ScoredBatch {
-            scores: slot.model.score_batch(inputs, pool),
+            scores,
             generation: slot.swaps,
             param_generation: slot.model.generation_sum(),
         }
     }
 
-    /// Load a StateBag v2 (or legacy v1) checkpoint into the live model
-    /// under the write lock. In-flight batches drain first; batches queued
-    /// behind the swap score wholly under the new weights.
+    /// Load a StateBag v2 checkpoint into the live model under the write
+    /// lock, clearing the score cache's entries. In-flight batches drain
+    /// first; batches queued behind the swap score wholly under the new
+    /// weights.
     pub fn swap(&self, checkpoint: impl AsRef<Path>) -> Result<SwapInfo, CheckpointError> {
-        let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+        // Cleared even when the load fails: a rejected checkpoint may have
+        // been partly written into the store.
+        if let Some(cache) = &mut slot.cache {
+            cache
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
+        }
         slot.model.load_checkpoint(checkpoint)?;
         slot.swaps += 1;
         Ok(SwapInfo {
@@ -188,21 +209,55 @@ impl TaskPlane {
         })
     }
 
-    /// Enable (capacity > 0) or disable the model's score cache.
+    /// Replace the score cache with an empty one of `capacity` entries
+    /// (counters from zero), or disable it (`capacity == 0`).
     pub fn set_score_cache(&self, capacity: usize) {
-        let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
-        slot.model.set_score_cache(capacity);
+        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+        slot.cache = (capacity > 0).then(|| Mutex::new(ScoreCache::with_capacity(capacity)));
     }
 
     /// Score-cache statistics `(hits, misses, evictions, entries)`, if the
     /// cache is enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        let slot = self.slot.read().unwrap_or_else(|e| e.into_inner());
-        slot.model.score_cache().map(|c| {
-            let (h, m) = c.hit_miss();
-            (h, m, c.evictions(), c.len())
-        })
+        let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
+        slot.cache.as_ref().map(|c| lock(c).stats())
     }
+}
+
+fn lock(cache: &Mutex<ScoreCache>) -> std::sync::MutexGuard<'_, ScoreCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Score `inputs` through `cache`: look every input up in order, score the
+/// misses in one [`TinyLm::score_batch`] pass, and store their rows. The
+/// cache lock is not held while the misses are scored.
+fn score_cached(
+    model: &TinyLm,
+    cache: &Mutex<ScoreCache>,
+    inputs: &[Vec<String>],
+    pool: &RotomPool,
+) -> Vec<Vec<f32>> {
+    let mut scores: Vec<Option<Vec<f32>>> = {
+        let mut cache = lock(cache);
+        inputs
+            .iter()
+            .map(|x| cache.lookup(x).map(<[f32]>::to_vec))
+            .collect()
+    };
+    let missed: Vec<usize> = (0..inputs.len()).filter(|&i| scores[i].is_none()).collect();
+    if !missed.is_empty() {
+        let batch: Vec<&[String]> = missed.iter().map(|&i| inputs[i].as_slice()).collect();
+        let fresh = model.score_batch(&batch, pool);
+        let mut cache = lock(cache);
+        for (&i, probs) in missed.iter().zip(fresh) {
+            cache.insert(&inputs[i], &probs);
+            scores[i] = Some(probs);
+        }
+    }
+    scores
+        .into_iter()
+        .map(|s| s.expect("every miss was scored"))
+        .collect()
 }
 
 /// The model configuration demo planes are built with: small enough to boot
@@ -373,5 +428,62 @@ mod tests {
         let gen = plane.score(&inputs, &RotomPool::new(1)).generation;
         assert_eq!(gen, 0, "failed swap must not bump the generation");
         let _ = std::fs::remove_file(bad);
+    }
+
+    fn bits(rows: &[Vec<f32>]) -> Vec<u32> {
+        rows.iter().flatten().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn cache_counts_and_scores_are_pool_width_invariant() {
+        let cfg = demo_model_config();
+        let texts = [
+            "a fine movie",
+            "dull",
+            "a fine movie",
+            "so so",
+            "dull",
+            "a fine movie",
+        ];
+        let inputs: Vec<Vec<String>> = texts.iter().map(|t| rotom_text::tokenize(t)).collect();
+        let (model, _) = demo_model(TaskKind::TextClassification, &cfg, 1);
+        let uncached = bits(&model.score_batch(&inputs, &RotomPool::new(1)));
+        let stats = [1usize, 8].map(|width| {
+            let (model, name) = demo_model(TaskKind::TextClassification, &cfg, 1);
+            let plane = TaskPlane::new(Endpoint::Classify, name, model);
+            plane.set_score_cache(16);
+            let pool = RotomPool::new(width);
+            for pass in 0..3 {
+                let scores = plane.score(&inputs, &pool).scores;
+                assert_eq!(bits(&scores), uncached, "width {width}, pass {pass}");
+            }
+            plane.cache_stats().expect("cache enabled")
+        });
+        assert_eq!(stats[0], stats[1], "counts must not depend on the pool");
+        // Every lookup of the first pass misses, duplicates included; the
+        // two later passes hit on every input. Three distinct inputs.
+        assert_eq!(stats[0], (12, 6, 0, 3));
+    }
+
+    #[test]
+    fn swap_clears_cache_entries_but_keeps_counters() {
+        let cfg = demo_model_config();
+        let (model, name) = demo_model(TaskKind::TextClassification, &cfg, 1);
+        let dir = std::env::temp_dir().join("rotom_serve_plane_cache_swap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("same.ckpt");
+        model.save_checkpoint(&ckpt).unwrap();
+        let plane = TaskPlane::new(Endpoint::Classify, name, model);
+        plane.set_score_cache(8);
+        let pool = RotomPool::new(1);
+        let inputs = vec![rotom_text::tokenize("a fine movie")];
+        plane.score(&inputs, &pool);
+        plane.score(&inputs, &pool);
+        assert_eq!(plane.cache_stats(), Some((1, 1, 0, 1)));
+        plane.swap(&ckpt).unwrap();
+        assert_eq!(plane.cache_stats(), Some((1, 1, 0, 0)), "entries cleared");
+        plane.score(&inputs, &pool);
+        assert_eq!(plane.cache_stats(), Some((1, 2, 0, 1)), "rescored once");
+        let _ = std::fs::remove_file(ckpt);
     }
 }

@@ -134,22 +134,25 @@ impl Server {
         let model_cfg = demo_model_config();
         let planes = Endpoint::ALL.map(|e| {
             let (model, name) = demo_model(e.task_kind(), &model_cfg, cfg.seed);
-            let plane = TaskPlane::new(e, name, model);
-            if cfg.score_cache > 0 {
-                plane.set_score_cache(cfg.score_cache);
-            }
-            plane
+            TaskPlane::new(e, name, model)
         });
         Self::start_with_planes(cfg, Arc::new(planes))
     }
 
     /// Like [`start`](Server::start), but serve caller-provided planes —
     /// tests use this to compare server responses against direct scoring on
-    /// a bit-identical model.
+    /// a bit-identical model. A `cfg.score_cache` above 0 gives each plane
+    /// a fresh cache of that capacity; 0 leaves the planes' caches as they
+    /// are.
     pub fn start_with_planes(
         cfg: ServerConfig,
         planes: Arc<[TaskPlane; 3]>,
     ) -> std::io::Result<Server> {
+        if cfg.score_cache > 0 {
+            for plane in planes.iter() {
+                plane.set_score_cache(cfg.score_cache);
+            }
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::default());

@@ -4,10 +4,11 @@
 //! InvDA decoding) must match the tape-building forward **bit-for-bit**:
 //! identical kernel dispatch decisions and identical scalar reduction
 //! orders make the equality exact. Covered here: explicit 1- and 8-thread
-//! pools, score cache off and on, trained (non-init) weights, and batch vs
-//! serial scoring. The same checks run with a live telemetry sink in
+//! pools, trained (non-init) weights, and batch vs serial scoring. The same
+//! checks run with a live telemetry sink in
 //! `infer_equivalence_telemetry.rs` — counters must be purely
-//! observational.
+//! observational. The model keeps no score cache; the serving plane's
+//! cached scores are held to uncached ones in `rotom-serve`'s plane tests.
 
 mod common;
 
@@ -17,22 +18,7 @@ use rotom_nn::RotomPool;
 
 #[test]
 fn infer_matches_tape_cache_off() {
-    let m = trained_model();
-    assert!(m.score_cache().is_none());
-    common::check_equivalence(&m);
-}
-
-#[test]
-fn infer_matches_tape_cache_on() {
-    let mut m = trained_model();
-    m.set_score_cache(256);
-    // Two passes: the second is served from the cache and must still match
-    // the tape recompute exactly.
-    common::check_equivalence(&m);
-    common::check_equivalence(&m);
-    let (hits, misses) = m.score_cache().unwrap().hit_miss();
-    assert!(hits > 0, "second pass must hit the cache");
-    assert!(misses > 0);
+    common::check_equivalence(&trained_model());
 }
 
 #[test]

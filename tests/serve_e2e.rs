@@ -9,7 +9,10 @@
 
 use rotom_nn::RotomPool;
 use rotom_serve::json::{self, Json};
-use rotom_serve::{demo_model, demo_model_config, Client, Endpoint, Server, ServerConfig};
+use rotom_serve::{
+    demo_model, demo_model_config, Client, Endpoint, Server, ServerConfig, TaskPlane,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 41;
@@ -252,5 +255,47 @@ fn pipelined_requests_serve_in_order() {
         assert_eq!(resp.status, 200);
         assert_eq!(wire_scores(&resp.body), first, "same input, same scores");
     }
+    server.shutdown();
+}
+
+#[test]
+fn start_with_planes_applies_the_configured_score_cache() {
+    let cfg = demo_model_config();
+    let planes = Endpoint::ALL.map(|e| {
+        let (model, name) = demo_model(e.task_kind(), &cfg, SEED);
+        TaskPlane::new(e, name, model)
+    });
+    let server = Server::start_with_planes(
+        ServerConfig {
+            score_cache: 16,
+            seed: SEED,
+            ..ServerConfig::default()
+        },
+        Arc::new(planes),
+    )
+    .expect("server boots");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let body = "{\"inputs\": [\"steady little movie\", \"steady little movie\"]}";
+    for _ in 0..2 {
+        assert_eq!(client.post("/classify", body).expect("score").status, 200);
+    }
+    let metrics = client.get("/metrics").expect("metrics");
+    let doc = json::parse(&metrics.body).expect("metrics is JSON");
+    for endpoint in Endpoint::ALL {
+        let cache = doc
+            .get("endpoints")
+            .and_then(|e| e.get(endpoint.name()))
+            .and_then(|e| e.get("cache"))
+            .expect("cache field");
+        assert_ne!(cache, &Json::Null, "{}: {}", endpoint.name(), metrics.body);
+    }
+    let classify = doc
+        .get("endpoints")
+        .and_then(|e| e.get("classify"))
+        .unwrap();
+    let cache = classify.get("cache").unwrap();
+    // First request: both lookups miss; second: both hit.
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
+    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(2));
     server.shutdown();
 }

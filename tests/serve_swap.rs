@@ -7,8 +7,8 @@
 //! row must equal the direct `score_batch` result of exactly one of them —
 //! never a blend — and the `generation` the response reports must identify
 //! which one. The planes run with the score cache enabled, so the test also
-//! pins that the generation-keyed cache never serves a stale-generation
-//! hit across a swap.
+//! pins that the cache, which every swap clears, never serves a hit from a
+//! previous parameter state.
 
 use rotom_meta::MetaTarget;
 use rotom_nn::RotomPool;
