@@ -98,13 +98,18 @@ cargo test -q --release --offline --test alloc_budget
 echo "== trainbench perfsmoke (writes BENCH_train.json, gates steps/sec)"
 cargo run --release --offline -p rotom-bench --bin trainbench -- --check
 
-# Inference-plane gates: the tape-free forward must match the tape forward
-# bit-for-bit at any worker count (pool sized once per process, so each
-# count is its own invocation), with and without a live telemetry sink.
+# Inference-plane gates: every layer has one forward definition, run by
+# two executors (the autodiff Tape and the forward-only InferTape), and the
+# InferTape's values must equal the same rows of the Tape's full-rows
+# forward bit for bit at any worker count (pool sized once per process, so
+# each count is its own invocation), with and without a live telemetry
+# sink. The executors suite covers every band and GEMM tier and reruns
+# itself at pool widths 1, 2 and 8.
 for t in 1 8; do
     echo "== inference-plane equivalence (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline --test infer_equivalence \
         --test infer_equivalence_telemetry
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test executors
 done
 
 # Tape reuse: a pooled tape replaying encoder graphs of cycling token counts

@@ -16,8 +16,8 @@
 use crate::corrupt::corruption_pairs;
 use crate::ops::{DaContext, DaOp};
 use rotom_nn::{
-    backward_mean_clipped, take_pooled_tape, Adam, FwdCtx, ParamStore, TransformerConfig,
-    TransformerDecoder, TransformerEncoder,
+    backward_mean_clipped, take_pooled_tape, with_infer_tape, Adam, Exec, FwdCtx, ParamStore,
+    TransformerConfig, TransformerDecoder, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{fnv1a64, RngExt, SeedableRng};
@@ -233,11 +233,12 @@ impl InvDa {
     /// Generate one augmented variant of `tokens` by sampling from the
     /// decoder (no caching).
     ///
-    /// Decoding runs on the tape-free inference plane: the encoder memory
-    /// and the per-layer cross-attention K/V projections are computed once
-    /// per call, and each step recomputes only the final decoder layer's
-    /// last-row band plus a single-row vocabulary projection — bit-identical
-    /// to decoding through full tape forwards.
+    /// Decoding runs on the forward-only [`InferTape`](rotom_nn::InferTape):
+    /// the encoder memory and the per-layer cross-attention K/V projections
+    /// are computed once per call and kept below a mark, and each step
+    /// recomputes only the final decoder layer's last-row band plus that
+    /// band's vocabulary projection, then truncates back to the mark. The
+    /// logits are bit-identical to decoding through full tape forwards.
     pub fn generate(&self, tokens: &[String], rng: &mut StdRng) -> Vec<String> {
         let in_ids = self.clamp(self.vocab.encode(tokens));
         let bos = self.vocab.special_id(BOS);
@@ -245,27 +246,18 @@ impl InvDa {
         let pad = self.vocab.special_id(PAD);
         let unk = self.vocab.special_id(UNK);
 
-        let pool = rotom_nn::RotomPool::global();
-        let out_ids = rotom_nn::with_infer_scratch(|scratch| {
-            let (memory, mem_rows) =
-                self.encoder
-                    .infer_forward_with(&in_ids, &[], &self.store, pool, scratch);
-            let kv = self
-                .decoder
-                .infer_prepare(&memory, mem_rows, &self.store, pool);
-            let mut logits = vec![0.0f32; self.vocab.len()];
+        let out_ids = with_infer_tape(|it| {
+            let mut ctx = FwdCtx::eval(&self.store);
+            let memory = self.encoder.forward(it, &in_ids, &mut ctx);
+            let memory = self.decoder.project_memory(it, memory, &self.store);
+            let step = it.mark();
             let mut out_ids: Vec<usize> = vec![bos];
             for _ in 0..self.cfg.max_gen_len {
-                self.decoder.infer_last_logits(
-                    &out_ids,
-                    &kv,
-                    &self.store,
-                    pool,
-                    scratch,
-                    &mut logits,
-                );
+                let logits = self.decoder.last_logits(it, &out_ids, &memory, &mut ctx);
+                let logits = it.value(logits).data();
                 let next =
-                    sample_top_k_top_p(&logits, self.cfg.top_k, self.cfg.top_p, &[bos, pad], rng);
+                    sample_top_k_top_p(logits, self.cfg.top_k, self.cfg.top_p, &[bos, pad], rng);
+                it.truncate(step);
                 if next == eos {
                     break;
                 }
@@ -274,7 +266,6 @@ impl InvDa {
                     break;
                 }
             }
-            scratch.put(memory);
             out_ids
         });
         out_ids

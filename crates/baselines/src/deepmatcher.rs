@@ -12,7 +12,7 @@ use rotom::metrics::PrF1;
 use rotom::ModelConfig;
 use rotom_datasets::em::{EmDataset, LabeledPair};
 use rotom_nn::{
-    backward_mean_clipped, take_pooled_tape, with_pooled_tape, Adam, Embedding, FwdCtx, Gru,
+    backward_mean_clipped, take_pooled_tape, with_pooled_tape, Adam, Embedding, Exec, FwdCtx, Gru,
     Linear, NodeId, ParamStore, Tape, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;

@@ -14,7 +14,7 @@
 //! scaled by the (constant) validation loss.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, CheckpointError, Initializer, ParamId, ParamStore,
+    recycle_tape, take_pooled_tape, Adam, CheckpointError, Exec, Initializer, ParamId, ParamStore,
     StateBag, Tensor,
 };
 use rotom_rng::rngs::StdRng;
@@ -166,15 +166,7 @@ impl FilterModel {
 
     /// Restore state saved by [`save_state`](Self::save_state).
     pub fn load_state(&mut self, bag: &StateBag, prefix: &str) -> Result<(), CheckpointError> {
-        let params = bag.get_f32s(&format!("{prefix}.params"))?;
-        if params.len() != self.store.num_scalars() {
-            return Err(CheckpointError::Mismatch(format!(
-                "filter {prefix:?}: {} parameters vs checkpoint {}",
-                self.store.num_scalars(),
-                params.len()
-            )));
-        }
-        self.store.set_flat(params);
+        rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)
     }

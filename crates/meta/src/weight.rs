@@ -23,8 +23,8 @@
 //! one backward pass through `M_W`.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, CheckpointError, FwdCtx, Linear, NodeId, ParamStore,
-    StateBag, Tape, TransformerConfig, TransformerEncoder,
+    recycle_tape, take_pooled_tape, Adam, CheckpointError, Exec, FwdCtx, Linear, NodeId,
+    ParamStore, StateBag, Tape, TransformerConfig, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
@@ -206,15 +206,7 @@ impl WeightModel {
 
     /// Restore state saved by [`save_state`](Self::save_state).
     pub fn load_state(&mut self, bag: &StateBag, prefix: &str) -> Result<(), CheckpointError> {
-        let params = bag.get_f32s(&format!("{prefix}.params"))?;
-        if params.len() != self.store.num_scalars() {
-            return Err(CheckpointError::Mismatch(format!(
-                "weight model {prefix:?}: {} parameters vs checkpoint {}",
-                self.store.num_scalars(),
-                params.len()
-            )));
-        }
-        self.store.set_flat(params);
+        rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)
     }

@@ -1,6 +1,6 @@
 //! Size-classed free list of `f32` buffers: the one buffer pool behind the
-//! tape arena ([`Tape`](crate::graph::Tape)) and the inference workspaces
-//! ([`InferScratch`](crate::infer::InferScratch)).
+//! two executors, the autodiff [`Tape`](crate::graph::Tape)'s arena and the
+//! forward-only [`InferTape`](crate::infer::InferTape)'s activations.
 //!
 //! Buffers are filed by capacity into size classes, so a buffer freed by
 //! one shape serves any later request that fits its class. Lengths up to

@@ -507,11 +507,13 @@ pub fn store_to_bag(store: &ParamStore) -> StateBag {
 
 /// Restore store parameters from a bag's tensor sections (by name, shapes
 /// checked). Extra sections in the bag are ignored, so a full-state bag can
-/// feed a params-only restore.
+/// feed a params-only restore. Every tensor is checked before any is
+/// written, so a rejected bag leaves the store unchanged.
 pub fn bag_into_store(bag: &StateBag, store: &mut ParamStore) -> Result<(), CheckpointError> {
-    for id in store.ids().collect::<Vec<_>>() {
-        let name = store.name(id).to_string();
-        let t = bag.get_tensor(&name)?;
+    let mut loaded = Vec::with_capacity(store.num_params());
+    for id in store.ids() {
+        let name = store.name(id);
+        let t = bag.get_tensor(name)?;
         let current = store.value(id);
         if (current.rows(), current.cols()) != (t.rows(), t.cols()) {
             return Err(CheckpointError::Mismatch(format!(
@@ -522,8 +524,31 @@ pub fn bag_into_store(bag: &StateBag, store: &mut ParamStore) -> Result<(), Chec
                 t.cols()
             )));
         }
+        loaded.push((id, t));
+    }
+    for (id, t) in loaded {
         *store.value_mut(id) = t.clone();
     }
+    Ok(())
+}
+
+/// Restore a store's flat parameter vector from the bag's `{prefix}.params`
+/// section (see [`ParamStore::flat_values`]). A section of the wrong length
+/// is rejected before anything is written.
+pub fn flat_into_store(
+    bag: &StateBag,
+    prefix: &str,
+    store: &mut ParamStore,
+) -> Result<(), CheckpointError> {
+    let params = bag.get_f32s(&format!("{prefix}.params"))?;
+    if params.len() != store.num_scalars() {
+        return Err(CheckpointError::Mismatch(format!(
+            "{prefix:?}: {} parameters vs checkpoint {}",
+            store.num_scalars(),
+            params.len()
+        )));
+    }
+    store.set_flat(params);
     Ok(())
 }
 
@@ -603,6 +628,43 @@ mod tests {
             Err(CheckpointError::Mismatch(m)) if m.contains("layer.b")
         ));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn rejected_bag_leaves_store_unchanged() {
+        // The first tensor fits; the last is missing, or has the wrong shape.
+        let bag = |last: Option<Tensor>| {
+            let mut bag = StateBag::new();
+            bag.put_tensor("layer.w", Tensor::full(2, 3, 7.0));
+            if let Some(t) = last {
+                bag.put_tensor("layer.b", t);
+            }
+            bag
+        };
+        for bag in [bag(None), bag(Some(Tensor::zeros(3, 1)))] {
+            let mut dst = store();
+            let (before, generations) = (dst.flat_values(), dst.generation_sum());
+            assert!(matches!(
+                bag_into_store(&bag, &mut dst),
+                Err(CheckpointError::Mismatch(m)) if m.contains("layer.b")
+            ));
+            assert_eq!(dst.flat_values(), before);
+            assert_eq!(dst.generation_sum(), generations);
+        }
+        // A flat section of the wrong length is rejected the same way.
+        let mut bag = StateBag::new();
+        bag.put_f32s("m.params", vec![1.0; 8]);
+        let mut dst = store();
+        let (before, generations) = (dst.flat_values(), dst.generation_sum());
+        assert!(matches!(
+            flat_into_store(&bag, "m", &mut dst),
+            Err(CheckpointError::Mismatch(m)) if m.contains("9 parameters vs checkpoint 8")
+        ));
+        assert_eq!(dst.flat_values(), before);
+        assert_eq!(dst.generation_sum(), generations);
+        bag.put_f32s("ok.params", vec![1.0; 9]);
+        flat_into_store(&bag, "ok", &mut dst).unwrap();
+        assert_eq!(dst.flat_values(), vec![1.0; 9]);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! A classifier loss reads only the \[CLS\] row of the last encoder layer,
 //! so [`TransformerEncoder::encode_cls_with`](crate::TransformerEncoder::encode_cls_with)
 //! builds that layer on the `kernels::band_rows(t, 0)` band (at most
-//! [`kernels::MR`] rows) instead of all `t` rows, as the inference plane
-//! does. [`Tape::matmul_band`] and [`Tape::matmul_tb_band`] take the leading
+//! [`kernels::MR`] rows) instead of all `t` rows, on this tape and on the
+//! forward-only [`InferTape`](crate::InferTape) alike. [`Tape::matmul_band`] and [`Tape::matmul_tb_band`] take the leading
 //! row band of a `full_m`-row operand and record `full_m` on the node: the
 //! forward GEMM and both backward contractions (`dA`, and `dW = Aᵀ·dC`
 //! through [`kernels::matmul_transpose_a_into`]) dispatch on it, so every
@@ -56,23 +56,24 @@
 //! The op set is deliberately small — exactly what a Transformer
 //! encoder/decoder, the Rotom filtering/weighting models, and the baseline
 //! RNNs need. The Transformer ops (matmuls, `add`, `scale`, softmax, layer
-//! norm, GELU) compute their values with the same [`kernels`] the tape-free
-//! inference plane calls, so the two forward paths share one copy of every
-//! formula.
+//! norm, GELU) compute their values with the same [`kernels`] the
+//! forward-only [`InferTape`](crate::InferTape) calls, and the layers run
+//! one forward body on either executor (see [`Exec`](crate::Exec)), so the
+//! two planes share one copy of every formula and every layer.
 
 use crate::arena::BufArena;
-use crate::kernels;
+use crate::kernels::{self, Act};
+use crate::layers::{Exec, FwdCtx};
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
 use crate::tensor::Tensor;
-use rotom_rng::rngs::StdRng;
 use rotom_rng::RngExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeId(usize);
+pub struct NodeId(pub(crate) usize);
 
 /// Additive attention mask: `0.0` for visible positions, `-1e9` for hidden.
 pub type AttnMask = Tensor;
@@ -356,27 +357,6 @@ impl Tape {
         self.push(Op::Param { id, packs }, Tensor::from_vec(buf, r, c))
     }
 
-    /// Embedding lookup: gathers `indices` rows of the table parameter into
-    /// an `indices.len() x d` matrix.
-    pub fn embedding(&mut self, table: ParamId, store: &ParamStore, indices: &[usize]) -> NodeId {
-        let t = store.value(table);
-        let d = t.cols();
-        let mut out = self.arena.take_dirty(indices.len() * d);
-        for (r, &i) in indices.iter().enumerate() {
-            out[r * d..(r + 1) * d].copy_from_slice(t.row_slice(i));
-        }
-        let mut idx = self.ids_pool.pop().unwrap_or_default();
-        idx.extend_from_slice(indices);
-        let value = Tensor::from_vec(out, indices.len(), d);
-        self.push(
-            Op::Embedding {
-                table,
-                indices: idx,
-            },
-            value,
-        )
-    }
-
     // ------------------------------------------------------------------
     // Arithmetic
     // ------------------------------------------------------------------
@@ -389,73 +369,10 @@ impl Tape {
         self.matmul_band(a, b, full_m)
     }
 
-    /// [`matmul`](Self::matmul) where `a` holds the leading row band of a
-    /// `full_m`-row operand: every GEMM of the node, forward and backward,
-    /// dispatches on `full_m`, so the band's rows (and, when the other rows
-    /// get no gradient, the weight gradient) are bit-identical to the
-    /// full-rows product's.
-    pub fn matmul_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
-        let (m, k) = self.shape(a);
-        let (k2, n) = self.shape(b);
-        assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
-        assert!(
-            m <= full_m,
-            "band of {m} rows exceeds its {full_m} full rows"
-        );
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            let bn = &self.nodes[b.0];
-            let bv = bn.value.data();
-            let pool = RotomPool::global();
-            let pk = match &bn.op {
-                Op::Param { packs, .. } if full_m * k * n >= kernels::SMALL_FLOPS => {
-                    packs.direct(&bn.value)
-                }
-                _ => None,
-            };
-            kernels::matmul_into(av, bv, pk, full_m, m, k, n, pool, &mut out);
-        }
-        self.push(Op::Matmul { a, b, full_m }, Tensor::from_vec(out, m, n))
-    }
-
     /// `a * b^T` without materializing the transpose.
     pub fn matmul_tb(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let full_m = self.shape(a).0;
         self.matmul_tb_band(a, b, full_m)
-    }
-
-    /// [`matmul_tb`](Self::matmul_tb) with [`matmul_band`](Self::matmul_band)'s
-    /// `full_m` rule.
-    pub fn matmul_tb_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
-        let (m, k) = self.shape(a);
-        let (n, k2) = self.shape(b);
-        assert_eq!(k, k2, "matmul_tb shape mismatch: {m}x{k} * ({n}x{k2})^T");
-        assert!(
-            m <= full_m,
-            "band of {m} rows exceeds its {full_m} full rows"
-        );
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            let bv = self.nodes[b.0].value.data();
-            let pool = RotomPool::global();
-            kernels::matmul_transpose_b_into(av, bv, None, full_m, m, k, n, pool, &mut out);
-        }
-        self.push(Op::MatmulTb { a, b, full_m }, Tensor::from_vec(out, m, n))
-    }
-
-    /// Elementwise `a + b`.
-    pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (r, c) = self.shape(a);
-        assert_eq!((r, c), self.shape(b), "add shape mismatch");
-        let mut out = self.arena.take_dirty(r * c);
-        kernels::add_fwd(
-            self.nodes[a.0].value.data(),
-            self.nodes[b.0].value.data(),
-            &mut out,
-        );
-        self.push(Op::Add(a, b), Tensor::from_vec(out, r, c))
     }
 
     /// Elementwise `a - b`.
@@ -491,15 +408,6 @@ impl Tape {
             }
         }
         self.push(Op::AddRow(a, row), Tensor::from_vec(out, m, n))
-    }
-
-    /// `a * c` for a compile-time constant `c`.
-    pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let (r, cols) = self.shape(a);
-        let mut out = self.arena.take_dirty(r * cols);
-        out.copy_from_slice(self.nodes[a.0].value.data());
-        kernels::scale_fwd(&mut out, c);
-        self.push(Op::Scale(a, c), Tensor::from_vec(out, r, cols))
     }
 
     /// `a + c` elementwise for a constant `c`.
@@ -547,18 +455,6 @@ impl Tape {
         self.masked_softmax(a, None)
     }
 
-    /// Row-wise softmax with an optional additive mask (same shape as `a`).
-    pub fn masked_softmax(&mut self, a: NodeId, mask: Option<&AttnMask>) -> NodeId {
-        let (m, n) = self.shape(a);
-        if let Some(mk) = mask {
-            assert_eq!((mk.rows(), mk.cols()), (m, n), "mask shape mismatch");
-        }
-        let mut out = self.arena.take_dirty(m * n);
-        let x = self.nodes[a.0].value.data();
-        kernels::softmax_fwd(x, mask.map(|mk| mk.data()), m, n, &mut out);
-        self.push(Op::Softmax(a), Tensor::from_vec(out, m, n))
-    }
-
     /// Row-wise log-softmax.
     pub fn log_softmax(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
@@ -577,88 +473,9 @@ impl Tape {
         self.push(Op::LogSoftmax(a), Tensor::from_vec(out, m, n))
     }
 
-    /// Row-wise layer normalization with learned `gamma`/`beta` row nodes.
-    pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f32) -> NodeId {
-        let (m, nc) = self.shape(x);
-        assert_eq!(self.shape(gamma), (1, nc));
-        assert_eq!(self.shape(beta), (1, nc));
-        let mut out = self.arena.take_dirty(m * nc);
-        let mut cache = self.ln_pool.pop().unwrap_or_default();
-        cache.resize(m, (0.0, 0.0));
-        kernels::layernorm_fwd(
-            self.nodes[x.0].value.data(),
-            self.nodes[gamma.0].value.data(),
-            self.nodes[beta.0].value.data(),
-            eps,
-            m,
-            nc,
-            &mut out,
-            Some(&mut cache),
-        );
-        self.push(
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                eps,
-                cache,
-            },
-            Tensor::from_vec(out, m, nc),
-        )
-    }
-
-    /// Inverted dropout with keep-probability `1 - p`. Draws `draws`
-    /// Bernoulli(1-p) bits from `rng` in element order straight into the
-    /// arena mask (`1/(1-p)` kept, `0` dropped) and discards the draws past
-    /// `x`'s elements: a leading row band of a larger activation passes that
-    /// activation's element count, so it consumes the RNG stream exactly as
-    /// the full pass does and its rows get the same bits.
-    pub fn dropout(&mut self, x: NodeId, p: f32, rng: &mut StdRng, draws: usize) -> NodeId {
-        let (m, n) = self.shape(x);
-        assert!(draws >= m * n, "dropout draws fewer bits than elements");
-        let keep = 1.0 - p;
-        let mut mask = self.arena.take_dirty(m * n);
-        for o in mask.iter_mut() {
-            *o = if rng.random_bool(keep as f64) {
-                1.0 / keep
-            } else {
-                0.0
-            };
-        }
-        for _ in m * n..draws {
-            rng.random_bool(keep as f64);
-        }
-        let mut data = self.arena.take_dirty(m * n);
-        for ((o, &v), &mv) in data.iter_mut().zip(self.nodes[x.0].value.data()).zip(&mask) {
-            *o = v * mv;
-        }
-        let value = Tensor::from_vec(data, m, n);
-        self.push(Op::Dropout { x, mask }, value)
-    }
-
     // ------------------------------------------------------------------
     // Shape manipulation
     // ------------------------------------------------------------------
-
-    /// Concatenate nodes along columns (all must share the row count).
-    pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty());
-        let rows = self.shape(parts[0]).0;
-        let total: usize = parts.iter().map(|&p| self.shape(p).1).sum();
-        let mut out = self.arena.take_dirty(rows * total);
-        let mut off = 0;
-        for &p in parts {
-            let v = &self.nodes[p.0].value;
-            assert_eq!(v.rows(), rows, "concat_cols row mismatch");
-            let w = v.cols();
-            for r in 0..rows {
-                out[r * total + off..r * total + off + w].copy_from_slice(v.row_slice(r));
-            }
-            off += w;
-        }
-        let op = Op::ConcatCols(self.nid_list(parts));
-        self.push(op, Tensor::from_vec(out, rows, total))
-    }
 
     /// Concatenate nodes along rows (all must share the column count).
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
@@ -675,35 +492,6 @@ impl Tape {
         }
         let op = Op::ConcatRows(self.nid_list(parts));
         self.push(op, Tensor::from_vec(out, total, cols))
-    }
-
-    /// Take columns `start..start+len`.
-    pub fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        let (m, n) = self.shape(x);
-        assert!(start + len <= n, "slice_cols out of bounds");
-        let mut out = self.arena.take_dirty(m * len);
-        {
-            let v = &self.nodes[x.0].value;
-            for r in 0..m {
-                out[r * len..(r + 1) * len].copy_from_slice(&v.row_slice(r)[start..start + len]);
-            }
-        }
-        self.push(
-            Op::SliceCols { x, start, len },
-            Tensor::from_vec(out, m, len),
-        )
-    }
-
-    /// Take rows `start..start+len`.
-    pub fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        let (m, n) = self.shape(x);
-        assert!(start + len <= m, "slice_rows out of bounds");
-        let mut out = self.arena.take_dirty(len * n);
-        out.copy_from_slice(&self.nodes[x.0].value.data()[start * n..(start + len) * n]);
-        self.push(
-            Op::SliceRows { x, start, len },
-            Tensor::from_vec(out, len, n),
-        )
     }
 
     /// Mean over rows: `m x n -> 1 x n`.
@@ -1205,6 +993,213 @@ impl Tape {
     }
 }
 
+/// The ops the layers share with the [`InferTape`](crate::InferTape): each
+/// records its node for backward.
+impl Exec for Tape {
+    fn value(&self, x: NodeId) -> &Tensor {
+        Tape::value(self, x)
+    }
+
+    fn embed(&mut self, table: ParamId, store: &ParamStore, ids: &[usize]) -> NodeId {
+        let t = store.value(table);
+        let d = t.cols();
+        let mut out = self.arena.take_dirty(ids.len() * d);
+        for (r, &i) in ids.iter().enumerate() {
+            out[r * d..(r + 1) * d].copy_from_slice(t.row_slice(i));
+        }
+        let mut indices = self.ids_pool.pop().unwrap_or_default();
+        indices.extend_from_slice(ids);
+        let value = Tensor::from_vec(out, ids.len(), d);
+        self.push(Op::Embedding { table, indices }, value)
+    }
+
+    fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let (r, c) = self.shape(a);
+        assert_eq!((r, c), self.shape(b), "add shape mismatch");
+        let mut out = self.arena.take_dirty(r * c);
+        let (av, bv) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+        kernels::add_fwd(av, bv, &mut out);
+        self.push(Op::Add(a, b), Tensor::from_vec(out, r, c))
+    }
+
+    fn linear(
+        &mut self,
+        x: NodeId,
+        w: ParamId,
+        b: Option<ParamId>,
+        full_rows: usize,
+        act: Act,
+        store: &ParamStore,
+    ) -> NodeId {
+        let w = self.param(w, store);
+        let mut y = self.matmul_band(x, w, full_rows);
+        if let Some(b) = b {
+            let b = self.param(b, store);
+            y = self.add_row(y, b);
+        }
+        match act {
+            Act::None => y,
+            Act::Gelu => self.gelu(y),
+        }
+    }
+
+    fn norm(&mut self, x: NodeId, g: ParamId, b: ParamId, eps: f32, store: &ParamStore) -> NodeId {
+        let (gamma, beta) = (self.param(g, store), self.param(b, store));
+        let (m, nc) = self.shape(x);
+        assert_eq!(self.shape(gamma), (1, nc));
+        assert_eq!(self.shape(beta), (1, nc));
+        let mut out = self.arena.take_dirty(m * nc);
+        let mut cache = self.ln_pool.pop().unwrap_or_default();
+        cache.resize(m, (0.0, 0.0));
+        kernels::layernorm_fwd(
+            self.nodes[x.0].value.data(),
+            self.nodes[gamma.0].value.data(),
+            self.nodes[beta.0].value.data(),
+            eps,
+            m,
+            nc,
+            &mut out,
+            Some(&mut cache),
+        );
+        let op = Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            eps,
+            cache,
+        };
+        self.push(op, Tensor::from_vec(out, m, nc))
+    }
+
+    fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
+        let (m, n) = self.shape(x);
+        assert!(start + len <= m, "slice_rows out of bounds");
+        let mut out = self.arena.take_dirty(len * n);
+        out.copy_from_slice(&self.nodes[x.0].value.data()[start * n..(start + len) * n]);
+        let op = Op::SliceRows { x, start, len };
+        self.push(op, Tensor::from_vec(out, len, n))
+    }
+
+    fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
+        let (m, n) = self.shape(x);
+        assert!(start + len <= n, "slice_cols out of bounds");
+        let mut out = self.arena.take_dirty(m * len);
+        let v = &self.nodes[x.0].value;
+        for r in 0..m {
+            out[r * len..(r + 1) * len].copy_from_slice(&v.row_slice(r)[start..start + len]);
+        }
+        let op = Op::SliceCols { x, start, len };
+        self.push(op, Tensor::from_vec(out, m, len))
+    }
+
+    fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
+        assert!(!parts.is_empty());
+        let rows = self.shape(parts[0]).0;
+        let total: usize = parts.iter().map(|&p| self.shape(p).1).sum();
+        let mut out = self.arena.take_dirty(rows * total);
+        let mut off = 0;
+        for &p in parts {
+            let v = &self.nodes[p.0].value;
+            assert_eq!(v.rows(), rows, "concat_cols row mismatch");
+            let w = v.cols();
+            for r in 0..rows {
+                out[r * total + off..r * total + off + w].copy_from_slice(v.row_slice(r));
+            }
+            off += w;
+        }
+        let op = Op::ConcatCols(self.nid_list(parts));
+        self.push(op, Tensor::from_vec(out, rows, total))
+    }
+
+    /// Records `full_m` on the node: every GEMM of the node, forward and
+    /// backward, dispatches on it, so the band's rows (and, when the other
+    /// rows get no gradient, the weight gradient) are bit-identical to the
+    /// full-rows product's. A parameter operand runs on its generation's
+    /// cached panels at or above the tiled threshold.
+    fn matmul_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
+        let (m, k) = self.shape(a);
+        let (k2, n) = self.shape(b);
+        assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
+        assert!(
+            m <= full_m,
+            "band of {m} rows exceeds its {full_m} full rows"
+        );
+        let mut out = self.arena.take_dirty(m * n);
+        let (av, bn) = (self.nodes[a.0].value.data(), &self.nodes[b.0]);
+        let pk = match &bn.op {
+            Op::Param { packs, .. } if full_m * k * n >= kernels::SMALL_FLOPS => {
+                packs.direct(&bn.value)
+            }
+            _ => None,
+        };
+        let pool = RotomPool::global();
+        kernels::matmul_into(av, bn.value.data(), pk, full_m, m, k, n, pool, &mut out);
+        self.push(Op::Matmul { a, b, full_m }, Tensor::from_vec(out, m, n))
+    }
+
+    fn matmul_tb_band(&mut self, a: NodeId, b: NodeId, full_m: usize) -> NodeId {
+        let (m, k) = self.shape(a);
+        let (n, k2) = self.shape(b);
+        assert_eq!(k, k2, "matmul_tb shape mismatch: {m}x{k} * ({n}x{k2})^T");
+        assert!(
+            m <= full_m,
+            "band of {m} rows exceeds its {full_m} full rows"
+        );
+        let mut out = self.arena.take_dirty(m * n);
+        let (av, bv) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+        let pool = RotomPool::global();
+        kernels::matmul_transpose_b_into(av, bv, None, full_m, m, k, n, pool, &mut out);
+        self.push(Op::MatmulTb { a, b, full_m }, Tensor::from_vec(out, m, n))
+    }
+
+    fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
+        let (r, cols) = self.shape(a);
+        let mut out = self.arena.take_dirty(r * cols);
+        out.copy_from_slice(self.nodes[a.0].value.data());
+        kernels::scale_fwd(&mut out, c);
+        self.push(Op::Scale(a, c), Tensor::from_vec(out, r, cols))
+    }
+
+    fn masked_softmax(&mut self, a: NodeId, mask: Option<&AttnMask>) -> NodeId {
+        let (m, n) = self.shape(a);
+        if let Some(mk) = mask {
+            assert_eq!((mk.rows(), mk.cols()), (m, n), "mask shape mismatch");
+        }
+        let mut out = self.arena.take_dirty(m * n);
+        let x = self.nodes[a.0].value.data();
+        kernels::softmax_fwd(x, mask.map(|mk| mk.data()), m, n, &mut out);
+        self.push(Op::Softmax(a), Tensor::from_vec(out, m, n))
+    }
+
+    /// Inverted dropout with keep-probability `1 - p`: draws the
+    /// `full_rows`-row activation's Bernoulli(1-p) bits from the context's
+    /// RNG in element order, straight into the arena mask (`1/(1-p)` kept,
+    /// `0` dropped), and discards the draws past `x`'s elements.
+    fn dropout(&mut self, x: NodeId, full_rows: usize, ctx: &mut FwdCtx<'_>) -> NodeId {
+        let (m, n) = self.shape(x);
+        let Some((p, rng)) = ctx.dropout_source() else {
+            return x;
+        };
+        let keep = 1.0 - p;
+        let mut mask = self.arena.take_dirty(m * n);
+        for o in mask.iter_mut() {
+            *o = if rng.random_bool(keep as f64) {
+                1.0 / keep
+            } else {
+                0.0
+            };
+        }
+        for _ in m * n..full_rows * n {
+            rng.random_bool(keep as f64);
+        }
+        let mut data = self.arena.take_dirty(m * n);
+        for ((o, &v), &mv) in data.iter_mut().zip(self.nodes[x.0].value.data()).zip(&mask) {
+            *o = v * mv;
+        }
+        self.push(Op::Dropout { x, mask }, Tensor::from_vec(data, m, n))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Global tape pool
 // ---------------------------------------------------------------------------
@@ -1296,6 +1291,7 @@ pub fn pooled_tape_stats() -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::init::Initializer;
+    use rotom_rng::rngs::StdRng;
     use rotom_rng::SeedableRng;
 
     #[test]
@@ -1394,13 +1390,11 @@ mod tests {
             let x = tape.input(xin.clone());
             let w1n = tape.param(w1, store);
             let b1n = tape.param(b1, store);
-            let gn = tape.param(gamma, store);
-            let bn = tape.param(beta, store);
             let w2n = tape.param(w2, store);
             let h = tape.matmul(x, w1n);
             let h = tape.add_row(h, b1n);
             let h = tape.gelu(h);
-            let h = tape.layer_norm(h, gn, bn, 1e-5);
+            let h = tape.norm(h, gamma, beta, 1e-5, store);
             let logits = tape.matmul(h, w2n);
             let loss = tape.cross_entropy(logits, &targets);
             let lv = tape.value(loss).item();
@@ -1566,7 +1560,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(vec![2.0; 64], 1, 64));
         let mut rng = StdRng::seed_from_u64(3);
-        let y = tape.dropout(x, 0.5, &mut rng, 64);
+        let y = tape.dropout(x, 1, &mut FwdCtx::train(&store, 0.5, &mut rng));
         let ys = tape.value(y).data().to_vec();
         assert!(ys.iter().all(|&v| v == 0.0 || v == 4.0), "{ys:?}");
         assert!(ys.contains(&0.0) && ys.contains(&4.0));
@@ -1580,8 +1574,8 @@ mod tests {
     fn dropout_mask_has_expected_density() {
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(vec![1.0; 4000], 1, 4000));
-        let mut rng = StdRng::seed_from_u64(1);
-        let y = tape.dropout(x, 0.25, &mut rng, 4000);
+        let (store, mut rng) = (ParamStore::new(), StdRng::seed_from_u64(1));
+        let y = tape.dropout(x, 1, &mut FwdCtx::train(&store, 0.25, &mut rng));
         let kept = tape.value(y).data().iter().filter(|&&v| v != 0.0).count();
         // Keep probability 0.75: expect ~3000 ± noise.
         assert!((2800..3200).contains(&kept), "kept {kept}");
@@ -1605,7 +1599,7 @@ mod tests {
         let mut store = ParamStore::new();
         let table = store.push("emb", Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], 2, 2));
         let mut tape = Tape::new();
-        let e = tape.embedding(table, &store, &[0, 1, 0]);
+        let e = tape.embed(table, &store, &[0, 1, 0]);
         assert_eq!(tape.value(e).rows(), 3);
         let loss = tape.sum_all(e);
         tape.backward(loss, &mut store);

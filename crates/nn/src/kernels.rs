@@ -1480,9 +1480,8 @@ pub fn matmul_bias_act_into(
     bias_act_apply(out, m, n, bias, act);
 }
 
-/// Elementwise `out = x + y` — the tape's `add` op and the residual
-/// connections of the tape-free forward (one add rounding per element on
-/// both tiers).
+/// Elementwise `out = x + y`: the `add` op of both executors (one add
+/// rounding per element on both tiers).
 pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), out.len());
@@ -1494,21 +1493,6 @@ pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
     }
     for ((&a, &b), o) in x.iter().zip(y).zip(out.iter_mut()) {
         *o = a + b;
-    }
-}
-
-/// Elementwise `x += y` in place — value-identical to [`add_fwd`] (the
-/// tape's `add` always writes a fresh node, but the sums are the same).
-pub fn add_assign_fwd(x: &mut [f32], y: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        // SAFETY: `available()` checked; lengths asserted equal.
-        unsafe { avx::add_assign(x, y) };
-        return;
-    }
-    for (o, &b) in x.iter_mut().zip(y) {
-        *o += b;
     }
 }
 

@@ -1,11 +1,10 @@
 //! Multi-head scaled dot-product attention.
 
 use super::linear::Linear;
-use crate::graph::{AttnMask, NodeId, Tape};
-use crate::infer::InferScratch;
-use crate::kernels::{self, Act};
+use super::Exec;
+use crate::graph::{AttnMask, NodeId};
+use crate::kernels::Act;
 use crate::params::ParamStore;
-use crate::pool::RotomPool;
 use rotom_rng::rngs::StdRng;
 
 /// Multi-head attention with separate Q/K/V/O projections.
@@ -45,166 +44,83 @@ impl MultiHeadAttention {
     ///
     /// `mask`, if given, is an additive `Tq x Tk` mask (0 visible / -1e9
     /// hidden) shared across heads.
-    pub fn forward(
+    pub fn forward<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         q_in: NodeId,
         kv_in: NodeId,
         mask: Option<&AttnMask>,
         store: &ParamStore,
     ) -> NodeId {
-        let full_tq = tape.value(q_in).rows();
-        self.forward_band(tape, q_in, full_tq, kv_in, mask, store)
+        let full_tq = ex.value(q_in).rows();
+        self.forward_band(ex, q_in, full_tq, Kv::Rows(kv_in), mask, store)
     }
 
-    /// Attend `q_in`, the leading row band of a `full_tq`-row query input,
-    /// to all of `kv_in`. Every GEMM on a band operand (the Q and output
+    /// The K and V projections of `kv_in`, for attending to the same rows
+    /// many times: decoding projects the fixed encoder memory once per
+    /// generation and reuses it at every step.
+    pub fn project_kv<E: Exec>(&self, ex: &mut E, kv_in: NodeId, store: &ParamStore) -> Kv {
+        let (k, v) = self.kv(ex, kv_in, store);
+        Kv::Projected(k, v)
+    }
+
+    fn kv<E: Exec>(&self, ex: &mut E, kv_in: NodeId, store: &ParamStore) -> (NodeId, NodeId) {
+        let k = self.wk.forward(ex, kv_in, store);
+        let v = self.wv.forward(ex, kv_in, store);
+        (k, v)
+    }
+
+    /// Attend `q_in`, a row band of a `full_tq`-row query input, to every
+    /// row of `kv`. Every GEMM on a band operand (the Q and output
     /// projections, each head's scores and context) dispatches on
     /// `full_tq`, so the band's rows are bit-identical to the same rows of
     /// [`forward`](Self::forward), which is the all-rows band. `mask`, if
     /// given, holds the band's rows of the additive mask.
-    pub fn forward_band(
+    pub fn forward_band<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         q_in: NodeId,
         full_tq: usize,
-        kv_in: NodeId,
+        kv: Kv,
         mask: Option<&AttnMask>,
         store: &ParamStore,
     ) -> NodeId {
         let dk = self.d_model / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
-        let q = self.wq.forward_band(tape, q_in, full_tq, store);
-        let k = self.wk.forward(tape, kv_in, store);
-        let v = self.wv.forward(tape, kv_in, store);
+        let q = self.wq.forward_band(ex, q_in, full_tq, Act::None, store);
+        let (k, v) = match kv {
+            Kv::Rows(x) => self.kv(ex, x, store),
+            Kv::Projected(k, v) => (k, v),
+        };
         let mut head_outputs = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
-            let qs = tape.slice_cols(q, h * dk, dk);
-            let ks = tape.slice_cols(k, h * dk, dk);
-            let vs = tape.slice_cols(v, h * dk, dk);
-            let scores = tape.matmul_tb_band(qs, ks, full_tq);
-            let scores = tape.scale(scores, scale);
-            let attn = tape.masked_softmax(scores, mask);
-            head_outputs.push(tape.matmul_band(attn, vs, full_tq));
+            let qs = ex.slice_cols(q, h * dk, dk);
+            let ks = ex.slice_cols(k, h * dk, dk);
+            let vs = ex.slice_cols(v, h * dk, dk);
+            let scores = ex.matmul_tb_band(qs, ks, full_tq);
+            let scores = ex.scale(scores, scale);
+            let attn = ex.masked_softmax(scores, mask);
+            head_outputs.push(ex.matmul_band(attn, vs, full_tq));
         }
-        let concat = tape.concat_cols(&head_outputs);
-        self.wo.forward_band(tape, concat, full_tq, store)
-    }
-
-    /// Model width (for sizing inference workspaces).
-    pub fn d_model(&self) -> usize {
-        self.d_model
-    }
-
-    /// Project the K and V operands of `kv_in` (`tk × d`) into caller
-    /// buffers (`tk × d` each) for [`infer_forward`](Self::infer_forward).
-    /// Cross-attention during autoregressive decoding projects the fixed
-    /// encoder memory once per generation and reuses it at every step.
-    pub fn infer_project_kv(
-        &self,
-        kv_in: &[f32],
-        tk: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-        k_out: &mut [f32],
-        v_out: &mut [f32],
-    ) {
-        self.wk
-            .infer_forward(kv_in, tk, tk, Act::None, store, pool, k_out);
-        self.wv
-            .infer_forward(kv_in, tk, tk, Act::None, store, pool, v_out);
-    }
-
-    /// Forward-only attention of a `tq`-row band of a `full_tq`-row query
-    /// input over `tk` keys/values, into `out` (`tq × d`); a full pass is
-    /// the band `0..full_tq`. `k`/`v` are the projections from
-    /// [`infer_project_kv`](Self::infer_project_kv) (every query row attends
-    /// to every key, so they always cover all `tk` rows); `mask`, if given,
-    /// holds the band's rows of the additive `full_tq × tk` mask.
-    ///
-    /// Bit-identical to the same rows of [`forward`](Self::forward):
-    /// identical projection GEMM dispatch, per-head slicing layouts, scalar
-    /// reduction orders, and softmax formula.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward(
-        &self,
-        q_in: &[f32],
-        full_tq: usize,
-        tq: usize,
-        k: &[f32],
-        v: &[f32],
-        tk: usize,
-        mask: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let dk = d / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut q = scratch.take(tq * d);
-        self.wq
-            .infer_forward(q_in, full_tq, tq, Act::None, store, pool, &mut q);
-        let mut concat = scratch.take(tq * d);
-        let mut qs = scratch.take(tq * dk);
-        let mut ks = scratch.take(tk * dk);
-        let mut vs = scratch.take(tk * dk);
-        let mut scores = scratch.take(tq * tk);
-        let mut attn = scratch.take(tq * tk);
-        let mut head_out = scratch.take(tq * dk);
-        for h in 0..self.heads {
-            slice_cols(&q, tq, d, h * dk, dk, &mut qs);
-            slice_cols(k, tk, d, h * dk, dk, &mut ks);
-            slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            kernels::matmul_transpose_b_into(
-                &qs,
-                &ks,
-                None,
-                full_tq,
-                tq,
-                dk,
-                tk,
-                pool,
-                &mut scores,
-            );
-            kernels::scale_fwd(&mut scores, scale);
-            kernels::softmax_fwd(&scores, mask, tq, tk, &mut attn);
-            kernels::matmul_into(&attn, &vs, None, full_tq, tq, tk, dk, pool, &mut head_out);
-            place_cols(&mut concat, tq, d, h * dk, dk, &head_out);
-        }
-        self.wo
-            .infer_forward(&concat, full_tq, tq, Act::None, store, pool, out);
-        for buf in [q, concat, qs, ks, vs, scores, attn, head_out] {
-            scratch.put(buf);
-        }
+        let concat = ex.concat_cols(&head_outputs);
+        self.wo.forward_band(ex, concat, full_tq, Act::None, store)
     }
 }
 
-/// Copy columns `c0..c0+width` of a `rows × src_cols` matrix into a dense
-/// `rows × width` buffer — the value layout of the tape's `slice_cols`.
-fn slice_cols(src: &[f32], rows: usize, src_cols: usize, c0: usize, width: usize, dst: &mut [f32]) {
-    debug_assert_eq!(dst.len(), rows * width);
-    for i in 0..rows {
-        dst[i * width..(i + 1) * width]
-            .copy_from_slice(&src[i * src_cols + c0..i * src_cols + c0 + width]);
-    }
-}
-
-/// Inverse of [`slice_cols`]: write a dense `rows × width` block into
-/// columns `c0..c0+width` of a `rows × dst_cols` buffer — the value layout
-/// of the tape's `concat_cols`.
-fn place_cols(dst: &mut [f32], rows: usize, dst_cols: usize, c0: usize, width: usize, src: &[f32]) {
-    debug_assert_eq!(src.len(), rows * width);
-    for i in 0..rows {
-        dst[i * dst_cols + c0..i * dst_cols + c0 + width]
-            .copy_from_slice(&src[i * width..(i + 1) * width]);
-    }
+/// The keys and values an attention block reads.
+#[derive(Debug, Clone, Copy)]
+pub enum Kv {
+    /// The rows to project into K and V inside the block (after the Q
+    /// projection).
+    Rows(NodeId),
+    /// K and V already projected (see [`MultiHeadAttention::project_kv`]).
+    Projected(NodeId, NodeId),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Tape;
     use crate::layers::transformer::causal_mask;
     use crate::tensor::Tensor;
     use rotom_rng::SeedableRng;
@@ -218,65 +134,6 @@ mod tests {
         let x = tape.input(Tensor::full(5, 8, 0.1));
         let y = attn.forward(&mut tape, x, x, None, &store);
         assert_eq!((tape.value(y).rows(), tape.value(y).cols()), (5, 8));
-    }
-
-    #[test]
-    fn infer_forward_matches_tape_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let d = 8;
-        let attn = MultiHeadAttention::new(&mut store, &mut rng, "attn", d, 2);
-        let pool = RotomPool::new(1);
-        for &(tq, tk, masked) in &[
-            (1usize, 1usize, false),
-            (5, 5, true),
-            (3, 7, false),
-            (9, 4, false),
-        ] {
-            let qx: Vec<f32> = (0..tq * d)
-                .map(|i| ((i * 37 % 23) as f32 - 11.0) * 0.07)
-                .collect();
-            let kx: Vec<f32> = (0..tk * d)
-                .map(|i| ((i * 29 % 19) as f32 - 9.0) * 0.05)
-                .collect();
-            let mask = masked.then(|| causal_mask(tq, tk));
-            let mut tape = Tape::new();
-            let qn = tape.input(Tensor::from_vec(qx.clone(), tq, d));
-            let kn = tape.input(Tensor::from_vec(kx.clone(), tk, d));
-            let y = attn.forward(&mut tape, qn, kn, mask.as_ref(), &store);
-            let expect = tape.value(y).data().to_vec();
-
-            let mut scratch = InferScratch::new();
-            let mut k = vec![0.0f32; tk * d];
-            let mut v = vec![0.0f32; tk * d];
-            attn.infer_project_kv(&kx, tk, &store, &pool, &mut k, &mut v);
-            // Every band, including the full pass `0..tq`, matches the same
-            // rows of the tape forward.
-            let mut bands = vec![(0, tq)];
-            bands.extend((0..tq).map(|row| kernels::band_rows(tq, row)));
-            for (start, len) in bands {
-                let mut got = vec![0.0f32; len * d];
-                attn.infer_forward(
-                    &qx[start * d..(start + len) * d],
-                    tq,
-                    len,
-                    &k,
-                    &v,
-                    tk,
-                    mask.as_ref()
-                        .map(|m| &m.data()[start * tk..(start + len) * tk]),
-                    &store,
-                    &pool,
-                    &mut scratch,
-                    &mut got,
-                );
-                assert_eq!(
-                    &expect[start * d..(start + len) * d],
-                    &got[..],
-                    "tq={tq} tk={tk} masked={masked} band={start}+{len}"
-                );
-            }
-        }
     }
 
     #[test]

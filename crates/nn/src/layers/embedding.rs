@@ -1,6 +1,7 @@
 //! Token and positional embeddings.
 
-use crate::graph::{NodeId, Tape};
+use super::Exec;
+use crate::graph::NodeId;
 use crate::init::Initializer;
 use crate::params::{ParamId, ParamStore};
 use rotom_rng::rngs::StdRng;
@@ -35,34 +36,19 @@ impl Embedding {
         self.dim
     }
 
-    /// Underlying parameter id (e.g. for weight tying with an output head).
-    pub fn table(&self) -> ParamId {
-        self.table
-    }
-
     /// Gather embeddings for `ids`, producing an `ids.len() x dim` node.
     ///
     /// Panics (debug) if any id is out of vocabulary.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, ids: &[usize]) -> NodeId {
+    pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, ids: &[usize]) -> NodeId {
         debug_assert!(ids.iter().all(|&i| i < self.vocab), "token id out of range");
-        tape.embedding(self.table, store, ids)
-    }
-
-    /// Forward-only gather into `out` (`ids.len() × dim`), bit-identical to
-    /// the tape's `embedding` op (a row copy either way).
-    pub fn infer_gather(&self, store: &ParamStore, ids: &[usize], out: &mut [f32]) {
-        debug_assert!(ids.iter().all(|&i| i < self.vocab), "token id out of range");
-        debug_assert_eq!(out.len(), ids.len() * self.dim);
-        let table = store.value(self.table);
-        for (i, &id) in ids.iter().enumerate() {
-            out[i * self.dim..(i + 1) * self.dim].copy_from_slice(table.row_slice(id));
-        }
+        ex.embed(self.table, store, ids)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Tape;
     use rotom_rng::SeedableRng;
 
     #[test]

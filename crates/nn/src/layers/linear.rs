@@ -1,8 +1,9 @@
 //! Fully connected layer.
 
-use crate::graph::{NodeId, Tape};
+use super::Exec;
+use crate::graph::NodeId;
 use crate::init::Initializer;
-use crate::kernels;
+use crate::kernels::Act;
 use crate::params::{ParamId, ParamStore};
 use rotom_rng::rngs::StdRng;
 
@@ -10,8 +11,6 @@ use rotom_rng::rngs::StdRng;
 pub struct Linear {
     w: ParamId,
     b: Option<ParamId>,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -43,88 +42,39 @@ impl Linear {
             rng,
         );
         let b = bias.then(|| store.alloc(format!("{name}.b"), 1, out_dim, Initializer::Zeros, rng));
-        Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+        Self { w, b }
     }
 
     /// The weight and (optional) bias parameter ids.
-    pub fn params(&self) -> (crate::params::ParamId, Option<crate::params::ParamId>) {
+    pub fn params(&self) -> (ParamId, Option<ParamId>) {
         (self.w, self.b)
     }
 
     /// Apply the layer to an `m x in_dim` node.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
-        let full_rows = tape.value(x).rows();
-        self.forward_band(tape, x, full_rows, store)
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: NodeId, store: &ParamStore) -> NodeId {
+        let full_rows = ex.value(x).rows();
+        self.forward_band(ex, x, full_rows, Act::None, store)
     }
 
-    /// Apply the layer to `x`, the leading row band of a `full_rows`-row
-    /// input: the GEMM dispatches on `full_rows` (see [`Tape::matmul_band`]),
-    /// so the band's rows are bit-identical to the same rows of
-    /// [`forward`](Self::forward), which is the all-rows band.
-    pub fn forward_band(
+    /// `act(x·W + b)` for `x`, a row band of a `full_rows`-row input: the
+    /// GEMM dispatches on `full_rows` (see [`Exec::matmul_band`]), so the
+    /// band's rows are bit-identical to the same rows of the all-rows band.
+    pub fn forward_band<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         x: NodeId,
         full_rows: usize,
+        act: Act,
         store: &ParamStore,
     ) -> NodeId {
-        let w = tape.param(self.w, store);
-        let y = tape.matmul_band(x, w, full_rows);
-        match self.b {
-            Some(b) => {
-                let bn = tape.param(b, store);
-                tape.add_row(y, bn)
-            }
-            None => y,
-        }
-    }
-
-    /// Forward-only `y = act(x·W + b)` for a `rows`-row band of a
-    /// `full_rows`-row input into `out` (`rows × out_dim`); a full pass is
-    /// the band `0..full_rows`. Bit-identical to the same rows of the tape's
-    /// `matmul → add_row → gelu` chain: the packed-panel decision replicates
-    /// `Tape::matmul` exactly (panels only above the tiled threshold, judged
-    /// on the full shape), and the fused epilogue is per-row with the same
-    /// per-element roundings.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward(
-        &self,
-        x: &[f32],
-        full_rows: usize,
-        rows: usize,
-        act: kernels::Act,
-        store: &ParamStore,
-        pool: &crate::pool::RotomPool,
-        out: &mut [f32],
-    ) {
-        let w = store.value(self.w);
-        let packs = store.packs(self.w);
-        let above_small = full_rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
-        let bias = self.b.map(|b| store.value(b).data());
-        let (k, n) = (self.in_dim, self.out_dim);
-        let pk = if above_small { packs.direct(w) } else { None };
-        kernels::matmul_bias_act_into(x, w.data(), pk, bias, act, full_rows, rows, k, n, pool, out);
+        ex.linear(x, self.w, self.b, full_rows, act, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Tape;
     use crate::tensor::Tensor;
     use rotom_rng::SeedableRng;
 

@@ -1,6 +1,7 @@
 //! Layer normalization.
 
-use crate::graph::{NodeId, Tape};
+use super::Exec;
+use crate::graph::NodeId;
 use crate::init::Initializer;
 use crate::params::{ParamId, ParamStore};
 use rotom_rng::rngs::StdRng;
@@ -25,25 +26,15 @@ impl LayerNorm {
     }
 
     /// Normalize each row of `x`.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
-        let g = tape.param(self.gamma, store);
-        let b = tape.param(self.beta, store);
-        tape.layer_norm(x, g, b, self.eps)
-    }
-
-    /// Forward-only row-wise normalization of a `rows × dim` buffer into
-    /// `out`, bit-identical to the tape's `layer_norm` op. Layer norm is
-    /// per-row, so this also serves row bands directly.
-    pub fn infer_forward(&self, x: &[f32], rows: usize, store: &ParamStore, out: &mut [f32]) {
-        let g = store.value(self.gamma);
-        let b = store.value(self.beta);
-        crate::kernels::layernorm_fwd(x, g.data(), b.data(), self.eps, rows, g.cols(), out, None);
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: NodeId, store: &ParamStore) -> NodeId {
+        ex.norm(x, self.gamma, self.beta, self.eps, store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Tape;
     use crate::tensor::Tensor;
     use rotom_rng::SeedableRng;
 

@@ -1,6 +1,7 @@
 //! Gated recurrent unit, used by the DeepMatcher baseline.
 
 use super::linear::Linear;
+use super::Exec;
 use crate::graph::{NodeId, Tape};
 use crate::params::ParamStore;
 use crate::tensor::Tensor;

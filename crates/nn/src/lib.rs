@@ -67,10 +67,10 @@ pub use graph::{
     with_pooled_tape, AttnMask, NodeId, Tape,
 };
 pub use health::{Halt, HealthConfig, HealthEvent, HealthMonitor, Verdict};
-pub use infer::{with_infer_scratch, InferScratch};
+pub use infer::{with_infer_tape, InferTape};
 pub use init::Initializer;
 pub use layers::{
-    causal_mask, DecoderKvCache, DecoderLayer, Embedding, EncoderLayer, FeedForward, FwdCtx, Gru,
+    causal_mask, DecoderLayer, Embedding, EncoderLayer, Exec, FeedForward, FwdCtx, Gru, Kv,
     LayerNorm, Linear, MultiHeadAttention, TransformerConfig, TransformerDecoder,
     TransformerEncoder,
 };

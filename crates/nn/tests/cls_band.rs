@@ -20,7 +20,7 @@
 //! per `ROTOM_THREADS` value.
 
 use rotom_nn::{
-    Embedding, FwdCtx, Initializer, ParamId, ParamStore, Tape, TransformerConfig,
+    Embedding, Exec, FwdCtx, Initializer, ParamId, ParamStore, Tape, TransformerConfig,
     TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;

@@ -14,8 +14,8 @@
 //! file once per `ROTOM_THREADS` value.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, with_pooled_tape, FwdCtx, Initializer, ParamId, ParamStore,
-    RotomPool, Tape, Tensor, TransformerConfig, TransformerEncoder,
+    recycle_tape, take_pooled_tape, with_pooled_tape, Exec, FwdCtx, Initializer, ParamId,
+    ParamStore, RotomPool, Tape, Tensor, TransformerConfig, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;

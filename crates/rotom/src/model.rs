@@ -14,8 +14,8 @@ use crate::config::ModelConfig;
 use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
-    backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_scratch,
-    with_pooled_tape, Adam, Embedding, FwdCtx, Linear, NodeId, ParamStore, RotomPool, Tape,
+    backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_tape,
+    with_pooled_tape, Adam, Embedding, Exec, FwdCtx, Linear, NodeId, ParamStore, RotomPool, Tape,
     TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
@@ -148,10 +148,10 @@ impl TinyLm {
         (ids, segs, dups)
     }
 
-    fn cls_node(&self, tape: &mut Tape, tokens: &[String], ctx: &mut FwdCtx<'_>) -> NodeId {
+    fn cls_node<E: Exec>(&self, ex: &mut E, tokens: &[String], ctx: &mut FwdCtx<'_>) -> NodeId {
         let (ids, segs, dups) = self.encode_input(tokens);
         let extras: [(&Embedding, &[usize]); 2] = [(&self.seg_emb, &segs), (&self.dup_emb, &dups)];
-        self.encoder.encode_cls_with(tape, &ids, &extras, ctx)
+        self.encoder.encode_cls_with(ex, &ids, &extras, ctx)
     }
 
     /// Masked-LM pre-training over an unlabeled corpus (the "pre-trained LM"
@@ -354,32 +354,18 @@ impl TinyLm {
         self.store.generation_sum()
     }
 
-    /// Tape-free class logits for a sequence — the inference plane's entry
-    /// point. No graph nodes or gradient buffers are built; activations live
-    /// in recycled per-thread workspaces and the forward GEMMs reuse the
-    /// store's packed-panel weight cache read-only. Bit-identical to the
-    /// tape forward in eval mode.
-    fn infer_logits(&self, tokens: &[String]) -> Vec<f32> {
-        let (ids, segs, dups) = self.encode_input(tokens);
-        let pool = RotomPool::global();
-        with_infer_scratch(|scratch| {
-            let mut cls = scratch.take(self.cfg.d_model);
-            let extras: [(&Embedding, &[usize]); 2] =
-                [(&self.seg_emb, &segs), (&self.dup_emb, &dups)];
-            self.encoder
-                .infer_encode_cls_with(&ids, &extras, &self.store, pool, scratch, &mut cls);
-            let mut logits = vec![0.0f32; self.num_classes];
-            self.head.infer_forward(
-                &cls,
-                1,
-                1,
-                kernels::Act::None,
-                &self.store,
-                pool,
-                &mut logits,
-            );
-            scratch.put(cls);
-            logits
+    /// Class logits for a sequence on the forward-only
+    /// [`InferTape`](rotom_nn::InferTape): the inference plane's entry
+    /// point. The layer code is the tape's, so the logits are bit-identical
+    /// to the tape forward in eval mode, but no backward state or parameter
+    /// copy is made; activations live in a pooled executor's recycled
+    /// buffers and the GEMMs read the store's packed panels read-only.
+    fn class_logits(&self, tokens: &[String]) -> Vec<f32> {
+        with_infer_tape(|it| {
+            let mut ctx = FwdCtx::eval(&self.store);
+            let cls = self.cls_node(it, tokens, &mut ctx);
+            let logits = self.head.forward(it, cls, &self.store);
+            it.value(logits).data().to_vec()
         })
     }
 
@@ -393,7 +379,7 @@ impl TinyLm {
         pool: &RotomPool,
     ) -> Vec<Vec<f32>> {
         pool.map(batch.len(), |i| {
-            rotom_nn::softmax_slice(&self.infer_logits(batch[i].as_ref()))
+            rotom_nn::softmax_slice(&self.class_logits(batch[i].as_ref()))
         })
     }
 
@@ -523,15 +509,7 @@ impl TinyLm {
         bag: &rotom_nn::StateBag,
         prefix: &str,
     ) -> Result<(), rotom_nn::CheckpointError> {
-        let params = bag.get_f32s(&format!("{prefix}.params"))?;
-        if params.len() != self.store.num_scalars() {
-            return Err(rotom_nn::CheckpointError::Mismatch(format!(
-                "model {prefix:?}: {} parameters vs checkpoint {}",
-                self.store.num_scalars(),
-                params.len()
-            )));
-        }
-        self.store.set_flat(params);
+        rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)?;
         self.lr = bag.get_f32(&format!("{prefix}.lr"))?;
@@ -571,7 +549,7 @@ impl MetaTarget for TinyLm {
     }
 
     fn predict_proba(&self, tokens: &[String]) -> Vec<f32> {
-        rotom_nn::softmax_slice(&self.infer_logits(tokens))
+        rotom_nn::softmax_slice(&self.class_logits(tokens))
     }
 
     fn weighted_loss_backward(
@@ -607,13 +585,9 @@ impl MetaTarget for TinyLm {
         // accumulation) to the logits.
         RotomPool::global().map(items.len(), |i| {
             let item = &items[i];
-            let logits = self.infer_logits(&item.tokens);
-            let (max, sum) = with_infer_scratch(|scratch| {
-                let mut probs = scratch.take(logits.len());
-                let stats = kernels::softmax_row_fwd(&logits, None, &mut probs);
-                scratch.put(probs);
-                stats
-            });
+            let logits = self.class_logits(&item.tokens);
+            let mut probs = vec![0.0f32; logits.len()];
+            let (max, sum) = kernels::softmax_row_fwd(&logits, None, &mut probs);
             let lse = sum.ln() + max;
             let mut loss = 0.0f64;
             for (j, &t) in item.target.iter().enumerate() {
@@ -774,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_plane_matches_tape_bitwise() {
+    fn inference_plane_matches_tape_bitwise() {
         let mut m = model();
         // Train a few steps so weights are not at init.
         let items: Vec<WeightedItem> = vec![

@@ -17,8 +17,9 @@
 //! score cache sits in the slot beside the model. A batch looks every
 //! input up serially, scores only the misses, and stores their rows, so
 //! the hit and miss counts depend on the inputs alone, never on how the
-//! pool schedules the misses. A swap clears the entries under the write
-//! lock, so a cached score never crosses a swap.
+//! pool schedules the misses. A successful swap clears the entries under
+//! the write lock, so a cached score never crosses a swap; a rejected
+//! checkpoint writes nothing into the model, so it keeps them.
 //!
 //! Each plane carries a `swaps` counter updated under the same write lock;
 //! responses echo it (with the parameter `generation_sum`) so clients — and
@@ -193,15 +194,13 @@ impl TaskPlane {
     /// weights.
     pub fn swap(&self, checkpoint: impl AsRef<Path>) -> Result<SwapInfo, CheckpointError> {
         let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
-        // Cleared even when the load fails: a rejected checkpoint may have
-        // been partly written into the store.
+        slot.model.load_checkpoint(checkpoint)?;
         if let Some(cache) = &mut slot.cache {
             cache
                 .get_mut()
                 .unwrap_or_else(PoisonError::into_inner)
                 .clear();
         }
-        slot.model.load_checkpoint(checkpoint)?;
         slot.swaps += 1;
         Ok(SwapInfo {
             generation: slot.swaps,
@@ -428,6 +427,37 @@ mod tests {
         let gen = plane.score(&inputs, &RotomPool::new(1)).generation;
         assert_eq!(gen, 0, "failed swap must not bump the generation");
         let _ = std::fs::remove_file(bad);
+    }
+
+    #[test]
+    fn rejected_swap_changes_nothing() {
+        // A checkpoint of the same vocabulary whose head has 5 classes: every
+        // tensor before the head fits, the head does not.
+        let cfg = demo_model_config();
+        let (model, name) = demo_model(TaskKind::TextClassification, &cfg, 1);
+        let five = TinyLm::new(model.vocab().clone(), 5, &cfg, 5e-4, 2);
+        let dir = std::env::temp_dir().join("rotom_serve_plane_rejected_swap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("five_classes.ckpt");
+        five.save_checkpoint(&ckpt).unwrap();
+        let plane = TaskPlane::new(Endpoint::Classify, name, model);
+        plane.set_score_cache(8);
+        let pool = RotomPool::new(1);
+        let inputs = vec![rotom_text::tokenize("a fine movie")];
+        let before = plane.score(&inputs, &pool);
+        let stats = plane.cache_stats();
+        assert!(matches!(
+            plane.swap(&ckpt),
+            Err(CheckpointError::Mismatch(m)) if m.contains("lm.head.w")
+        ));
+        assert_eq!(plane.cache_stats(), stats, "cache entries kept");
+        // Rescore uncached too, so the model itself is checked, not a hit.
+        plane.set_score_cache(0);
+        let after = plane.score(&inputs, &pool);
+        assert_eq!(bits(&after.scores), bits(&before.scores));
+        assert_eq!(after.generation, before.generation);
+        assert_eq!(after.param_generation, before.param_generation);
+        let _ = std::fs::remove_file(ckpt);
     }
 
     fn bits(rows: &[Vec<f32>]) -> Vec<u32> {
