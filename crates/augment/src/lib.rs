@@ -11,6 +11,7 @@
 //! * **diversity metrics** ([`diversity`](mod@diversity)) quantifying the paper's
 //!   diversity/quality trade-off.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corrupt;

@@ -11,6 +11,7 @@
 //! * [`kumar`] — Kumar et al.'s label-conditioned generation (Table 11,
 //!   right).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod brunner;

@@ -346,7 +346,7 @@ impl IndexBuilder {
         // Each worker owns a contiguous run of shards and walks the chunk,
         // claiming the tokens hashing into its run: shards build with no
         // locks and no merge, and postings stay in record-id order.
-        pool.chunk_rows(&mut self.shards, 1, |first, shards| {
+        pool.chunk_rows(&mut self.shards, 1, 1, |first, shards| {
             let owned = first..first + shards.len();
             for ((id, ts), (hashes, _)) in ids.clone().zip(tokens).zip(&hashed) {
                 for (t, &h) in ts.iter().zip(hashes) {
@@ -604,13 +604,13 @@ impl ShardedIndex {
     /// Candidate record ids for one chunk of pre-tokenized left records:
     /// `out[i]` is the sorted deduplicated candidate list for `left[i]`.
     ///
-    /// The chunk splits into one contiguous range per worker, and a worker
-    /// probes each of its records in one pass: it hashes every token once,
+    /// The output splits into one contiguous run per worker, and a worker
+    /// probes each record of its run in one pass: it hashes every token once,
     /// reads the token's posting list from the owning shard, and counts
     /// shared tokens in a dense per-worker counter, resetting only the
     /// slots it touched. Ids reaching `min_shared` join the ids sharing an
     /// LSH bucket in any band, then sort and dedup. Counts are integer sums
-    /// and the ranges concatenate in input order, so the result is
+    /// and each record's list lands in its own slot, so the result is
     /// bit-identical at any shard or worker count.
     pub fn candidates_for_tokens(&self, left: &[Vec<String>], pool: &RotomPool) -> Vec<Vec<u32>> {
         let n = self.stats.records;
@@ -619,21 +619,18 @@ impl ShardedIndex {
             // (`n` fits in u32, see `chunk_ids`).
             return left.iter().map(|_| (0..n as u32).collect()).collect();
         }
-        let ranges: Vec<&[Vec<String>]> = left
-            .chunks(left.len().div_ceil(pool.threads()).max(1))
-            .collect();
-        let per_range = pool.map(ranges.len(), |w| {
+        let mut out = vec![Vec::new(); left.len()];
+        pool.chunk_rows(&mut out, 1, 1, |first, run| {
             let mut scratch = ProbeScratch {
                 counts: vec![0; n],
                 touched: Vec::new(),
                 hashes: Vec::new(),
             };
-            ranges[w]
-                .iter()
-                .map(|ts| self.probe(ts, &mut scratch))
-                .collect::<Vec<_>>()
+            for (slot, ts) in run.iter_mut().zip(&left[first..]) {
+                *slot = self.probe(ts, &mut scratch);
+            }
         });
-        per_range.into_iter().flatten().collect()
+        out
     }
 
     /// Sorted deduplicated candidate ids of one left record.

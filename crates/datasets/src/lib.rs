@@ -21,6 +21,7 @@
 //! collections: a sharded IDF-pruned inverted index with an optional
 //! minhash/LSH tier and a streaming bounded-memory pipeline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocking;

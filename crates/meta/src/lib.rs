@@ -18,6 +18,7 @@
 //! drives the TinyLm classifier, the GRU baselines, or the bag-of-words toy
 //! model in this crate's tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod filter;

@@ -567,16 +567,13 @@ impl Tape {
         {
             let lv = &self.nodes[logits.0].value;
             for i in 0..m {
-                let row = lv.row_slice(i);
-                let (max, sum) =
-                    kernels::softmax_row_fwd(row, None, &mut probs[i * c..(i + 1) * c]);
-                let lse = sum.ln() + max;
-                for j in 0..c {
-                    let t = targets[i * c + j];
-                    if t != 0.0 {
-                        loss -= (t * (row[j] - lse)) as f64;
-                    }
-                }
+                let span = i * c..(i + 1) * c;
+                kernels::cross_entropy_row(
+                    lv.row_slice(i),
+                    &targets[span.clone()],
+                    &mut probs[span],
+                    &mut loss,
+                );
             }
         }
         let mut tbuf = self.arena.take_dirty(m * c);

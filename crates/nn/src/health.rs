@@ -118,11 +118,6 @@ impl HealthMonitor {
         self.rollbacks = rollbacks;
     }
 
-    /// The recovery tunables.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Recorded incidents, oldest first.
     pub fn events(&self) -> &[HealthEvent] {
         &self.events

@@ -1118,12 +1118,6 @@ fn matmul_block_tiled<B: BSrc>(
     }
 }
 
-/// A raw pointer blessed for cross-thread sharing; see the soundness note at
-/// its use sites in [`tiled_dispatch`] and [`matmul_transpose_a_into`].
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 /// Serial-or-parallel dispatch of the tiled core over `m` output rows.
 /// Caller has already ruled out the sub-[`SMALL_FLOPS`] naive path.
 fn tiled_dispatch<B: BSrc>(
@@ -1141,21 +1135,12 @@ fn tiled_dispatch<B: BSrc>(
         matmul_block_tiled(a, m, k, bsrc, n, out);
     } else {
         profile::bump(&profile::TILED_PARALLEL);
-        // Split on MR-row boundaries so every worker runs full tiles with
-        // the exact code (and summation order) the serial path uses.
-        //
-        // Soundness of the raw-pointer fan-out: `run_ranges` hands every
-        // worker a distinct, non-overlapping row range, so the re-sliced
-        // `&mut` views never alias, and it joins all workers before
-        // returning, so no view outlives the buffer borrow.
-        let out_base = SendPtr(out.as_mut_ptr());
-        let out_base = &out_base;
-        pool.run_ranges(m, MR, move |range| {
-            let rows = range.end - range.start;
-            let a_block = &a[range.start * k..range.end * k];
-            let out_block = unsafe {
-                std::slice::from_raw_parts_mut(out_base.0.add(range.start * n), rows * n)
-            };
+        // Split the output on MR-row boundaries so every worker runs full
+        // tiles with the exact code (and summation order) the serial path
+        // uses; each worker owns its rows of `out` as a disjoint slice.
+        pool.chunk_rows(out, n, MR, |first, out_block| {
+            let rows = out_block.len() / n;
+            let a_block = &a[first * k..(first + rows) * k];
             matmul_block_tiled(a_block, rows, k, bsrc, n, out_block);
         });
     }
@@ -1314,19 +1299,13 @@ pub fn matmul_transpose_a_into(
     }
     if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || k < 2 * MR {
         profile::bump(&profile::TILED_SERIAL);
-        transpose_a_block(a, g, m, k, n, 0, k, out);
+        transpose_a_block(a, g, m, k, n, 0, out);
     } else {
         profile::bump(&profile::TILED_PARALLEL);
-        // Same fan-out shape as `tiled_dispatch` (output rows = rows of Aᵀ),
-        // same soundness argument for the raw-pointer split.
-        let out_base = SendPtr(out.as_mut_ptr());
-        let out_base = &out_base;
-        pool.run_ranges(k, MR, move |range| {
-            let rows = range.end - range.start;
-            let out_block = unsafe {
-                std::slice::from_raw_parts_mut(out_base.0.add(range.start * n), rows * n)
-            };
-            transpose_a_block(a, g, m, k, n, range.start, range.end, out_block);
+        // Same MR-row output split as `tiled_dispatch` (output rows are the
+        // rows of Aᵀ).
+        pool.chunk_rows(out, n, MR, |first, out_block| {
+            transpose_a_block(a, g, m, k, n, first, out_block);
         });
     }
 }
@@ -1335,15 +1314,12 @@ pub fn matmul_transpose_a_into(
 /// path: bounds the scratch to `64×m` floats.
 const TA_CHUNK: usize = 64;
 
-/// Compute output rows `q0..q1` of `C = Aᵀ·G` by transposing `TA_CHUNK`-row
-/// slices of `Aᵀ` into scratch and running the tiled core on each. Row `q`
-/// of `C` depends only on column `q` of `A` and the shared `G` panels, so
-/// slicing never changes values — each slice is bit-identical to the same
-/// rows of a whole-matrix `transpose(A)` followed by the tiled core.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the operands, shape and row range, passed flat to the pool workers"
-)]
+/// Compute the output rows of `C = Aᵀ·G` that start at row `q0` and fill
+/// `out_block`, by transposing `TA_CHUNK`-row slices of `Aᵀ` into scratch
+/// and running the tiled core on each. Row `q` of `C` depends only on
+/// column `q` of `A` and the shared `G` panels, so slicing never changes
+/// values — each slice is bit-identical to the same rows of a whole-matrix
+/// `transpose(A)` followed by the tiled core.
 fn transpose_a_block(
     a: &[f32],
     g: &[f32],
@@ -1351,9 +1327,9 @@ fn transpose_a_block(
     k: usize,
     n: usize,
     q0: usize,
-    q1: usize,
     out_block: &mut [f32],
 ) {
+    let q1 = q0 + out_block.len() / n;
     let gsrc = BRowMajor { b: g, n };
     let mut scratch = take_scratch((q1 - q0).min(TA_CHUNK) * m);
     let mut q = q0;
@@ -1563,6 +1539,22 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
         *o *= inv;
     }
     (max, sum)
+}
+
+/// One row of softmax cross-entropy against a (soft) target row: writes the
+/// row's softmax into `probs` and subtracts `t·(z − lse)` for every nonzero
+/// target `t` from `loss`, in index order and in f64. The tape's
+/// `cross_entropy` runs its rows through this one accumulator; forward-only
+/// per-example losses start each row at zero.
+pub fn cross_entropy_row(row: &[f32], target: &[f32], probs: &mut [f32], loss: &mut f64) {
+    debug_assert_eq!(target.len(), row.len());
+    let (max, sum) = softmax_row_fwd(row, None, probs);
+    let lse = sum.ln() + max;
+    for (&z, &t) in row.iter().zip(target) {
+        if t != 0.0 {
+            *loss -= (t * (z - lse)) as f64;
+        }
+    }
 }
 
 /// `x[j] = exp(x[j] − shift)` in place, with the port of glibc's `expf`
@@ -1804,16 +1796,26 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_at_large_size() {
-        // Big enough to actually cross PAR_MIN_FLOPS and fan out.
-        let (m, k, n) = (96, 80, 96);
+        // Big enough to cross PAR_MIN_FLOPS and fan out. The split dimension
+        // (`m` for A·B and A·Bᵀ, `k` for Aᵀ·G) is no multiple of MR × workers,
+        // so runs end on a ragged tile unless the split keeps whole MR tiles.
         let mut rng = StdRng::seed_from_u64(0x4e3);
-        let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
-        let serial = mm(&a, &b, m, k, n, &RotomPool::new(1));
-        for threads in [2, 5, 16] {
-            let par = mm(&a, &b, m, k, n, &RotomPool::new(threads));
-            assert_eq!(serial, par, "threads={threads}");
-        }
+        let a1 = random_matrix(&mut rng, 70, 64);
+        let b1 = random_matrix(&mut rng, 64, 70);
+        let a2 = random_matrix(&mut rng, 133, 64);
+        let b2 = random_matrix(&mut rng, 48, 64);
+        let a3 = random_matrix(&mut rng, 96, 70);
+        let g3 = random_matrix(&mut rng, 96, 96);
+        let check = |name: &str, product: &dyn Fn(&RotomPool) -> Vec<f32>| {
+            let serial = product(&RotomPool::new(1));
+            for threads in [2, 3, 5, 8, 16] {
+                let par = product(&RotomPool::new(threads));
+                assert_eq!(serial, par, "{name} threads={threads}");
+            }
+        };
+        check("A·B 70x64x70", &|p| mm(&a1, &b1, 70, 64, 70, p));
+        check("A·Bᵀ 133x64x48", &|p| mm_tb(&a2, &b2, 133, 64, 48, p));
+        check("Aᵀ·G 96x70x96", &|p| mm_ta(&a3, &g3, 96, 70, 96, p));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use rotom_rng::rngs::StdRng;
 pub struct Embedding {
     table: ParamId,
     vocab: usize,
-    dim: usize,
 }
 
 impl Embedding {
@@ -23,17 +22,12 @@ impl Embedding {
         dim: usize,
     ) -> Self {
         let table = store.alloc(name, vocab, dim, Initializer::Normal(0.02), rng);
-        Self { table, vocab, dim }
+        Self { table, vocab }
     }
 
     /// Vocabulary size (number of rows).
     pub fn vocab(&self) -> usize {
         self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Gather embeddings for `ids`, producing an `ids.len() x dim` node.

@@ -43,11 +43,6 @@ impl Gru {
         }
     }
 
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     /// Run the GRU over the rows of `x` (`T x in_dim`), returning all hidden
     /// states stacked as `T x hidden`.
     pub fn forward(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {

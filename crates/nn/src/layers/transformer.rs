@@ -326,11 +326,6 @@ impl TransformerEncoder {
         }
     }
 
-    /// Configuration used at construction.
-    pub fn config(&self) -> &TransformerConfig {
-        &self.cfg
-    }
-
     /// Encode `ids` (truncated to `max_len`) into a `T x d` node.
     pub fn forward<E: Exec>(&self, ex: &mut E, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
         self.forward_with(ex, ids, &[], ctx)
@@ -445,11 +440,6 @@ impl TransformerDecoder {
             proj,
             cfg,
         }
-    }
-
-    /// Configuration used at construction.
-    pub fn config(&self) -> &TransformerConfig {
-        &self.cfg
     }
 
     /// Decode `ids` against encoder `memory`, returning `T x vocab` logits

@@ -1,11 +1,20 @@
 //! A std-only scoped worker pool for data-parallel fan-out.
 //!
-//! The training hot paths (tiled matmul row-splitting, batch scoring,
-//! augmentation fan-out) all share the same shape: N independent work items,
-//! results needed back in input order. [`RotomPool`] packages that pattern on
-//! top of [`std::thread::scope`] — no `rayon`/`crossbeam`, no unsafe, no
-//! `'static` bounds on the closures, because scoped threads may borrow from
-//! the caller's stack.
+//! The hot paths (GEMM row splits, batch scoring, augmentation, the
+//! blocking build and probe) all share one shape: N independent work
+//! items, results needed back in input order. [`RotomPool`] packages that
+//! pattern on top of the standard library's scoped threads — no
+//! `rayon`/`crossbeam`, no unsafe, no `'static` bounds on the closures,
+//! because scoped threads may borrow from the caller's stack.
+//!
+//! Both helpers run through one fan-out body. It splits the items into at
+//! most `threads` contiguous runs of whole `granularity`-item units (the
+//! last run may end short), runs one scoped worker per run (inline when
+//! there is one run), joins in order, and re-raises worker panics as one.
+//! [`RotomPool::map`] collects `f(i)` per run and concatenates the runs;
+//! [`RotomPool::chunk_rows`] hands each run a disjoint `&mut` slice of a
+//! row-major buffer, which is how the GEMMs split their output on
+//! `MR`-row tiles without raw pointers.
 //!
 //! A pool value is a *sizing policy* (how many workers to use), not a set of
 //! live threads: workers are spawned per call and joined before the call
@@ -20,8 +29,9 @@
 //! helper guarantees **deterministic, input-ordered results** regardless of
 //! worker count: parallelism never changes observable output.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
-use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -50,17 +60,17 @@ impl PoolDispatch {
         })
     }
 
-    /// Called at the top of a worker body: returns (wait_us, busy-start).
-    fn worker_begin(&self) -> (u64, Instant) {
-        (self.start.elapsed().as_micros() as u64, Instant::now())
-    }
-
-    /// Called at the end of a worker body with `worker_begin`'s return.
-    fn worker_end(&self, (wait_us, busy_start): (u64, Instant)) {
+    /// Run one run's work, recording its wait (dispatch to start) and busy
+    /// time.
+    fn time<R>(&self, work: impl FnOnce() -> R) -> R {
+        let wait_us = self.start.elapsed().as_micros() as u64;
+        let busy_start = Instant::now();
+        let out = work();
         let busy_us = busy_start.elapsed().as_micros() as u64;
         if let Ok(mut t) = self.timings.lock() {
             t.push((wait_us, busy_us));
         }
+        out
     }
 
     /// Emit the aggregated `pool` record after all workers joined.
@@ -95,25 +105,6 @@ fn payload_message(payload: Box<dyn Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Re-raise worker panics as one aggregated panic naming every failed worker
-/// index, instead of aborting on the first `join` failure. No-op when no
-/// worker failed. The pool itself is a stateless sizing policy, so a panicked
-/// call never poisons subsequent calls.
-fn raise_worker_failures(ctx: &str, failures: Vec<(usize, String)>) {
-    if failures.is_empty() {
-        return;
-    }
-    let detail: Vec<String> = failures
-        .iter()
-        .map(|(i, m)| format!("worker {i}: {m}"))
-        .collect();
-    panic!(
-        "RotomPool::{ctx}: {} worker(s) panicked — {}",
-        failures.len(),
-        detail.join("; ")
-    );
 }
 
 /// A scoped worker pool with a fixed worker count.
@@ -161,176 +152,102 @@ impl RotomPool {
     }
 
     /// Compute `f(i)` for every `i in 0..n` and return the results in index
-    /// order. Items are split into contiguous per-worker chunks; with one
-    /// worker (or one item) this runs inline with no threads spawned.
-    ///
-    /// Workers collect their chunk locally and the chunks are concatenated
-    /// in spawn order — one pass, no `Option` slot array — so the result is
-    /// identical to the serial `(0..n).map(f)` regardless of worker count.
+    /// order, identical to the serial `(0..n).map(f)` at any worker count.
+    /// Each run of the fan-out collects its indices locally and the runs are
+    /// concatenated in order.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.threads.min(n);
-        let dispatch = PoolDispatch::begin("map", n);
-        if workers <= 1 {
-            let out = if let Some(d) = dispatch {
-                let t = d.worker_begin();
-                let out = (0..n).map(f).collect();
-                d.worker_end(t);
-                d.finish();
-                out
-            } else {
-                (0..n).map(f).collect()
-            };
-            return out;
-        }
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        std::thread::scope(|scope| {
-            let dispatch = &dispatch;
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|base| {
-                    let f = &f;
-                    let end = (base + chunk).min(n);
-                    scope.spawn(move || {
-                        let t = dispatch.as_ref().map(|d| d.worker_begin());
-                        let chunk = (base..end).map(f).collect::<Vec<T>>();
-                        if let (Some(d), Some(t)) = (dispatch.as_ref(), t) {
-                            d.worker_end(t);
-                        }
-                        chunk
-                    })
-                })
-                .collect();
-            for (wi, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(chunk) => out.extend(chunk),
-                    Err(payload) => failures.push((wi, payload_message(payload))),
-                }
-            }
+        let runs = self.fan_out("map", &mut vec![(); n], 1, 1, |first, run| {
+            (first..first + run.len()).map(&f).collect::<Vec<T>>()
         });
-        if let Some(d) = dispatch {
-            d.finish();
+        let mut runs = runs.into_iter();
+        let mut out = runs.next().unwrap_or_default();
+        out.reserve(n - out.len());
+        for run in runs {
+            out.extend(run);
         }
-        raise_worker_failures("map", failures);
         out
     }
 
-    /// Split the index range `0..n` into at most `threads` contiguous
-    /// sub-ranges (each a multiple of `granularity` long, except the last)
-    /// and run `f(range)` on each in parallel.
-    ///
-    /// Used where the caller owns a pre-split output buffer (e.g. matmul row
-    /// blocks) and only needs the range assignment.
-    pub fn run_ranges<F>(&self, n: usize, granularity: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let g = granularity.max(1);
-        let units = n.div_ceil(g);
-        let workers = self.threads.min(units);
-        let dispatch = PoolDispatch::begin("run_ranges", n);
-        if workers <= 1 {
-            if let Some(d) = dispatch {
-                let t = d.worker_begin();
-                if n > 0 {
-                    f(0..n);
-                }
-                d.worker_end(t);
-                d.finish();
-            } else if n > 0 {
-                f(0..n);
-            }
-            return;
-        }
-        let units_per = units.div_ceil(workers);
-        let step = units_per * g;
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        std::thread::scope(|scope| {
-            let dispatch = &dispatch;
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + step).min(n);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let t = dispatch.as_ref().map(|d| d.worker_begin());
-                    f(start..end);
-                    if let (Some(d), Some(t)) = (dispatch.as_ref(), t) {
-                        d.worker_end(t);
-                    }
-                }));
-                start = end;
-            }
-            for (wi, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    failures.push((wi, payload_message(payload)));
-                }
-            }
-        });
-        if let Some(d) = dispatch {
-            d.finish();
-        }
-        raise_worker_failures("run_ranges", failures);
-    }
-
-    /// Split `data` into at most `threads` contiguous chunks of whole
-    /// `width`-element rows and run `f(first_row, chunk)` on each in
-    /// parallel. The chunks are disjoint `&mut` views, so workers can write
-    /// their results in place with no synchronization.
-    pub fn chunk_rows<T, F>(&self, data: &mut [T], width: usize, f: F)
+    /// Split `data` into at most `threads` contiguous runs of whole
+    /// `width`-element rows, each starting on a multiple of `granularity`
+    /// rows, and run `f(first_row, run)` on each in parallel. The runs are
+    /// disjoint `&mut` views, so workers write their results in place with
+    /// no synchronization.
+    pub fn chunk_rows<T, F>(&self, data: &mut [T], width: usize, granularity: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
+        self.fan_out("chunk_rows", data, width, granularity, f);
+    }
+
+    /// The one fan-out body. Splits the `rows = data.len() / width` rows
+    /// into at most `threads` contiguous runs of whole `granularity`-row
+    /// units (the last run may end short), runs `f(first_row, run)` inline
+    /// when there is one run and on one scoped worker per run otherwise,
+    /// times each run for the `pool` record, and joins in order. Returns
+    /// the runs' results in order. Worker panics are re-raised as one panic
+    /// naming every failed worker; the pool is a stateless sizing policy,
+    /// so a panicked call never poisons later calls.
+    fn fan_out<T, R, F>(
+        &self,
+        ctx: &'static str,
+        data: &mut [T],
+        width: usize,
+        granularity: usize,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
         assert!(width > 0, "row width must be positive");
         debug_assert_eq!(data.len() % width, 0, "data must be whole rows");
         let rows = data.len() / width;
-        let workers = self.threads.min(rows);
-        let dispatch = PoolDispatch::begin("chunk_rows", rows);
+        let g = granularity.max(1);
+        let units = rows.div_ceil(g);
+        let workers = self.threads.min(units);
+        let run_rows = units.div_ceil(workers.max(1)).max(1) * g;
+        let dispatch = PoolDispatch::begin(ctx, rows);
+        let work = |(ri, run): (usize, &mut [T])| match &dispatch {
+            Some(d) => d.time(|| f(ri * run_rows, run)),
+            None => f(ri * run_rows, run),
+        };
+        let runs = data.chunks_mut(run_rows * width).enumerate();
+        let mut results = Vec::with_capacity(workers);
+        let mut failures = Vec::new();
         if workers <= 1 {
-            if let Some(d) = dispatch {
-                let t = d.worker_begin();
-                f(0, data);
-                d.worker_end(t);
-                d.finish();
-            } else {
-                f(0, data);
-            }
-            return;
-        }
-        let rows_per = rows.div_ceil(workers);
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        std::thread::scope(|scope| {
-            let dispatch = &dispatch;
-            let handles: Vec<_> = data
-                .chunks_mut(rows_per * width)
-                .enumerate()
-                .map(|(ci, chunk)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        let t = dispatch.as_ref().map(|d| d.worker_begin());
-                        f(ci * rows_per, chunk);
-                        if let (Some(d), Some(t)) = (dispatch.as_ref(), t) {
-                            d.worker_end(t);
+            results.extend(runs.map(work));
+        } else {
+            std::thread::scope(|scope| {
+                let work = &work;
+                let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+                for (wi, h) in handles.into_iter().enumerate() {
+                    match h.join() {
+                        Ok(r) => results.push(r),
+                        Err(payload) => {
+                            failures.push(format!("worker {wi}: {}", payload_message(payload)))
                         }
-                    })
-                })
-                .collect();
-            for (wi, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    failures.push((wi, payload_message(payload)));
+                    }
                 }
-            }
-        });
+            });
+        }
         if let Some(d) = dispatch {
             d.finish();
         }
-        raise_worker_failures("chunk_rows", failures);
+        if !failures.is_empty() {
+            panic!(
+                "RotomPool::{ctx}: {} worker(s) panicked — {}",
+                failures.len(),
+                failures.join("; ")
+            );
+        }
+        results
     }
 }
 
@@ -343,7 +260,6 @@ impl Default for RotomPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn new_clamps_to_one() {
@@ -376,30 +292,30 @@ mod tests {
     }
 
     #[test]
-    fn run_ranges_covers_exactly_once() {
+    fn chunk_rows_covers_exactly_once() {
         for threads in [1, 2, 5] {
             let pool = RotomPool::new(threads);
-            let hits: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_ranges(23, 4, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
+            let mut hits = vec![0u32; 23];
+            pool.chunk_rows(&mut hits, 1, 4, |_, run| {
+                for h in run {
+                    *h += 1;
                 }
             });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}"
-            );
+            assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
         }
     }
 
     #[test]
-    fn run_ranges_respects_granularity() {
+    fn chunk_rows_respects_granularity() {
         let pool = RotomPool::new(3);
-        let starts = std::sync::Mutex::new(Vec::new());
-        pool.run_ranges(20, 8, |r| starts.lock().unwrap().push((r.start, r.end)));
-        let mut s = starts.lock().unwrap().clone();
+        let runs = std::sync::Mutex::new(Vec::new());
+        let mut data = vec![0u8; 20 * 2];
+        pool.chunk_rows(&mut data, 2, 8, |first, run| {
+            runs.lock().unwrap().push((first, first + run.len() / 2))
+        });
+        let mut s = runs.into_inner().unwrap();
         s.sort_unstable();
-        // 20 items at granularity 8 = 3 units; every boundary is a multiple
+        // 20 rows at granularity 8 = 3 units; every boundary is a multiple
         // of 8 except the final end.
         for &(start, _) in &s {
             assert_eq!(start % 8, 0);
@@ -412,7 +328,7 @@ mod tests {
         for threads in [1, 2, 4, 16] {
             let pool = RotomPool::new(threads);
             let mut data = vec![0u32; 9 * 5];
-            pool.chunk_rows(&mut data, 5, |first_row, chunk| {
+            pool.chunk_rows(&mut data, 5, 1, |first_row, chunk| {
                 for (r, row) in chunk.chunks_mut(5).enumerate() {
                     row.fill((first_row + r) as u32);
                 }
@@ -452,24 +368,17 @@ mod tests {
         let pool = RotomPool::new(4);
         for round in 0..2 {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_ranges(12, 1, |r| {
-                    if r.contains(&5) {
+                pool.chunk_rows(&mut [0u32; 12], 1, 1, |first, run| {
+                    if (first..first + run.len()).contains(&5) {
                         panic!("injected failure");
                     }
                 })
             }));
             assert!(r.is_err(), "round {round} should have panicked");
-            // The same pool value keeps working for every helper afterwards.
+            // The same pool value keeps working for both helpers afterwards.
             assert_eq!(pool.map(8, |i| i * 3), vec![0, 3, 6, 9, 12, 15, 18, 21]);
-            let hits: Vec<AtomicUsize> = (0..12).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_ranges(12, 1, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
             let mut data = vec![0u32; 4 * 3];
-            pool.chunk_rows(&mut data, 3, |first, chunk| {
+            pool.chunk_rows(&mut data, 3, 1, |first, chunk| {
                 for (r, row) in chunk.chunks_mut(3).enumerate() {
                     row.fill((first + r) as u32);
                 }

@@ -1,44 +1,49 @@
-//! Coverage properties of [`RotomPool::run_ranges`].
+//! Coverage properties of [`RotomPool::chunk_rows`].
 //!
-//! `run_ranges` is the primitive under the unsafe row-split in the parallel
-//! matmul: its soundness argument *requires* that the emitted sub-ranges
-//! cover `0..n` exactly once with no overlap (overlap would alias `&mut`
-//! views; a gap would leave uninitialized output rows). These tests check
-//! that contract over adversarial `(n, granularity, workers)` combinations
-//! rather than trusting the arithmetic in `div_ceil` chains.
+//! `chunk_rows` is the split under the parallel GEMMs, which hand each
+//! worker its `MR`-row tiles of the output: the runs must cover every row
+//! exactly once (a gap would leave output rows unwritten) and every run must
+//! start on a granularity boundary (a run starting mid-tile would change
+//! which rows share a tile, and with it the summation order). These tests
+//! check that contract over adversarial `(rows, granularity, workers)`
+//! combinations rather than trusting the arithmetic in `div_ceil` chains.
 
 use rotom_nn::RotomPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Run `run_ranges(n, g)` on a `workers`-wide pool and assert every index in
-/// `0..n` is visited exactly once, every emitted range is non-empty, and
-/// every range start is a multiple of `g` (the guarantee the matmul row
-/// split relies on to keep whole `MR`-row blocks per worker).
+/// Run `chunk_rows` over `n` two-element rows at granularity `g` on a
+/// `workers`-wide pool and assert every row is visited exactly once, every
+/// run is non-empty and starts on a multiple of `g`, and the first-row index
+/// each run is handed matches its position in the buffer.
 fn assert_exact_cover(n: usize, g: usize, workers: usize) {
+    const WIDTH: usize = 2;
     let pool = RotomPool::new(workers);
-    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let ranges = Mutex::new(Vec::new());
-    pool.run_ranges(n, g, |r| {
-        ranges.lock().unwrap().push((r.start, r.end));
-        for i in r {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+    let mut rows = vec![(usize::MAX, 0u32); n * WIDTH];
+    let runs = Mutex::new(Vec::new());
+    pool.chunk_rows(&mut rows, WIDTH, g, |first, run| {
+        let end = first + run.len() / WIDTH;
+        runs.lock().unwrap().push((first, end));
+        for (r, row) in run.chunks_mut(WIDTH).enumerate() {
+            for cell in row {
+                cell.0 = first + r;
+                cell.1 += 1;
+            }
         }
     });
-    for (i, h) in hits.iter().enumerate() {
+    for (i, &(row, hits)) in rows.iter().enumerate() {
         assert_eq!(
-            h.load(Ordering::Relaxed),
-            1,
-            "index {i} hit wrong count (n={n} g={g} workers={workers})"
+            (row, hits),
+            (i / WIDTH, 1),
+            "cell {i} (n={n} g={g} workers={workers})"
         );
     }
     let eff_g = g.max(1);
-    for &(start, end) in ranges.lock().unwrap().iter() {
-        assert!(start < end, "empty range (n={n} g={g} workers={workers})");
+    for &(start, end) in runs.lock().unwrap().iter() {
+        assert!(start < end, "empty run (n={n} g={g} workers={workers})");
         assert_eq!(
             start % eff_g,
             0,
-            "range start {start} not on a granularity boundary \
+            "run start {start} not on a granularity boundary \
              (n={n} g={g} workers={workers})"
         );
     }
@@ -59,23 +64,25 @@ fn exhaustive_small_combinations() {
 }
 
 #[test]
-fn n_zero_emits_no_ranges() {
+fn n_zero_emits_no_runs() {
     let pool = RotomPool::new(4);
-    let calls = AtomicUsize::new(0);
-    pool.run_ranges(0, 4, |_| {
-        calls.fetch_add(1, Ordering::Relaxed);
+    let calls = Mutex::new(0);
+    pool.chunk_rows(&mut [0u8; 0], 1, 4, |_, _| {
+        *calls.lock().unwrap() += 1;
     });
-    assert_eq!(calls.load(Ordering::Relaxed), 0);
+    assert_eq!(*calls.lock().unwrap(), 0);
 }
 
 #[test]
-fn fewer_items_than_workers() {
+fn fewer_units_than_workers() {
     // One unit of work, many workers: must degrade to a single inline call
-    // covering the whole range, not 17 empty dispatches.
+    // covering every row, not 17 empty dispatches.
     let pool = RotomPool::new(17);
-    let ranges = Mutex::new(Vec::new());
-    pool.run_ranges(3, 4, |r| ranges.lock().unwrap().push((r.start, r.end)));
-    assert_eq!(*ranges.lock().unwrap(), vec![(0, 3)]);
+    let runs = Mutex::new(Vec::new());
+    pool.chunk_rows(&mut [0u8; 3], 1, 4, |first, run| {
+        runs.lock().unwrap().push((first, first + run.len()))
+    });
+    assert_eq!(*runs.lock().unwrap(), vec![(0, 3)]);
 }
 
 #[test]

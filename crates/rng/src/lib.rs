@@ -23,6 +23,7 @@
 //! item gets `StdRng::seed_from_u64(split_seed(base, i))` regardless of
 //! which worker processes it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -35,6 +35,7 @@
 //! println!("{}: accuracy {:.3}", result.dataset, result.accuracy);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

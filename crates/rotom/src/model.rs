@@ -95,11 +95,6 @@ impl TinyLm {
         &self.vocab
     }
 
-    /// Model configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
     /// Encode tokens as `[CLS] + ids` (char-fallback), truncated to
     /// `max_len`, together with segment ids and duplicate-token flags.
     fn encode_input(&self, tokens: &[String]) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
@@ -580,21 +575,14 @@ impl MetaTarget for TinyLm {
 
     fn per_example_losses(&self, items: &[WeightedItem]) -> Vec<f32> {
         // Forward-only and per-example independent: fan out across the pool
-        // on the tape-free inference plane, then apply the tape's exact
-        // cross-entropy arithmetic (shared softmax statistics, f64 target
-        // accumulation) to the logits.
+        // on the tape-free inference plane, then run the tape's own
+        // cross-entropy row on the logits.
         RotomPool::global().map(items.len(), |i| {
             let item = &items[i];
             let logits = self.class_logits(&item.tokens);
             let mut probs = vec![0.0f32; logits.len()];
-            let (max, sum) = kernels::softmax_row_fwd(&logits, None, &mut probs);
-            let lse = sum.ln() + max;
             let mut loss = 0.0f64;
-            for (j, &t) in item.target.iter().enumerate() {
-                if t != 0.0 {
-                    loss -= (t * (logits[j] - lse)) as f64;
-                }
-            }
+            kernels::cross_entropy_row(&logits, &item.target, &mut probs, &mut loss);
             loss as f32
         })
     }

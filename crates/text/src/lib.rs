@@ -8,6 +8,7 @@
 //! models, the IDF statistics guiding importance-aware DA sampling, and the
 //! synonym thesaurus used by replacement operators.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod example;

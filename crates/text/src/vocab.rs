@@ -54,18 +54,9 @@ impl Vocab {
     /// OOV tokens are split into `##c` single-character tokens (non-ASCII
     /// characters map to `[UNK]`).
     pub fn encode_fallback(&self, tokens: &[String]) -> Vec<usize> {
-        let unk = self.index[UNK];
         let mut out = Vec::with_capacity(tokens.len());
         for t in tokens {
-            match self.index.get(t.as_str()) {
-                Some(&id) => out.push(id),
-                None => {
-                    for c in t.chars() {
-                        let key = format!("##{c}");
-                        out.push(self.index.get(key.as_str()).copied().unwrap_or(unk));
-                    }
-                }
-            }
+            self.fallback_ids(t, |id| out.push(id));
         }
         out
     }
@@ -74,25 +65,31 @@ impl Vocab {
     /// each emitted id, the index of the source token it came from (so
     /// per-token features can be aligned with the expanded id sequence).
     pub fn encode_fallback_map(&self, tokens: &[String]) -> (Vec<usize>, Vec<usize>) {
-        let unk = self.index[UNK];
         let mut ids = Vec::with_capacity(tokens.len());
         let mut src = Vec::with_capacity(tokens.len());
         for (ti, t) in tokens.iter().enumerate() {
-            match self.index.get(t.as_str()) {
-                Some(&id) => {
-                    ids.push(id);
-                    src.push(ti);
-                }
-                None => {
-                    for c in t.chars() {
-                        let key = format!("##{c}");
-                        ids.push(self.index.get(key.as_str()).copied().unwrap_or(unk));
-                        src.push(ti);
-                    }
+            self.fallback_ids(t, |id| {
+                ids.push(id);
+                src.push(ti);
+            });
+        }
+        (ids, src)
+    }
+
+    /// The char-fallback rule for one token: `emit` its id when it is in
+    /// the vocabulary, else one `##c` id per character (`[UNK]` for a
+    /// character outside the fallback set).
+    fn fallback_ids(&self, token: &str, mut emit: impl FnMut(usize)) {
+        match self.index.get(token) {
+            Some(&id) => emit(id),
+            None => {
+                let unk = self.index[UNK];
+                for c in token.chars() {
+                    let key = format!("##{c}");
+                    emit(self.index.get(key.as_str()).copied().unwrap_or(unk));
                 }
             }
         }
-        (ids, src)
     }
 
     /// Number of tokens (including specials).
