@@ -27,7 +27,7 @@ pub fn corrupt(
 
 /// Build the (corrupted → original) input/target pairs of Algorithm 1 for a
 /// whole training corpus, `pairs_per_seq` pairs per sequence.
-pub fn corruption_pairs(
+pub(crate) fn corruption_pairs(
     corpus: &[Vec<String>],
     ops: &[DaOp],
     n: usize,

@@ -8,7 +8,7 @@
 //! (e.g. InvDA's edits are strictly larger than `token_repl`'s).
 
 /// Levenshtein edit distance over token sequences.
-pub fn token_edit_distance(a: &[String], b: &[String]) -> usize {
+pub(crate) fn token_edit_distance(a: &[String], b: &[String]) -> usize {
     if a.is_empty() {
         return b.len();
     }
@@ -31,7 +31,7 @@ pub fn token_edit_distance(a: &[String], b: &[String]) -> usize {
 
 /// Edit distance normalized by the longer sequence length (`0` identical,
 /// `1` completely rewritten).
-pub fn normalized_edit_distance(a: &[String], b: &[String]) -> f32 {
+pub(crate) fn normalized_edit_distance(a: &[String], b: &[String]) -> f32 {
     let denom = a.len().max(b.len());
     if denom == 0 {
         return 0.0;

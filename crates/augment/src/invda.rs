@@ -2,7 +2,7 @@
 //!
 //! A Transformer encoder–decoder (the stand-in for the paper's fine-tuned
 //! T5-base) is trained on (corrupted → original) pairs produced by
-//! [Algorithm 1](crate::corrupt::corruption_pairs): the model learns to
+//! Algorithm 1 (`corrupt::corruption_pairs`): the model learns to
 //! *invert* the effect of multiple simple DA operators. At augmentation time
 //! it is applied to *original* sequences, yielding natural, diverse
 //! augmentations whose edits go beyond what any single simple operator can
@@ -223,11 +223,6 @@ impl InvDa {
             ids.push(self.vocab.special_id(PAD));
         }
         ids
-    }
-
-    /// Vocabulary the model was trained with.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
     }
 
     /// Generate one augmented variant of `tokens` by sampling from the

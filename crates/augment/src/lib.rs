@@ -20,8 +20,8 @@ pub mod invda;
 pub mod mixda;
 pub mod ops;
 
-pub use corrupt::{corrupt, corruption_pairs};
-pub use diversity::{diversity, normalized_edit_distance, token_edit_distance, DiversityStats};
+pub use corrupt::corrupt;
+pub use diversity::{diversity, DiversityStats};
 pub use invda::{InvDa, InvDaConfig};
 pub use ops::{apply, apply_batch, DaContext, DaOp};
 pub use rotom_text::example::{AugExample, Example};

@@ -16,7 +16,7 @@ use rotom_text::tokenize;
 use rotom_text::Record;
 
 /// Brunner et al. serialization: attribute values only, no markers.
-pub fn serialize_plain(r: &Record) -> Vec<String> {
+pub(crate) fn serialize_plain(r: &Record) -> Vec<String> {
     let mut out = Vec::new();
     for (_, value) in &r.attrs {
         out.extend(tokenize(value));
@@ -25,7 +25,7 @@ pub fn serialize_plain(r: &Record) -> Vec<String> {
 }
 
 /// Serialize an entity pair in the Brunner et al. format.
-pub fn serialize_plain_pair(a: &Record, b: &Record) -> Vec<String> {
+pub(crate) fn serialize_plain_pair(a: &Record, b: &Record) -> Vec<String> {
     let mut out = serialize_plain(a);
     out.push(SEP.to_string());
     out.extend(serialize_plain(b));
@@ -33,7 +33,7 @@ pub fn serialize_plain_pair(a: &Record, b: &Record) -> Vec<String> {
 }
 
 /// Re-serialize an EM dataset with the plain format.
-pub fn to_plain_task(data: &EmDataset) -> TaskDataset {
+pub(crate) fn to_plain_task(data: &EmDataset) -> TaskDataset {
     let ser = |p: &rotom_datasets::LabeledPair| serialize_plain_pair(&p.left, &p.right);
     TaskDataset {
         name: format!("{} (brunner)", data.name),

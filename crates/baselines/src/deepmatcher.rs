@@ -200,7 +200,7 @@ impl DeepMatcher {
     }
 
     /// Predict match (true) / no-match for a pair.
-    pub fn predict(&self, pair: &LabeledPair) -> bool {
+    pub(crate) fn predict(&self, pair: &LabeledPair) -> bool {
         with_pooled_tape(|tape| {
             let logits = self.pair_logits(tape, pair);
             let row = tape.value(logits).row_slice(0);

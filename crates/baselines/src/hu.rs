@@ -56,7 +56,7 @@ pub struct LearnedDaOp {
 impl LearnedDaOp {
     /// Initialize a uniform substitution distribution over the corpus
     /// content tokens (capped for tractability).
-    pub fn new(corpus: &[Vec<String>], cap: usize, lr: f32) -> Self {
+    pub(crate) fn new(corpus: &[Vec<String>], cap: usize, lr: f32) -> Self {
         let mut seen = std::collections::HashMap::new();
         for seq in corpus {
             for tok in seq {
@@ -92,7 +92,11 @@ impl LearnedDaOp {
     /// Apply: replace one uniformly chosen non-special token with a sampled
     /// candidate. Returns the augmented tokens and the sampled candidate
     /// index (for the REINFORCE update).
-    pub fn apply(&self, tokens: &[String], rng: &mut StdRng) -> (Vec<String>, Option<usize>) {
+    pub(crate) fn apply(
+        &self,
+        tokens: &[String],
+        rng: &mut StdRng,
+    ) -> (Vec<String>, Option<usize>) {
         let eligible: Vec<usize> = tokens
             .iter()
             .enumerate()
@@ -110,7 +114,7 @@ impl LearnedDaOp {
     }
 
     /// REINFORCE update: reward > 0 reinforces the sampled candidates.
-    pub fn update(&mut self, used: &[usize], reward: f32) {
+    pub(crate) fn update(&mut self, used: &[usize], reward: f32) {
         if used.is_empty() {
             return;
         }

@@ -65,7 +65,7 @@ fn conditional_corpus(train: &[Example]) -> Vec<Vec<String>> {
 
 /// Generate `per_example` synthetic examples per training example with the
 /// chosen variant.
-pub fn generate_examples(
+pub(crate) fn generate_examples(
     train: &[Example],
     variant: KumarVariant,
     invda_cfg: &InvDaConfig,

@@ -21,9 +21,9 @@ pub mod hu;
 pub mod kumar;
 pub mod raha;
 
-pub use brunner::{run_brunner, serialize_plain, serialize_plain_pair};
+pub use brunner::run_brunner;
 pub use deepmatcher::{DeepMatcher, DmConfig, DmEncoder};
 pub use gridsearch::{grid_search, Grid, GridSearchResult};
 pub use hu::{run_hu, HuVariant, LearnedDaOp};
-pub use kumar::{generate_examples, run_kumar, KumarVariant};
+pub use kumar::{run_kumar, KumarVariant};
 pub use raha::{run_raha, Raha, RahaResult};

@@ -82,7 +82,7 @@ pub struct Suite {
 
 impl Suite {
     /// Build the suite for a scale.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         let seeds = rotom_nn::env::read("ROTOM_SEEDS", |v| match v.parse::<u64>() {
             Ok(n) if n > 0 => Ok(n),
             _ => Err("expected a positive integer".to_string()),

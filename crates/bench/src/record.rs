@@ -58,13 +58,13 @@ impl Row {
     }
 
     /// The numeric value of `key`; `None` when absent or a string.
-    pub fn get(&self, key: &str) -> Option<f64> {
+    pub(crate) fn get(&self, key: &str) -> Option<f64> {
         let (_, v) = self.0.iter().find(|(k, _)| k == key)?;
         v.parse().ok()
     }
 
     /// The identifying first field as `key=value`, for messages.
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         self.0
             .first()
             .map_or_else(String::new, |(k, v)| format!("{k}={v}"))
@@ -482,7 +482,7 @@ pub struct Args {
 impl Args {
     /// Parse `args` (without the program name). An unknown argument, or an
     /// option whose value is missing or not a positive integer, is an error.
-    pub fn parse(args: &[String], options: &[&'static str]) -> Result<Args, String> {
+    pub(crate) fn parse(args: &[String], options: &[&'static str]) -> Result<Args, String> {
         let mut parsed = Args::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {

@@ -331,7 +331,7 @@ impl IndexBuilder {
     /// Index one chunk of pre-tokenized records (sorted deduplicated content
     /// tokens, as produced by [`content_token_list`]). Panics if the chunk
     /// would take the index past `u32::MAX` records.
-    pub fn add_token_chunk(&mut self, tokens: &[Vec<String>], pool: &RotomPool) {
+    pub(crate) fn add_token_chunk(&mut self, tokens: &[Vec<String>], pool: &RotomPool) {
         let ids =
             chunk_ids(self.num_records, tokens.len()).expect("index capped at u32 record ids");
         let ns = self.cfg.num_shards;
@@ -580,19 +580,9 @@ impl ShardedIndex {
         b.finish()
     }
 
-    /// Number of records indexed.
-    pub fn num_records(&self) -> usize {
-        self.stats.records
-    }
-
     /// Build statistics (pruning counts).
     pub fn stats(&self) -> IndexStats {
         self.stats
-    }
-
-    /// Configuration the index was built under.
-    pub fn config(&self) -> &BlockingConfig {
-        &self.cfg
     }
 
     /// The corpus IDF statistics derived from the build (document
@@ -612,7 +602,11 @@ impl ShardedIndex {
     /// LSH bucket in any band, then sort and dedup. Counts are integer sums
     /// and each record's list lands in its own slot, so the result is
     /// bit-identical at any shard or worker count.
-    pub fn candidates_for_tokens(&self, left: &[Vec<String>], pool: &RotomPool) -> Vec<Vec<u32>> {
+    pub(crate) fn candidates_for_tokens(
+        &self,
+        left: &[Vec<String>],
+        pool: &RotomPool,
+    ) -> Vec<Vec<u32>> {
         let n = self.stats.records;
         if self.cfg.min_shared == 0 {
             // Documented "no blocking" semantics: the full cross product
@@ -672,7 +666,11 @@ impl ShardedIndex {
 
     /// Candidate ids for one chunk of records (tokenizes over `pool`, then
     /// [`candidates_for_tokens`](Self::candidates_for_tokens)).
-    pub fn candidates_for_records(&self, left: &[Record], pool: &RotomPool) -> Vec<Vec<u32>> {
+    pub(crate) fn candidates_for_records(
+        &self,
+        left: &[Record],
+        pool: &RotomPool,
+    ) -> Vec<Vec<u32>> {
         let tokens: Vec<Vec<String>> = pool.map(left.len(), |i| content_token_list(&left[i]));
         self.candidates_for_tokens(&tokens, pool)
     }

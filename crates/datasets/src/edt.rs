@@ -44,7 +44,7 @@ impl EdtFlavor {
     ];
 
     /// Canonical dataset name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EdtFlavor::Beers => "beers",
             EdtFlavor::Hospital => "hospital",
@@ -56,7 +56,7 @@ impl EdtFlavor {
 
     /// Default number of rows (scaled-down versions of Table 6's table
     /// sizes).
-    pub fn default_rows(self) -> usize {
+    pub(crate) fn default_rows(self) -> usize {
         match self {
             EdtFlavor::Beers => 240,
             EdtFlavor::Hospital => 200,

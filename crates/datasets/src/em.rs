@@ -65,7 +65,7 @@ impl EmFlavor {
     ];
 
     /// Canonical dataset name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EmFlavor::AbtBuy => "Abt-Buy",
             EmFlavor::AmazonGoogle => "Amazon-Google",
@@ -697,10 +697,10 @@ pub fn block_candidates(
     out
 }
 
-/// A quick lexical-similarity score used in tests and by the Raha-style
-/// baseline: Jaccard similarity over *all* attribute tokens (unlike the
-/// blocking helpers, short tokens count — dropping them would change the
-/// baseline's scores).
+/// Jaccard similarity over *all* attribute tokens of two records (unlike
+/// the blocking helpers, short tokens count). Only tests call it: the
+/// generator tests use it to check that matches share more tokens than
+/// non-matches.
 pub fn jaccard(left: &Record, right: &Record) -> f32 {
     use std::collections::HashSet;
     let a: HashSet<String> = attr_tokens(left).collect();
@@ -775,7 +775,6 @@ impl Default for CorpusConfig {
 #[derive(Debug, Clone)]
 pub struct EmCorpus {
     cfg: CorpusConfig,
-    vocab_words: usize,
     words: Vec<String>,
 }
 
@@ -822,11 +821,7 @@ impl EmCorpus {
             cfg.vocab_words
         };
         let words = (0..vocab_words).map(corpus_word).collect();
-        Self {
-            cfg,
-            vocab_words,
-            words,
-        }
+        Self { cfg, words }
     }
 
     /// Number of latent entities (= records per side).
@@ -834,16 +829,11 @@ impl EmCorpus {
         self.cfg.num_entities
     }
 
-    /// Resolved body-word vocabulary size.
-    pub fn vocab_words(&self) -> usize {
-        self.vocab_words
-    }
-
     /// Render record `i` of `side`. Records `(Left, i)` and `(Right, i)`
     /// refer to the same latent entity; the right side adds rendering noise
     /// from an independent `split_seed` stream, so either side can be
     /// generated (in any chunking, on any worker) without the other.
-    pub fn record(&self, side: CorpusSide, i: usize) -> Record {
+    pub(crate) fn record(&self, side: CorpusSide, i: usize) -> Record {
         let mut latent = StdRng::seed_from_u64(split_seed(self.cfg.seed, i as u64));
         let w = |r: &mut StdRng, words: &[String]| words[r.random_range(0..words.len())].clone();
         let brand = w(&mut latent, &self.words);

@@ -13,7 +13,7 @@ use rotom_rng::RngExt;
 
 /// Introduce a single character-level typo (swap / delete / duplicate /
 /// replace). Words shorter than 3 chars are returned unchanged.
-pub fn typo(word: &str, rng: &mut StdRng) -> String {
+pub(crate) fn typo(word: &str, rng: &mut StdRng) -> String {
     let chars: Vec<char> = word.chars().collect();
     if chars.len() < 3 {
         return word.to_string();
@@ -32,7 +32,7 @@ pub fn typo(word: &str, rng: &mut StdRng) -> String {
 }
 
 /// Abbreviate: keep the first 3–4 characters (e.g. "corporation" → "corp").
-pub fn abbreviate(word: &str, rng: &mut StdRng) -> String {
+pub(crate) fn abbreviate(word: &str, rng: &mut StdRng) -> String {
     let chars: Vec<char> = word.chars().collect();
     if chars.len() <= 4 {
         return word.to_string();
@@ -42,7 +42,7 @@ pub fn abbreviate(word: &str, rng: &mut StdRng) -> String {
 }
 
 /// Reduce a first name to an initial with a period ("james" → "j.").
-pub fn initial(word: &str) -> String {
+pub(crate) fn initial(word: &str) -> String {
     match word.chars().next() {
         Some(c) => format!("{c}."),
         None => String::new(),
@@ -50,7 +50,7 @@ pub fn initial(word: &str) -> String {
 }
 
 /// Random US-style phone number in one of several formats.
-pub fn phone(rng: &mut StdRng, formatted: bool) -> String {
+pub(crate) fn phone(rng: &mut StdRng, formatted: bool) -> String {
     let a = rng.random_range(200..1000u32);
     let b = rng.random_range(200..1000u32);
     let c = rng.random_range(0..10000u32);
@@ -62,7 +62,7 @@ pub fn phone(rng: &mut StdRng, formatted: bool) -> String {
 }
 
 /// Corrupt a phone string: drop a digit or strip formatting.
-pub fn break_phone(phone: &str, rng: &mut StdRng) -> String {
+pub(crate) fn break_phone(phone: &str, rng: &mut StdRng) -> String {
     let digits: String = phone.chars().filter(|c| c.is_ascii_digit()).collect();
     if digits.len() > 4 && rng.random_bool(0.5) {
         // Drop a digit (truncation error).
@@ -74,24 +74,24 @@ pub fn break_phone(phone: &str, rng: &mut StdRng) -> String {
 }
 
 /// Random 5-digit zip code as a string.
-pub fn zip(rng: &mut StdRng) -> String {
+pub(crate) fn zip(rng: &mut StdRng) -> String {
     format!("{:05}", rng.random_range(10000..99999u32))
 }
 
 /// Jitter a numeric value by up to ±`pct` percent, keeping one decimal.
-pub fn jitter(value: f32, pct: f32, rng: &mut StdRng) -> f32 {
+pub(crate) fn jitter(value: f32, pct: f32, rng: &mut StdRng) -> f32 {
     let delta = rng.random_range(-pct..=pct);
     ((value * (1.0 + delta)) * 10.0).round() / 10.0
 }
 
 /// Squash whitespace out of a multi-word string ("1600 amphitheatre pkwy" →
 /// "1600amphitheatrepkwy") — a formatting error seen in the paper's Table 2.
-pub fn squash(s: &str) -> String {
+pub(crate) fn squash(s: &str) -> String {
     s.split_whitespace().collect()
 }
 
 /// Pick one element of a non-empty slice.
-pub fn pick<'a, T: ?Sized>(items: &'a [&'a T], rng: &mut StdRng) -> &'a T {
+pub(crate) fn pick<'a, T: ?Sized>(items: &'a [&'a T], rng: &mut StdRng) -> &'a T {
     items[rng.random_range(0..items.len())]
 }
 

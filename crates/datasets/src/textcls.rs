@@ -48,7 +48,7 @@ impl TextClsFlavor {
     ];
 
     /// Canonical dataset name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TextClsFlavor::Ag => "AG",
             TextClsFlavor::Am2 => "AM-2",
@@ -62,7 +62,7 @@ impl TextClsFlavor {
     }
 
     /// Number of classes (Table 7).
-    pub fn num_classes(self) -> usize {
+    pub(crate) fn num_classes(self) -> usize {
         match self {
             TextClsFlavor::Ag => 4,
             TextClsFlavor::Am2 | TextClsFlavor::Sst2 => 2,

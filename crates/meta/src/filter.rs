@@ -159,13 +159,17 @@ impl FilterModel {
 
     /// Save the filter's full training state (parameters + optimizer) into a
     /// checkpoint bag under `prefix`.
-    pub fn save_state(&self, bag: &mut StateBag, prefix: &str) {
+    pub(crate) fn save_state(&self, bag: &mut StateBag, prefix: &str) {
         bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
         self.opt.save_state(bag, &format!("{prefix}.adam"));
     }
 
     /// Restore state saved by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, bag: &StateBag, prefix: &str) -> Result<(), CheckpointError> {
+    pub(crate) fn load_state(
+        &mut self,
+        bag: &StateBag,
+        prefix: &str,
+    ) -> Result<(), CheckpointError> {
         rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)

@@ -31,4 +31,4 @@ pub use filter::FilterModel;
 pub use sharpen::{guess_label, sharpen_v1, sharpen_v2};
 pub use target::{MetaTarget, WeightedItem};
 pub use trainer::{guard_step, AblationConfig, EpochStats, MetaConfig, MetaTrainer, SslConfig};
-pub use weight::{l2_distance, WeightBatch, WeightModel};
+pub use weight::{WeightBatch, WeightModel};

@@ -80,8 +80,7 @@ impl WeightModel {
 
     /// Forward the weighting model over a batch of `(x̂ tokens, l2_term)`
     /// pairs (tokens borrowed — batch assembly need not clone them),
-    /// returning the live batch for a later
-    /// [`update_finite_difference`](Self::update_finite_difference).
+    /// returning the live batch for a later `update_finite_difference`.
     pub fn forward_batch(&self, items: &[(&[String], f32)]) -> WeightBatch {
         let mut tape = take_pooled_tape();
         let mut nodes = Vec::with_capacity(items.len());
@@ -107,11 +106,9 @@ impl WeightModel {
     /// are the per-example losses under the probes `M±`; `eta` is the target
     /// optimizer's learning rate, `eps` the probe scale.
     ///
-    /// Exposed separately from [`update_finite_difference`] so tests can
+    /// Exposed separately from `update_finite_difference` so tests can
     /// compare the approximation against brute-force finite differences of
     /// the true validation loss.
-    ///
-    /// [`update_finite_difference`]: Self::update_finite_difference
     pub fn estimate_meta_grad(
         &mut self,
         batch: WeightBatch,
@@ -152,7 +149,7 @@ impl WeightModel {
     /// Eq.-4 update. Estimates `∇M_W(Lossval)` via
     /// [`estimate_meta_grad`](Self::estimate_meta_grad) and descends it
     /// (clipped) with the model's Adam optimizer.
-    pub fn update_finite_difference(
+    pub(crate) fn update_finite_difference(
         &mut self,
         batch: WeightBatch,
         c_plus: &[f32],
@@ -199,13 +196,17 @@ impl WeightModel {
 
     /// Save the weighting model's full training state (parameters +
     /// optimizer) into a checkpoint bag under `prefix`.
-    pub fn save_state(&self, bag: &mut StateBag, prefix: &str) {
+    pub(crate) fn save_state(&self, bag: &mut StateBag, prefix: &str) {
         bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
         self.opt.save_state(bag, &format!("{prefix}.adam"));
     }
 
     /// Restore state saved by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, bag: &StateBag, prefix: &str) -> Result<(), CheckpointError> {
+    pub(crate) fn load_state(
+        &mut self,
+        bag: &StateBag,
+        prefix: &str,
+    ) -> Result<(), CheckpointError> {
         rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
         self.opt
             .load_state(bag, &format!("{prefix}.adam"), &self.store)
@@ -221,7 +222,7 @@ impl WeightModel {
 }
 
 /// `‖p − y‖₂`: the additive uncertainty term of Eq. 2.
-pub fn l2_distance(p: &[f32], y: &[f32]) -> f32 {
+pub(crate) fn l2_distance(p: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(p.len(), y.len());
     p.iter()
         .zip(y)

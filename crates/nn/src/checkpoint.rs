@@ -24,7 +24,7 @@
 //! checksum. Values round-trip exactly through the hex encoding of their
 //! IEEE-754 bits (including NaN payloads, infinities, and subnormals).
 //!
-//! Writes go through [`write_atomic`]: serialize to a sibling temp file,
+//! Writes go through `write_atomic`: serialize to a sibling temp file,
 //! `fsync`, then rename over the target, so a crash mid-write leaves the
 //! previous checkpoint intact.
 
@@ -100,18 +100,8 @@ impl StateBag {
         Self::default()
     }
 
-    /// Number of sections.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the bag has no sections.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Whether a section with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.entries.iter().any(|(n, _)| n == name)
     }
 
@@ -159,7 +149,7 @@ impl StateBag {
     }
 
     /// Add a named tensor section.
-    pub fn put_tensor(&mut self, name: impl Into<String>, value: Tensor) {
+    pub(crate) fn put_tensor(&mut self, name: impl Into<String>, value: Tensor) {
         self.put(name, StateEntry::Tensor(value));
     }
 
@@ -227,7 +217,7 @@ impl StateBag {
     }
 
     /// Fetch a tensor section by name.
-    pub fn get_tensor(&self, name: &str) -> Result<&Tensor, CheckpointError> {
+    pub(crate) fn get_tensor(&self, name: &str) -> Result<&Tensor, CheckpointError> {
         match self.get(name)? {
             StateEntry::Tensor(t) => Ok(t),
             other => Err(type_mismatch(name, "tensor", other)),
@@ -236,7 +226,7 @@ impl StateBag {
 
     /// Check every `f32` value in the bag for finiteness, naming the first
     /// offending section. Every file load goes through this gate.
-    pub fn check_finite(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn check_finite(&self) -> Result<(), CheckpointError> {
         for (name, entry) in &self.entries {
             let data: &[f32] = match entry {
                 StateEntry::F32s(v) => v,
@@ -403,7 +393,7 @@ impl StateBag {
         Ok(bag)
     }
 
-    /// Atomically write this bag to `path` (see [`write_atomic`]).
+    /// Atomically write this bag to `path` (see `write_atomic`).
     pub fn save_atomic(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         write_atomic(path.as_ref(), self.serialize().as_bytes())
     }
@@ -467,7 +457,7 @@ fn type_mismatch(name: &str, want: &str, got: &StateEntry) -> CheckpointError {
 /// deliberately truncated file *directly* to `path` (simulating a torn
 /// in-place write from a crash or a non-atomic legacy writer) so tests can
 /// prove the parser detects it.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     if faultpoint::fires(FaultKind::TornCheckpoint, 0) {
         let torn = &bytes[..bytes.len() * 2 / 3];
         let mut f = std::fs::File::create(path)?;
@@ -497,7 +487,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 }
 
 /// Pack all parameters of a store into a [`StateBag`] as tensor sections.
-pub fn store_to_bag(store: &ParamStore) -> StateBag {
+pub(crate) fn store_to_bag(store: &ParamStore) -> StateBag {
     let mut bag = StateBag::new();
     for id in store.ids() {
         bag.put_tensor(store.name(id).to_string(), store.value(id).clone());
@@ -509,7 +499,10 @@ pub fn store_to_bag(store: &ParamStore) -> StateBag {
 /// checked). Extra sections in the bag are ignored, so a full-state bag can
 /// feed a params-only restore. Every tensor is checked before any is
 /// written, so a rejected bag leaves the store unchanged.
-pub fn bag_into_store(bag: &StateBag, store: &mut ParamStore) -> Result<(), CheckpointError> {
+pub(crate) fn bag_into_store(
+    bag: &StateBag,
+    store: &mut ParamStore,
+) -> Result<(), CheckpointError> {
     let mut loaded = Vec::with_capacity(store.num_params());
     for id in store.ids() {
         let name = store.name(id);
@@ -805,6 +798,100 @@ mod tests {
                 }
                 other => panic!("{sections:?}: expected a format error, got {other:?}"),
             }
+        }
+    }
+
+    /// Parse `body` behind a valid footer, so the section parser (not the
+    /// checksum) sees it. It must return `Ok` or a typed error, and a bag it
+    /// accepts must survive its own serialize/parse round trip.
+    fn parse_refootered(body: &str) {
+        if let Ok(bag) = StateBag::parse(&with_footer(body)) {
+            let _ = bag.check_finite();
+            let text = bag.serialize();
+            let back = StateBag::parse(&text).expect("an accepted bag re-parses");
+            assert_eq!(back.serialize(), text, "{body:?}");
+        }
+    }
+
+    /// Every single-byte edit of a serialized bag's body (each byte replaced
+    /// by each of a set of bytes, deleted, or preceded by an inserted byte),
+    /// plus seeded random bodies, re-footered so each reaches the section
+    /// parser: none may panic.
+    #[test]
+    fn section_parser_is_total_under_a_valid_footer() {
+        use rotom_rng::RngExt;
+        let mut bag = StateBag::new();
+        bag.put_f32s("opt.m", vec![0.5, -1.0]);
+        bag.put_u64s("rng", vec![7, u64::MAX]);
+        bag.put_tensor("w", Tensor::from_vec(vec![1.0; 4], 2, 2));
+        let text = bag.serialize();
+        let body = &text[..text.rfind("end ").unwrap()];
+        const BYTES: &[u8] = b"0179afgx \n\t\x0b\r-+.e";
+        let mut edited = 0;
+        for pos in 0..body.len() {
+            let mut variants =
+                vec![[&body.as_bytes()[..pos], &body.as_bytes()[pos + 1..]].concat()];
+            for &b in BYTES {
+                let mut replaced = body.as_bytes().to_vec();
+                replaced[pos] = b;
+                variants.push(replaced);
+                let mut inserted = body.as_bytes().to_vec();
+                inserted.insert(pos, b);
+                variants.push(inserted);
+            }
+            for v in variants {
+                if let Ok(s) = String::from_utf8(v) {
+                    parse_refootered(&s);
+                    edited += 1;
+                }
+            }
+        }
+        assert!(edited > 30 * body.len(), "{edited} edits");
+
+        let words = [
+            "f32s",
+            "u64s",
+            "tensor",
+            "end",
+            "x",
+            "x",
+            "y",
+            "0",
+            "1",
+            "2",
+            "3",
+            "00000000",
+            "3f800000",
+            "7fc00000",
+            "ffffffff",
+            "ffffffffffffffff",
+            "18446744073709551616",
+            "4294967296",
+            "-1",
+            "+1",
+            "1e3",
+            "zz",
+            "",
+        ];
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        for _ in 0..20_000 {
+            let mut body = String::new();
+            if rng.random_range(0..8) != 0 {
+                body.push_str(MAGIC_V2);
+                body.push('\n');
+            }
+            for _ in 0..rng.random_range(0..5) {
+                for _ in 0..rng.random_range(0..7) {
+                    body.push_str(words[rng.random_range(0..words.len())]);
+                    body.push(if rng.random_range(0..6) == 0 {
+                        '\t'
+                    } else {
+                        ' '
+                    });
+                }
+                body.push('\n');
+            }
+            parse_refootered(&body);
         }
     }
 

@@ -131,7 +131,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Parse a `;`-separated spec, e.g. `"kill@step=37;torn_checkpoint"`.
     /// An empty spec is an empty plan.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+    pub(crate) fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut points = Vec::new();
         for part in spec.split(';') {
             let part = part.trim();
@@ -167,7 +167,7 @@ impl FaultPlan {
     }
 
     /// Number of still-armed faults.
-    pub fn armed(&self) -> usize {
+    pub(crate) fn armed(&self) -> usize {
         self.points.iter().filter(|p| p.armed).count()
     }
 }

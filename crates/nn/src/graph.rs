@@ -177,8 +177,6 @@ enum Op {
     SumAll(NodeId),
     /// Elementwise reciprocal `1 / x`.
     Recip(NodeId),
-    /// Elementwise square root (inputs must be positive).
-    Sqrt(NodeId),
 }
 
 struct Node {
@@ -430,7 +428,7 @@ impl Tape {
     /// the node for the backward rule — the expensive libm call is paid
     /// once, and reusing the identical value keeps gradients bit-identical
     /// to recomputation.
-    pub fn gelu(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn gelu(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
         let mut t = self.arena.take_dirty(m * n);
         let mut out = self.arena.take_dirty(m * n);
@@ -439,7 +437,7 @@ impl Tape {
     }
 
     /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = self.map_into(a, f32::tanh);
         self.push(Op::Tanh(a), v)
     }
@@ -543,14 +541,6 @@ impl Tape {
     pub fn recip(&mut self, x: NodeId) -> NodeId {
         let v = self.map_into(x, |a| 1.0 / a);
         self.push(Op::Recip(x), v)
-    }
-
-    /// Elementwise square root (used for in-graph L2 norms, e.g. the
-    /// `‖p_M(x̂) − y‖₂` weighting term; inputs must be positive — the
-    /// derivative diverges at zero).
-    pub fn sqrt(&mut self, x: NodeId) -> NodeId {
-        let v = self.map_into(x, f32::sqrt);
-        self.push(Op::Sqrt(x), v)
     }
 
     /// Mean cross-entropy over logit rows against (soft) target rows.
@@ -938,11 +928,6 @@ impl Tape {
             Op::Recip(x) => {
                 // d(1/x)/dx = -1/x², and 1/x is this node's cached value.
                 let dx = self.bwd_zip_out(grad, i, |g, inv| -g * inv * inv);
-                self.add_grad_owned(*x, dx);
-            }
-            Op::Sqrt(x) => {
-                // d√x/dx = 1/(2√x), and √x is this node's cached value.
-                let dx = self.bwd_zip_out(grad, i, |g, s| g * 0.5 / s);
                 self.add_grad_owned(*x, dx);
             }
             Op::CrossEntropy {

@@ -21,7 +21,7 @@ pub enum Initializer {
 
 impl Initializer {
     /// Materialize a `rows x cols` tensor under this scheme.
-    pub fn tensor(self, rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+    pub(crate) fn tensor(self, rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
         match self {
             Initializer::Zeros => Tensor::zeros(rows, cols),
             Initializer::Ones => Tensor::full(rows, cols, 1.0),

@@ -32,7 +32,7 @@
 //! contraction, and a zero row adds only `x·0` terms.
 //!
 //! The forward kernels ([`softmax_fwd`], [`layernorm_fwd`], [`gelu_fwd`],
-//! [`add_fwd`], [`scale_fwd`]) compute the tape ops' values too, so the tape
+//! `add_fwd`, `scale_fwd`) compute the tape ops' values too, so the tape
 //! and the inference plane share one copy of every formula.
 //!
 //! # Kernel structure
@@ -151,7 +151,7 @@ pub mod profile {
 
     /// Cumulative `(naive, tiled_serial, tiled_parallel)` dispatch counts
     /// since process start (all zero unless telemetry is enabled).
-    pub fn gemm_counters() -> (u64, u64, u64) {
+    pub(crate) fn gemm_counters() -> (u64, u64, u64) {
         (
             NAIVE.load(Ordering::Relaxed),
             TILED_SERIAL.load(Ordering::Relaxed),
@@ -390,13 +390,8 @@ impl PackedB {
     }
 
     /// Logical `(k, n)` shape of the packed operand.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
-    }
-
-    /// Retained panel bytes (diagnostics).
-    pub fn bytes(&self) -> usize {
-        self.panels.len() * std::mem::size_of::<f32>()
     }
 
     /// The stored panel for full strip `j0` (`j0 % NR == 0`,
@@ -526,7 +521,7 @@ mod fma {
     /// once; the cached result makes the dispatch process-global, so serial
     /// and parallel runs (and every worker thread) always agree on the path.
     #[inline]
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         use std::sync::OnceLock;
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
         *AVAILABLE.get_or_init(|| {
@@ -662,7 +657,7 @@ mod avx {
     /// Whether the running CPU supports AVX. Detected once (process-global,
     /// like [`super::fma::available`]).
     #[inline]
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         use std::sync::OnceLock;
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
         *AVAILABLE.get_or_init(|| std::is_x86_feature_detected!("avx"))
@@ -1406,7 +1401,13 @@ pub(crate) fn gelu_grad(x: f32, t: f32) -> f32 {
 /// `add_row`), and [`Act::Gelu`] replicates the tape's op sequence exactly
 /// (see [`gelu_fwd`]), so `matmul → bias_act_apply` is bit-identical to the
 /// tape's `matmul → add_row → gelu` chain.
-pub fn bias_act_apply(out: &mut [f32], rows: usize, n: usize, bias: Option<&[f32]>, act: Act) {
+pub(crate) fn bias_act_apply(
+    out: &mut [f32],
+    rows: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    act: Act,
+) {
     debug_assert_eq!(out.len(), rows * n);
     if let Some(bias) = bias {
         debug_assert_eq!(bias.len(), n);
@@ -1435,7 +1436,7 @@ pub fn bias_act_apply(out: &mut [f32], rows: usize, n: usize, bias: Option<&[f32
 
 /// Fused `C = act(A·B + bias)` forward entry over an `m`-row band of a
 /// `full_m`-row product: the GEMM is exactly [`matmul_into`], followed by
-/// the in-place [`bias_act_apply`] epilogue — one output sweep instead of
+/// the in-place `bias_act_apply` epilogue — one output sweep instead of
 /// the tape's three node materializations. The epilogue is per-row, so
 /// bands stay bit-identical to the full call.
 #[allow(clippy::too_many_arguments)]
@@ -1458,7 +1459,7 @@ pub fn matmul_bias_act_into(
 
 /// Elementwise `out = x + y`: the `add` op of both executors (one add
 /// rounding per element on both tiers).
-pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
+pub(crate) fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
@@ -1474,7 +1475,7 @@ pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
 
 /// Elementwise `x *= c` in place — the values of the tape's `scale` op and
 /// the attention-score scaling (one mul rounding per element).
-pub fn scale_fwd(x: &mut [f32], c: f32) {
+pub(crate) fn scale_fwd(x: &mut [f32], c: f32) {
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
         // SAFETY: `available()` checked.
@@ -1499,7 +1500,7 @@ pub fn scale_fwd(x: &mut [f32], c: f32) {
 /// stages (the additive mask shift, the max reduction, the final scale);
 /// only the order-sensitive sum stays a scalar chain, so both tiers
 /// produce identical bits.
-pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
+pub(crate) fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
     let n = row.len();
     debug_assert_eq!(out.len(), n);
     #[cfg(target_arch = "x86_64")]

@@ -59,7 +59,7 @@ impl MultiHeadAttention {
     /// The K and V projections of `kv_in`, for attending to the same rows
     /// many times: decoding projects the fixed encoder memory once per
     /// generation and reuses it at every step.
-    pub fn project_kv<E: Exec>(&self, ex: &mut E, kv_in: NodeId, store: &ParamStore) -> Kv {
+    pub(crate) fn project_kv<E: Exec>(&self, ex: &mut E, kv_in: NodeId, store: &ParamStore) -> Kv {
         let (k, v) = self.kv(ex, kv_in, store);
         Kv::Projected(k, v)
     }
@@ -76,7 +76,7 @@ impl MultiHeadAttention {
     /// `full_tq`, so the band's rows are bit-identical to the same rows of
     /// [`forward`](Self::forward), which is the all-rows band. `mask`, if
     /// given, holds the band's rows of the additive mask.
-    pub fn forward_band<E: Exec>(
+    pub(crate) fn forward_band<E: Exec>(
         &self,
         ex: &mut E,
         q_in: NodeId,
@@ -113,7 +113,7 @@ pub enum Kv {
     /// The rows to project into K and V inside the block (after the Q
     /// projection).
     Rows(NodeId),
-    /// K and V already projected (see [`MultiHeadAttention::project_kv`]).
+    /// K and V already projected (see `MultiHeadAttention::project_kv`).
     Projected(NodeId, NodeId),
 }
 

@@ -25,11 +25,6 @@ impl Embedding {
         Self { table, vocab }
     }
 
-    /// Vocabulary size (number of rows).
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
     /// Gather embeddings for `ids`, producing an `ids.len() x dim` node.
     ///
     /// Panics (debug) if any id is out of vocabulary.

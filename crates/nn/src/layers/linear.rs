@@ -59,7 +59,7 @@ impl Linear {
     /// `act(x·W + b)` for `x`, a row band of a `full_rows`-row input: the
     /// GEMM dispatches on `full_rows` (see [`Exec::matmul_band`]), so the
     /// band's rows are bit-identical to the same rows of the all-rows band.
-    pub fn forward_band<E: Exec>(
+    pub(crate) fn forward_band<E: Exec>(
         &self,
         ex: &mut E,
         x: NodeId,

@@ -67,7 +67,7 @@ impl<'a> FwdCtx<'a> {
 
     /// The dropout probability and RNG a dropout site draws its mask from
     /// (see [`Exec::dropout`]), or `None` in eval mode or when `p == 0`.
-    pub fn dropout_source(&mut self) -> Option<(f32, &mut StdRng)> {
+    pub(crate) fn dropout_source(&mut self) -> Option<(f32, &mut StdRng)> {
         if self.dropout <= 0.0 {
             return None;
         }

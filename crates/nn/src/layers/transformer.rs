@@ -95,7 +95,7 @@ impl FeedForward {
     /// GEMMs dispatch on `full_rows`, so the band's rows are bit-identical to
     /// the same rows of [`forward`](Self::forward), which is the all-rows
     /// band.
-    pub fn forward_band<E: Exec>(
+    pub(crate) fn forward_band<E: Exec>(
         &self,
         ex: &mut E,
         x: NodeId,
@@ -154,7 +154,7 @@ impl EncoderLayer {
     /// (a leading band, when dropout is on), so the band's values, the
     /// gradients of a loss that reads only those rows, and the RNG stream
     /// are bit-identical to the full pass.
-    pub fn forward_band<E: Exec>(
+    pub(crate) fn forward_band<E: Exec>(
         &self,
         ex: &mut E,
         x: NodeId,
@@ -239,7 +239,7 @@ impl DecoderLayer {
     /// else runs on the band. `memory` is the encoder output, or its
     /// cross-attention K/V projected once per generation;
     /// `self_mask` holds the band's rows of the `t × t` causal mask.
-    pub fn forward_band<E: Exec>(
+    pub(crate) fn forward_band<E: Exec>(
         &self,
         ex: &mut E,
         x: NodeId,
@@ -393,7 +393,7 @@ impl TransformerEncoder {
     /// position of the next attention. The \[CLS\] row, every gradient
     /// backward computes from it, and the dropout RNG stream are
     /// bit-identical to `slice_rows(forward_with(..), 0, 1)`: see
-    /// [`EncoderLayer::forward_band`].
+    /// `EncoderLayer::forward_band`.
     pub fn encode_cls_with<E: Exec>(
         &self,
         ex: &mut E,

@@ -19,7 +19,7 @@ pub struct ParamId(pub(crate) usize);
 /// Lazily packed GEMM panels of one parameter *generation*.
 ///
 /// The store hands out the current generation's slot via
-/// [`ParamStore::packs`]; every value mutation swaps in a fresh slot, so a
+/// `ParamStore::packs`; every value mutation swaps in a fresh slot, so a
 /// tape that cloned the `Arc` at node-creation time keeps panels consistent
 /// with its own value snapshot while the store moves on. Panels fill on
 /// first use — a GEMM that dispatches to the naive kernel (below
@@ -44,7 +44,7 @@ impl ParamPacks {
     /// from (concurrent fills then race benignly: every caller packs
     /// identical bytes). `None` for shapes the tiled path cannot read
     /// (fewer than 2 rows or [`NR`] columns).
-    pub fn direct(&self, value: &Tensor) -> Option<&PackedB> {
+    pub(crate) fn direct(&self, value: &Tensor) -> Option<&PackedB> {
         let (rows, cols) = (value.rows(), value.cols());
         if rows < 2 || cols < NR {
             return None;
@@ -59,7 +59,7 @@ impl ParamPacks {
     /// `dA = dC·Bᵀ` backward contraction), built on first use. Same snapshot
     /// contract as [`direct`](Self::direct). `None` when the transpose has
     /// no full strip (fewer than [`NR`] rows).
-    pub fn transposed(&self, value: &Tensor) -> Option<&PackedB> {
+    pub(crate) fn transposed(&self, value: &Tensor) -> Option<&PackedB> {
         let (rows, cols) = (value.rows(), value.cols());
         if cols < 2 || rows < NR {
             return None;
@@ -135,17 +135,17 @@ impl ParamStore {
     }
 
     /// Number of registered parameters (tensors, not scalars).
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.entries.len()
     }
 
     /// Total number of scalar parameters across all tensors.
-    pub fn num_scalars(&self) -> usize {
+    pub(crate) fn num_scalars(&self) -> usize {
         self.entries.iter().map(|e| e.value.len()).sum()
     }
 
     /// Name of a parameter.
-    pub fn name(&self, id: ParamId) -> &str {
+    pub(crate) fn name(&self, id: ParamId) -> &str {
         &self.entries[id.0].name
     }
 
@@ -181,7 +181,7 @@ impl ParamStore {
     /// `Arc` when they snapshot the value, then fill panels lazily through
     /// [`ParamPacks::direct`]/[`ParamPacks::transposed`] only when a GEMM
     /// actually dispatches to the tiled path.
-    pub fn packs(&self, id: ParamId) -> Arc<ParamPacks> {
+    pub(crate) fn packs(&self, id: ParamId) -> Arc<ParamPacks> {
         Arc::clone(&self.entries[id.0].packs)
     }
 
@@ -196,7 +196,7 @@ impl ParamStore {
     }
 
     /// Iterate over all parameter ids.
-    pub fn ids(&self) -> impl Iterator<Item = ParamId> {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.entries.len()).map(ParamId)
     }
 

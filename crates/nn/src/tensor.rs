@@ -42,7 +42,7 @@ impl Tensor {
     }
 
     /// A `rows x cols` tensor filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             data: vec![0.0; rows * cols],
             rows,
@@ -51,7 +51,7 @@ impl Tensor {
     }
 
     /// A `rows x cols` tensor filled with `value`.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
+    pub(crate) fn full(rows: usize, cols: usize, value: f32) -> Self {
         Self {
             data: vec![value; rows * cols],
             rows,
@@ -72,26 +72,20 @@ impl Tensor {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Total number of elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when the tensor holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Borrow the underlying data slice (row-major).
@@ -107,7 +101,7 @@ impl Tensor {
     }
 
     /// Consume the tensor, returning its data.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -120,7 +114,7 @@ impl Tensor {
 
     /// Mutable element at `(r, c)`.
     #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
+    pub(crate) fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
     }
@@ -134,7 +128,7 @@ impl Tensor {
 
     /// Mutably borrow row `r` as a slice.
     #[inline]
-    pub fn row_slice_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_slice_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -145,37 +139,10 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::from_vec(
-            self.data.iter().map(|&v| f(v)).collect(),
-            self.rows,
-            self.cols,
-        )
-    }
-
-    /// Elementwise binary zip. Panics on shape mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "zip shape mismatch"
-        );
-        Tensor::from_vec(
-            self.data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            self.rows,
-            self.cols,
-        )
-    }
-
     /// In-place `self += other` — the gradient-accumulation primitive of the
     /// backward pass. Elementwise adds carry no cross-element dependency, so
     /// the loop auto-vectorizes.
-    pub fn add_assign_from(&mut self, other: &Tensor) {
+    pub(crate) fn add_assign_from(&mut self, other: &Tensor) {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -187,7 +154,7 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 }

@@ -42,7 +42,7 @@ const Q5: u32 = 0xb457_edbb; // -2.0109921195e-07
 const HUGE: f32 = 1.0e30;
 
 /// fdlibm `expm1f`: `eˣ − 1`.
-pub fn expm1(x: f32) -> f32 {
+pub(crate) fn expm1(x: f32) -> f32 {
     let bits = x.to_bits();
     let neg = bits >> 31 != 0;
     let hx = bits & 0x7fff_ffff;
@@ -130,7 +130,7 @@ pub fn expm1(x: f32) -> f32 {
 }
 
 /// fdlibm `tanhf`.
-pub fn tanh(x: f32) -> f32 {
+pub(crate) fn tanh(x: f32) -> f32 {
     let jx = x.to_bits() as i32;
     let ix = jx & 0x7fff_ffff;
     if ix >= 0x7f80_0000 {
@@ -226,7 +226,7 @@ const EXP_UFLOW: u32 = 0xc2cf_f1b4;
 const EXP_MAY_UFLOW: u32 = 0xc2ce_8ecf;
 
 /// glibc `expf`: `eˣ`.
-pub fn exp(x: f32) -> f32 {
+pub(crate) fn exp(x: f32) -> f32 {
     let bits = x.to_bits();
     if (bits >> 20) & 0x7ff >= 0x42b {
         // |x| >= 88 or NaN.

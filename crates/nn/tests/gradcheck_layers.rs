@@ -378,8 +378,9 @@ fn gradcheck_softmax_cross_entropy_head() {
     report.assert_ok();
 }
 
-/// Composite loss 2: the Rotom weighting term `‖p_M(x̂) − y‖₂` (paper §4.2),
-/// built fully in-graph via softmax → sub → square → sum → sqrt.
+/// Composite loss 2: the square of the Rotom weighting term `‖p_M(x̂) − y‖₂`
+/// (paper §4.2), built in-graph via softmax → sub → square → sum. Training
+/// computes the distance itself outside the graph.
 #[test]
 fn gradcheck_l2_prediction_distance_term() {
     let mut rng = StdRng::seed_from_u64(0xAF);
@@ -395,8 +396,7 @@ fn gradcheck_l2_prediction_distance_term() {
         let p = tape.softmax(logits);
         let d = tape.sub(p, yn);
         let sq = tape.mul(d, d);
-        let s = tape.sum_all(sq);
-        let loss = tape.sqrt(s);
+        let loss = tape.sum_all(sq);
         let lv = tape.value(loss).item();
         if backward {
             tape.backward(loss, store);

@@ -45,7 +45,7 @@ pub mod pipeline;
 pub mod runtime;
 
 pub use config::{ModelConfig, RotomConfig, TrainConfig};
-pub use metrics::{accuracy, macro_f1, mean_std, prf1, MetricsSnapshot, PrF1};
+pub use metrics::{accuracy, mean_std, prf1, MetricsSnapshot, PrF1};
 pub use model::TinyLm;
 pub use pipeline::{
     default_op, evaluate, prepare_base, run_method, run_method_ft, run_method_with_base, Method,

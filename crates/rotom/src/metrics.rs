@@ -109,12 +109,12 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Empty snapshot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append one named metric.
-    pub fn push(&mut self, key: impl Into<String>, value: f32) {
+    pub(crate) fn push(&mut self, key: impl Into<String>, value: f32) {
         let key = key.into();
         debug_assert!(
             !key.contains(char::is_whitespace),

@@ -225,7 +225,12 @@ impl TinyLm {
     /// negatives are `R [SEP] R'` for a random other record; a dedicated
     /// binary head is trained on the `[CLS]` representation. No task labels
     /// are consumed.
-    pub fn pretrain_pairs(&mut self, records: &[Vec<String>], epochs: usize, batch_size: usize) {
+    pub(crate) fn pretrain_pairs(
+        &mut self,
+        records: &[Vec<String>],
+        epochs: usize,
+        batch_size: usize,
+    ) {
         if epochs == 0 || records.len() < 2 {
             return;
         }
@@ -316,7 +321,7 @@ impl TinyLm {
     /// heads share semantics — class 1 = "same entity" — so this transfers
     /// the pre-trained comparison circuit into the fine-tuning starting
     /// point, playing the role of RoBERTa's task-adjacent initialization.
-    pub fn init_head_from_nsp(&mut self) {
+    pub(crate) fn init_head_from_nsp(&mut self) {
         if self.num_classes != 2 {
             return;
         }
@@ -491,7 +496,7 @@ impl TinyLm {
     /// bag under `prefix`. Together with
     /// [`load_train_state`](Self::load_train_state) on an identically
     /// constructed model, this makes fine-tuning resumable bit-identically.
-    pub fn save_train_state(&self, bag: &mut rotom_nn::StateBag, prefix: &str) {
+    pub(crate) fn save_train_state(&self, bag: &mut rotom_nn::StateBag, prefix: &str) {
         bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
         self.opt.save_state(bag, &format!("{prefix}.adam"));
         bag.put_f32(format!("{prefix}.lr"), self.lr);
@@ -499,7 +504,7 @@ impl TinyLm {
     }
 
     /// Restore state saved by [`save_train_state`](Self::save_train_state).
-    pub fn load_train_state(
+    pub(crate) fn load_train_state(
         &mut self,
         bag: &rotom_nn::StateBag,
         prefix: &str,
@@ -515,7 +520,7 @@ impl TinyLm {
 
     /// Scale the learning rate by `factor` (health-guard rollback decay),
     /// keeping the optimizer in sync.
-    pub fn scale_lr(&mut self, factor: f32) {
+    pub(crate) fn scale_lr(&mut self, factor: f32) {
         self.lr *= factor;
         self.opt.set_lr(self.lr);
     }

@@ -2,7 +2,7 @@
 //! requests into one [`TinyLm::score_batch`](rotom::TinyLm::score_batch)
 //! pass — now with overload protection and supervision.
 //!
-//! Connection handlers [`submit`](Batcher::submit) jobs into a shared queue
+//! Connection handlers `submit` jobs into a shared queue
 //! and block on a reply channel. A single batcher worker thread waits for
 //! the first job, then collects same-endpoint jobs for a short window (or
 //! until `max_batch`), concatenates their inputs, scores them in one pool
@@ -37,7 +37,7 @@
 //!
 //! ## Drain
 //!
-//! [`Batcher::drain`] flips the queue into drain mode: new submissions are
+//! `Batcher::drain` flips the queue into drain mode: new submissions are
 //! shed, queued jobs are dispatched immediately (no batching window), and
 //! the call blocks until the queue is empty and the worker has exited or
 //! the drain deadline passes — at which point stragglers are failed and
@@ -97,7 +97,7 @@ pub enum JobError {
 
 impl JobError {
     /// The HTTP status this error renders as.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             JobError::ScorePanic => 500,
             _ => 503,
@@ -105,7 +105,7 @@ impl JobError {
     }
 
     /// `Retry-After` hint in seconds, for every shed variant.
-    pub fn retry_after_secs(&self) -> Option<u32> {
+    pub(crate) fn retry_after_secs(&self) -> Option<u32> {
         match self {
             JobError::QueueFull { retry_after_secs }
             | JobError::PredictedWait { retry_after_secs } => Some(*retry_after_secs),
@@ -212,7 +212,7 @@ struct WorkerSlot {
     busy_since_us: Arc<AtomicU64>,
 }
 
-/// Outcome of a [`Batcher::drain`].
+/// Outcome of a `Batcher::drain`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
     /// Whether every queued job completed before the deadline.
@@ -236,7 +236,7 @@ pub struct Batcher {
 impl Batcher {
     /// Spawn the batcher worker and its watchdog over `planes` (indexed by
     /// [`Endpoint`] route order).
-    pub fn spawn(
+    pub(crate) fn spawn(
         planes: Arc<[TaskPlane; 3]>,
         metrics: Arc<ServeMetrics>,
         cfg: BatcherConfig,
@@ -289,7 +289,7 @@ impl Batcher {
     /// down). The caller blocks on `recv()`; a dropped sender (worker died
     /// holding the job) shows up as a `RecvError`, which callers should
     /// treat as a 500.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         endpoint: Endpoint,
         inputs: Vec<Vec<String>>,
@@ -366,7 +366,7 @@ impl Batcher {
     /// failed (counted in `drain_deadline_exceeded`). The batcher is shut
     /// down either way; a subsequent [`shutdown`](Batcher::shutdown) is a
     /// no-op. Idempotent.
-    pub fn drain(&self, timeout: Duration) -> DrainReport {
+    pub(crate) fn drain(&self, timeout: Duration) -> DrainReport {
         // Watchdog first: a worker exiting because the drain completed must
         // not be "detected" as dead and respawned.
         self.stop_watchdog();
@@ -427,7 +427,7 @@ impl Batcher {
     }
 
     /// Signal shutdown, fail queued jobs, and join the worker + watchdog.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop_watchdog();
         if let Some(h) = self.watchdog.take() {
             let _ = h.join();

@@ -59,7 +59,7 @@ pub struct ScoreCache {
 
 impl ScoreCache {
     /// A cache bounded to `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             capacity,
             map: HashMap::new(),
@@ -76,7 +76,7 @@ impl ScoreCache {
 
     /// The stored probabilities for `tokens`, counting a hit or a miss. A
     /// hit refreshes the entry's LRU position.
-    pub fn lookup(&mut self, tokens: &[String]) -> Option<&[f32]> {
+    pub(crate) fn lookup(&mut self, tokens: &[String]) -> Option<&[f32]> {
         let hash = self.encode(tokens);
         match self.find(hash) {
             Some(idx) => {
@@ -94,7 +94,7 @@ impl ScoreCache {
 
     /// Store the probabilities for `tokens`, evicting the least-recently-used
     /// entry at capacity. Storing a key that is already present does nothing.
-    pub fn insert(&mut self, tokens: &[String], probs: &[f32]) {
+    pub(crate) fn insert(&mut self, tokens: &[String], probs: &[f32]) {
         let hash = self.encode(tokens);
         if self.find(hash).is_some() {
             return;
@@ -125,7 +125,7 @@ impl ScoreCache {
 
     /// Drop every entry (the weights changed). The hit, miss and eviction
     /// counters keep counting, and a clear is not an eviction.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.free.clear();
@@ -135,7 +135,7 @@ impl ScoreCache {
 
     /// `(hits, misses, evictions, entries)`: the counters since construction
     /// and the current occupancy.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         (self.hits, self.misses, self.evictions, self.len())
     }
 

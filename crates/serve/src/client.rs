@@ -39,7 +39,7 @@ impl Client {
     }
 
     /// Issue one request and read one response.
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         method: &str,
         path: &str,

@@ -47,7 +47,7 @@ pub struct Request {
 
 impl Request {
     /// First value of a header (lower-case name), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -55,7 +55,7 @@ impl Request {
     }
 
     /// Whether the client asked to close the connection after the response.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .map(|v| v.eq_ignore_ascii_case("close"))
             .unwrap_or(false)
@@ -96,7 +96,7 @@ impl HttpError {
     }
 
     /// Human-readable detail carried in the error response body.
-    pub fn detail(&self) -> String {
+    pub(crate) fn detail(&self) -> String {
         match self {
             HttpError::BadRequest(m) => m.clone(),
             HttpError::HeadersTooLarge => format!(
@@ -282,7 +282,7 @@ pub fn response_bytes(
 
 /// Serialize one HTTP/1.1 response with extra `(name, value)` headers —
 /// the shed path uses this for `Retry-After`.
-pub fn response_bytes_with(
+pub(crate) fn response_bytes_with(
     status: u16,
     reason: &str,
     content_type: &str,
@@ -307,7 +307,7 @@ pub fn response_bytes_with(
 
 /// Serialize the error response for a parse failure (always `close`: the
 /// connection's byte stream is no longer trustworthy).
-pub fn error_response(err: &HttpError) -> Vec<u8> {
+pub(crate) fn error_response(err: &HttpError) -> Vec<u8> {
     let (status, reason) = err.status();
     let body = format!(
         "{{\"error\":{},\"status\":{status}}}",

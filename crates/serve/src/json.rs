@@ -16,7 +16,7 @@ pub use rotom_nn::json::{parse, push_quoted, quote, Json, MAX_DEPTH};
 /// direct re-parse as `f32` is bit-identical. Non-finite values become
 /// `null` (JSON has no NaN/Inf) — scoring outputs are softmax probabilities,
 /// so this is a never-taken guard, not a lossy path.
-pub fn push_f32(out: &mut String, v: f32) {
+pub(crate) fn push_f32(out: &mut String, v: f32) {
     if v.is_finite() {
         let _ = write!(out, "{v:?}");
     } else {

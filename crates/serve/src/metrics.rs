@@ -41,7 +41,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Record one sample in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         let idx = (63 - (us | 1).leading_zeros()) as usize;
         let idx = idx.min(LATENCY_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -64,7 +64,7 @@ impl LatencyHistogram {
 
     /// Upper-bound estimate of quantile `q` (0 < q ≤ 1) in microseconds:
     /// the upper edge of the bucket holding the q-th sample. 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
             return 0;
@@ -133,7 +133,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Count a response status.
-    pub fn record_status(&self, status: u16) {
+    pub(crate) fn record_status(&self, status: u16) {
         let ctr = match status {
             200..=299 => &self.status_2xx,
             400..=499 => &self.status_4xx,
@@ -144,7 +144,7 @@ impl ServeMetrics {
 
     /// Render the `/metrics` JSON document. `planes` supplies per-endpoint
     /// state as `(endpoint_name, cache stats if the cache is enabled)`.
-    pub fn render_json(&self, planes: &[(&str, Option<CacheStats>)]) -> String {
+    pub(crate) fn render_json(&self, planes: &[(&str, Option<CacheStats>)]) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"endpoints\":{");
         for (i, (name, cache)) in planes.iter().enumerate() {
@@ -192,7 +192,7 @@ impl ServeMetrics {
 
     /// Mirror the headline counters into the telemetry plane as one `serve`
     /// record. No-op when telemetry is disabled.
-    pub fn emit_telemetry(&self) {
+    pub(crate) fn emit_telemetry(&self) {
         if !telemetry::enabled() {
             return;
         }

@@ -3,7 +3,7 @@
 //! A [`TaskPlane`] owns one [`TinyLm`] behind an `RwLock` and maps it to one
 //! scoring endpoint (`/match`, `/clean`, `/classify`). Scoring takes the
 //! read lock and runs the tape-free [`TinyLm::score_batch`]; a hot swap
-//! ([`TaskPlane::swap`]) takes the write lock and loads a checkpoint into
+//! (`TaskPlane::swap`) takes the write lock and loads a checkpoint into
 //! the live model. The lock is what makes swap-under-load sound at the
 //! *request* granularity — a batch holds the read lock for its entire
 //! forward pass, so every response is computed wholly under the old or
@@ -69,7 +69,7 @@ impl Endpoint {
     }
 
     /// Parse an endpoint name (`"match"`, `"clean"`, `"classify"`).
-    pub fn from_name(name: &str) -> Option<Endpoint> {
+    pub(crate) fn from_name(name: &str) -> Option<Endpoint> {
         Endpoint::ALL.into_iter().find(|e| e.name() == name)
     }
 
@@ -139,12 +139,12 @@ impl TaskPlane {
     }
 
     /// The endpoint this plane serves.
-    pub fn endpoint(&self) -> Endpoint {
+    pub(crate) fn endpoint(&self) -> Endpoint {
         self.endpoint
     }
 
     /// Name of the model/dataset the plane was built for (payload metadata).
-    pub fn model_name(&self) -> &str {
+    pub(crate) fn model_name(&self) -> &str {
         &self.model_name
     }
 
@@ -192,7 +192,7 @@ impl TaskPlane {
     /// lock, clearing the score cache's entries. In-flight batches drain
     /// first; batches queued behind the swap score wholly under the new
     /// weights.
-    pub fn swap(&self, checkpoint: impl AsRef<Path>) -> Result<SwapInfo, CheckpointError> {
+    pub(crate) fn swap(&self, checkpoint: impl AsRef<Path>) -> Result<SwapInfo, CheckpointError> {
         let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
         slot.model.load_checkpoint(checkpoint)?;
         if let Some(cache) = &mut slot.cache {

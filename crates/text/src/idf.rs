@@ -19,7 +19,6 @@ pub const EMPTY_CORPUS_IDF: f32 = 1.0;
 pub struct IdfIndex {
     /// Per token: document frequency and IDF.
     stats: HashMap<String, (usize, f32)>,
-    num_docs: usize,
     max_idf: f32,
 }
 
@@ -70,16 +69,7 @@ impl IdfIndex {
         } else {
             stats.values().map(|&(_, idf)| idf).fold(0.0f32, f32::max)
         };
-        Self {
-            stats,
-            num_docs,
-            max_idf,
-        }
-    }
-
-    /// Number of documents seen.
-    pub fn num_docs(&self) -> usize {
-        self.num_docs
+        Self { stats, max_idf }
     }
 
     /// Document frequency of a token: how many documents contained it
@@ -130,7 +120,6 @@ mod tests {
         assert_eq!(i.doc_freq("the"), 3);
         assert_eq!(i.doc_freq("cat"), 1);
         assert_eq!(i.doc_freq("zebra"), 0);
-        assert_eq!(i.num_docs(), 3);
     }
 
     #[test]
@@ -138,7 +127,6 @@ mod tests {
         // Regression: max_idf used to fold over an empty set to 0.0, handing
         // unseen tokens the *minimum* importance on an empty corpus.
         let empty = IdfIndex::build(std::iter::empty::<&[String]>());
-        assert_eq!(empty.num_docs(), 0);
         assert_eq!(empty.idf("anything"), EMPTY_CORPUS_IDF);
         assert!(empty.idf("anything") > 0.0);
         // Default::default() is the same empty index.

@@ -125,7 +125,7 @@ pub struct Thesaurus {
 
 impl Thesaurus {
     /// Empty thesaurus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -140,7 +140,7 @@ impl Thesaurus {
 
     /// Register a synonym group. Words already present keep their original
     /// group (first registration wins), mirroring WordNet's primary synset.
-    pub fn add_group(&mut self, words: Vec<String>) {
+    pub(crate) fn add_group(&mut self, words: Vec<String>) {
         let gi = self.groups.len();
         let mut group = Vec::with_capacity(words.len());
         for w in words {

@@ -125,16 +125,6 @@ impl Vocab {
         ids.iter().map(|&i| self.tokens[i].clone()).collect()
     }
 
-    /// Iterate over non-special, non-fallback tokens (candidates for MLM
-    /// masking and generation).
-    pub fn content_tokens(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !crate::token::is_special(t) && !t.starts_with("##"))
-            .map(|(i, t)| (i, t.as_str()))
-    }
-
     /// Id of a named special token. Panics if `tok` is not special.
     pub fn special_id(&self, tok: &str) -> usize {
         debug_assert!(crate::token::is_special(tok));
