@@ -345,7 +345,9 @@ fn stream_checksum(pairs: impl IntoIterator<Item = (usize, usize)>) -> (u64, u64
 /// default LSH) is pinned by pair count and FNV-64 checksum. The values
 /// were taken from the two-stage HashMap probe with binary-searched band
 /// tables that preceded the flat-array probe, so any change to the
-/// candidate sets, their order or the streaming order shows here.
+/// candidate sets, their order or the streaming order shows here. The
+/// index's build statistics (records, tokens and postings kept and pruned)
+/// are pinned alongside.
 #[test]
 fn candidate_stream_checksum_is_pinned() {
     let c = corpus(20_000, 3);
@@ -361,6 +363,17 @@ fn candidate_stream_checksum_is_pinned() {
         builder.add_chunk(&chunk, pool);
     }
     let index = builder.finish();
+    let s = index.stats();
+    assert_eq!(
+        (
+            s.records,
+            s.tokens_kept,
+            s.tokens_pruned,
+            s.postings_kept,
+            s.postings_pruned
+        ),
+        (20_000, 25_045, 3, 135_212, 60_000)
+    );
     let mut pairs = Vec::new();
     stream_candidates(&index, c.chunks(CorpusSide::Left, 8192), pool, |batch| {
         pairs.extend_from_slice(batch)
