@@ -19,6 +19,7 @@ use rotom_rng::rngs::StdRng;
 use rotom_rng::{split_seed, RngExt, SeedableRng};
 use rotom_text::example::Example;
 use rotom_text::serialize::{serialize_pair, Record};
+use std::cmp::Ordering;
 
 /// A labeled candidate pair.
 #[derive(Debug, Clone)]
@@ -594,16 +595,10 @@ fn attr_tokens(r: &Record) -> impl Iterator<Item = String> + '_ {
 }
 
 /// The *content tokens* of a record: attribute-value tokens longer than two
-/// characters (drops "of"/"to"/lone punctuation). This is the single token
-/// definition the blocking APIs ([`blocked`], [`block_candidates`], and the
-/// [`crate::blocking`] pipeline) agree on; callers looping over many pairs
-/// should tokenize each record once and use [`blocked_tokens`].
-pub fn content_tokens(r: &Record) -> std::collections::HashSet<String> {
-    attr_tokens(r).filter(|t| t.len() > 2).collect()
-}
-
-/// Pre-tokenized list form of [`content_tokens`]: sorted and deduplicated,
-/// the shape the streaming blocking pipeline indexes and probes with.
+/// characters (drops "of"/"to"/lone punctuation), sorted and deduplicated.
+/// This is the single token definition [`block_candidates`] and the
+/// [`crate::blocking`] pipeline agree on, and the shape the pipeline indexes
+/// and probes with.
 pub fn content_token_list(r: &Record) -> Vec<String> {
     let mut toks: Vec<String> = attr_tokens(r).filter(|t| t.len() > 2).collect();
     toks.sort_unstable();
@@ -611,89 +606,47 @@ pub fn content_token_list(r: &Record) -> Vec<String> {
     toks
 }
 
-/// Pre-tokenized variant of [`blocked`]: true when the two content-token
-/// sets share at least `min_shared` tokens. Trivially true at
-/// `min_shared = 0`.
-pub fn blocked_tokens(
-    left: &std::collections::HashSet<String>,
-    right: &std::collections::HashSet<String>,
-    min_shared: usize,
-) -> bool {
-    // Intersect from the smaller side and stop as soon as the bar is met.
-    let (small, large) = if left.len() <= right.len() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let mut shared = 0usize;
-    for t in small {
-        if large.contains(t) {
-            shared += 1;
-            if shared >= min_shared {
-                return true;
+/// Number of tokens two sorted deduplicated lists share (one merge pass).
+fn shared_count(a: &[String], b: &[String]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    shared >= min_shared
+    n
 }
 
-/// Token-overlap blocking: true when the two records share at least
-/// `min_shared` content tokens. Provided for completeness of the EM workflow
-/// (§2.1: "the blocking phase typically uses simple heuristics").
-/// `min_shared = 0` is trivially true for every pair.
-pub fn blocked(left: &Record, right: &Record, min_shared: usize) -> bool {
-    blocked_tokens(&content_tokens(left), &content_tokens(right), min_shared)
-}
-
-/// The blocking phase of the EM workflow (§2.1): given two record
-/// collections, emit candidate `(left_index, right_index)` pairs sharing at
-/// least `min_shared` content tokens. Uses an inverted token index so the
-/// cost is proportional to true candidate count rather than the cross
-/// product.
+/// The blocking phase of the EM workflow (§2.1: "the blocking phase
+/// typically uses simple heuristics"): given two record collections, emit
+/// candidate `(left_index, right_index)` pairs, in sorted order, sharing at
+/// least `min_shared` content tokens. A brute-force loop over every pair:
+/// the literal definition of token-overlap blocking, which the
+/// [`crate::blocking`] pipeline scales to million-record collections.
 ///
-/// `min_shared = 0` means *no blocking*: the full cross product is emitted,
-/// matching [`blocked`], which is trivially true at 0 (previously the index
-/// path silently required at least one shared token here, so the two
-/// documented-equivalent APIs disagreed).
+/// `min_shared = 0` means *no blocking*: every pair shares at least zero
+/// tokens, so the full cross product is emitted.
 pub fn block_candidates(
     left: &[Record],
     right: &[Record],
     min_shared: usize,
 ) -> Vec<(usize, usize)> {
-    use std::collections::HashMap;
-    if min_shared == 0 {
-        let mut out = Vec::with_capacity(left.len() * right.len());
-        for i in 0..left.len() {
-            for j in 0..right.len() {
-                out.push((i, j));
-            }
-        }
-        return out;
-    }
-    // Inverted index over the right collection.
-    let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-    for (j, r) in right.iter().enumerate() {
-        for t in content_token_list(r) {
-            index.entry(t).or_default().push(j);
-        }
-    }
+    let rt: Vec<Vec<String>> = right.iter().map(content_token_list).collect();
     let mut out = Vec::new();
     for (i, l) in left.iter().enumerate() {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for t in content_token_list(l) {
-            if let Some(js) = index.get(&t) {
-                for &j in js {
-                    *counts.entry(j).or_insert(0) += 1;
-                }
-            }
-        }
-        for (j, c) in counts {
-            if c >= min_shared {
+        let lt = content_token_list(l);
+        for (j, r) in rt.iter().enumerate() {
+            if shared_count(&lt, r) >= min_shared {
                 out.push((i, j));
             }
         }
     }
-    out.sort_unstable();
     out
 }
 
@@ -1003,6 +956,13 @@ mod tests {
         assert_eq!(t.unlabeled.len(), t.train_pool.len());
     }
 
+    /// Whether one pair of records shares at least `min_shared` content
+    /// tokens.
+    fn shares(left: &Record, right: &Record, min_shared: usize) -> bool {
+        let one = std::slice::from_ref;
+        !block_candidates(one(left), one(right), min_shared).is_empty()
+    }
+
     #[test]
     fn blocking_passes_matches() {
         let d = generate(EmFlavor::DblpAcm, &quick_cfg());
@@ -1010,14 +970,14 @@ mod tests {
             .train_pairs
             .iter()
             .filter(|p| p.is_match)
-            .filter(|p| blocked(&p.left, &p.right, 1))
+            .filter(|p| shares(&p.left, &p.right, 1))
             .count();
         let total = d.train_pairs.iter().filter(|p| p.is_match).count();
         assert!(passed as f32 / total as f32 > 0.95);
     }
 
     #[test]
-    fn block_candidates_matches_pairwise_blocking() {
+    fn blocking_candidates_are_sorted_nested_and_cross_at_zero() {
         let d = generate(EmFlavor::AbtBuy, &quick_cfg());
         let left: Vec<Record> = d
             .train_pairs
@@ -1031,33 +991,19 @@ mod tests {
             .take(30)
             .map(|p| p.right.clone())
             .collect();
-        // Tokenize each record once (the pre-tokenized variant must agree
-        // with the per-pair API it replaces in hot loops).
-        let lt: Vec<_> = left.iter().map(content_tokens).collect();
-        let rt: Vec<_> = right.iter().map(content_tokens).collect();
-        for min_shared in [0usize, 1, 2] {
-            let fast = block_candidates(&left, &right, min_shared);
-            for i in 0..left.len() {
-                for j in 0..right.len() {
-                    let expected = blocked(&left[i], &right[j], min_shared);
-                    assert_eq!(
-                        fast.contains(&(i, j)),
-                        expected,
-                        "pair ({i},{j}) at min_shared={min_shared}"
-                    );
-                    assert_eq!(
-                        blocked_tokens(&lt[i], &rt[j], min_shared),
-                        expected,
-                        "pre-tokenized pair ({i},{j}) at min_shared={min_shared}"
-                    );
-                }
-            }
-        }
         // min_shared = 0 is documented as "no blocking": the full cross
-        // product, in sorted order.
+        // product. Every threshold's output is strictly sorted, and raising
+        // the threshold only drops pairs.
         let all = block_candidates(&left, &right, 0);
         assert_eq!(all.len(), left.len() * right.len());
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        let mut prev = all;
+        for min_shared in [1usize, 2, 3] {
+            let pairs = block_candidates(&left, &right, min_shared);
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "{min_shared}");
+            assert!(pairs.len() < prev.len(), "{min_shared}");
+            assert!(pairs.iter().all(|p| prev.binary_search(p).is_ok()));
+            prev = pairs;
+        }
     }
 
     #[test]
@@ -1104,7 +1050,7 @@ mod tests {
             let l = c.record(CorpusSide::Left, i);
             let r = c.record(CorpusSide::Right, i);
             jac += jaccard(&l, &r);
-            if blocked(&l, &r, 2) {
+            if shares(&l, &r, 2) {
                 blocked_pairs += 1;
             }
         }
@@ -1123,9 +1069,9 @@ mod tests {
             ..Default::default()
         });
         for i in 0..50 {
-            let toks = content_tokens(&c.record(CorpusSide::Left, i));
+            let toks = content_token_list(&c.record(CorpusSide::Left, i));
             for stop in &CORPUS_STOPWORDS[..3] {
-                assert!(toks.contains(*stop), "record {i} missing {stop}");
+                assert!(toks.iter().any(|t| t == stop), "record {i} missing {stop}");
             }
         }
         // Distinct body words stay distinct (unique syllable composition).

@@ -5,14 +5,12 @@
 //! one *sequence classification* interface (paper §2.1) by serializing data
 //! entries with `[COL]`/`[VAL]`/`[SEP]` markers. This crate owns that
 //! serialization, the tokenizer and vocabulary of the stand-in language
-//! models, the IDF statistics guiding importance-aware DA sampling, and the
-//! synonym thesaurus used by replacement operators.
+//! models, and the synonym thesaurus used by replacement operators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod example;
-pub mod idf;
 pub mod serialize;
 pub mod thesaurus;
 pub mod token;
@@ -20,7 +18,6 @@ pub mod tokenizer;
 pub mod vocab;
 
 pub use example::{AugExample, Example};
-pub use idf::IdfIndex;
 pub use serialize::{
     parse_structure, serialize_cell, serialize_cell_in_context, serialize_pair, serialize_record,
     Record, Structure,
