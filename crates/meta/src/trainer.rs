@@ -352,24 +352,15 @@ impl MetaTrainer {
             // Phase 2: virtual step, validation loss, policy updates.
             // ----------------------------------------------------------
             let eta = target.learning_rate();
-            // M' = M − η·∇M Losstrain (paper line 8; M here is the
-            // post-phase-1 parameters, matching the overloaded notation).
-            target.add_scaled(&g, -eta);
             let val_batch: Vec<WeightedItem> =
                 sample_items(val, self.cfg.val_batch_size, k, &mut self.rng);
-            let val_loss = target.weighted_loss_backward(&val_batch, false, &mut self.rng);
-            let v = target.flat_grads();
-            // Restore M.
-            target.add_scaled(&g, eta);
+            // M' = M − η·∇M Losstrain, where M is the post-phase-1
+            // parameters (the paper's overloaded notation).
+            let (val_loss, v) = virtual_step_grad(target, &g, eta, &val_batch, &mut self.rng);
 
-            // Probes M± = M ± ε·∇M'Lossval, per-example losses under each.
             if let Some(weight_batch) = weight_batch {
                 let eps = self.cfg.epsilon;
-                target.add_scaled(&v, eps);
-                let c_plus = target.per_example_losses(&items);
-                target.add_scaled(&v, -2.0 * eps);
-                let c_minus = target.per_example_losses(&items);
-                target.add_scaled(&v, eps);
+                let (c_plus, c_minus) = probe_losses(target, &v, eps, &items);
                 self.weight
                     .update_finite_difference(weight_batch, &c_plus, &c_minus, eta, eps);
             }
@@ -519,6 +510,39 @@ pub fn guard_step<T: MetaTarget + ?Sized>(
         Verdict::Healthy => Ok(()),
         Verdict::Diverged(reason) => Err(Halt { step, reason }),
     }
+}
+
+/// Algorithm 2's virtual step (paper line 8): move `target` to
+/// `M' = M − η·g`, backpropagate the validation loss of `val` there (no
+/// dropout), and restore `M`. Returns `Lossval` at `M'` and `∇M' Lossval`.
+pub fn virtual_step_grad<T: MetaTarget + ?Sized>(
+    target: &mut T,
+    g: &[f32],
+    eta: f32,
+    val: &[WeightedItem],
+    rng: &mut StdRng,
+) -> (f32, Vec<f32>) {
+    target.add_scaled(g, -eta);
+    let loss = target.weighted_loss_backward(val, false, rng);
+    let v = target.flat_grads();
+    target.add_scaled(g, eta);
+    (loss, v)
+}
+
+/// The finite-difference probes `M± = M ± ε·v` of Eq. 4: per-example losses
+/// of `items` under `M+` and under `M−`, with `M` restored after.
+pub fn probe_losses<T: MetaTarget + ?Sized>(
+    target: &mut T,
+    v: &[f32],
+    eps: f32,
+    items: &[WeightedItem],
+) -> (Vec<f32>, Vec<f32>) {
+    target.add_scaled(v, eps);
+    let c_plus = target.per_example_losses(items);
+    target.add_scaled(v, -2.0 * eps);
+    let c_minus = target.per_example_losses(items);
+    target.add_scaled(v, eps);
+    (c_plus, c_minus)
 }
 
 fn sample_items(pool: &[Example], n: usize, k: usize, rng: &mut StdRng) -> Vec<WeightedItem> {
