@@ -283,16 +283,6 @@ impl Tape {
         }
     }
 
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     #[inline]
     fn shape(&self, id: NodeId) -> (usize, usize) {
         let v = &self.nodes[id.0].value;
@@ -1626,9 +1616,9 @@ mod tests {
             let (l1, g1) = run(&mut reused, &mut store);
             assert_eq!(l0.to_bits(), l1.to_bits(), "loss drifted across reuse");
             assert_eq!(g0, g1, "gradients drifted across reuse");
-            let nodes_before = reused.len();
+            let nodes_before = reused.nodes.len();
             reused.reset();
-            assert!(reused.is_empty());
+            assert!(reused.nodes.is_empty());
             assert!(nodes_before > 0);
         }
         // And through the global pool helpers.

@@ -59,11 +59,6 @@ impl Tensor {
         }
     }
 
-    /// A `1 x 1` scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Self::from_vec(vec![value], 1, 1)
-    }
-
     /// A `1 x n` row vector.
     pub fn row(values: Vec<f32>) -> Self {
         let n = values.len();
@@ -180,6 +175,6 @@ mod tests {
 
     #[test]
     fn scalar_item() {
-        assert_eq!(Tensor::scalar(3.5).item(), 3.5);
+        assert_eq!(Tensor::from_vec(vec![3.5], 1, 1).item(), 3.5);
     }
 }

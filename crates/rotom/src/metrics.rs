@@ -38,8 +38,8 @@ pub fn accuracy(pred: &[usize], gold: &[usize]) -> f32 {
 /// and no prediction does either (tp = fp = fn = 0), precision, recall, and
 /// F1 are all reported as 0.0 — even though every prediction is correct.
 /// There is simply no positive-class evidence to score, and 0.0 (rather
-/// than a flattering 1.0 or a poisonous NaN) keeps macro-F1 averages and
-/// the golden-run snapshots stable. Accuracy is the metric that credits
+/// than a flattering 1.0 or a poisonous NaN) keeps the golden-run snapshots
+/// stable. Accuracy is the metric that credits
 /// those runs.
 ///
 /// # Panics
@@ -83,14 +83,6 @@ pub fn prf1(pred: &[usize], gold: &[usize], positive: usize) -> PrF1 {
         recall,
         f1,
     }
-}
-
-/// Macro-averaged F1 across all classes.
-pub fn macro_f1(pred: &[usize], gold: &[usize], num_classes: usize) -> f32 {
-    (0..num_classes)
-        .map(|c| prf1(pred, gold, c).f1)
-        .sum::<f32>()
-        / num_classes as f32
 }
 
 /// An ordered list of named scalar metrics with a plain-text serialization,
@@ -260,12 +252,6 @@ mod tests {
             msg.contains("1 predictions") && msg.contains("2 gold"),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn macro_f1_averages() {
-        let f = macro_f1(&[0, 1], &[0, 1], 2);
-        assert_eq!(f, 1.0);
     }
 
     #[test]

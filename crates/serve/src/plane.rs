@@ -118,18 +118,15 @@ pub struct SwapInfo {
 pub struct TaskPlane {
     endpoint: Endpoint,
     model_name: String,
-    num_classes: usize,
     slot: RwLock<Slot>,
 }
 
 impl TaskPlane {
     /// Wrap `model` as the serving slot for `endpoint`.
     pub fn new(endpoint: Endpoint, model_name: impl Into<String>, model: TinyLm) -> Self {
-        let num_classes = model.num_classes();
         Self {
             endpoint,
             model_name: model_name.into(),
-            num_classes,
             slot: RwLock::new(Slot {
                 model,
                 swaps: 0,
@@ -146,11 +143,6 @@ impl TaskPlane {
     /// Name of the model/dataset the plane was built for (payload metadata).
     pub(crate) fn model_name(&self) -> &str {
         &self.model_name
-    }
-
-    /// Number of classes in every score row.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 
     /// Score a batch on the tape-free inference plane under the read lock,
@@ -370,12 +362,13 @@ mod tests {
     fn plane_scores_and_stamps_generations() {
         let cfg = demo_model_config();
         let (model, name) = demo_model(TaskKind::TextClassification, &cfg, 1);
+        let num_classes = model.num_classes();
         let plane = TaskPlane::new(Endpoint::Classify, name, model);
         let pool = RotomPool::new(2);
         let inputs = vec![rotom_text::tokenize("a fine movie")];
         let out = plane.score(&inputs, &pool);
         assert_eq!(out.scores.len(), 1);
-        assert_eq!(out.scores[0].len(), plane.num_classes());
+        assert_eq!(out.scores[0].len(), num_classes);
         assert_eq!(out.generation, 0);
         assert!((out.scores[0].iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }

@@ -31,15 +31,6 @@ impl Record {
             .find(|(a, _)| a == attr)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Replace (or insert) an attribute value.
-    pub fn set(&mut self, attr: &str, value: impl Into<String>) {
-        let value = value.into();
-        match self.attrs.iter_mut().find(|(a, _)| a == attr) {
-            Some((_, v)) => *v = value,
-            None => self.attrs.push((attr.to_string(), value)),
-        }
-    }
 }
 
 /// Serialize one record: `[COL] a1 [VAL] v1 [COL] a2 [VAL] v2 …`.
@@ -210,12 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn record_get_set() {
-        let mut r = google();
+    fn record_get() {
+        let r = google();
         assert_eq!(r.get("Name"), Some("Google LLC"));
-        r.set("Name", "Alphabet inc");
-        assert_eq!(r.get("Name"), Some("Alphabet inc"));
-        r.set("city", "Mountain View");
-        assert_eq!(r.attrs.len(), 3);
+        assert_eq!(r.get("city"), None);
     }
 }
