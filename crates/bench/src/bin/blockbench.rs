@@ -1,6 +1,6 @@
 //! Million-record blocking benchmark: index-build records/sec, streamed
-//! candidate pairs/sec, recall vs exhaustive `blocked()` on a verification
-//! slice, and a peak-allocation RSS proxy, written to `BENCH_blocking.json`.
+//! candidate pairs/sec, recall vs brute-force [`block_candidates`] on a
+//! verification slice, and a peak-allocation RSS proxy, written to `BENCH_blocking.json`.
 //!
 //! Each row (one per worker count, 1 and 8) carries two measurements:
 //!
@@ -8,12 +8,12 @@
 //!   (default 1M, the acceptance floor). The index is built in streamed
 //!   chunks, then the full left side streams through
 //!   [`stream_candidates`] under a bounded candidate buffer. Recall is
-//!   measured against exhaustive [`block_candidates`] on a 2000x2000
-//!   verification slice (the corpus has no high-df token, so the exact
-//!   token tier is feasible and the comparison honest).
+//!   measured against [`block_candidates`], which compares every pair, on
+//!   a 2000x2000 verification slice (the corpus has no high-df token, so
+//!   the exact token tier is feasible and the comparison honest).
 //! * **stress** — a 200k corpus with 3 stopwords welded onto every record,
-//!   which makes exhaustive `blocked(min_shared=2)` degenerate toward the
-//!   cross product. The df ceiling must prune the stopword posting lists
+//!   which makes exact token-overlap blocking at `min_shared` 2 degenerate
+//!   toward the cross product. The df ceiling must prune the stopword posting lists
 //!   while match-pair recall (left i vs right i) holds, with the LSH tier
 //!   enabled as the recovery net.
 //!
