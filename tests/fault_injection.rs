@@ -277,3 +277,53 @@ fn resuming_a_checkpoint_from_a_different_run_is_rejected() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// The section names of a Rotom run's checkpoint, read from the second
+/// token of each serialized section line. Checkpoints written by earlier
+/// builds must keep loading, so these names are part of the format.
+#[test]
+fn rotom_checkpoint_section_names_are_pinned() {
+    let f = fixture(1);
+    let path = tmp_ckpt("section_names");
+    let _ = std::fs::remove_file(&path);
+    let (_, report) = f.run_ft(Method::Rotom, &FtConfig::with_checkpoint(&path));
+    assert_eq!(report.checkpoints_written, 1);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    // Header first, integrity footer last; every line between is a section.
+    let names: Vec<&str> = lines[1..lines.len() - 1]
+        .iter()
+        .map(|l| l.split(' ').nth(1).expect("section line has a name"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "run.tag",
+            "run.epoch",
+            "run.steps",
+            "run.rollbacks",
+            "loop.rng",
+            "best.metric",
+            "best.params",
+            "curve",
+            "model.params",
+            "model.adam.t",
+            "model.adam.m",
+            "model.adam.v",
+            "model.lr",
+            "model.rng",
+            "meta.filter.params",
+            "meta.filter.adam.t",
+            "meta.filter.adam.m",
+            "meta.filter.adam.v",
+            "meta.weight.params",
+            "meta.weight.adam.t",
+            "meta.weight.adam.m",
+            "meta.weight.adam.v",
+            "meta.rng",
+            "meta.baseline",
+            "meta.baseline_init",
+        ]
+    );
+    let _ = std::fs::remove_file(&path);
+}
