@@ -16,8 +16,8 @@
 use crate::corrupt::corruption_pairs;
 use crate::ops::{DaContext, DaOp};
 use rotom_nn::{
-    backward_mean_clipped, take_pooled_tape, with_infer_tape, Adam, Exec, FwdCtx, ParamStore,
-    TransformerConfig, TransformerDecoder, TransformerEncoder,
+    backward_mean_clipped, one_hot_rows, take_pooled_tape, with_infer_tape, Adam, Exec, FwdCtx,
+    ParamStore, TransformerConfig, TransformerDecoder, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{fnv1a64, RngExt, SeedableRng};
@@ -355,15 +355,6 @@ impl InvDa {
     pub fn clear_cache(&self) {
         self.cache.lock().unwrap().clear();
     }
-}
-
-/// One-hot encode a row of target ids into a flat `len x vocab` matrix.
-fn one_hot_rows(ids: &[usize], vocab: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; ids.len() * vocab];
-    for (r, &id) in ids.iter().enumerate() {
-        out[r * vocab + id] = 1.0;
-    }
-    out
 }
 
 /// The sampling rank: probability descending, then id ascending (a total

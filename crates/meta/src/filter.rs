@@ -160,8 +160,7 @@ impl FilterModel {
     /// Save the filter's full training state (parameters + optimizer) into a
     /// checkpoint bag under `prefix`.
     pub(crate) fn save_state(&self, bag: &mut StateBag, prefix: &str) {
-        bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
-        self.opt.save_state(bag, &format!("{prefix}.adam"));
+        rotom_nn::checkpoint::save_params_adam(bag, prefix, &self.store, &self.opt);
     }
 
     /// Restore state saved by [`save_state`](Self::save_state).
@@ -170,9 +169,7 @@ impl FilterModel {
         bag: &StateBag,
         prefix: &str,
     ) -> Result<(), CheckpointError> {
-        rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
-        self.opt
-            .load_state(bag, &format!("{prefix}.adam"), &self.store)
+        rotom_nn::checkpoint::load_params_adam(bag, prefix, &mut self.store, &mut self.opt)
     }
 }
 

@@ -106,14 +106,9 @@ impl Exec for InferTape {
         let (m, k) = self.shape(x);
         let wv = store.value(w);
         let n = wv.cols();
-        // Panels only where the tape's `matmul_band` would use them: at or
-        // above the tiled threshold, judged on the full operand.
+        // Panels exactly where the tape's `matmul_band` uses them.
         let packs = store.packs(w);
-        let pk = if full_rows * k * n >= kernels::SMALL_FLOPS {
-            packs.direct(wv)
-        } else {
-            None
-        };
+        let pk = packs.direct(wv, full_rows);
         let bias = b.map(|b| store.value(b).data());
         let mut out = self.arena.take_dirty(m * n);
         let (xv, w, pool) = (self.values[x.0].data(), wv.data(), RotomPool::global());

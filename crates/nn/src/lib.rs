@@ -89,6 +89,17 @@ pub fn softmax_slice(logits: &[f32]) -> Vec<f32> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
+/// One-hot rows: a flat `ids.len() × k` matrix whose row `r` is zero but
+/// for a `1.0` at column `ids[r]`. The one builder of hard cross-entropy
+/// targets: class labels, pseudo-labels, masked-token and decoder ids.
+pub fn one_hot_rows(ids: &[usize], k: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; ids.len() * k];
+    for (r, &id) in ids.iter().enumerate() {
+        out[r * k + id] = 1.0;
+    }
+    out
+}
+
 /// Argmax index of a slice (first maximum wins). Panics on empty input.
 pub fn argmax(values: &[f32]) -> usize {
     assert!(!values.is_empty(), "argmax of empty slice");

@@ -73,7 +73,7 @@ impl Adam {
     /// Save the full optimizer state (step counter + both moment vectors,
     /// flattened) into `bag` under `prefix`. An optimizer that has never
     /// stepped saves empty moments and `t = 0`.
-    pub fn save_state(&self, bag: &mut StateBag, prefix: &str) {
+    pub(crate) fn save_state(&self, bag: &mut StateBag, prefix: &str) {
         bag.put_u64(format!("{prefix}.t"), self.t);
         let mut m = Vec::new();
         let mut v = Vec::new();
@@ -90,7 +90,7 @@ impl Adam {
     /// Restore optimizer state saved by [`save_state`](Self::save_state),
     /// rebuilding per-parameter moment shapes from `store` (which must match
     /// the store the state was saved against).
-    pub fn load_state(
+    pub(crate) fn load_state(
         &mut self,
         bag: &StateBag,
         prefix: &str,

@@ -14,7 +14,7 @@ use crate::config::ModelConfig;
 use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
-    backward_mean_clipped, kernels, recycle_tape, take_pooled_tape, with_infer_tape,
+    backward_mean_clipped, kernels, one_hot_rows, recycle_tape, take_pooled_tape, with_infer_tape,
     with_pooled_tape, Adam, Embedding, Exec, FwdCtx, Linear, NodeId, ParamStore, RotomPool, Tape,
     TransformerEncoder,
 };
@@ -198,10 +198,7 @@ impl TinyLm {
                         .collect();
                     let gathered = tape.concat_rows(&rows);
                     let logits = self.mlm_head.forward(&mut tape, gathered, &self.store);
-                    let mut one_hot = vec![0.0f32; targets.len() * vocab_len];
-                    for (r, &t) in targets.iter().enumerate() {
-                        one_hot[r * vocab_len + t] = 1.0;
-                    }
+                    let one_hot = one_hot_rows(&targets, vocab_len);
                     losses.push(tape.cross_entropy(logits, &one_hot));
                 }
                 if losses.is_empty() {
@@ -458,8 +455,7 @@ impl TinyLm {
             let scaled_aug = tape.scale(h_aug, 1.0 - lambda);
             let mixed = tape.add(scaled_orig, scaled_aug);
             let logits = self.head.forward(&mut tape, mixed, &self.store);
-            let mut target = vec![0.0f32; self.num_classes];
-            target[*label] = 1.0;
+            let target = one_hot_rows(&[*label], self.num_classes);
             losses.push(tape.cross_entropy(logits, &target));
         }
         backward_mean_clipped(tape, &losses, &mut self.store)
@@ -497,8 +493,7 @@ impl TinyLm {
     /// [`load_train_state`](Self::load_train_state) on an identically
     /// constructed model, this makes fine-tuning resumable bit-identically.
     pub(crate) fn save_train_state(&self, bag: &mut rotom_nn::StateBag, prefix: &str) {
-        bag.put_f32s(format!("{prefix}.params"), self.store.flat_values());
-        self.opt.save_state(bag, &format!("{prefix}.adam"));
+        rotom_nn::checkpoint::save_params_adam(bag, prefix, &self.store, &self.opt);
         bag.put_f32(format!("{prefix}.lr"), self.lr);
         bag.put_rng(format!("{prefix}.rng"), &self.rng);
     }
@@ -509,9 +504,7 @@ impl TinyLm {
         bag: &rotom_nn::StateBag,
         prefix: &str,
     ) -> Result<(), rotom_nn::CheckpointError> {
-        rotom_nn::checkpoint::flat_into_store(bag, prefix, &mut self.store)?;
-        self.opt
-            .load_state(bag, &format!("{prefix}.adam"), &self.store)?;
+        rotom_nn::checkpoint::load_params_adam(bag, prefix, &mut self.store, &mut self.opt)?;
         self.lr = bag.get_f32(&format!("{prefix}.lr"))?;
         self.opt.set_lr(self.lr);
         self.rng = bag.get_rng(&format!("{prefix}.rng"))?;

@@ -43,7 +43,7 @@ pub mod metrics;
 pub mod plane;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, DrainReport, JobError, JobReply, JobResult};
+pub use batcher::{Batcher, DrainReport, JobError, JobReply, JobResult};
 pub use client::{post_with_retry, Client, Response, RetryPolicy};
 pub use metrics::{CacheStats, LatencyHistogram, ServeMetrics};
 pub use plane::{demo_model, demo_model_config, Endpoint, ScoredBatch, SwapInfo, TaskPlane};
