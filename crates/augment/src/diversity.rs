@@ -40,7 +40,7 @@ pub(crate) fn normalized_edit_distance(a: &[String], b: &[String]) -> f32 {
 }
 
 /// Aggregate diversity of a set of augmentations of one original.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct DiversityStats {
     /// Mean normalized edit distance from the original.
     pub mean_edit: f32,

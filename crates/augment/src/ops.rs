@@ -18,7 +18,7 @@ use rotom_text::thesaurus::Thesaurus;
 use rotom_text::token::is_structural;
 
 /// The simple DA operators of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DaOp {
     /// Sample and delete a token.
     TokenDel,

@@ -21,7 +21,7 @@ use rotom_text::serialize::serialize_record;
 use rotom_text::vocab::Vocab;
 
 /// Which sequence encoder the comparison head runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum DmEncoder {
     /// GRU + soft attention (classic DeepMatcher hybrid).
     Gru,
@@ -30,7 +30,7 @@ pub enum DmEncoder {
 }
 
 /// DeepMatcher configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DmConfig {
     /// Embedding / hidden width.
     pub hidden: usize,

@@ -16,7 +16,7 @@ use rotom_text::example::Example;
 use std::time::Instant;
 
 /// Which grid to search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum Grid {
     /// One operator at a time (the common practice the paper cites).
     Single,
@@ -25,7 +25,7 @@ pub enum Grid {
 }
 
 /// Outcome of a grid search.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GridSearchResult {
     /// The winning configuration's test result.
     pub best: RunResult,

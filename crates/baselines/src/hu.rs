@@ -27,7 +27,7 @@ use rotom_text::example::Example;
 use std::time::Instant;
 
 /// Which Hu et al. component is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum HuVariant {
     /// Learned single-token augmentation only.
     LearnedDa,

@@ -24,7 +24,7 @@ use rotom_text::token::MASK;
 use std::time::Instant;
 
 /// Which conditional-generation variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum KumarVariant {
     /// Free-form generation from the label token (BART-style).
     CgBart,

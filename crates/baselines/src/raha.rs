@@ -222,7 +222,7 @@ pub struct Raha {
 }
 
 /// Result of a Raha run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RahaResult {
     /// Positive-class (dirty) metrics over the test cells.
     pub prf1: PrF1,

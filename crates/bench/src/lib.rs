@@ -31,7 +31,7 @@ pub mod alloc;
 pub mod record;
 
 /// Harness scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum Scale {
     /// CI-sized: small pools, 1 seed.
     Quick,
@@ -58,7 +58,7 @@ impl Scale {
 }
 
 /// All knobs of one benchmark campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Suite {
     /// Scale the suite was built at.
     pub scale: Scale,
@@ -266,7 +266,7 @@ pub struct TaskContext {
 }
 
 /// Seed-averaged outcome of one (dataset, method, budget) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AvgResult {
     /// Mean headline metric across seeds.
     pub mean: f32,

@@ -31,7 +31,7 @@ use std::process::Command;
 pub const THREAD_COUNTS: [usize; 2] = [1, 8];
 
 /// One row of a BENCH section: `(key, rendered value)` fields in order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row(Vec<(String, String)>);
 
 impl Row {
@@ -110,7 +110,7 @@ fn unquote(text: &str) -> Option<&str> {
 }
 
 /// A whole `BENCH_*.json` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct BenchFile {
     /// What the bin measured.
     workload: String,
@@ -174,7 +174,7 @@ impl BenchFile {
 }
 
 /// What a [`Rule`] bounds a measured field by.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Ref {
     /// The same row of the same section in the checked-in file.
     Previous,
@@ -326,7 +326,7 @@ fn violations(file: &str, rules: &[Rule], old: Option<&BenchFile>, new: &BenchFi
 }
 
 /// One `trajectory` field: a current-vs-baseline ratio of `field`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Ratio {
     key: &'static str,
     field: &'static str,
@@ -472,7 +472,7 @@ pub fn per_thread_count(tag: &str, measure: impl FnOnce() -> Row) -> Vec<Row> {
 
 /// A perf bin's command line: the shared `--check` flag plus the bin's own
 /// positive-integer options (blockbench's `--records N`).
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Args {
     /// Gate this run (see [`Bench::finish`]).
     pub check: bool,

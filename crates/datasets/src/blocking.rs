@@ -41,7 +41,7 @@ use std::ops::Range;
 /// MinHash/LSH banding parameters. The signature has `bands * rows` hashes;
 /// two records collide when all `rows` hashes of any band agree, so the
 /// catch probability for Jaccard similarity `j` is `1 - (1 - j^rows)^bands`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct LshParams {
     /// Number of bands (each band is one bucket table).
     pub bands: usize,
@@ -436,7 +436,7 @@ impl IndexBuilder {
 /// One sealed token shard: its token table and every kept token's posting
 /// list (record ids ascending) concatenated into one flat id array. A
 /// pruned token stays in the table with an empty list.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shard {
     table: TokenTable,
     /// Per token: where its posting list ends in `ids` (see [`span`]).
@@ -463,7 +463,7 @@ impl Shard {
 /// bits finds a bucket in O(1) expected memory touches — flat arrays rather
 /// than per-bucket `Vec`s, because at 1M records the allocator overhead of
 /// a million tiny `Vec`s dominates the index.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Band {
     keys: Vec<u64>,
     ids: Vec<u32>,
@@ -536,7 +536,7 @@ impl Band {
 }
 
 /// The LSH band tables, one [`Band`] per band.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LshIndex {
     params: LshParams,
     bands: Vec<Band>,
@@ -553,7 +553,7 @@ struct ProbeScratch {
 
 /// A sealed sharded blocking index over one record collection (the "right"
 /// side). Queries are read-only and thread-safe.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardedIndex {
     cfg: BlockingConfig,
     shards: Vec<Shard>,

@@ -19,7 +19,7 @@ use rotom_text::example::Example;
 use rotom_text::serialize::{serialize_cell, serialize_cell_in_context, Record};
 
 /// The five EDT flavors (Table 6, right half).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum EdtFlavor {
     /// Craft beer catalogue.
     Beers,
@@ -68,7 +68,7 @@ impl EdtFlavor {
 }
 
 /// Error-injection taxonomy (Raha's four error types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorKind {
     /// Character-level typo.
     Typo,
@@ -81,7 +81,7 @@ pub enum ErrorKind {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EdtConfig {
     /// Number of rows in the table (`None` → flavor default).
     pub rows: Option<usize>,
@@ -110,7 +110,7 @@ impl Default for EdtConfig {
 }
 
 /// A generated dirty table with ground truth.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EdtDataset {
     /// Dataset name.
     pub name: String,

@@ -22,7 +22,7 @@ use rotom_text::serialize::{serialize_pair, Record};
 use std::cmp::Ordering;
 
 /// A labeled candidate pair.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LabeledPair {
     /// Record from source A.
     pub left: Record,
@@ -33,7 +33,7 @@ pub struct LabeledPair {
 }
 
 /// The five EM benchmark flavors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EmFlavor {
     /// Abt-Buy: product records, moderately noisy descriptions.
     AbtBuy,
@@ -115,7 +115,7 @@ impl Default for EmConfig {
 }
 
 /// A generated EM dataset.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EmDataset {
     /// Dataset name (flavor name, "-dirty" suffixed for dirty variants).
     pub name: String,
@@ -672,7 +672,7 @@ pub fn jaccard(left: &Record, right: &Record) -> f32 {
 // ---------------------------------------------------------------------------
 
 /// Which of the two sources a corpus record is rendered for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CorpusSide {
     /// Source A: clean rendering of the latent entity.
     Left,
@@ -693,7 +693,7 @@ pub const CORPUS_STOPWORDS: &[&str] =
 /// memory, this generator is *index-addressable*: record `i` of either side
 /// is computed on demand from `split_seed(seed, i)`, so million-entity
 /// corpora stream in bounded chunks with no up-front materialization.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CorpusConfig {
     /// Number of latent entities; each renders one record per side, and
     /// `(i, i)` is the ground-truth match pair.
@@ -725,7 +725,7 @@ impl Default for CorpusConfig {
 
 /// Streaming, index-addressable EM corpus: two record sources over shared
 /// latent entities, cheap enough to emit 1M+ records.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EmCorpus {
     cfg: CorpusConfig,
     words: Vec<String>,

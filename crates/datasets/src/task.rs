@@ -5,7 +5,7 @@ use rotom_rng::{RngExt, SeedableRng};
 use rotom_text::example::Example;
 
 /// Which of Rotom's three supported task families a dataset belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TaskKind {
     /// Entity matching (binary: match / no-match).
     EntityMatching,
@@ -18,7 +18,7 @@ pub enum TaskKind {
 /// A fully materialized sequence-classification dataset: the common currency
 /// between the generators, Rotom's training pipeline, and the benchmark
 /// harness.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TaskDataset {
     /// Dataset name (e.g. "Abt-Buy", "beers", "TREC").
     pub name: String,

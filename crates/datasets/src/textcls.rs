@@ -14,7 +14,7 @@ use rotom_text::example::Example;
 use rotom_text::tokenize;
 
 /// The eight TextCLS flavors of Table 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum TextClsFlavor {
     /// AG news topics (4 classes).
     Ag,
@@ -75,7 +75,7 @@ impl TextClsFlavor {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TextClsConfig {
     /// Size of the train pool (experiments sample 100–500 from it).
     pub train_pool: usize,

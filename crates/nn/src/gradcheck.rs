@@ -34,7 +34,7 @@
 use crate::params::ParamStore;
 
 /// Options controlling a gradient check.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GradCheckOpts {
     /// Finite-difference step (applied per flat coordinate).
     pub eps: f32,
@@ -62,7 +62,7 @@ impl Default for GradCheckOpts {
 }
 
 /// One checked coordinate: the analytic/numeric pair and its relative error.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GradCheckEntry {
     /// Name of the parameter tensor the coordinate lives in.
     pub param: String,
@@ -77,7 +77,7 @@ pub struct GradCheckEntry {
 }
 
 /// Result of [`check`]: summary statistics plus the worst offender.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GradCheckReport {
     /// Number of flat coordinates compared.
     pub checked: usize,

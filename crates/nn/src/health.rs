@@ -39,7 +39,7 @@ impl Default for HealthConfig {
 }
 
 /// The per-step health outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Verdict {
     /// The step is numerically sound.
     Healthy,
@@ -48,7 +48,7 @@ pub enum Verdict {
 }
 
 /// A recorded health incident (divergence, rollback, degradation).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HealthEvent {
     /// Global step at which the incident happened.
     pub step: u64,
@@ -60,7 +60,7 @@ pub struct HealthEvent {
 
 /// A request from the guarded training loop to stop the current epoch and
 /// let the driver recover (roll back or degrade).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Halt {
     /// Global step at which divergence was detected.
     pub step: u64,
@@ -77,7 +77,7 @@ impl std::fmt::Display for Halt {
 /// Sliding-window numeric-health monitor. One instance lives for a whole
 /// (possibly resumed) run; its step counter is part of the checkpointed
 /// state so resumed runs see the same step numbering.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HealthMonitor {
     cfg: HealthConfig,
     window: VecDeque<f32>,

@@ -5,7 +5,7 @@ use rotom_rng::rngs::StdRng;
 use rotom_rng::RngExt;
 
 /// Initialization scheme for a parameter tensor.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug)]
 pub enum Initializer {
     /// All zeros (biases, layer-norm shift).
     Zeros,

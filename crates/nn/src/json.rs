@@ -25,7 +25,7 @@
 pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,

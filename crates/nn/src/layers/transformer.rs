@@ -18,7 +18,7 @@ use rotom_rng::rngs::StdRng;
 use std::ops::Range;
 
 /// Hyper-parameters shared by encoder and decoder stacks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TransformerConfig {
     /// Vocabulary size (token embedding rows).
     pub vocab: usize,

@@ -108,7 +108,7 @@ fn payload_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// A scoped worker pool with a fixed worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct RotomPool {
     threads: usize,
 }
@@ -248,12 +248,6 @@ impl RotomPool {
             );
         }
         results
-    }
-}
-
-impl Default for RotomPool {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

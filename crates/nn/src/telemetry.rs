@@ -60,47 +60,6 @@ pub enum Value {
     Null,
 }
 
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-impl From<f32> for Value {
-    fn from(v: f32) -> Self {
-        Value::F64(v as f64)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-
 impl Value {
     /// The value as an `f64` when it is numeric (`U64`/`I64`/`F64`).
     pub fn as_f64(&self) -> Option<f64> {
@@ -122,7 +81,7 @@ impl Value {
 }
 
 /// One parsed telemetry record (see [`parse_line`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// Process-global monotonic sequence number.
     pub ts_step: u64,
@@ -484,9 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn value_conversions() {
-        assert_eq!(Value::from(3usize), Value::U64(3));
-        assert_eq!(Value::from(1.5f32), Value::F64(1.5));
+    fn value_as_f64_reads_numbers_only() {
         assert_eq!(Value::U64(4).as_f64(), Some(4.0));
         assert_eq!(Value::Str("x".into()).as_f64(), None);
     }

@@ -10,7 +10,7 @@ use std::fmt;
 /// A dense, row-major tensor of `f32` values.
 ///
 /// Invariant: `data.len() == rows * cols`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     data: Vec<f32>,
     rows: usize,

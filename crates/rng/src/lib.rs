@@ -243,7 +243,7 @@ pub mod rngs {
     /// The workspace's standard generator: xoshiro256++ (Blackman & Vigna),
     /// a small, fast, well-tested non-cryptographic PRNG with 256 bits of
     /// state and a 2²⁵⁶−1 period.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone)]
     pub struct StdRng {
         s: [u64; 4],
     }

@@ -1,7 +1,7 @@
 //! Evaluation metrics: accuracy and per-class precision / recall / F1.
 
 /// Binary-classification counts for the positive class.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PrF1 {
     /// Precision of the positive class.
     pub precision: f32,
@@ -93,7 +93,7 @@ pub fn prf1(pred: &[usize], gold: &[usize], positive: usize) -> PrF1 {
 /// decimal places. Keys must match exactly (and in order) on comparison;
 /// values compare within an absolute tolerance so cross-machine FMA rounding
 /// differences in the kernels don't flip the suite.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct MetricsSnapshot {
     /// `(key, value)` pairs in serialization order.
     pub entries: Vec<(String, f32)>,

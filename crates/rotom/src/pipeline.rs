@@ -22,7 +22,7 @@ use rotom_text::vocab::Vocab;
 use std::time::Instant;
 
 /// The five methods compared throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
     /// Fine-tune the LM on the original examples only.
     Baseline,
@@ -70,7 +70,7 @@ pub fn default_op(kind: TaskKind) -> DaOp {
 }
 
 /// Result of one training run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RunResult {
     /// Method name.
     pub method: String,
@@ -120,7 +120,6 @@ impl RunResult {
 /// A pre-trained TinyLm checkpoint shareable across methods and seeds (the
 /// analogue of loading the same pre-trained RoBERTa for every fine-tuning
 /// run). Built once per task with [`prepare_base`].
-#[derive(Clone)]
 pub struct PretrainedBase {
     vocab: Vocab,
     params: Vec<f32>,

@@ -63,7 +63,7 @@ impl FtConfig {
 }
 
 /// What the fault-tolerant runtime did during a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FtReport {
     /// Epoch the run resumed from, when it resumed at all.
     pub resumed_from_epoch: Option<usize>,

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A parsed response: status code and body text.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Response {
     pub status: u16,
     pub body: String,
@@ -162,7 +162,7 @@ fn try_parse_response(buf: &mut Vec<u8>) -> std::io::Result<Option<Response>> {
 /// Opt-in bounded retry for shed (`503 Retry-After`) responses and torn
 /// connections. The chaos suite and `servebench --overload` use this; the
 /// plain [`Client`] methods never retry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RetryPolicy {
     /// Retry at most this many times (0 = behave like a plain request).
     pub max_retries: u32,
@@ -171,16 +171,6 @@ pub struct RetryPolicy {
     pub max_backoff: Duration,
     /// Seed for deterministic back-off jitter.
     pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 5,
-            max_backoff: Duration::from_millis(50),
-            seed: 0x5eed,
-        }
-    }
 }
 
 /// POST with bounded, jittered retry: honors the server's `Retry-After`

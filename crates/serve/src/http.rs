@@ -33,7 +33,7 @@ pub const MAX_HEADERS: usize = 64;
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// A fully parsed HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub struct Request {
     /// Request method, as sent (e.g. `GET`, `POST`).
     pub method: String,
@@ -64,7 +64,7 @@ impl Request {
 
 /// Why a request could not be parsed. Each variant maps to the HTTP status
 /// the connection answers before closing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum HttpError {
     /// Malformed request line, header, or `Content-Length` (400).
     BadRequest(String),

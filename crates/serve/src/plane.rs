@@ -40,7 +40,7 @@ use std::path::Path;
 use std::sync::{Mutex, PoisonError, RwLock};
 
 /// The scoring endpoints the server exposes, one per Rotom task family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Endpoint {
     /// `/match` — entity matching (binary: match / no-match).
     Match,
@@ -94,7 +94,7 @@ struct Slot {
 
 /// One batch's scores, stamped with the exact parameter state that produced
 /// them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct ScoredBatch {
     /// Per-input class probabilities, input order preserved.
     pub scores: Vec<Vec<f32>>,
@@ -105,7 +105,7 @@ pub struct ScoredBatch {
 }
 
 /// Outcome of a successful hot swap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct SwapInfo {
     /// The plane's swap counter after the swap.
     pub generation: u64,

@@ -2,7 +2,7 @@
 //! layers.
 
 /// A labeled, serialized training example.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Serialized token sequence (see `rotom_text::serialize`).
     pub tokens: Vec<String>,
@@ -19,7 +19,7 @@ impl Example {
 
 /// An augmented example `e = (x, x̂, y)` (paper Definition 4.1): the original
 /// sequence, the augmented sequence, and the (inherited) label.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct AugExample {
     /// Original sequence `x`.
     pub orig: Vec<String>,

@@ -7,7 +7,7 @@ use crate::token::{COL, SEP, VAL};
 use crate::tokenizer::tokenize;
 
 /// A data entry: an ordered set of (attribute, value) pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// Attribute name/value pairs in schema order.
     pub attrs: Vec<(String, String)>,
@@ -75,7 +75,7 @@ pub fn serialize_cell_in_context(row: &Record, attr: &str) -> Vec<String> {
 /// `[VAL]` span, and of each full column ([COL]..next [COL]/[SEP]/end).
 ///
 /// DA operators use this to transform values without breaking the markers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Structure {
     /// `(start, end)` half-open ranges of value tokens (marker excluded).
     pub value_spans: Vec<(usize, usize)>,

@@ -116,7 +116,7 @@ const BUILTIN_GROUPS: &[&[&str]] = &[
 ];
 
 /// A synonym dictionary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Thesaurus {
     /// word → group index
     index: HashMap<String, usize>,
