@@ -113,12 +113,16 @@ cargo run --release --offline -p rotom-bench --bin trainbench -- --check
 # forward bit for bit at any worker count (pool sized once per process, so
 # each count is its own invocation), with and without a live telemetry
 # sink. The executors suite covers every band and GEMM tier and reruns
-# itself at pool widths 1, 2 and 8.
+# itself at pool widths 1, 2 and 8. The pack-cache suite pins prepacked
+# parameter panels equal to cold packing across invalidation, around the
+# one tier rule (`kernels::tiled`) that decides when panels are fetched;
+# only the 8-worker run takes the parallel tiled path.
 for t in 1 8; do
     echo "== inference-plane equivalence (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline --test infer_equivalence \
         --test infer_equivalence_telemetry
-    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test executors
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test executors \
+        --test pack_cache
 done
 
 # Tape reuse: a pooled tape replaying encoder graphs of cycling token counts
