@@ -131,11 +131,15 @@ done
 # The [CLS] band: training's encode_cls runs the last layer on at most MR
 # rows and must match the full-rows forward bit for bit (values, loss,
 # every gradient, RNG state); its wide shape takes the parallel GEMM path
-# only at 8 workers.
+# only at 8 workers. The DeepMatcher pin holds both encoders' trained
+# parameter bits, so the shared mini-batch backward stays bit-exact at any
+# worker count.
 for t in 1 8; do
-    echo "== varying-length tape reuse + [CLS] band vs full rows (ROTOM_THREADS=$t)"
+    echo "== varying-length tape reuse + [CLS] band vs full rows + DeepMatcher pin (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test tape_reuse
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test cls_band
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-baselines --lib \
+        deepmatcher::tests::trained_parameters_are_pinned
 done
 
 # Tape-free scoring and decode throughput must stay at least 0.8x the
