@@ -16,8 +16,8 @@
 use crate::corrupt::corruption_pairs;
 use crate::ops::{DaContext, DaOp};
 use rotom_nn::{
-    backward_mean_clipped, one_hot_rows, take_pooled_tape, with_infer_tape, Adam, Exec, FwdCtx,
-    ParamStore, TransformerConfig, TransformerDecoder, TransformerEncoder,
+    one_hot_rows, with_infer_tape, Adam, Exec, FwdCtx, ParamStore, Tape, TransformerConfig,
+    TransformerDecoder, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{fnv1a64, RngExt, SeedableRng};
@@ -161,60 +161,47 @@ impl InvDa {
     }
 
     fn fit(&mut self, corpus: &[Vec<String>], rng: &mut StdRng) {
-        let ctx = DaContext::default();
+        let da_ctx = DaContext::default();
         let mut opt = Adam::new(self.cfg.lr);
+        let (bos, eos) = (self.vocab.special_id(BOS), self.vocab.special_id(EOS));
         for _epoch in 0..self.cfg.epochs {
             let mut pairs = corruption_pairs(
                 corpus,
                 &self.cfg.corrupt_ops,
                 self.cfg.num_corruptions,
                 self.cfg.pairs_per_seq,
-                &ctx,
+                &da_ctx,
                 rng,
             );
             rng.shuffle(&mut pairs);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0usize;
             for chunk in pairs.chunks(self.cfg.batch_size) {
-                let loss = self.train_batch(chunk, rng, &mut opt);
-                epoch_loss += loss;
+                let batch = Tape::batch(chunk, |tape, (input, target)| {
+                    let in_ids = self.clamp(self.vocab.encode(input));
+                    // Reserve one slot for BOS/EOS on the decoder side.
+                    let mut tgt_ids = self.vocab.encode(target);
+                    tgt_ids.truncate(self.cfg.max_len - 1);
+                    let mut dec_in = Vec::with_capacity(tgt_ids.len() + 1);
+                    dec_in.push(bos);
+                    dec_in.extend_from_slice(&tgt_ids);
+                    let mut dec_tgt = tgt_ids.clone();
+                    dec_tgt.push(eos);
+
+                    let mut ctx = FwdCtx::train(&self.store, self.cfg.dropout, rng);
+                    let memory = self.encoder.forward(tape, &in_ids, &[], &mut ctx);
+                    let logits = self.decoder.forward(tape, &dec_in, memory, &mut ctx);
+                    let targets = one_hot_rows(&dec_tgt, self.vocab.len());
+                    tape.cross_entropy(logits, &targets)
+                });
+                let loss = batch.backward_mean_clipped(&mut self.store);
+                opt.step(&mut self.store);
+                epoch_loss += loss.expect("non-empty batch");
                 batches += 1;
             }
             self.training_losses
                 .push(epoch_loss / batches.max(1) as f32);
         }
-    }
-
-    fn train_batch(
-        &mut self,
-        pairs: &[(Vec<String>, Vec<String>)],
-        rng: &mut StdRng,
-        opt: &mut Adam,
-    ) -> f32 {
-        let bos = self.vocab.special_id(BOS);
-        let eos = self.vocab.special_id(EOS);
-        let mut tape = take_pooled_tape();
-        let mut losses = Vec::with_capacity(pairs.len());
-        for (input, target) in pairs {
-            let in_ids = self.clamp(self.vocab.encode(input));
-            // Reserve one slot for BOS/EOS on the decoder side.
-            let mut tgt_ids = self.vocab.encode(target);
-            tgt_ids.truncate(self.cfg.max_len - 1);
-            let mut dec_in = Vec::with_capacity(tgt_ids.len() + 1);
-            dec_in.push(bos);
-            dec_in.extend_from_slice(&tgt_ids);
-            let mut dec_tgt = tgt_ids.clone();
-            dec_tgt.push(eos);
-
-            let mut ctx = FwdCtx::train(&self.store, self.cfg.dropout, rng);
-            let memory = self.encoder.forward(&mut tape, &in_ids, &mut ctx);
-            let logits = self.decoder.forward(&mut tape, &dec_in, memory, &mut ctx);
-            let targets = one_hot_rows(&dec_tgt, self.vocab.len());
-            losses.push(tape.cross_entropy(logits, &targets));
-        }
-        let loss = backward_mean_clipped(tape, &losses, &mut self.store);
-        opt.step(&mut self.store);
-        loss
     }
 
     fn clamp(&self, mut ids: Vec<usize>) -> Vec<usize> {
@@ -243,7 +230,7 @@ impl InvDa {
 
         let out_ids = with_infer_tape(|it| {
             let mut ctx = FwdCtx::eval(&self.store);
-            let memory = self.encoder.forward(it, &in_ids, &mut ctx);
+            let memory = self.encoder.forward(it, &in_ids, &[], &mut ctx);
             let memory = self.decoder.project_memory(it, memory, &self.store);
             let step = it.mark();
             let mut out_ids: Vec<usize> = vec![bos];

@@ -14,8 +14,7 @@
 //! scaled by the (constant) validation loss.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, CheckpointError, Exec, Initializer, ParamId, ParamStore,
-    StateBag, Tensor,
+    Adam, CheckpointError, Exec, Initializer, ParamId, ParamStore, StateBag, Tape, Tensor,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -122,23 +121,23 @@ impl FilterModel {
         if kept_features.is_empty() {
             return;
         }
-        let mut tape = take_pooled_tape();
-        let wn = tape.param(self.w, &self.store);
-        let bn = tape.param(self.b, &self.store);
-        let mut log_probs = Vec::with_capacity(kept_features.len());
-        for feat in kept_features {
+        // The parameter nodes are built once, ahead of the first item's.
+        let (w, b, store) = (self.w, self.b, &self.store);
+        let mut params = None;
+        let batch = Tape::batch(kept_features, |tape, feat| {
+            let (wn, bn) =
+                *params.get_or_insert_with(|| (tape.param(w, store), tape.param(b, store)));
             let x = tape.input(Tensor::row(feat.clone()));
             let z = tape.matmul(x, wn);
             let z = tape.add_row(z, bn);
             let lp = tape.log_softmax(z);
             // log p(keep) = log-softmax at index 1.
-            log_probs.push(tape.slice_cols(lp, 1, 1));
-        }
-        let total = tape.sum_nodes(&log_probs);
-        let objective = tape.scale(total, loss_val);
-        self.store.zero_grad();
-        tape.backward(objective, &mut self.store);
-        recycle_tape(tape);
+            tape.slice_cols(lp, 1, 1)
+        });
+        batch.backward(&mut self.store, |tape, log_probs| {
+            let total = tape.sum_nodes(log_probs);
+            tape.scale(total, loss_val)
+        });
         // Observed after backward, before the Adam step mutates the store —
         // reads gradients only, so training is unchanged by telemetry.
         if rotom_nn::telemetry::enabled() {

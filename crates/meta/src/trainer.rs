@@ -714,6 +714,7 @@ mod tests {
     fn trainer(ssl: bool) -> MetaTrainer {
         let seqs: Vec<Vec<String>> = vec![words().iter().map(|s| s.to_string()).collect()];
         let refs: Vec<&[String]> = seqs.iter().map(|s| s.as_slice()).collect();
+        // 32 is below the 104 fixed entries: a character-level vocabulary.
         let vocab = Vocab::build(refs, 32);
         let enc = TransformerConfig {
             vocab: 0,

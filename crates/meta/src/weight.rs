@@ -23,8 +23,8 @@
 //! one backward pass through `M_W`.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, CheckpointError, Exec, FwdCtx, Linear, NodeId,
-    ParamStore, StateBag, Tape, TransformerConfig, TransformerEncoder,
+    Adam, CheckpointError, Exec, FwdCtx, Linear, ParamStore, StateBag, Tape, TapeBatch,
+    TransformerConfig, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
@@ -39,11 +39,10 @@ pub struct WeightModel {
     opt: Adam,
 }
 
-/// An in-flight weighting pass over one batch: the tape holding the weight
-/// sub-graphs, the weight nodes, and their numeric values.
+/// An in-flight weighting pass over one batch: the weight nodes on their
+/// tape, and their numeric values.
 pub struct WeightBatch {
-    tape: Tape,
-    nodes: Vec<NodeId>,
+    nodes: TapeBatch,
     /// Raw (unnormalized) weight values `sigmoid(L_W(LM_W(x̂))) + l2`.
     pub raw: Vec<f32>,
 }
@@ -82,22 +81,20 @@ impl WeightModel {
     /// pairs (tokens borrowed — batch assembly need not clone them),
     /// returning the live batch for a later `update_finite_difference`.
     pub fn forward_batch(&self, items: &[(&[String], f32)]) -> WeightBatch {
-        let mut tape = take_pooled_tape();
-        let mut nodes = Vec::with_capacity(items.len());
         let mut raw = Vec::with_capacity(items.len());
-        for (tokens, l2) in items {
+        let nodes = Tape::batch(items, |tape, (tokens, l2)| {
             let ids = self.encode(tokens);
             let mut ctx = FwdCtx::eval(&self.store);
-            let cls = self.encoder.encode_cls(&mut tape, &ids, &mut ctx);
-            let z = self.head.forward(&mut tape, cls, &self.store);
+            let cls = self.encoder.encode_cls(tape, &ids, &[], &mut ctx);
+            let z = self.head.forward(tape, cls, &self.store);
             let s = tape.sigmoid(z);
             // The L2 term is constant w.r.t. M_W (and w.r.t. M — the paper
             // blocks its gradient), so it enters as an additive constant.
             let w = tape.add_const(s, *l2);
-            nodes.push(w);
             raw.push(tape.value(w).item());
-        }
-        WeightBatch { tape, nodes, raw }
+            w
+        });
+        WeightBatch { nodes, raw }
     }
 
     /// Compute the Eq.-4 estimate of `∇M_W(Lossval)` for one batch and leave
@@ -117,32 +114,25 @@ impl WeightModel {
         eta: f32,
         eps: f32,
     ) -> Vec<f32> {
-        let WeightBatch {
-            mut tape,
-            nodes,
-            raw,
-        } = batch;
-        assert_eq!(nodes.len(), c_plus.len());
-        assert_eq!(nodes.len(), c_minus.len());
+        assert_eq!(batch.raw.len(), c_plus.len());
+        assert_eq!(batch.raw.len(), c_minus.len());
         // Normalized weights w̃_i = w_i / Σw (in-graph so the gradient sees
         // the normalization), then
         //   objective = −η/(2ε) · Σ_i (c+_i − c−_i) · w̃_i · B
         // whose gradient w.r.t. M_W equals the Eq.-4 estimate of ∇Lossval.
-        let total = tape.sum_nodes(&nodes);
-        let inv = tape.recip(total);
-        let b = nodes.len() as f32;
-        let mut terms = Vec::with_capacity(nodes.len());
-        for (i, &w) in nodes.iter().enumerate() {
-            let wn = tape.mul(w, inv);
-            let coeff = (c_plus[i] - c_minus[i]) * b;
-            terms.push(tape.scale(wn, coeff));
-        }
-        let sum = tape.sum_nodes(&terms);
-        let objective = tape.scale(sum, -eta / (2.0 * eps));
-        let _ = raw; // values already consumed by the caller
-        self.store.zero_grad();
-        tape.backward(objective, &mut self.store);
-        recycle_tape(tape);
+        batch.nodes.backward(&mut self.store, |tape, nodes| {
+            let total = tape.sum_nodes(nodes);
+            let inv = tape.recip(total);
+            let b = nodes.len() as f32;
+            let mut terms = Vec::with_capacity(nodes.len());
+            for (i, &w) in nodes.iter().enumerate() {
+                let wn = tape.mul(w, inv);
+                let coeff = (c_plus[i] - c_minus[i]) * b;
+                terms.push(tape.scale(wn, coeff));
+            }
+            let sum = tape.sum_nodes(&terms);
+            tape.scale(sum, -eta / (2.0 * eps))
+        });
         self.store.flat_grads()
     }
 
@@ -157,11 +147,10 @@ impl WeightModel {
         eta: f32,
         eps: f32,
     ) {
-        if batch.nodes.is_empty() {
-            recycle_tape(batch.tape);
+        let n = batch.raw.len();
+        if n == 0 {
             return;
         }
-        let n = batch.nodes.len();
         let _ = self.estimate_meta_grad(batch, c_plus, c_minus, eta, eps);
         // Observed before clipping mutates the gradients: the raw Eq.-4
         // meta-gradient magnitude is the interesting signal.
@@ -240,6 +229,7 @@ mod tests {
         let seqs: Vec<Vec<String>> =
             vec![tokenize("good plot bad sound fine story extra words here")];
         let refs: Vec<&[String]> = seqs.iter().map(|s| s.as_slice()).collect();
+        // 64 is below the 104 fixed entries: a character-level vocabulary.
         let vocab = Vocab::build(refs, 64);
         let cfg = TransformerConfig {
             vocab: 0,

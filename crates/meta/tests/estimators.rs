@@ -77,6 +77,7 @@ fn tiny_weight_model() -> (WeightModel, Vec<(Vec<String>, f32)>) {
         "alpha beta gamma delta epsilon zeta alpha beta gamma",
     )];
     let refs: Vec<&[String]> = corpus.iter().map(|s| s.as_slice()).collect();
+    // 32 is below the 104 fixed entries: a character-level vocabulary.
     let vocab = Vocab::build(refs, 32);
     let cfg = TransformerConfig {
         vocab: 0,

@@ -22,10 +22,9 @@
 //! * [`Tape::backward`] returns each non-leaf gradient to the arena as
 //!   soon as its rule has run, so later rules in the same sweep reuse it;
 //!   only `input` and `param` gradients stay readable afterwards.
-//! * Whole tapes are recycled through a global pool
-//!   ([`take_pooled_tape`] / [`recycle_tape`] / [`with_pooled_tape`]), so
-//!   hot loops that build one tape per batch reuse warm arenas across
-//!   batches and across pool workers.
+//! * Whole tapes are recycled through a global pool ([`Tape::batch`] for
+//!   a training step, [`with_pooled_tape`] for a forward-only scope), so
+//!   warm arenas carry across batches and across pool workers.
 //! * `param` nodes capture the store's pack slot ([`ParamStore::packs`])
 //!   alongside the value snapshot; forward matmuls and the `dA = dC·Bᵀ`
 //!   backward contraction fill and reuse packed panels lazily, paying pack
@@ -41,7 +40,7 @@
 //! # Row bands
 //!
 //! A classifier loss reads only the \[CLS\] row of the last encoder layer,
-//! so [`TransformerEncoder::encode_cls_with`](crate::TransformerEncoder::encode_cls_with)
+//! so [`TransformerEncoder::encode_cls`](crate::TransformerEncoder::encode_cls)
 //! builds that layer on the `kernels::band_rows(t, 0)` band (at most
 //! [`kernels::MR`] rows) instead of all `t` rows, on this tape and on the
 //! forward-only [`InferTape`](crate::InferTape) alike. [`Tape::matmul_band`] and [`Tape::matmul_tb_band`] take the leading
@@ -69,7 +68,7 @@ use crate::pool::RotomPool;
 use crate::tensor::Tensor;
 use rotom_rng::RngExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy)]
@@ -1182,8 +1181,8 @@ const MAX_POOLED_RETAINED_FLOATS: usize = 32 << 20;
 
 static TAPE_POOL: Mutex<Vec<Tape>> = Mutex::new(Vec::new());
 
-/// Tapes dropped (not pooled) by [`recycle_tape`] because the pool was full
-/// or its retained-floats budget was exhausted.
+/// Tapes dropped (not pooled) on recycling because the pool was full or its
+/// retained-floats budget was exhausted.
 static TAPE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Whether a tape retaining `incoming` floats must be dropped rather than
@@ -1192,43 +1191,8 @@ fn tape_should_evict(pool_len: usize, pooled_retained: usize, incoming: usize) -
     pool_len >= MAX_POOLED_TAPES || pooled_retained + incoming > MAX_POOLED_RETAINED_FLOATS
 }
 
-/// Take a tape from the global reuse pool (or a fresh one). Pair with
-/// [`recycle_tape`]; prefer [`with_pooled_tape`] when the tape does not need
-/// to outlive a scope.
-pub fn take_pooled_tape() -> Tape {
-    TAPE_POOL.lock().unwrap().pop().unwrap_or_default()
-}
-
-/// Reset `tape` (retaining its buffers) and return it to the global pool.
-/// Tapes beyond the pool's size or retained-floats budget are dropped and
-/// counted in [`tape_eviction_count`].
-pub fn recycle_tape(mut tape: Tape) {
-    tape.reset();
-    let mut pool = TAPE_POOL.lock().unwrap();
-    let pooled_retained: usize = pool.iter().map(|t| t.arena.retained()).sum();
-    if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained()) {
-        TAPE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    pool.push(tape);
-}
-
-/// The mini-batch epilogue every training loop shares: average `losses`
-/// on `tape`, zero `store`'s gradients, backpropagate, return the tape to
-/// the pool with [`recycle_tape`], and clip the gradient L2 norm to 5.
-/// Returns the mean loss. The caller applies its own optimizer step.
-pub fn backward_mean_clipped(mut tape: Tape, losses: &[NodeId], store: &mut ParamStore) -> f32 {
-    let loss = tape.mean_nodes(losses);
-    let value = tape.value(loss).item();
-    store.zero_grad();
-    tape.backward(loss, store);
-    recycle_tape(tape);
-    store.clip_grad_norm(5.0);
-    value
-}
-
-/// Cumulative count of tapes [`recycle_tape`] dropped instead of pooling
-/// (process lifetime). Exposed as the `arena.tape_evictions` gauge.
+/// Cumulative count of tapes the pool dropped instead of keeping (process
+/// lifetime). Exposed as the `arena.tape_evictions` gauge.
 pub fn tape_eviction_count() -> u64 {
     TAPE_EVICTIONS.load(Ordering::Relaxed)
 }
@@ -1237,10 +1201,82 @@ pub fn tape_eviction_count() -> u64 {
 /// warm arena makes repeated same-shape graphs allocation-free; results are
 /// bit-identical to using a fresh [`Tape::new`].
 pub fn with_pooled_tape<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
-    let mut tape = take_pooled_tape();
-    let out = f(&mut tape);
-    recycle_tape(tape);
-    out
+    let mut pooled = TapeBatch::take(Vec::new());
+    f(&mut pooled.tape)
+}
+
+/// A pooled tape holding the node [`Tape::batch`] built for each item,
+/// ended by one backward. Dropping it resets the tape and returns it to the
+/// pool, or drops it (counted in [`tape_eviction_count`]) beyond the pool's
+/// size or retained-floats budget.
+pub struct TapeBatch {
+    tape: Tape,
+    nodes: Vec<NodeId>,
+}
+
+impl Tape {
+    /// Build one node per item on a pooled tape, in input order: the one
+    /// home of a training step's tape.
+    pub fn batch<I: IntoIterator>(
+        items: I,
+        mut build: impl FnMut(&mut Tape, I::Item) -> NodeId,
+    ) -> TapeBatch {
+        let items = items.into_iter();
+        let mut batch = TapeBatch::take(Vec::with_capacity(items.size_hint().0));
+        for item in items {
+            batch.nodes.push(build(&mut batch.tape, item));
+        }
+        batch
+    }
+}
+
+impl TapeBatch {
+    fn take(nodes: Vec<NodeId>) -> Self {
+        let tape = TAPE_POOL.lock().unwrap().pop().unwrap_or_default();
+        Self { tape, nodes }
+    }
+
+    /// The epilogue every training loop shares: average the nodes, zero
+    /// `store`'s gradients, backpropagate, and clip the gradient L2 norm to
+    /// 5. Returns the mean loss, or `None`, with `store` untouched, when the
+    /// batch has no node. The caller applies its own optimizer step.
+    pub fn backward_mean_clipped(self, store: &mut ParamStore) -> Option<f32> {
+        if self.nodes.is_empty() {
+            return None;
+        }
+        let loss = self.backward(store, |tape, nodes| tape.mean_nodes(nodes));
+        store.clip_grad_norm(5.0);
+        Some(loss)
+    }
+
+    /// Zero `store`'s gradients and backpropagate the scalar `objective`
+    /// builds from the batch's nodes. Returns the objective's value.
+    pub fn backward(
+        mut self,
+        store: &mut ParamStore,
+        objective: impl FnOnce(&mut Tape, &[NodeId]) -> NodeId,
+    ) -> f32 {
+        let loss = objective(&mut self.tape, &self.nodes);
+        let value = self.tape.value(loss).item();
+        store.zero_grad();
+        self.tape.backward(loss, store);
+        value
+    }
+}
+
+impl Drop for TapeBatch {
+    fn drop(&mut self) {
+        let mut tape = std::mem::take(&mut self.tape);
+        tape.reset();
+        // `drop` must not panic; every pool update leaves the pool valid.
+        let mut pool = TAPE_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        let pooled_retained: usize = pool.iter().map(|t| t.arena.retained()).sum();
+        if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained()) {
+            TAPE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        pool.push(tape);
+    }
 }
 
 /// Snapshot of the global tape pool for the telemetry plane:
@@ -1280,12 +1316,57 @@ mod tests {
         // fixed count: concurrent tests may pop tapes between our pushes.
         let before = tape_eviction_count();
         for _ in 0..1000 {
-            recycle_tape(Tape::new());
+            drop(TapeBatch {
+                tape: Tape::new(),
+                nodes: Vec::new(),
+            });
             if tape_eviction_count() > before {
                 return;
             }
         }
         panic!("recycling 1000 tapes never evicted (pool cap {MAX_POOLED_TAPES})");
+    }
+
+    /// `backward_mean_clipped` is the hand-rolled mean/zero/backward/clip
+    /// epilogue bit for bit, and an empty batch leaves the store untouched.
+    #[test]
+    fn batch_backward_mean_clipped_matches_hand_rolled_epilogue() {
+        let fresh_store = || {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(4);
+            let w = store.alloc("w", 3, 2, Initializer::Uniform(2.0), &mut rng);
+            (store, w)
+        };
+        let (mut store, w) = fresh_store();
+        let (mut want, _) = fresh_store();
+        let rows = [[1.0, -2.0, 0.5], [3.0, 0.25, -1.0], [-0.5, 4.0, 2.0]];
+        let build = |tape: &mut Tape, x: &[f32; 3], store: &ParamStore| {
+            let xn = tape.input(Tensor::from_vec(x.to_vec(), 1, 3));
+            let wn = tape.param(w, store);
+            let z = tape.matmul(xn, wn);
+            tape.cross_entropy(z, &[0.0, 1.0])
+        };
+
+        let mut tape = Tape::new();
+        let losses: Vec<NodeId> = rows.iter().map(|x| build(&mut tape, x, &store)).collect();
+        let mean = tape.mean_nodes(&losses);
+        want.zero_grad();
+        tape.backward(mean, &mut want);
+        want.clip_grad_norm(5.0);
+
+        let batch = Tape::batch(&rows, |tape, x| build(tape, x, &store));
+        let got = batch.backward_mean_clipped(&mut store);
+        assert_eq!(
+            got.map(f32::to_bits),
+            Some(tape.value(mean).item().to_bits())
+        );
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(store.flat_grads()), bits(want.flat_grads()));
+
+        let before = bits(store.flat_grads());
+        let empty = Tape::batch(&rows[..0], |tape, x| build(tape, x, &store));
+        assert_eq!(empty.backward_mean_clipped(&mut store), None);
+        assert_eq!(bits(store.flat_grads()), before);
     }
 
     #[test]

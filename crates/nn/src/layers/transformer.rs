@@ -326,16 +326,12 @@ impl TransformerEncoder {
         }
     }
 
-    /// Encode `ids` (truncated to `max_len`) into a `T x d` node.
-    pub fn forward<E: Exec>(&self, ex: &mut E, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
-        self.forward_with(ex, ids, &[], ctx)
-    }
-
-    /// Encode with additional input-feature embeddings (BERT-style segment
-    /// ids, duplicate-token flags, …): each `(table, feature_ids)` pair is
-    /// looked up and added to the token + position embeddings. Feature id
-    /// slices must be at least as long as `ids`.
-    pub fn forward_with<E: Exec>(
+    /// Encode `ids` (truncated to `max_len`) into a `T x d` node. Each
+    /// `(table, feature_ids)` pair in `extras` (BERT-style segment ids,
+    /// duplicate-token flags, …) is looked up and added to the token +
+    /// position embeddings; plain callers pass `&[]`. Feature id slices must
+    /// be at least as long as `ids`.
+    pub fn forward<E: Exec>(
         &self,
         ex: &mut E,
         ids: &[usize],
@@ -347,8 +343,8 @@ impl TransformerEncoder {
 
     /// Embed `ids` and run the stack, computing only output rows
     /// `0..band(t)` of the last layer and the final norm (`t` is the
-    /// truncated length); [`forward_with`](Self::forward_with) is the
-    /// all-rows band `band(t) == t`. Every earlier layer runs all `t` rows,
+    /// truncated length); [`forward`](Self::forward) is the all-rows
+    /// band `band(t) == t`. Every earlier layer runs all `t` rows,
     /// because its output feeds every position of the next attention. A
     /// stack without layers computes every row, which the \[CLS\] slice then
     /// reads the same way.
@@ -377,24 +373,17 @@ impl TransformerEncoder {
         self.ln_f.forward(ex, x, ctx.store)
     }
 
-    /// Encode and return the first-token (\[CLS\]) representation as `1 x d`.
-    ///
-    /// Only the \[CLS\] band of the last layer is computed (see
-    /// [`encode_cls_with`](Self::encode_cls_with)).
-    pub fn encode_cls<E: Exec>(&self, ex: &mut E, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
-        self.encode_cls_with(ex, ids, &[], ctx)
-    }
-
-    /// [`encode_cls`](Self::encode_cls) with extra input features.
+    /// Encode (see [`forward`](Self::forward) for `extras`) and return the
+    /// first-token (\[CLS\]) representation as `1 x d`.
     ///
     /// The last encoder layer and the final norm run only on the
     /// `kernels::band_rows(t, 0)` band (at most [`kernels::MR`] rows); every
     /// earlier layer runs all `t` rows, because its output feeds every
     /// position of the next attention. The \[CLS\] row, every gradient
     /// backward computes from it, and the dropout RNG stream are
-    /// bit-identical to `slice_rows(forward_with(..), 0, 1)`: see
+    /// bit-identical to `slice_rows(forward(..), 0, 1)`: see
     /// `EncoderLayer::forward_band`.
-    pub fn encode_cls_with<E: Exec>(
+    pub fn encode_cls<E: Exec>(
         &self,
         ex: &mut E,
         ids: &[usize],
@@ -531,9 +520,9 @@ mod tests {
         let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", cfg);
         let mut tape = Tape::new();
         let mut ctx = FwdCtx::eval(&store);
-        let h = enc.forward(&mut tape, &[1, 2, 3, 4], &mut ctx);
+        let h = enc.forward(&mut tape, &[1, 2, 3, 4], &[], &mut ctx);
         assert_eq!((tape.value(h).rows(), tape.value(h).cols()), (4, 32));
-        let cls = enc.encode_cls(&mut tape, &[1, 2, 3, 4], &mut ctx);
+        let cls = enc.encode_cls(&mut tape, &[1, 2, 3, 4], &[], &mut ctx);
         assert_eq!((tape.value(cls).rows(), tape.value(cls).cols()), (1, 32));
     }
 
@@ -547,7 +536,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut ctx = FwdCtx::eval(&store);
         let ids: Vec<usize> = (0..20).map(|i| i % 50).collect();
-        let h = enc.forward(&mut tape, &ids, &mut ctx);
+        let h = enc.forward(&mut tape, &ids, &[], &mut ctx);
         assert_eq!(tape.value(h).rows(), 8);
     }
 
@@ -560,7 +549,7 @@ mod tests {
         let dec = TransformerDecoder::new(&mut store, &mut rng, "dec", cfg);
         let mut tape = Tape::new();
         let mut ctx = FwdCtx::eval(&store);
-        let mem = enc.forward(&mut tape, &[5, 6, 7], &mut ctx);
+        let mem = enc.forward(&mut tape, &[5, 6, 7], &[], &mut ctx);
         let logits = dec.forward(&mut tape, &[1, 2], mem, &mut ctx);
         assert_eq!(
             (tape.value(logits).rows(), tape.value(logits).cols()),

@@ -63,8 +63,7 @@ mod vmath;
 pub use checkpoint::{CheckpointError, StateBag, StateEntry};
 pub use faultpoint::{FaultKilled, FaultKind};
 pub use graph::{
-    backward_mean_clipped, pooled_tape_stats, recycle_tape, take_pooled_tape, tape_eviction_count,
-    with_pooled_tape, AttnMask, NodeId, Tape,
+    pooled_tape_stats, tape_eviction_count, with_pooled_tape, AttnMask, NodeId, Tape, TapeBatch,
 };
 pub use health::{Halt, HealthConfig, HealthEvent, HealthMonitor, Verdict};
 pub use infer::{with_infer_tape, InferTape};

@@ -1,9 +1,9 @@
 //! The tape's \[CLS\] band must compute exactly what the full-rows forward
 //! computes.
 //!
-//! `TransformerEncoder::encode_cls_with` runs the last encoder layer and the
+//! `TransformerEncoder::encode_cls` runs the last encoder layer and the
 //! final norm only on the leading `kernels::band_rows(t, 0)` rows. The
-//! oracle here is the full-rows forward: `forward_with` (every row of every
+//! oracle here is the full-rows forward: `forward` (every row of every
 //! layer) followed by `slice_rows(h, 0, 1)`. For every token count up to the
 //! benchmark's `max_len`, in training and evaluation mode, with an
 //! extra-feature embedding and several sequences per tape, the two must
@@ -93,7 +93,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Forward `SEQS` sequences of lengths derived from `len` on one tape, take
 /// the mean cross-entropy of a linear head on each \[CLS\] row, and run
-/// backward. `band` picks `encode_cls_with` (true) or the full-rows oracle.
+/// backward. `band` picks `encode_cls` (true) or the full-rows oracle.
 fn run(m: &mut Model, len: usize, train: bool, band: bool) -> Bits {
     let mut tape = Tape::new();
     let mut rng = StdRng::seed_from_u64(len as u64 * 2 + train as u64);
@@ -113,9 +113,9 @@ fn run(m: &mut Model, len: usize, train: bool, band: bool) -> Bits {
             let segs: Vec<usize> = (0..n).map(|i| usize::from(i * 2 >= n)).collect();
             let extras = [(&m.seg, &segs[..])];
             let cls = if band {
-                m.enc.encode_cls_with(&mut tape, &ids, &extras, &mut ctx)
+                m.enc.encode_cls(&mut tape, &ids, &extras, &mut ctx)
             } else {
-                let h = m.enc.forward_with(&mut tape, &ids, &extras, &mut ctx);
+                let h = m.enc.forward(&mut tape, &ids, &extras, &mut ctx);
                 tape.slice_rows(h, 0, 1)
             };
             cls_bits.extend(bits(tape.value(cls).data()));

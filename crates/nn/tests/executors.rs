@@ -57,16 +57,16 @@ fn check_encoder(d: usize, store: &ParamStore, enc: &TransformerEncoder, it: &mu
     for t in 1..=MAX_T {
         let ids = ids(t, d);
         let mut tape = Tape::new();
-        let expect = enc.forward(&mut tape, &ids, &mut ctx);
+        let expect = enc.forward(&mut tape, &ids, &[], &mut ctx);
         let expect = tape.value(expect);
 
-        let full = enc.forward(it, &ids, &mut ctx);
+        let full = enc.forward(it, &ids, &[], &mut ctx);
         assert_eq!(
             it.value(full).data(),
             expect.data(),
             "encoder full d={d} t={t}"
         );
-        let cls = enc.encode_cls(it, &ids, &mut ctx);
+        let cls = enc.encode_cls(it, &ids, &[], &mut ctx);
         assert_eq!(
             it.value(cls).data(),
             expect.row_slice(0),
@@ -88,13 +88,13 @@ fn check_decoder(
 ) {
     let mut ctx = FwdCtx::eval(store);
     let src = ids(src_len, d + 1);
-    let memory = enc.forward(it, &src, &mut ctx);
+    let memory = enc.forward(it, &src, &[], &mut ctx);
     let memory = dec.project_memory(it, memory, store);
     let step = it.mark();
     for t in 1..=MAX_T {
         let prefix = ids(t, d + 2);
         let mut tape = Tape::new();
-        let tape_memory = enc.forward(&mut tape, &src, &mut ctx);
+        let tape_memory = enc.forward(&mut tape, &src, &[], &mut ctx);
         let expect = dec.forward(&mut tape, &prefix, tape_memory, &mut ctx);
 
         let got = dec.last_logits(it, &prefix, &memory, &mut ctx);

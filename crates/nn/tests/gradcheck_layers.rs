@@ -314,7 +314,7 @@ fn gradcheck_transformer_encoder_stack() {
     let report = check(&mut store, &deep_opts(1.5e-3), |store, backward| {
         let mut tape = Tape::new();
         let mut ctx = FwdCtx::eval(store);
-        let y = enc.forward(&mut tape, &ids, &mut ctx);
+        let y = enc.forward(&mut tape, &ids, &[], &mut ctx);
         let loss = project(&mut tape, y, &coeff);
         let lv = tape.value(loss).item();
         if backward {
@@ -366,7 +366,7 @@ fn gradcheck_softmax_cross_entropy_head() {
     let report = check(&mut store, &deep_opts(7e-4), |store, backward| {
         let mut tape = Tape::new();
         let mut ctx = FwdCtx::eval(store);
-        let cls = enc.encode_cls(&mut tape, &ids, &mut ctx);
+        let cls = enc.encode_cls(&mut tape, &ids, &[], &mut ctx);
         let logits = head.forward(&mut tape, cls, store);
         let loss = tape.cross_entropy(logits, &target);
         let lv = tape.value(loss).item();

@@ -14,8 +14,8 @@
 //! file once per `ROTOM_THREADS` value.
 
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, with_pooled_tape, Exec, FwdCtx, Initializer, ParamId,
-    ParamStore, RotomPool, Tape, Tensor, TransformerConfig, TransformerEncoder,
+    with_pooled_tape, Exec, FwdCtx, Initializer, ParamId, ParamStore, RotomPool, Tape, Tensor,
+    TransformerConfig, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
@@ -81,8 +81,8 @@ fn run(tape: &mut Tape, len: usize, k: usize) -> Bits {
     let mut rng = StdRng::seed_from_u64(k as u64);
     let (h, cls, w, shift, logits, loss) = {
         let mut ctx = FwdCtx::train(&m.store, 0.1, &mut rng);
-        let h = m.enc.forward(tape, &ids, &mut ctx);
-        let cls = m.enc.encode_cls(tape, &rev, &mut ctx);
+        let h = m.enc.forward(tape, &ids, &[], &mut ctx);
+        let cls = m.enc.encode_cls(tape, &rev, &[], &mut ctx);
         let mean = tape.mean_rows(h);
         let pooled = tape.add(mean, cls);
         let w = tape.param(m.head, &m.store);
@@ -111,28 +111,28 @@ fn fresh(len: usize, k: usize) -> Bits {
 
 #[test]
 fn pooled_tape_replays_varying_lengths_bit_identically() {
-    let mut tape = take_pooled_tape();
-    for round in 0..2 {
-        for (i, &len) in LENGTHS.iter().enumerate() {
-            let k = round * LENGTHS.len() + i;
-            let got = run(&mut tape, len, k);
-            assert!(
-                got.input_grad.iter().any(|&b| b != 0),
-                "input gradient released"
-            );
-            assert!(
-                got.param_leaf_grad.iter().any(|&b| b != 0),
-                "param gradient released"
-            );
-            assert_eq!(
-                got,
-                fresh(len, k),
-                "len {len} (graph {k}) drifted on a reused tape"
-            );
-            tape.reset();
+    with_pooled_tape(|tape| {
+        for round in 0..2 {
+            for (i, &len) in LENGTHS.iter().enumerate() {
+                let k = round * LENGTHS.len() + i;
+                let got = run(tape, len, k);
+                assert!(
+                    got.input_grad.iter().any(|&b| b != 0),
+                    "input gradient released"
+                );
+                assert!(
+                    got.param_leaf_grad.iter().any(|&b| b != 0),
+                    "param gradient released"
+                );
+                assert_eq!(
+                    got,
+                    fresh(len, k),
+                    "len {len} (graph {k}) drifted on a reused tape"
+                );
+                tape.reset();
+            }
         }
-    }
-    recycle_tape(tape);
+    });
 }
 
 #[test]

@@ -14,7 +14,7 @@ use rotom_augment::{apply, apply_batch, DaContext, DaOp, InvDa};
 use rotom_datasets::{TaskDataset, TaskKind};
 use rotom_meta::{guard_step, MetaTarget, MetaTrainer, WeightedItem};
 use rotom_nn::telemetry::{self, Value};
-use rotom_nn::{CheckpointError, Halt, HealthMonitor, RotomPool, StateBag};
+use rotom_nn::{argmax, CheckpointError, Halt, HealthMonitor, RotomPool, StateBag};
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngCore, RngExt, SeedableRng};
 use rotom_text::example::{AugExample, Example};
@@ -188,7 +188,10 @@ pub fn evaluate(model: &TinyLm, test: &[Example]) -> (f32, PrF1) {
 
 /// [`evaluate`] with an explicit pool (tests pin worker counts with this).
 pub fn evaluate_with_pool(model: &TinyLm, test: &[Example], pool: &RotomPool) -> (f32, PrF1) {
-    let pred: Vec<usize> = pool.map(test.len(), |i| model.predict(&test[i].tokens));
+    let inputs: Vec<&[String]> = test.iter().map(|e| e.tokens.as_slice()).collect();
+    // Argmax of the softmax rows, as `TinyLm::predict`.
+    let scores = model.score_batch(&inputs, pool);
+    let pred: Vec<usize> = scores.iter().map(|p| argmax(p)).collect();
     let gold: Vec<usize> = test.iter().map(|e| e.label).collect();
     (accuracy(&pred, &gold), prf1(&pred, &gold, 1))
 }
@@ -504,10 +507,10 @@ fn run_one_epoch(
                     MixSource::SimpleOp => apply_batch(op, &inputs, &da_ctx, aug_seed, workers),
                     MixSource::InvDa(m) => m.augment_batch(&inputs, aug_seed, workers),
                 };
-                let pairs: Vec<(Vec<String>, Vec<String>, usize)> = chunk
+                let pairs: Vec<(&[String], Vec<String>, usize)> = chunk
                     .iter()
                     .zip(augs)
-                    .map(|(e, aug)| (e.tokens.clone(), aug, e.label))
+                    .map(|(e, aug)| (e.tokens.as_slice(), aug, e.label))
                     .collect();
                 let loss = model.mixda_loss_backward(&pairs, cfg.train.mixda_alpha, rng);
                 if let Some(monitor) = guard.as_deref_mut() {

@@ -12,9 +12,11 @@ pub struct Vocab {
 }
 
 impl Vocab {
-    /// Build a vocabulary from an iterator of token sequences, keeping at
-    /// most `max_size` tokens (including the special tokens) ordered by
-    /// descending frequency.
+    /// Build a vocabulary from an iterator of token sequences: the 9 special
+    /// tokens, the 95 `##c` character-fallback tokens (printable ASCII), then
+    /// the most frequent words until it holds `max_size` entries. The 104
+    /// fixed entries are always kept, so a `max_size` of 104 or less keeps
+    /// no word: a character-level vocabulary of exactly 104 entries.
     pub fn build<'a, I>(sequences: I, max_size: usize) -> Self
     where
         I: IntoIterator<Item = &'a [String]>,
@@ -194,6 +196,19 @@ mod tests {
         let v = sample_vocab();
         let toks = tokenize("the quick dog");
         assert_eq!(v.encode_fallback(&toks), v.encode(&toks));
+    }
+
+    #[test]
+    fn fixed_entries_are_a_floor_below_which_no_word_is_kept() {
+        let seqs: Vec<Vec<String>> = vec![tokenize("a b b")];
+        for max_size in [0, 32, 104] {
+            let v = Vocab::build(seqs.iter().map(|s| s.as_slice()), max_size);
+            assert_eq!(v.len(), 104, "max_size {max_size}");
+            assert_eq!(v.id("b"), v.special_id(UNK), "max_size {max_size}");
+        }
+        let v = Vocab::build(seqs.iter().map(|s| s.as_slice()), 105);
+        assert_eq!((v.len(), v.id("b")), (105, 104));
+        assert_eq!(v.id("a"), v.special_id(UNK));
     }
 
     #[test]
