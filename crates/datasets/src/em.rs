@@ -600,10 +600,16 @@ fn attr_tokens(r: &Record) -> impl Iterator<Item = String> + '_ {
 /// [`crate::blocking`] pipeline agree on, and the shape the pipeline indexes
 /// and probes with.
 pub fn content_token_list(r: &Record) -> Vec<String> {
-    let mut toks: Vec<String> = attr_tokens(r).filter(|t| t.len() > 2).collect();
+    let mut toks: Vec<String> = attr_tokens(r).filter(|t| is_content_token(t)).collect();
     toks.sort_unstable();
     toks.dedup();
     toks
+}
+
+/// True if attribute-value token `tok` is a content token: longer than two
+/// bytes.
+pub(crate) fn is_content_token(tok: &str) -> bool {
+    tok.len() > 2
 }
 
 /// Number of tokens two sorted deduplicated lists share (one merge pass).

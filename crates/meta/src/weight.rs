@@ -97,15 +97,16 @@ impl WeightModel {
         WeightBatch { nodes, raw }
     }
 
-    /// Compute the Eq.-4 estimate of `∇M_W(Lossval)` for one batch and leave
-    /// it in the store's gradient buffers, also returning it as a flat vector
+    /// Compute the Eq.-4 estimate of `∇M_W(Lossval)` for one batch, leave
+    /// it in the store's gradient buffers and return a copy as a flat vector
     /// aligned with [`flat_params`](Self::flat_params). `c_plus`/`c_minus`
     /// are the per-example losses under the probes `M±`; `eta` is the target
     /// optimizer's learning rate, `eps` the probe scale.
     ///
     /// Exposed separately from `update_finite_difference` so tests can
     /// compare the approximation against brute-force finite differences of
-    /// the true validation loss.
+    /// the true validation loss; the update itself reads the estimate from
+    /// the store and takes no copy.
     pub fn estimate_meta_grad(
         &mut self,
         batch: WeightBatch,
@@ -114,6 +115,21 @@ impl WeightModel {
         eta: f32,
         eps: f32,
     ) -> Vec<f32> {
+        self.backward_meta_grad(batch, c_plus, c_minus, eta, eps);
+        self.store.flat_grads()
+    }
+
+    /// Leave the Eq.-4 estimate of `∇M_W(Lossval)` for one batch in the
+    /// store's gradient buffers (see
+    /// [`estimate_meta_grad`](Self::estimate_meta_grad)).
+    fn backward_meta_grad(
+        &mut self,
+        batch: WeightBatch,
+        c_plus: &[f32],
+        c_minus: &[f32],
+        eta: f32,
+        eps: f32,
+    ) {
         assert_eq!(batch.raw.len(), c_plus.len());
         assert_eq!(batch.raw.len(), c_minus.len());
         // Normalized weights w̃_i = w_i / Σw (in-graph so the gradient sees
@@ -133,7 +149,6 @@ impl WeightModel {
             let sum = tape.sum_nodes(&terms);
             tape.scale(sum, -eta / (2.0 * eps))
         });
-        self.store.flat_grads()
     }
 
     /// Eq.-4 update. Estimates `∇M_W(Lossval)` via
@@ -151,7 +166,7 @@ impl WeightModel {
         if n == 0 {
             return;
         }
-        let _ = self.estimate_meta_grad(batch, c_plus, c_minus, eta, eps);
+        self.backward_meta_grad(batch, c_plus, c_minus, eta, eps);
         // Observed before clipping mutates the gradients: the raw Eq.-4
         // meta-gradient magnitude is the interesting signal.
         if rotom_nn::telemetry::enabled() {

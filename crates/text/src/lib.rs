@@ -23,5 +23,5 @@ pub use serialize::{
     Record, Structure,
 };
 pub use thesaurus::Thesaurus;
-pub use tokenizer::{detokenize, tokenize};
+pub use tokenizer::{detokenize, for_each_token, tokenize};
 pub use vocab::Vocab;

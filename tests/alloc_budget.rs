@@ -1,8 +1,10 @@
-//! Allocation-regression gates for the training hot loops.
+//! Allocation-regression gates for the training hot loops and the blocking
+//! pass.
 //!
 //! The shared counting global allocator (`rotom_bench::alloc`, installed in
-//! this test binary) measures bytes allocated per steady-state step and
-//! asserts the figure stays under a checked-in budget. Two budgets:
+//! this test binary) measures bytes allocated per steady-state step (or
+//! streamed record) and asserts the figure stays under a checked-in budget.
+//! Three budgets:
 //!
 //! * `bytes_per_step` — a `MetaTrainer` step on SST-2, whose sentences
 //!   recur in a few shapes. The memory-plane work (tape arenas, pooled
@@ -13,6 +15,14 @@
 //!   shapes. Every measured batch brings token counts its tape has not
 //!   seen, so this is the line that catches a tape arena whose free list
 //!   misses on unseen lengths.
+//! * `blocking_bytes_per_record` — a `stream_candidates` pass over a
+//!   20k-record, 3-stopword `EmCorpus` with `em_block_300k`'s tiers (df
+//!   ceiling 4096, LSH tier on), per streamed left record. The pipeline
+//!   tokenizes and probes into flat per-worker buffers that grow once per
+//!   pass, so a reintroduced per-token or per-record allocation shows here.
+//!   Chunks of 1024 records and a 4096-pair flush keep those per-pass
+//!   buffers to a few tens of bytes per record: at the benchmark's 8192 and
+//!   65536 they come to ~540, which would hide a `String` per token (~85).
 //!
 //! The budgets live in `tests/golden/alloc_budget.txt` with built-in
 //! headroom over the measured values. If a deliberate change shifts the
@@ -21,23 +31,28 @@
 //!   ROTOM_BLESS=1 cargo test --release --test alloc_budget
 //!
 //! and commit the file. Each run pins `ROTOM_THREADS=1` (the variable is
-//! read once per process) so the count is machine-independent. Both
-//! measurements share the process-global tape pool, so the second finds
-//! arenas the first warmed: run alone, the SST-2 figure used to read ~10%
-//! higher than after the MixDA test. The process therefore takes both
-//! measurements once, always in the same order, and each test checks its
-//! own line, so neither figure depends on test order or filtering.
+//! read once per process) so the count is machine-independent. The two
+//! training measurements share the process-global tape pool, so the second
+//! finds arenas the first warmed: run alone, the SST-2 figure used to read
+//! ~10% higher than after the MixDA test. The process therefore takes all
+//! three measurements once, always in the same order (blocking last), and
+//! each test checks its own line, so no figure depends on test order or
+//! filtering.
 
 use rotom::config::ModelConfig;
 use rotom::TinyLm;
 use rotom_augment::{apply, DaContext, DaOp};
 use rotom_bench::alloc;
+use rotom_datasets::blocking::{stream_candidates, BlockingConfig, IndexBuilder, LshParams};
+use rotom_datasets::em::{CorpusConfig, CorpusSide, EmCorpus};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_datasets::{em, EmConfig, EmFlavor};
 use rotom_meta::{MetaConfig, MetaTrainer};
+use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
 use rotom_text::example::AugExample;
+use rotom_text::Record;
 use std::sync::{Mutex, OnceLock};
 
 #[global_allocator]
@@ -81,7 +96,10 @@ fn bless(key: &str, measured: f64) {
          # ROTOM_THREADS=1. bytes_per_step: MetaTrainer::train_epoch, TinyLm\n\
          # d_model=32 L=2, batch 16, SST-2 pool 32. mixda_bytes_per_step:\n\
          # TinyLm::mixda_loss_backward + step, d_model=32 L=2 max_len=72,\n\
-         # batch 16, Abt-Buy pairs. Written as measured * {HEADROOM} by\n\
+         # batch 16, Abt-Buy pairs. blocking_bytes_per_record: per left\n\
+         # record of a stream_candidates pass, 20k-record EmCorpus with 3\n\
+         # stopwords, df ceiling 4096, default LSH, 1024-record chunks,\n\
+         # 4096-pair flushes. Written as measured * {HEADROOM} by\n\
          # `ROTOM_BLESS=1 cargo test --release --test alloc_budget`.\n"
     );
     for (k, v) in &lines {
@@ -114,16 +132,17 @@ fn check_budget(key: &str, measured: f64) {
     );
 }
 
-/// `(bytes_per_step, mixda_bytes_per_step)`, measured once per process in
-/// that order (see the module doc).
-fn measurements() -> (f64, f64) {
-    static MEASURED: OnceLock<(f64, f64)> = OnceLock::new();
+/// `(bytes_per_step, mixda_bytes_per_step, blocking_bytes_per_record)`,
+/// measured once per process in that order (see the module doc).
+fn measurements() -> (f64, f64, f64) {
+    static MEASURED: OnceLock<(f64, f64, f64)> = OnceLock::new();
     *MEASURED.get_or_init(|| {
         // `ROTOM_THREADS` is read once at first pool use; pin it before any
         // rotom code runs so the measurement is single-threaded everywhere.
         std::env::set_var("ROTOM_THREADS", "1");
         let meta = measure_bytes_per_step();
-        (meta, measure_mixda_bytes_per_step())
+        let mixda = measure_mixda_bytes_per_step();
+        (meta, mixda, measure_blocking_bytes_per_record())
     })
 }
 
@@ -233,6 +252,46 @@ fn measure_mixda_bytes_per_step() -> f64 {
     bytes as f64 / measured.len() as f64
 }
 
+/// Stream the left side of a 20k-record, 3-stopword corpus through an index
+/// of its right side with the `em_block_300k` tiers, twice, and return
+/// bytes allocated per left record in the second pass. The index and the
+/// record chunks are built before counting, so the figure is the
+/// pipeline's own: tokenizing, probing and the candidate buffers.
+fn measure_blocking_bytes_per_record() -> f64 {
+    let corpus = EmCorpus::new(CorpusConfig {
+        num_entities: 20_000,
+        stopwords: 3,
+        ..CorpusConfig::default()
+    });
+    let pool = RotomPool::global();
+    let mut builder = IndexBuilder::new(BlockingConfig {
+        min_shared: 2,
+        df_ceiling: Some(4096),
+        lsh: Some(LshParams::default()),
+        max_buffered_pairs: 4096,
+        ..BlockingConfig::default()
+    });
+    for chunk in corpus.chunks(CorpusSide::Right, 8192) {
+        builder.add_chunk(&chunk, pool);
+    }
+    let index = builder.finish();
+    let left: Vec<Vec<Record>> = corpus.chunks(CorpusSide::Left, 1024).collect();
+    let mut candidates = 0u64;
+    let mut pass = |chunks: Vec<Vec<Record>>| {
+        stream_candidates(&index, chunks, pool, |batch| {
+            candidates += batch.len() as u64
+        })
+    };
+    pass(left.clone());
+    let chunks = left.clone();
+    let before = alloc::total_bytes();
+    let stats = pass(chunks);
+    let bytes = alloc::total_bytes() - before;
+    assert_eq!(stats.left_records, 20_000);
+    assert!(candidates > 0, "the pass found no candidates");
+    bytes as f64 / stats.left_records as f64
+}
+
 #[test]
 fn steady_state_step_allocation_stays_under_budget() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -243,4 +302,10 @@ fn steady_state_step_allocation_stays_under_budget() {
 fn mixda_step_allocation_stays_under_budget() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     check_budget("mixda_bytes_per_step", measurements().1);
+}
+
+#[test]
+fn blocking_pass_allocation_stays_under_budget() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    check_budget("blocking_bytes_per_record", measurements().2);
 }

@@ -9,13 +9,17 @@
 //! explicit pool widths so both axes are covered in one process.
 
 use rotom_datasets::blocking::{
-    band_keys, stream_candidates, BlockingConfig, IndexBuilder, LshParams, ShardedIndex,
+    band_keys, stream_candidates, BlockingConfig, ContentTokens, IndexBuilder, LshParams,
+    ShardedIndex,
 };
 use rotom_datasets::csv;
 use rotom_datasets::em::{
-    self, block_candidates, content_token_list, CorpusConfig, CorpusSide, EmCorpus,
+    self, block_candidates, content_token_list, CorpusConfig, CorpusSide, EmConfig, EmCorpus,
+    EmFlavor,
 };
 use rotom_nn::RotomPool;
+use rotom_rng::rngs::StdRng;
+use rotom_rng::{RngExt, SeedableRng};
 use rotom_text::Record;
 use std::collections::{HashMap, HashSet};
 
@@ -379,4 +383,157 @@ fn candidate_stream_checksum_is_pinned() {
         pairs.extend_from_slice(batch)
     });
     assert_eq!(stream_checksum(pairs), (0x63fd_37a4_6003_3fb1, 1_837_440));
+}
+
+/// A seeded CSV table of `n` two-column rows mixing uppercase ASCII,
+/// boundary and interior punctuation, and non-ASCII words whose lowercase
+/// changes length or depends on context, from a vocabulary small enough
+/// that rows share tokens.
+fn unicode_table(n: usize, seed: u64) -> String {
+    const WORDS: &[&str] = &[
+        "Orange",
+        "BOWL",
+        "bowl",
+        "Deluxe",
+        "X-100.5",
+        "(866)",
+        "USB-C",
+        "Straße",
+        "STRASSE",
+        "İstanbul",
+        "ΟΔΟΣ",
+        "οδος",
+        "Café",
+        "CAFÉ",
+        "naïve,",
+        "NAÏVE",
+        "Ærø",
+        "ẞIG",
+        "ǅemal",
+        "日本製",
+        "Größe",
+        "...",
+        "é.",
+        "ab",
+        "Ü",
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = csv::write_row(&["title", "description"]);
+    text.push('\n');
+    for i in 0..n {
+        let mut pick = |k: usize| -> String {
+            let mut field = String::new();
+            for _ in 0..k {
+                field.push_str(rng.choose(WORDS).unwrap());
+                field.push(if rng.random_bool(0.2) { '\u{a0}' } else { ' ' });
+            }
+            field
+        };
+        let title = format!("{}Model{}", pick(3), i % 17);
+        let description = pick(4);
+        text.push_str(&csv::write_row(&[&title, &description]));
+        text.push('\n');
+    }
+    text
+}
+
+/// `text`'s rows as record chunks of `chunk` rows, read back through
+/// `csv::table_chunks`.
+fn csv_chunks(text: &str, chunk: usize) -> Vec<Vec<Record>> {
+    let chunks = csv::table_chunks(text, chunk).expect("header");
+    let header = chunks.header().to_vec();
+    chunks
+        .map(|rows| csv::rows_to_records(&header, &rows.expect("chunk")))
+        .collect()
+}
+
+/// The flat content tokens of every record equal `content_token_list`,
+/// also after the buffers are cleared and refilled.
+fn assert_flat_tokens_match(what: &str, records: &[Record]) {
+    let mut flat = ContentTokens::default();
+    for _ in 0..2 {
+        flat.clear();
+        for r in records {
+            flat.push(r);
+        }
+        assert_eq!(flat.len(), records.len(), "{what}");
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(
+                flat.record(i).collect::<Vec<_>>(),
+                content_token_list(r),
+                "{what}: record {i}"
+            );
+        }
+    }
+}
+
+/// The blocking plane's flat per-run tokens are the reference token lists
+/// on every record source the suite uses: the stopword corpus, clean and
+/// dirty generated EM pairs, and a CSV table with uppercase and non-ASCII
+/// values (the only source that reaches the tokenizer's non-ASCII branch).
+#[test]
+fn flat_content_tokens_equal_the_reference_lists() {
+    let c = corpus(500, 3);
+    assert_flat_tokens_match("corpus left", &c.chunk(CorpusSide::Left, 0..500));
+    assert_flat_tokens_match("corpus right", &c.chunk(CorpusSide::Right, 0..500));
+    for dirty in [false, true] {
+        let d = em::generate(
+            EmFlavor::AbtBuy,
+            &EmConfig {
+                num_entities: 60,
+                train_pairs: 150,
+                test_pairs: 30,
+                dirty,
+                ..Default::default()
+            },
+        );
+        let records: Vec<Record> = d
+            .train_pairs
+            .iter()
+            .chain(&d.test_pairs)
+            .flat_map(|p| [p.left.clone(), p.right.clone()])
+            .collect();
+        assert_flat_tokens_match(&d.name, &records);
+    }
+    let table: Vec<Record> = csv_chunks(&unicode_table(200, 7), 64).concat();
+    assert!(table
+        .iter()
+        .any(|r| r.attrs.iter().any(|(_, v)| !v.is_ascii())));
+    assert_flat_tokens_match("unicode csv", &table);
+    assert_flat_tokens_match("empty record", &[record(""), record("a b")]);
+}
+
+/// The CSV table with uppercase and non-ASCII values, streamed chunk by
+/// chunk, equals `block_candidates` at shard counts {1, 7} x pool widths
+/// {1, 8}.
+#[test]
+fn unicode_csv_stream_matches_block_candidates() {
+    let left_text = unicode_table(90, 11);
+    let right = csv_chunks(&unicode_table(80, 12), 80).concat();
+    let left = csv_chunks(&left_text, 90).concat();
+    for min_shared in [1usize, 2, 3] {
+        let expect = block_candidates(&left, &right, min_shared);
+        assert!(!expect.is_empty() && expect.len() < left.len() * right.len());
+        for num_shards in [1usize, 7] {
+            for threads in [1usize, 8] {
+                let pool = RotomPool::new(threads);
+                let cfg = BlockingConfig {
+                    min_shared,
+                    num_shards,
+                    ..Default::default()
+                };
+                let index = ShardedIndex::build(&right, cfg, &pool);
+                let chunks = csv_chunks(&left_text, 13);
+                assert!(chunks.len() > 1, "must stream in several chunks");
+                let mut pairs = Vec::new();
+                stream_candidates(&index, chunks, &pool, |batch| {
+                    pairs.extend_from_slice(batch)
+                });
+                assert_eq!(
+                    pairs, expect,
+                    "shards={num_shards} threads={threads} min_shared={min_shared}"
+                );
+            }
+        }
+    }
 }
