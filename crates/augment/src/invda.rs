@@ -26,6 +26,19 @@ use rotom_text::vocab::Vocab;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+/// Dropout during training.
+const DROPOUT: f32 = 0.1;
+/// Operators used for corruption (Algorithm 1's `D`).
+const CORRUPT_OPS: &[DaOp] = &DaOp::TEXT_LEVEL;
+/// Adam learning rate.
+const LR: f32 = 1e-3;
+/// Top-k cutoff for sampling (paper: 120).
+const TOP_K: usize = 20;
+/// Nucleus (top-p) mass for sampling (paper: 0.98).
+const TOP_P: f32 = 0.98;
+/// Vocabulary budget.
+const VOCAB_SIZE: usize = 4096;
+
 /// InvDA hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct InvDaConfig {
@@ -39,10 +52,6 @@ pub struct InvDaConfig {
     pub layers: usize,
     /// Maximum sequence length.
     pub max_len: usize,
-    /// Dropout during training.
-    pub dropout: f32,
-    /// Operators used for corruption (Algorithm 1's `D`).
-    pub corrupt_ops: Vec<DaOp>,
     /// Number of corruption operators applied per pair (Algorithm 1's `n`).
     pub num_corruptions: usize,
     /// Corruption pairs generated per corpus sequence per epoch.
@@ -51,18 +60,10 @@ pub struct InvDaConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Top-k cutoff for sampling (paper: 120).
-    pub top_k: usize,
-    /// Nucleus (top-p) mass for sampling (paper: 0.98).
-    pub top_p: f32,
     /// Maximum distinct cached variants per input (paper: 50).
     pub max_unique: usize,
     /// Maximum generated length.
     pub max_gen_len: usize,
-    /// Vocabulary budget.
-    pub vocab_size: usize,
 }
 
 impl Default for InvDaConfig {
@@ -73,18 +74,12 @@ impl Default for InvDaConfig {
             d_ff: 96,
             layers: 2,
             max_len: 64,
-            dropout: 0.1,
-            corrupt_ops: DaOp::TEXT_LEVEL.to_vec(),
             num_corruptions: 3,
             pairs_per_seq: 2,
             epochs: 5,
             batch_size: 16,
-            lr: 1e-3,
-            top_k: 20,
-            top_p: 0.98,
             max_unique: 8,
             max_gen_len: 48,
-            vocab_size: 4096,
         }
     }
 }
@@ -133,7 +128,7 @@ impl InvDa {
         assert!(!corpus.is_empty(), "InvDA needs a non-empty corpus");
         let mut rng = StdRng::seed_from_u64(seed);
         let refs: Vec<&[String]> = corpus.iter().map(|s| s.as_slice()).collect();
-        let vocab = Vocab::build(refs.iter().copied(), cfg.vocab_size);
+        let vocab = Vocab::build(refs.iter().copied(), VOCAB_SIZE);
         let tcfg = TransformerConfig {
             vocab: vocab.len(),
             d_model: cfg.d_model,
@@ -141,7 +136,7 @@ impl InvDa {
             d_ff: cfg.d_ff,
             layers: cfg.layers,
             max_len: cfg.max_len,
-            dropout: cfg.dropout,
+            dropout: DROPOUT,
         };
         let mut store = ParamStore::new();
         let encoder = TransformerEncoder::new(&mut store, &mut rng, "invda.enc", tcfg.clone());
@@ -162,12 +157,12 @@ impl InvDa {
 
     fn fit(&mut self, corpus: &[Vec<String>], rng: &mut StdRng) {
         let da_ctx = DaContext::default();
-        let mut opt = Adam::new(self.cfg.lr);
+        let mut opt = Adam::new(LR);
         let (bos, eos) = (self.vocab.special_id(BOS), self.vocab.special_id(EOS));
         for _epoch in 0..self.cfg.epochs {
             let mut pairs = corruption_pairs(
                 corpus,
-                &self.cfg.corrupt_ops,
+                CORRUPT_OPS,
                 self.cfg.num_corruptions,
                 self.cfg.pairs_per_seq,
                 &da_ctx,
@@ -188,7 +183,7 @@ impl InvDa {
                     let mut dec_tgt = tgt_ids.clone();
                     dec_tgt.push(eos);
 
-                    let mut ctx = FwdCtx::train(&self.store, self.cfg.dropout, rng);
+                    let mut ctx = FwdCtx::train(&self.store, DROPOUT, rng);
                     let memory = self.encoder.forward(tape, &in_ids, &[], &mut ctx);
                     let logits = self.decoder.forward(tape, &dec_in, memory, &mut ctx);
                     let targets = one_hot_rows(&dec_tgt, self.vocab.len());
@@ -237,8 +232,7 @@ impl InvDa {
             for _ in 0..self.cfg.max_gen_len {
                 let logits = self.decoder.last_logits(it, &out_ids, &memory, &mut ctx);
                 let logits = it.value(logits).data();
-                let next =
-                    sample_top_k_top_p(logits, self.cfg.top_k, self.cfg.top_p, &[bos, pad], rng);
+                let next = sample_top_k_top_p(logits, TOP_K, TOP_P, &[bos, pad], rng);
                 it.truncate(step);
                 if next == eos {
                     break;

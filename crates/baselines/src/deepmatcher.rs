@@ -29,21 +29,22 @@ pub enum DmEncoder {
     TinyLm,
 }
 
+/// Max tokens per record.
+const MAX_LEN: usize = 24;
+/// Mini-batch size.
+const BATCH_SIZE: usize = 16;
+/// Vocabulary budget.
+const VOCAB_SIZE: usize = 4096;
+
 /// DeepMatcher configuration.
 #[derive(Debug)]
 pub struct DmConfig {
     /// Embedding / hidden width.
     pub hidden: usize,
-    /// Max tokens per record.
-    pub max_len: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Vocabulary budget.
-    pub vocab_size: usize,
     /// Encoder variant.
     pub encoder: DmEncoder,
 }
@@ -52,11 +53,8 @@ impl Default for DmConfig {
     fn default() -> Self {
         Self {
             hidden: 24,
-            max_len: 24,
             epochs: 5,
-            batch_size: 16,
             lr: 1e-3,
-            vocab_size: 4096,
             encoder: DmEncoder::Gru,
         }
     }
@@ -88,7 +86,7 @@ impl DeepMatcher {
             .flat_map(|p| [serialize_record(&p.left), serialize_record(&p.right)])
             .collect();
         let refs: Vec<&[String]> = corpus.iter().map(|s| s.as_slice()).collect();
-        let vocab = Vocab::build(refs, cfg.vocab_size);
+        let vocab = Vocab::build(refs, VOCAB_SIZE);
 
         let mut store = ParamStore::new();
         let h = cfg.hidden;
@@ -103,7 +101,7 @@ impl DeepMatcher {
                     heads: if h.is_multiple_of(4) { 4 } else { 2 },
                     d_ff: 2 * h,
                     layers: 1,
-                    max_len: cfg.max_len,
+                    max_len: MAX_LEN,
                     ..ModelConfig::default()
                 };
                 EncoderImpl::TinyLm(TransformerEncoder::new(
@@ -135,7 +133,7 @@ impl DeepMatcher {
         let mut idx = train_idx.to_vec();
         for _ in 0..self.cfg.epochs {
             rng.shuffle(&mut idx);
-            for chunk in idx.chunks(self.cfg.batch_size) {
+            for chunk in idx.chunks(BATCH_SIZE) {
                 let batch = Tape::batch(chunk, |tape, &pi| {
                     let pair = &data.train_pairs[pi];
                     let logits = self.pair_logits(tape, pair);
@@ -154,7 +152,7 @@ impl DeepMatcher {
 
     fn encode_record(&self, tape: &mut Tape, tokens: &[String]) -> (NodeId, NodeId) {
         let mut ids = self.vocab.encode(tokens);
-        ids.truncate(self.cfg.max_len);
+        ids.truncate(MAX_LEN);
         if ids.is_empty() {
             ids.push(self.vocab.special_id(rotom_text::token::PAD));
         }

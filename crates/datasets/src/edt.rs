@@ -85,10 +85,6 @@ pub enum ErrorKind {
 pub struct EdtConfig {
     /// Number of rows in the table (`None` → flavor default).
     pub rows: Option<usize>,
-    /// Fraction of cells that receive an injected error.
-    pub error_rate: f32,
-    /// Number of tuples held out for the test set (paper: 20).
-    pub test_tuples: usize,
     /// Use context-dependent serialization (whole row + cell) instead of the
     /// context-independent form. The paper uses context-independent for these
     /// datasets.
@@ -101,8 +97,6 @@ impl Default for EdtConfig {
     fn default() -> Self {
         Self {
             rows: None,
-            error_rate: 0.18,
-            test_tuples: 20,
             context: false,
             seed: 7,
         }
@@ -420,6 +414,11 @@ fn out_of_domain(flavor: EdtFlavor, attr: &str, rng: &mut StdRng) -> String {
     }
 }
 
+/// Fraction of cells that receive an injected error.
+const ERROR_RATE: f32 = 0.18;
+/// Number of tuples held out for the test set (paper: 20).
+const TEST_TUPLES: usize = 20;
+
 /// Generate an EDT dataset for `flavor` under `cfg`.
 pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
     let mut rng =
@@ -433,7 +432,7 @@ pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
     let mut kinds = vec![vec![None; cols.len()]; n_rows];
 
     let total_cells = n_rows * cols.len();
-    let n_errors = (total_cells as f32 * cfg.error_rate).round() as usize;
+    let n_errors = (total_cells as f32 * ERROR_RATE).round() as usize;
     let mut cells: Vec<(usize, usize)> = (0..n_rows)
         .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
         .collect();
@@ -446,7 +445,7 @@ pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
 
     let mut row_ids: Vec<usize> = (0..n_rows).collect();
     rng.shuffle(&mut row_ids);
-    let test_rows = row_ids[..cfg.test_tuples.min(n_rows)].to_vec();
+    let test_rows = row_ids[..TEST_TUPLES.min(n_rows)].to_vec();
 
     EdtDataset {
         name: flavor.name().to_string(),
@@ -469,7 +468,7 @@ mod tests {
         let cfg = EdtConfig::default();
         let d = generate(EdtFlavor::Beers, &cfg);
         let total = d.rows.len() * d.columns.len();
-        let expected = (total as f32 * cfg.error_rate).round() as usize;
+        let expected = (total as f32 * ERROR_RATE).round() as usize;
         assert_eq!(d.num_errors(), expected);
     }
 

@@ -90,10 +90,6 @@ pub struct EmConfig {
     pub train_pairs: usize,
     /// Labeled pairs in the test set.
     pub test_pairs: usize,
-    /// Fraction of pairs that are matches.
-    pub pos_rate: f32,
-    /// Fraction of negatives that are hard (sibling) negatives.
-    pub hard_neg_rate: f32,
     /// Emit the dirty variant (attribute misplacement).
     pub dirty: bool,
     /// RNG seed.
@@ -106,8 +102,6 @@ impl Default for EmConfig {
             num_entities: 400,
             train_pairs: 1000,
             test_pairs: 300,
-            pos_rate: 0.3,
-            hard_neg_rate: 0.7,
             dirty: false,
             seed: 42,
         }
@@ -504,6 +498,11 @@ fn make_dirty(r: &mut Record, rng: &mut StdRng) {
 // Dataset assembly
 // ---------------------------------------------------------------------------
 
+/// Fraction of pairs that are matches.
+const POS_RATE: f32 = 0.3;
+/// Fraction of negatives that are hard (sibling) negatives.
+const HARD_NEG_RATE: f32 = 0.7;
+
 /// Generate an EM dataset for `flavor` under `cfg`.
 pub fn generate(flavor: EmFlavor, cfg: &EmConfig) -> EmDataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ flavor_seed(flavor));
@@ -519,9 +518,9 @@ pub fn generate(flavor: EmFlavor, cfg: &EmConfig) -> EmDataset {
     let (pa, pb) = profiles(flavor);
 
     let total = cfg.train_pairs + cfg.test_pairs;
-    let n_pos = (total as f32 * cfg.pos_rate).round() as usize;
+    let n_pos = (total as f32 * POS_RATE).round() as usize;
     let n_neg = total - n_pos;
-    let n_hard = (n_neg as f32 * cfg.hard_neg_rate).round() as usize;
+    let n_hard = (n_neg as f32 * HARD_NEG_RATE).round() as usize;
 
     let mut pairs: Vec<LabeledPair> = Vec::with_capacity(total);
     for i in 0..n_pos {
@@ -704,12 +703,6 @@ pub struct CorpusConfig {
     /// Number of latent entities; each renders one record per side, and
     /// `(i, i)` is the ground-truth match pair.
     pub num_entities: usize,
-    /// Synthetic body-word vocabulary size. Per-token document frequency
-    /// scales as roughly `6 * num_entities / vocab_words`, which is the knob
-    /// that keeps posting lists bounded at scale (the Table-6 generators'
-    /// fixed word lists would make every token a stopword at 1M records).
-    /// `0` auto-scales to `max(1024, num_entities / 16)`.
-    pub vocab_words: usize,
     /// Number of [`CORPUS_STOPWORDS`] appended to *every* record (0..=8).
     /// Non-zero values create tokens with document frequency equal to the
     /// corpus size — the IDF-pruning stress case.
@@ -722,7 +715,6 @@ impl Default for CorpusConfig {
     fn default() -> Self {
         Self {
             num_entities: 10_000,
-            vocab_words: 0,
             stopwords: 0,
             seed: 0xb10c,
         }
@@ -774,11 +766,11 @@ impl EmCorpus {
             "at most {} stopwords available",
             CORPUS_STOPWORDS.len()
         );
-        let vocab_words = if cfg.vocab_words == 0 {
-            (cfg.num_entities / 16).max(1024)
-        } else {
-            cfg.vocab_words
-        };
+        // Synthetic body-word vocabulary size. Per-token document frequency
+        // scales as roughly `6 * num_entities / vocab_words`, which keeps
+        // posting lists bounded at scale (the Table-6 generators' fixed word
+        // lists would make every token a stopword at 1M records).
+        let vocab_words = (cfg.num_entities / 16).max(1024);
         let words = (0..vocab_words).map(corpus_word).collect();
         Self { cfg, words }
     }

@@ -66,6 +66,7 @@ use crate::layers::{Exec, FwdCtx};
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
 use crate::tensor::Tensor;
+use crate::vmath;
 use rotom_rng::RngExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -77,10 +78,6 @@ pub struct NodeId(pub(crate) usize);
 /// Additive attention mask: `0.0` for visible positions, `-1e9` for hidden.
 pub type AttnMask = Tensor;
 
-// Some op payloads (layer-norm eps) are only read during the forward
-// computation that creates the node; they are kept in the enum for
-// debuggability and future introspection.
-#[allow(dead_code)]
 enum Op {
     /// Leaf holding a constant (input) value.
     Input,
@@ -119,7 +116,7 @@ enum Op {
     /// Broadcast add of a `1 x n` row to every row of an `m x n` matrix.
     AddRow(NodeId, NodeId),
     Scale(NodeId, f32),
-    AddConst(NodeId, f32),
+    AddConst(NodeId),
     Relu(NodeId),
     /// GELU (tanh approximation); `t` caches the forward `tanh` values so
     /// the backward rule skips the libm call (bit-identical reuse).
@@ -139,7 +136,6 @@ enum Op {
         x: NodeId,
         gamma: NodeId,
         beta: NodeId,
-        eps: f32,
         /// Cached per-row (mean, inv_std) from the forward pass.
         cache: Vec<(f32, f32)>,
     },
@@ -400,7 +396,7 @@ impl Tape {
     /// `a + c` elementwise for a constant `c`.
     pub fn add_const(&mut self, a: NodeId, c: f32) -> NodeId {
         let v = self.map_into(a, |x| x + c);
-        self.push(Op::AddConst(a, c), v)
+        self.push(Op::AddConst(a), v)
     }
 
     // ------------------------------------------------------------------
@@ -425,15 +421,15 @@ impl Tape {
         self.push(Op::Gelu { a, t }, Tensor::from_vec(out, m, n))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent (the port of glibc's `tanhf`).
     pub(crate) fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_into(a, f32::tanh);
+        let v = self.map_into(a, vmath::tanh);
         self.push(Op::Tanh(a), v)
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid (over the port of glibc's `expf`).
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_into(a, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.map_into(a, |x| 1.0 / (1.0 + vmath::exp(-x)));
         self.push(Op::Sigmoid(a), v)
     }
 
@@ -442,7 +438,8 @@ impl Tape {
         self.masked_softmax(a, None)
     }
 
-    /// Row-wise log-softmax.
+    /// Row-wise log-softmax: `lse = sum.ln() + max` from the softmax row
+    /// kernel's `(max, sum)`, as [`kernels::cross_entropy_row`] takes it.
     pub fn log_softmax(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
         let mut out = self.arena.take_dirty(m * n);
@@ -450,9 +447,10 @@ impl Tape {
             let x = &self.nodes[a.0].value;
             for i in 0..m {
                 let row = x.row_slice(i);
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-                for (o, &v) in out[i * n..(i + 1) * n].iter_mut().zip(row) {
+                let o = &mut out[i * n..(i + 1) * n];
+                let (max, sum) = kernels::softmax_row_fwd(row, None, o);
+                let lse = sum.ln() + max;
+                for (o, &v) in o.iter_mut().zip(row) {
                     *o = v - lse;
                 }
             }
@@ -737,7 +735,7 @@ impl Tape {
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, grad.rows(), grad.cols()));
             }
-            Op::AddConst(a, _) => {
+            Op::AddConst(a) => {
                 self.add_grad(*a, grad);
             }
             Op::Relu(a) => {
@@ -793,7 +791,7 @@ impl Tape {
                         let gr = grad.row_slice(r);
                         let gsum: f32 = gr.iter().sum();
                         for ((d, &yv), &gv) in da[r * n..(r + 1) * n].iter_mut().zip(yr).zip(gr) {
-                            *d = gv - yv.exp() * gsum;
+                            *d = gv - vmath::exp(yv) * gsum;
                         }
                     }
                 }
@@ -803,7 +801,6 @@ impl Tape {
                 x,
                 gamma,
                 beta,
-                eps: _,
                 cache,
             } => {
                 let (m, nc) = (grad.rows(), grad.cols());
@@ -1032,7 +1029,6 @@ impl Exec for Tape {
             x,
             gamma,
             beta,
-            eps,
             cache,
         };
         self.push(op, Tensor::from_vec(out, m, nc))

@@ -131,6 +131,15 @@ pub(crate) fn tiled(full_m: usize, k: usize, n: usize) -> bool {
 /// Below this many multiply-adds, never fan out across threads.
 pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 
+/// The GEMM fan-out rule: a tiled product of `flops` multiply-adds with
+/// `rows` output rows splits its rows across the pool (on `MR`-row
+/// boundaries) only at or above [`PAR_MIN_FLOPS`], with more than one
+/// worker and at least two row tiles. Both tiled entry points dispatch on
+/// it; the split never changes values.
+fn fan_out(flops: usize, rows: usize, pool: &RotomPool) -> bool {
+    flops >= PAR_MIN_FLOPS && pool.threads() > 1 && rows >= 2 * MR
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch profiling (telemetry)
 // ---------------------------------------------------------------------------
@@ -359,19 +368,7 @@ impl PackedB {
     /// Pack a row-major `k×n` operand.
     pub fn pack_row_major(b: &[f32], k: usize, n: usize) -> Self {
         debug_assert_eq!(b.len(), k * n);
-        let full_cols = n - n % NR;
-        let mut panels = vec![0.0f32; k * full_cols];
-        let mut off = 0;
-        let mut j0 = 0;
-        while j0 < full_cols {
-            for p in 0..k {
-                panels[off + p * NR..off + (p + 1) * NR]
-                    .copy_from_slice(&b[p * n + j0..p * n + j0 + NR]);
-            }
-            off += k * NR;
-            j0 += NR;
-        }
-        Self { k, n, panels }
+        Self::pack(&BRowMajor { b, n }, k, n)
     }
 
     /// Pack the *transpose* of an `n×k` row-major matrix, i.e. the logical
@@ -380,19 +377,16 @@ impl PackedB {
     /// `pack_row_major(transpose(src))`.
     pub fn pack_transposed(src: &[f32], k: usize, n: usize) -> Self {
         debug_assert_eq!(src.len(), k * n);
+        Self::pack(&BTransposed { b: src, k }, k, n)
+    }
+
+    /// Store every full strip of `src` through its own `panel` routine, so
+    /// a stored panel is the one the tiled core would pack on the fly.
+    fn pack(src: &impl BSrc, k: usize, n: usize) -> Self {
         let full_cols = n - n % NR;
         let mut panels = vec![0.0f32; k * full_cols];
-        let mut off = 0;
-        let mut j0 = 0;
-        while j0 < full_cols {
-            for c in 0..NR {
-                let col = &src[(j0 + c) * k..(j0 + c + 1) * k];
-                for (p, &v) in col.iter().enumerate() {
-                    panels[off + p * NR + c] = v;
-                }
-            }
-            off += k * NR;
-            j0 += NR;
+        for j0 in (0..full_cols).step_by(NR) {
+            src.panel(j0, k, &mut panels[j0 * k..(j0 + NR) * k]);
         }
         Self { k, n, panels }
     }
@@ -1122,7 +1116,8 @@ fn matmul_block_tiled<B: BSrc>(
 }
 
 /// Serial-or-parallel dispatch of the tiled core over `m` output rows.
-/// Caller has already ruled out the naive tier (see [`tiled`]).
+/// Caller has already ruled out the naive tier (see [`tiled`]); the
+/// fan-out follows [`fan_out`].
 fn tiled_dispatch<B: BSrc>(
     a: &[f32],
     bsrc: &B,
@@ -1132,8 +1127,7 @@ fn tiled_dispatch<B: BSrc>(
     pool: &RotomPool,
     out: &mut [f32],
 ) {
-    let flops = m * k * n;
-    if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || m < 2 * MR {
+    if !fan_out(m * k * n, m, pool) {
         profile::bump(&profile::TILED_SERIAL);
         matmul_block_tiled(a, m, k, bsrc, n, out);
     } else {
@@ -1293,14 +1287,13 @@ pub fn matmul_transpose_a_into(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(g.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
-    let flops = m * k * n;
     if !tiled(full_m, k, n) {
         profile::bump(&profile::NAIVE);
         // Direct q-i-j form: out[q][j] += a[i][q] * g[i][j], i increasing.
         naive_rows::<true>(a, k, 1, k, m, g, n, n, out);
         return;
     }
-    if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || k < 2 * MR {
+    if !fan_out(m * k * n, k, pool) {
         profile::bump(&profile::TILED_SERIAL);
         transpose_a_block(a, g, m, k, n, 0, out);
     } else {

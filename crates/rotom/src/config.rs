@@ -17,20 +17,14 @@ pub struct ModelConfig {
     pub layers: usize,
     /// Maximum sequence length (including \[CLS\]).
     pub max_len: usize,
-    /// Dropout probability during fine-tuning.
-    pub dropout: f32,
     /// Vocabulary budget.
     pub vocab_size: usize,
     /// Masked-LM pre-training epochs over the unlabeled corpus (the
     /// "pre-trained LM" stand-in; 0 disables).
     pub pretrain_epochs: usize,
-    /// Masking rate for MLM pre-training.
-    pub mlm_rate: f32,
     /// Matched-view (NSP-style) pair pre-training epochs, used for pair
     /// tasks such as entity matching (0 disables).
     pub pair_pretrain_epochs: usize,
-    /// Learning rate for MLM pre-training.
-    pub pretrain_lr: f32,
 }
 
 impl Default for ModelConfig {
@@ -41,12 +35,9 @@ impl Default for ModelConfig {
             d_ff: 64,
             layers: 2,
             max_len: 48,
-            dropout: 0.1,
             vocab_size: 4096,
             pretrain_epochs: 2,
-            mlm_rate: 0.15,
             pair_pretrain_epochs: 8,
-            pretrain_lr: 1e-3,
         }
     }
 }
@@ -61,7 +52,7 @@ impl ModelConfig {
             d_ff: self.d_ff,
             layers: self.layers,
             max_len: self.max_len,
-            dropout: self.dropout,
+            dropout: crate::model::DROPOUT,
         }
     }
 
@@ -76,7 +67,6 @@ impl ModelConfig {
             vocab_size: 512,
             pretrain_epochs: 1,
             pair_pretrain_epochs: 1,
-            ..Self::default()
         }
     }
 }
@@ -93,8 +83,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// MixDA Beta(α, α) interpolation parameter.
     pub mixda_alpha: f32,
-    /// Maximum unlabeled examples consumed by Rotom+SSL (paper: 10,000).
-    pub max_unlabeled: usize,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -106,7 +94,6 @@ impl Default for TrainConfig {
             batch_size: 16,
             lr: 5e-4,
             mixda_alpha: 0.8,
-            max_unlabeled: 10_000,
             seed: 0,
         }
     }

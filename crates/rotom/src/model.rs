@@ -22,6 +22,13 @@ use rotom_rng::{RngExt, SeedableRng};
 use rotom_text::token::{CLS, MASK};
 use rotom_text::vocab::Vocab;
 
+/// Dropout probability during fine-tuning.
+pub(crate) const DROPOUT: f32 = 0.1;
+/// Masking rate for MLM pre-training (BERT's 15%, paper §2.2).
+const MLM_RATE: f32 = 0.15;
+/// Learning rate for MLM and matched-view pair pre-training.
+const PRETRAIN_LR: f32 = 1e-3;
+
 /// The target model: Transformer encoder + classification head (+ MLM head
 /// used only during pre-training).
 pub struct TinyLm {
@@ -149,13 +156,13 @@ impl TinyLm {
     }
 
     /// Masked-LM pre-training over an unlabeled corpus (the "pre-trained LM"
-    /// of §2.2): mask `mlm_rate` of the tokens (80% → `[MASK]`, 10% → random,
+    /// of §2.2): mask `MLM_RATE` of the tokens (80% → `[MASK]`, 10% → random,
     /// 10% → unchanged, BERT-style) and predict the originals.
     pub fn pretrain_mlm(&mut self, corpus: &[Vec<String>], batch_size: usize) {
         if self.cfg.pretrain_epochs == 0 || corpus.is_empty() {
             return;
         }
-        let mut opt = Adam::new(self.cfg.pretrain_lr);
+        let mut opt = Adam::new(PRETRAIN_LR);
         let mask_id = self.vocab.special_id(MASK);
         let vocab_len = self.vocab.len();
         for _ in 0..self.cfg.pretrain_epochs {
@@ -171,7 +178,7 @@ impl TinyLm {
                     let (mut ids, _segs, _dups) = self.encode_input(&corpus[ci]);
                     let (mut positions, mut targets) = (Vec::new(), Vec::new());
                     for (pos, id) in ids.iter_mut().enumerate().skip(1) {
-                        if !self.rng.random_bool(self.cfg.mlm_rate as f64) {
+                        if !self.rng.random_bool(MLM_RATE as f64) {
                             continue;
                         }
                         positions.push(pos);
@@ -227,7 +234,7 @@ impl TinyLm {
             return;
         }
         let mut rng = StdRng::seed_from_u64(0x9a17 ^ records.len() as u64);
-        let mut opt = Adam::new(self.cfg.pretrain_lr);
+        let mut opt = Adam::new(PRETRAIN_LR);
         let da_ctx = rotom_augment::DaContext::default();
         let ops = [
             rotom_augment::DaOp::TokenDel,
@@ -438,11 +445,10 @@ impl TinyLm {
         alpha: f32,
         rng: &mut StdRng,
     ) -> f32 {
-        let dropout = self.cfg.dropout;
         let batch = Tape::batch(pairs, |tape, (orig, aug, label)| {
             let lambda = sample_lambda(alpha, rng);
             let (h_orig, h_aug) = {
-                let mut ctx = FwdCtx::train(&self.store, dropout, rng);
+                let mut ctx = FwdCtx::train(&self.store, DROPOUT, rng);
                 let a = self.cls_node(tape, orig.as_ref(), &mut ctx);
                 let b = self.cls_node(tape, aug.as_ref(), &mut ctx);
                 (a, b)
@@ -548,11 +554,10 @@ impl MetaTarget for TinyLm {
         train: bool,
         rng: &mut StdRng,
     ) -> f32 {
-        let dropout = if train { self.cfg.dropout } else { 0.0 };
         let batch = Tape::batch(items, |tape, item| {
             let cls = {
                 let mut ctx = if train {
-                    FwdCtx::train(&self.store, dropout, rng)
+                    FwdCtx::train(&self.store, DROPOUT, rng)
                 } else {
                     FwdCtx::eval(&self.store)
                 };

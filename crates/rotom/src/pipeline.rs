@@ -302,6 +302,9 @@ fn run_tag(method: Method, cfg: &RotomConfig, train_len: usize, seed: u64) -> Ve
     ]
 }
 
+/// Maximum unlabeled examples consumed by Rotom+SSL (paper: 10,000).
+const MAX_UNLABELED: usize = 10_000;
+
 #[allow(clippy::too_many_arguments)]
 fn run_method_impl(
     task: &TaskDataset,
@@ -363,7 +366,7 @@ fn run_method_impl(
             let trainer =
                 MetaTrainer::new(task.num_classes, model.vocab().clone(), enc_cfg, meta_cfg);
             let unlabeled: Vec<Vec<String>> = if ssl {
-                task.sample_unlabeled(cfg.train.max_unlabeled, cfg.train.seed)
+                task.sample_unlabeled(MAX_UNLABELED, cfg.train.seed)
             } else {
                 Vec::new()
             };

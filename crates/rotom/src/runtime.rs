@@ -38,12 +38,10 @@ pub struct FtConfig {
     pub resume: bool,
     /// Write the checkpoint file every `n` epochs (0 behaves as 1).
     pub every_epochs: usize,
-    /// Numeric-health tunables (spike window, rollback budget, LR decay).
-    pub health: HealthConfig,
 }
 
 impl FtConfig {
-    /// Checkpoint to `path` every epoch with default health guarding.
+    /// Checkpoint to `path` every epoch.
     pub fn with_checkpoint(path: impl Into<PathBuf>) -> Self {
         Self {
             checkpoint: Some(path.into()),
@@ -97,7 +95,7 @@ pub(crate) struct FtSession {
 
 impl FtSession {
     pub(crate) fn new(cfg: FtConfig, tag: Vec<u64>, resume_bag: Option<StateBag>) -> Self {
-        let monitor = HealthMonitor::new(cfg.health.clone());
+        let monitor = HealthMonitor::new(HealthConfig::default());
         Self {
             cfg,
             monitor,

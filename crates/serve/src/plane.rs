@@ -267,7 +267,6 @@ pub fn demo_model_config() -> ModelConfig {
         // weights to arrive via `/admin/swap`.
         pretrain_epochs: 0,
         pair_pretrain_epochs: 0,
-        ..ModelConfig::default()
     }
 }
 

@@ -11,19 +11,16 @@
 //! ROTOM_BLESS=1 cargo test --test golden
 //! ```
 //!
-//! and commit the updated files. Comparison is tolerance-based (`TOL`
-//! absolute per metric) so identical-trajectory runs pass even across
-//! machines whose matmul kernels round differently (FMA vs non-FMA paths
-//! may differ by ~1e-4 per dot product; the training pipeline itself is
-//! bit-deterministic at any `ROTOM_THREADS` on one machine).
+//! and commit the updated files. Each metric is first compared within
+//! `TOL` (absolute), which names the metrics that moved by more than
+//! rounding; the training pipeline is bit-deterministic at any
+//! `ROTOM_THREADS`.
 //!
 //! Each snapshot also pins its bits: a `# fnv1a64 <hex>` line holds the
 //! FNV-1a hash of every snapshot value's `f32` bits (the metrics and the
-//! validation curve), in snapshot order. Where the AVX2+FMA kernels run
-//! ([`rotom_nn::kernels::profile::fma_active`]) the run must reproduce that
-//! hash exactly, so a kernel rewrite that moves any bit fails even when
-//! every metric stays within `TOL`; other hosts round the tiled GEMM
-//! differently and are held to the tolerance alone.
+//! validation curve), in snapshot order. Every run must reproduce that hash
+//! exactly, so a kernel rewrite that moves any bit fails even when every
+//! metric stays within `TOL`.
 
 use rotom::pipeline::{prepare_base, run_method_with_base, Method};
 use rotom::{MetricsSnapshot, RotomConfig, RunResult, TaskDataset};
@@ -31,7 +28,6 @@ use rotom_augment::{InvDa, InvDaConfig};
 use rotom_datasets::edt::{self, EdtConfig, EdtFlavor};
 use rotom_datasets::em::{self, EmConfig, EmFlavor};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
-use rotom_nn::kernels;
 use rotom_rng::{fnv1a64, fnv1a64_extend};
 use rotom_text::example::Example;
 use std::path::PathBuf;
@@ -40,8 +36,8 @@ use std::path::PathBuf;
 /// without adding regression coverage.
 const GOLD_SEED: u64 = 0x601d;
 
-/// Absolute tolerance per metric. On a single machine runs are
-/// bit-deterministic, so this only needs to absorb cross-ISA kernel rounding.
+/// Absolute tolerance per metric for the readable diff that precedes the
+/// bit pin.
 const TOL: f32 = 0.05;
 
 fn golden_dir() -> PathBuf {
@@ -101,19 +97,17 @@ fn check_against_golden(name: &str, result: &RunResult) {
          is intended, re-bless with `ROTOM_BLESS=1 cargo test --test golden`.",
         errors.join("\n  ")
     );
-    if kernels::profile::fma_active() {
-        let pin = text
-            .lines()
-            .find_map(|l| l.strip_prefix(BITS_PIN))
-            .unwrap_or_else(|| panic!("{} has no `{BITS_PIN}` line", path.display()));
-        assert_eq!(
-            format!("{bits:016x}"),
-            pin,
-            "golden bits moved for {name}: every metric is within {TOL} but not \
-             bit-identical. If this change is intended, re-bless with \
-             `ROTOM_BLESS=1 cargo test --test golden`."
-        );
-    }
+    let pin = text
+        .lines()
+        .find_map(|l| l.strip_prefix(BITS_PIN))
+        .unwrap_or_else(|| panic!("{} has no `{BITS_PIN}` line", path.display()));
+    assert_eq!(
+        format!("{bits:016x}"),
+        pin,
+        "golden bits moved for {name}: every metric is within {TOL} but not \
+         bit-identical. If this change is intended, re-bless with \
+         `ROTOM_BLESS=1 cargo test --test golden`."
+    );
 }
 
 /// Run every method on one task with a shared pre-trained base and a shared
