@@ -136,7 +136,6 @@ impl InvDa {
             d_ff: cfg.d_ff,
             layers: cfg.layers,
             max_len: cfg.max_len,
-            dropout: DROPOUT,
         };
         let mut store = ParamStore::new();
         let encoder = TransformerEncoder::new(&mut store, &mut rng, "invda.enc", tcfg.clone());

@@ -723,7 +723,6 @@ mod tests {
             d_ff: 32,
             layers: 1,
             max_len: 12,
-            dropout: 0.0,
         };
         let cfg = MetaConfig {
             batch_size: 4,

@@ -253,7 +253,6 @@ mod tests {
             d_ff: 32,
             layers: 1,
             max_len: 16,
-            dropout: 0.0,
         };
         WeightModel::new(vocab, cfg, 5e-3, 0)
     }
@@ -296,7 +295,6 @@ mod tests {
             d_ff: 32,
             layers: 1,
             max_len: 72,
-            dropout: 0.0,
         };
         let m = WeightModel::new(vocab, cfg, 5e-3, 0);
         let base = vec!["good".to_string(); 70];

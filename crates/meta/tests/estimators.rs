@@ -86,7 +86,6 @@ fn tiny_weight_model() -> (WeightModel, Vec<(Vec<String>, f32)>) {
         d_ff: 16,
         layers: 1,
         max_len: 8,
-        dropout: 0.0,
     };
     let wm = WeightModel::new(vocab, cfg, 1e-3, 7);
     let items: Vec<(Vec<String>, f32)> = vec![

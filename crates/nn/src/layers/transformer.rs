@@ -32,8 +32,6 @@ pub struct TransformerConfig {
     pub layers: usize,
     /// Maximum sequence length (positional embedding rows).
     pub max_len: usize,
-    /// Dropout probability used in training mode.
-    pub dropout: f32,
 }
 
 impl TransformerConfig {
@@ -46,7 +44,6 @@ impl TransformerConfig {
             d_ff: 64,
             layers: 2,
             max_len: 64,
-            dropout: 0.1,
         }
     }
 }

@@ -50,7 +50,6 @@ fn model(d_model: usize, heads: usize, d_ff: usize, layers: usize, seed: u64) ->
         d_ff,
         layers,
         max_len: MAX_LEN,
-        dropout: 0.1,
     };
     let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", cfg);
     let seg = Embedding::new(&mut store, &mut rng, "seg", 2, d_model);

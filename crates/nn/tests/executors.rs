@@ -38,7 +38,6 @@ fn models(d: usize) -> (ParamStore, TransformerEncoder, TransformerDecoder) {
         d_ff: 2 * d,
         layers: 2,
         max_len: MAX_T,
-        dropout: 0.1,
     };
     let mut rng = StdRng::seed_from_u64(d as u64);
     let mut store = ParamStore::new();

@@ -242,6 +242,8 @@ fn gradcheck_feed_forward() {
     report.assert_ok();
 }
 
+/// Every forward here runs under `FwdCtx::eval`, which draws no dropout
+/// mask, so each finite-difference probe sees the same function.
 fn tiny_cfg(vocab: usize) -> TransformerConfig {
     TransformerConfig {
         vocab,
@@ -250,7 +252,6 @@ fn tiny_cfg(vocab: usize) -> TransformerConfig {
         d_ff: 16,
         layers: 1,
         max_len: 8,
-        dropout: 0.0, // gradcheck needs a deterministic forward pass
     }
 }
 

@@ -52,7 +52,6 @@ impl ModelConfig {
             d_ff: self.d_ff,
             layers: self.layers,
             max_len: self.max_len,
-            dropout: crate::model::DROPOUT,
         }
     }
 

@@ -23,7 +23,7 @@ use rotom_text::token::{CLS, MASK};
 use rotom_text::vocab::Vocab;
 
 /// Dropout probability during fine-tuning.
-pub(crate) const DROPOUT: f32 = 0.1;
+const DROPOUT: f32 = 0.1;
 /// Masking rate for MLM pre-training (BERT's 15%, paper §2.2).
 const MLM_RATE: f32 = 0.15;
 /// Learning rate for MLM and matched-view pair pre-training.

@@ -3,12 +3,19 @@
 //! pass — now with overload protection and supervision.
 //!
 //! Connection handlers `submit` jobs into a shared queue
-//! and block on a reply channel. A single batcher worker thread waits for
-//! the first job, then collects same-endpoint jobs for a short window (or
-//! until `max_batch`), concatenates their inputs, scores them in one pool
-//! pass under the plane's read lock, and splits the scores back out to each
-//! job's reply channel. Batches never mix endpoints — each endpoint is a
-//! different model.
+//! and block on a reply channel. A single batcher worker thread takes the
+//! first job's endpoint and collects the same-endpoint jobs into one batch
+//! of at most `max_batch`, scores their inputs in one pool pass under the
+//! plane's read lock, and splits the scores back out to each job's reply
+//! channel. Batches never mix endpoints — each endpoint is a different
+//! model.
+//!
+//! The batcher is work-conserving. An idle worker dispatches at once with
+//! the jobs queued at that moment. A worker back from a batch to a backlog
+//! collects more jobs until the oldest has waited
+//! [`ServerConfig::window`] since it arrived. So the window delays no job
+//! on an idle model, and a free worker never holds a job past `window`
+//! from its arrival.
 //!
 //! ## Admission control
 //!
@@ -496,10 +503,14 @@ fn run_worker(
 ) {
     let pool = RotomPool::new(cfg.score_threads.max(1));
     let max_batch = cfg.max_batch.max(1);
+    // Whether the worker found the queue empty (or has just started) rather
+    // than coming back from a batch to a backlog.
+    let mut idle = true;
     loop {
         let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         // Wait for work (or a state change).
         while q.jobs.is_empty() && !q.shutdown && !q.draining {
+            idle = true;
             q = shared.cond.wait(q).unwrap_or_else(|e| e.into_inner());
         }
         if q.shutdown {
@@ -552,11 +563,14 @@ fn run_worker(
                 }
             }
         }
-        // Collect same-endpoint jobs for one window. Draining skips the
-        // window: latency batching is pointless when the goal is to finish.
+        // An idle worker dispatches at once: with the model free, waiting
+        // only delays the jobs. One back from a batch collects until the
+        // oldest job has waited `window` since it arrived. Draining skips
+        // the window: latency batching is pointless when the goal is to
+        // finish.
         let endpoint = q.jobs[0].endpoint;
-        let deadline = Instant::now() + cfg.window;
-        while !q.draining && !q.shutdown {
+        let deadline = q.jobs[0].enqueued + cfg.window;
+        while !idle && !q.draining && !q.shutdown {
             let matching = q.jobs.iter().filter(|j| j.endpoint == endpoint).count();
             if matching >= max_batch {
                 break;
@@ -588,12 +602,13 @@ fn run_worker(
         if batch.is_empty() {
             continue;
         }
+        idle = false;
 
         let dispatched = Instant::now();
-        let mut all_inputs: Vec<Vec<String>> = Vec::new();
-        for job in &batch {
-            all_inputs.extend(job.inputs.iter().cloned());
-        }
+        let all_inputs: Vec<&[String]> = batch
+            .iter()
+            .flat_map(|job| job.inputs.iter().map(Vec::as_slice))
+            .collect();
         metrics.batches.fetch_add(1, Ordering::Relaxed);
         metrics
             .batched_jobs
@@ -621,11 +636,9 @@ fn run_worker(
 
         match scored {
             Ok(out) => {
-                let mut offset = 0;
+                let mut rows = out.scores.into_iter();
                 for job in batch {
-                    let n = job.inputs.len();
-                    let scores = out.scores[offset..offset + n].to_vec();
-                    offset += n;
+                    let scores = rows.by_ref().take(job.inputs.len()).collect();
                     let _ = job.reply.send(Ok(JobResult {
                         scores,
                         generation: out.generation,
@@ -693,6 +706,29 @@ mod tests {
             metrics.batches.load(std::sync::atomic::Ordering::Relaxed),
             1
         );
+    }
+
+    #[test]
+    fn idle_batcher_dispatches_without_waiting_out_the_window() {
+        let planes = test_planes();
+        let metrics = Arc::new(ServeMetrics::default());
+        let batcher = Batcher::spawn(
+            Arc::clone(&planes),
+            Arc::clone(&metrics),
+            ServerConfig {
+                window: Duration::from_secs(5),
+                ..ServerConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let rx = batcher
+            .submit(Endpoint::Match, vec![rotom_text::tokenize("acme phone")])
+            .expect("admitted");
+        rx.recv().expect("reply").expect("scores");
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "took {took:?}");
+        let wait_us = metrics.queue_wait_us.load(Ordering::Relaxed);
+        assert!(wait_us < 1_000_000, "queue wait {wait_us} us");
     }
 
     #[test]

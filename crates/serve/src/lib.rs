@@ -6,9 +6,10 @@
 //! * **Three scoring endpoints** — `POST /match`, `/clean`, `/classify` —
 //!   one per Rotom task family, each backed by its own hot-swappable
 //!   [`TaskPlane`].
-//! * **Windowed batching** ([`batcher`]) — concurrent requests within a
-//!   few-millisecond window ride one `score_batch` pass through the
-//!   scoring pool instead of one forward each.
+//! * **Work-conserving batching** ([`batcher`]) — an idle batcher scores
+//!   a request at once; requests that queue while a batch is scoring ride
+//!   the next `score_batch` pass together, each waiting at most a
+//!   few-millisecond window from its arrival.
 //! * **Hot swap** — `POST /admin/swap` loads a StateBag checkpoint into a
 //!   live plane under its write lock; every response reports the plane
 //!   generation and parameter fingerprint that produced it, and the swap

@@ -22,6 +22,10 @@ fn usage() -> ! {
          Serves POST /match, /clean, /classify; GET /healthz, /metrics;\n\
          POST /admin/swap {{\"endpoint\": ..., \"checkpoint\": ...}}.\n\
          \n\
+         Batching: an idle batcher scores a request at once. Requests that\n\
+         queue while a batch is scoring share the next batch (at most\n\
+         --max-batch jobs); each waits at most --window-ms from its arrival.\n\
+         \n\
          Overload protection: the batcher queue is capped at --max-queue\n\
          jobs (0 = unbounded) with a --deadline-ms admission/expiry budget\n\
          (0 = none); excess load is shed with 503 + Retry-After. At most\n\

@@ -156,7 +156,7 @@ impl TaskPlane {
     /// test-sized wedge timeout), `score_panic` panics. Both are one-shot
     /// and armed only via [`rotom_nn::faultpoint::arm_global`]/`ROTOM_FAULT`;
     /// the disarmed check is one relaxed atomic load.
-    pub fn score(&self, inputs: &[Vec<String>], pool: &RotomPool) -> ScoredBatch {
+    pub fn score<S: AsRef<[String]> + Sync>(&self, inputs: &[S], pool: &RotomPool) -> ScoredBatch {
         use rotom_nn::faultpoint::{self, FaultKind};
         if let Some(ms) = faultpoint::fire_global(FaultKind::SlowScore) {
             std::thread::sleep(std::time::Duration::from_millis(if ms == 0 {
@@ -222,26 +222,26 @@ fn lock(cache: &Mutex<ScoreCache>) -> std::sync::MutexGuard<'_, ScoreCache> {
 /// Score `inputs` through `cache`: look every input up in order, score the
 /// misses in one [`TinyLm::score_batch`] pass, and store their rows. The
 /// cache lock is not held while the misses are scored.
-fn score_cached(
+fn score_cached<S: AsRef<[String]>>(
     model: &TinyLm,
     cache: &Mutex<ScoreCache>,
-    inputs: &[Vec<String>],
+    inputs: &[S],
     pool: &RotomPool,
 ) -> Vec<Vec<f32>> {
     let mut scores: Vec<Option<Vec<f32>>> = {
         let mut cache = lock(cache);
         inputs
             .iter()
-            .map(|x| cache.lookup(x).map(<[f32]>::to_vec))
+            .map(|x| cache.lookup(x.as_ref()).map(<[f32]>::to_vec))
             .collect()
     };
     let missed: Vec<usize> = (0..inputs.len()).filter(|&i| scores[i].is_none()).collect();
     if !missed.is_empty() {
-        let batch: Vec<&[String]> = missed.iter().map(|&i| inputs[i].as_slice()).collect();
+        let batch: Vec<&[String]> = missed.iter().map(|&i| inputs[i].as_ref()).collect();
         let fresh = model.score_batch(&batch, pool);
         let mut cache = lock(cache);
         for (&i, probs) in missed.iter().zip(fresh) {
-            cache.insert(&inputs[i], &probs);
+            cache.insert(inputs[i].as_ref(), &probs);
             scores[i] = Some(probs);
         }
     }

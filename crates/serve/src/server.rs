@@ -3,8 +3,8 @@
 //! Thread-per-connection over `std::net::TcpListener` — the workloads this
 //! serves are model-bound, not connection-bound, so the simple topology is
 //! the right one. Request *scoring* is still batched: handlers submit jobs
-//! to the shared [`Batcher`] and block on the reply, so a burst of
-//! concurrent connections rides one `score_batch` pass per window.
+//! to the shared [`Batcher`] and block on the reply, so requests that
+//! queue while a batch is scoring ride one `score_batch` pass together.
 //!
 //! ## Routes
 //!
@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Most inputs a single scoring request may carry; more is a 400 (split
-/// the request) so one client cannot monopolize a batch window.
+/// the request) so one client cannot monopolize a batch.
 pub const MAX_INPUTS_PER_REQUEST: usize = 256;
 
 /// Server configuration: the one definition of every serving setting. The
@@ -46,8 +46,10 @@ pub const MAX_INPUTS_PER_REQUEST: usize = 256;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port (tests).
     pub addr: String,
-    /// How long the batcher waits after the first job for more of the same
-    /// endpoint before dispatching.
+    /// The longest a queued job waits for more jobs of its endpoint to
+    /// share its batch, counted from its arrival. An idle batcher does not
+    /// wait at all; the window applies only to jobs queued while a batch
+    /// is scoring.
     pub window: Duration,
     /// Dispatch immediately once this many jobs are collected.
     pub max_batch: usize,

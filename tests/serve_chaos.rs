@@ -18,10 +18,15 @@
 //! a mutex and clear the plan on every exit path (including panics) via a
 //! drop guard. Each scenario runs at scoring-pool widths 1 and 8.
 
-use rotom_nn::faultpoint;
-use rotom_serve::{post_with_retry, Client, RetryPolicy, Server, ServerConfig};
-use std::sync::atomic::Ordering;
+use rotom_nn::{faultpoint, RotomPool};
+use rotom_serve::json::{self, Json};
+use rotom_serve::{
+    demo_model, demo_model_config, post_with_retry, Client, Endpoint, Response, RetryPolicy,
+    Server, ServerConfig, TaskPlane,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Serializes the chaos tests: the faultpoint plan is process-global, and
@@ -50,16 +55,50 @@ impl Drop for ChaosGuard<'_> {
 
 const BODY: &str = "{\"inputs\": [\"a small bright film\"]}";
 
+const SEED: u64 = 23;
+
 fn boot(tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         window: Duration::from_millis(1),
         max_batch: 8,
-        seed: 23,
+        seed: SEED,
         ..ServerConfig::default()
     };
     tweak(&mut cfg);
     Server::start(cfg).expect("server boots on an ephemeral port")
+}
+
+/// POST `body` to `/classify` over `client` on a thread of its own.
+fn post_in_thread(mut client: Client, body: String) -> JoinHandle<Response> {
+    std::thread::spawn(move || client.post("/classify", &body).expect("answered"))
+}
+
+/// Stall the first batch for `stall_ms` inside the forward pass. Returns
+/// the held request and four more open connections, ready to queue jobs
+/// behind it; they connect before the stall so their jobs queue quickly.
+fn hold_worker(server: &Server, stall_ms: u64) -> (JoinHandle<Response>, Vec<Client>) {
+    let connect = || Client::connect(server.local_addr()).expect("connect");
+    let conns = (0..4).map(|_| connect()).collect();
+    faultpoint::arm_global(&format!("slow_score@step={stall_ms}")).expect("arm");
+    let held = post_in_thread(connect(), BODY.into());
+    assert!(
+        reaches(&server.metrics().batches, 1),
+        "the first job is in its batch"
+    );
+    (held, conns)
+}
+
+/// Poll `gauge` every millisecond for up to 5 s; whether it read `want`.
+fn reaches(gauge: &AtomicU64, want: u64) -> bool {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(5) {
+        if gauge.load(Ordering::Relaxed) == want {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    false
 }
 
 #[test]
@@ -246,22 +285,18 @@ fn drain_completes_queued_jobs_then_stops_serving() {
             c.max_batch = 64; // the window never fills: jobs sit queued
         });
         let addr = server.local_addr();
-        let clients: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    client.post("/classify", BODY).expect("answered")
-                })
-            })
+        let m = server.metrics();
+        // An idle batcher dispatches at once, so a stalled first batch
+        // holds the worker while four more jobs queue behind it.
+        let (held, conns) = hold_worker(&server, 300);
+        let queued: Vec<_> = conns
+            .into_iter()
+            .map(|c| post_in_thread(c, BODY.into()))
             .collect();
-        // Wait until all four jobs are provably queued (well under the
-        // 500ms window), so the drain has real work to cut through.
-        for _ in 0..200 {
-            if server.metrics().queue_depth.load(Ordering::Relaxed) == 4 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        assert!(
+            reaches(&m.queue_depth, 4),
+            "at {threads} threads: all four jobs are queued before the drain"
+        );
 
         let start = Instant::now();
         let report = server.drain(Duration::from_secs(30));
@@ -272,7 +307,7 @@ fn drain_completes_queued_jobs_then_stops_serving() {
             "drain must not wait out batching windows (took {:?})",
             start.elapsed()
         );
-        for handle in clients {
+        for handle in std::iter::once(held).chain(queued) {
             let resp = handle.join().expect("client thread");
             assert_eq!(
                 resp.status, 200,
@@ -280,7 +315,6 @@ fn drain_completes_queued_jobs_then_stops_serving() {
                 resp.body
             );
         }
-        let m = server.metrics();
         assert_eq!(m.drain_deadline_exceeded.load(Ordering::Relaxed), 0);
         assert_eq!(m.queue_depth.load(Ordering::Relaxed), 0);
 
@@ -291,6 +325,65 @@ fn drain_completes_queued_jobs_then_stops_serving() {
                 .is_err(),
             "post-drain connections must be refused"
         );
+    }
+}
+
+#[test]
+fn jobs_queued_behind_a_busy_worker_ride_one_batch() {
+    let _guard = ChaosGuard::acquire();
+    let texts = [
+        "a luminous heartfelt film",
+        "tedious and shapeless",
+        "the plot works the pacing does not",
+        "bright small and moving",
+    ];
+    let (model, name) = demo_model(Endpoint::Classify.task_kind(), &demo_model_config(), SEED);
+    let reference = TaskPlane::new(Endpoint::Classify, name, model);
+    for threads in [1usize, 8] {
+        let server = boot(|c| {
+            c.score_threads = threads;
+            c.window = Duration::from_millis(20);
+            c.max_batch = 64;
+        });
+        let m = server.metrics();
+        let (held, conns) = hold_worker(&server, 150);
+        let queued: Vec<_> = conns
+            .into_iter()
+            .zip(texts)
+            .map(|(c, text)| post_in_thread(c, format!("{{\"inputs\": [{}]}}", json::quote(text))))
+            .collect();
+        assert!(
+            reaches(&m.queue_depth, 4),
+            "at {threads} threads: all four jobs are queued during the stall"
+        );
+
+        assert_eq!(held.join().expect("client thread").status, 200);
+        let pool = RotomPool::new(threads);
+        for (handle, text) in queued.into_iter().zip(texts) {
+            let resp = handle.join().expect("client thread");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let doc = json::parse(&resp.body).expect("response is valid JSON");
+            let served = json::parse_scores(doc.get("scores").expect("scores")).expect("scores");
+            let direct = reference.score(&[rotom_text::tokenize(text)], &pool).scores;
+            let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                rows.iter()
+                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&served),
+                bits(&direct),
+                "{text:?} at {threads} threads"
+            );
+            assert_eq!(doc.get("generation").and_then(Json::as_u64), Some(0));
+        }
+        assert_eq!(
+            m.batches.load(Ordering::Relaxed),
+            2,
+            "the four rode one batch"
+        );
+        assert_eq!(m.batched_jobs.load(Ordering::Relaxed), 5);
+        server.shutdown();
     }
 }
 
