@@ -133,13 +133,16 @@ done
 # every gradient, RNG state); its wide shape takes the parallel GEMM path
 # only at 8 workers. The DeepMatcher pin holds both encoders' trained
 # parameter bits, so the shared mini-batch backward stays bit-exact at any
-# worker count.
+# worker count. The meta pin holds the bits a short Algorithm 2 run leaves
+# in M_F, M_W, their Adam states, the RNG, the REINFORCE baseline and the
+# target, which the metric-only golden pins cannot see.
 for t in 1 8; do
-    echo "== varying-length tape reuse + [CLS] band vs full rows + DeepMatcher pin (ROTOM_THREADS=$t)"
+    echo "== varying-length tape reuse + [CLS] band vs full rows + DeepMatcher and meta pins (ROTOM_THREADS=$t)"
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test tape_reuse
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test cls_band
     ROTOM_THREADS=$t cargo test -q --offline -p rotom-baselines --lib \
         deepmatcher::tests::trained_parameters_are_pinned
+    ROTOM_THREADS=$t cargo test -q --offline --test meta_with_tinylm
 done
 
 # Tape-free scoring and decode throughput must stay at least 0.8x the

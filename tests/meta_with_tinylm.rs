@@ -3,11 +3,26 @@
 //! end-to-end through tape-based autodiff, the virtual step, probes, and
 //! both policy updates — and still train a usable classifier from a pool
 //! with corrupted augmentations.
+//!
+//! It also pins the bits that run leaves behind: the golden pins hash only
+//! metrics, which an ulp-level change inside `M_F` or `M_W` that flips no
+//! prediction cannot move. Both pins hold at any worker count
+//! (`ROTOM_THREADS`) and on every host, like the DeepMatcher parameter pin.
 
 use rotom::pipeline::evaluate;
 use rotom::{MetaConfig, MetaTrainer, ModelConfig, TinyLm};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
+use rotom_nn::StateBag;
+use rotom_rng::{fnv1a64, fnv1a64_extend};
 use rotom_text::example::AugExample;
+
+/// FNV-1a-64 of the meta-trainer's serialized state: `M_F` and `M_W`
+/// parameters, both Adam states, the sampling RNG and the REINFORCE
+/// baseline.
+const META_STATE_PIN: u64 = 0x97a0_f1f6_6e23_743c;
+/// FNV-1a-64 over the bits of the target's trained parameters, in store
+/// order.
+const TARGET_PARAMS_PIN: u64 = 0x4851_1752_5fe9_7a14;
 
 #[test]
 fn algorithm2_with_tinylm_learns_through_poisoned_pool() {
@@ -48,6 +63,19 @@ fn algorithm2_with_tinylm_learns_through_poisoned_pool() {
         last_stats = Some(trainer.train_epoch(&mut model, &pool, &train, &[]));
     }
     let stats = last_stats.unwrap();
+
+    let mut bag = StateBag::new();
+    trainer.save_state(&mut bag, "meta");
+    let meta_bits = fnv1a64(bag.serialize().as_bytes());
+    let target_bits = model.snapshot().iter().fold(fnv1a64(&[]), |h, x| {
+        fnv1a64_extend(h, &x.to_bits().to_le_bytes())
+    });
+    assert_eq!(meta_bits, META_STATE_PIN, "meta state {meta_bits:#018x}");
+    assert_eq!(
+        target_bits, TARGET_PARAMS_PIN,
+        "target parameters {target_bits:#018x}"
+    );
+
     assert!(stats.steps > 0);
     assert!(stats.train_loss.is_finite());
     assert!((0.0..=1.0).contains(&stats.keep_rate));
