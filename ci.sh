@@ -16,6 +16,18 @@ awk 'FNR == 1 { in_tests = 0 }
      !in_tests && NF { n++ }
      END { print n }' $(find crates/*/src src -name '*.rs' | sort)
 
+# Informational, gates nothing: settable config values, i.e. the `pub`
+# fields of every `pub struct *Config` / `*Params` above each file's first
+# `#[cfg(test)]` in crates/*/src and src.
+echo "== settable config values"
+awk 'FNR == 1 { in_tests = 0; in_struct = 0 }
+     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+     in_tests { next }
+     /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Params)[[:space:]]*\{/ { in_struct = 1; next }
+     in_struct && /^[[:space:]]*\}/ { in_struct = 0 }
+     in_struct && /^[[:space:]]*pub [a-z_0-9]+:/ { n++ }
+     END { print n }' $(find crates/*/src src -name '*.rs' | sort)
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 

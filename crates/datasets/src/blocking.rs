@@ -53,15 +53,19 @@ use rotom_rng::{fnv1a64, splitmix64};
 use rotom_text::{for_each_token, Record};
 use std::ops::Range;
 
-/// MinHash/LSH banding parameters. The signature has `bands * rows` hashes;
-/// two records collide when all `rows` hashes of any band agree, so the
-/// catch probability for Jaccard similarity `j` is `1 - (1 - j^rows)^bands`.
+/// Number of LSH bands (each band is one bucket table). The minhash
+/// signature has `BANDS * ROWS` hashes; two records collide when all `ROWS`
+/// hashes of any band agree, so the catch probability for Jaccard
+/// similarity `j` is `1 - (1 - j^ROWS)^BANDS`. 8 bands x 2 rows catch ~90%
+/// of pairs at jaccard 0.5 and ~99.6% at 0.7, while pairs below 0.2 almost
+/// never collide.
+const BANDS: usize = 8;
+/// MinHash rows per LSH band.
+const ROWS: usize = 2;
+
+/// MinHash/LSH tier parameters. The banding is fixed at 8 bands x 2 rows.
 #[derive(Debug, Clone, Copy)]
 pub struct LshParams {
-    /// Number of bands (each band is one bucket table).
-    pub bands: usize,
-    /// MinHash rows per band.
-    pub rows: usize,
     /// Buckets holding more than this many records are dropped when the
     /// index is sealed. Corpus-wide shared tokens (stopwords) drag every
     /// record's minhash toward the same few values, merging huge fractions
@@ -74,13 +78,7 @@ pub struct LshParams {
 
 impl Default for LshParams {
     fn default() -> Self {
-        // 8 bands x 2 rows: catches ~90% of pairs at jaccard 0.5, ~99.6% at
-        // 0.7, while pairs below 0.2 almost never collide.
-        Self {
-            bands: 8,
-            rows: 2,
-            max_bucket: 256,
-        }
+        Self { max_bucket: 256 }
     }
 }
 
@@ -142,27 +140,21 @@ fn chunk_ids(start: usize, len: usize) -> Option<Range<u32>> {
 /// [`content_token_list`](crate::em::content_token_list)): the buckets the
 /// index files the record under and probes it against. Records with no
 /// content tokens get no keys (they cannot match anything lexically).
-pub fn band_keys(tokens: &[String], params: LshParams, seed: u64) -> Vec<u64> {
+pub fn band_keys(tokens: &[String], seed: u64) -> Vec<u64> {
     let hashes: Vec<u64> = tokens.iter().map(|t| fnv1a64(t.as_bytes())).collect();
     let mut keys = Vec::new();
-    push_band_keys(&hashes, params, seed, &mut Vec::new(), &mut keys);
+    push_band_keys(&hashes, seed, &mut Vec::new(), &mut keys);
     keys
 }
 
 /// Append [`band_keys`] over the tokens' [`fnv1a64`] hashes to `keys`, with
 /// `sig` as the minhash signature's scratch.
-fn push_band_keys(
-    hashes: &[u64],
-    params: LshParams,
-    seed: u64,
-    sig: &mut Vec<u64>,
-    keys: &mut Vec<u64>,
-) {
+fn push_band_keys(hashes: &[u64], seed: u64, sig: &mut Vec<u64>, keys: &mut Vec<u64>) {
     if hashes.is_empty() {
         return;
     }
     sig.clear();
-    sig.resize(params.bands * params.rows, u64::MAX);
+    sig.resize(BANDS * ROWS, u64::MAX);
     for &th in hashes {
         for (h, slot) in sig.iter_mut().enumerate() {
             // One splitmix step per (token, hash-index): an independent
@@ -174,10 +166,10 @@ fn push_band_keys(
             }
         }
     }
-    keys.extend((0..params.bands).map(|b| {
+    keys.extend((0..BANDS).map(|b| {
         let mut key = 0x100_0000_01b3u64 ^ (b as u64) << 32;
-        for r in 0..params.rows {
-            let mut s = key ^ sig[b * params.rows + r];
+        for r in 0..ROWS {
+            let mut s = key ^ sig[b * ROWS + r];
             key = splitmix64(&mut s);
         }
         key
@@ -315,16 +307,17 @@ struct TokenRun {
 }
 
 impl TokenRun {
-    /// Replace the run with `records`' tokens and band keys.
-    fn fill(&mut self, records: &[Record], lsh: Option<LshParams>, seed: u64) {
+    /// Replace the run with `records`' tokens and, with the LSH tier on,
+    /// their band keys.
+    fn fill(&mut self, records: &[Record], lsh: bool, seed: u64) {
         self.tokens.clear();
         self.keys.clear();
         self.key_ends.clear();
         for (i, r) in records.iter().enumerate() {
             self.tokens.push(r);
-            if let Some(p) = lsh {
+            if lsh {
                 let hashes = &self.tokens.hashes[self.tokens.tokens(i)];
-                push_band_keys(hashes, p, seed, &mut self.sig, &mut self.keys);
+                push_band_keys(hashes, seed, &mut self.sig, &mut self.keys);
             }
             self.key_ends.push(self.keys.len());
         }
@@ -501,7 +494,7 @@ impl IndexBuilder {
     /// Start an empty index under `cfg`.
     pub fn new(cfg: BlockingConfig) -> Self {
         let num_shards = cfg.num_shards.max(1);
-        let band_entries = vec![Vec::new(); cfg.lsh.map_or(0, |p| p.bands)];
+        let band_entries = vec![Vec::new(); if cfg.lsh.is_some() { BANDS } else { 0 }];
         Self {
             cfg: BlockingConfig { num_shards, ..cfg },
             shards: vec![ShardBuilder::default(); num_shards],
@@ -522,7 +515,7 @@ impl IndexBuilder {
         let ids =
             chunk_ids(self.num_records, records.len()).expect("index capped at u32 record ids");
         let ns = self.cfg.num_shards;
-        let (lsh, seed) = (self.cfg.lsh, self.cfg.seed);
+        let (lsh, seed) = (self.cfg.lsh.is_some(), self.cfg.seed);
         let k = fill_runs(pool, &mut self.runs, records, |run, recs| {
             run.fill(recs, lsh, seed)
         });
@@ -737,7 +730,8 @@ struct ProbeRun {
 impl ProbeRun {
     /// Replace the run with `records` and probe each against `index`.
     fn fill(&mut self, index: &ShardedIndex, records: &[Record]) {
-        self.run.fill(records, index.cfg.lsh, index.cfg.seed);
+        self.run
+            .fill(records, index.cfg.lsh.is_some(), index.cfg.seed);
         self.counts.resize(index.stats.records, 0);
         self.ids.clear();
         self.ends.clear();
@@ -1022,14 +1016,14 @@ mod tests {
         );
         // A record always collides with itself in every band.
         for (j, r) in right.iter().enumerate() {
-            let keys = band_keys(&content_token_list(r), LshParams::default(), index.cfg.seed);
+            let keys = band_keys(&content_token_list(r), index.cfg.seed);
             assert_eq!(keys.len(), index.bands.len());
             for (band, key) in index.bands.iter().zip(keys) {
                 assert!(band.bucket(key).contains(&(j as u32)), "record {j}");
             }
         }
         // Empty records produce no signature and no probe hits.
-        assert!(band_keys(&[], LshParams::default(), 1).is_empty());
+        assert!(band_keys(&[], 1).is_empty());
         let nothing = [Record { attrs: vec![] }];
         let empty = ShardedIndex::build(&nothing, index.cfg.clone(), &pool);
         assert!(pairs_from_stream(&empty, &nothing, 1).is_empty());

@@ -16,7 +16,7 @@ use crate::words::*;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
 use rotom_text::example::Example;
-use rotom_text::serialize::{serialize_cell, serialize_cell_in_context, Record};
+use rotom_text::serialize::{serialize_cell, Record};
 
 /// The five EDT flavors (Table 6, right half).
 #[derive(Debug, Clone, Copy)]
@@ -85,10 +85,6 @@ pub enum ErrorKind {
 pub struct EdtConfig {
     /// Number of rows in the table (`None` → flavor default).
     pub rows: Option<usize>,
-    /// Use context-dependent serialization (whole row + cell) instead of the
-    /// context-independent form. The paper uses context-independent for these
-    /// datasets.
-    pub context: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -97,7 +93,6 @@ impl Default for EdtConfig {
     fn default() -> Self {
         Self {
             rows: None,
-            context: false,
             seed: 7,
         }
     }
@@ -120,8 +115,6 @@ pub struct EdtDataset {
     pub kinds: Vec<Vec<Option<ErrorKind>>>,
     /// Indices of the held-out test tuples.
     pub test_rows: Vec<usize>,
-    /// Whether serialization includes row context.
-    pub context: bool,
 }
 
 impl EdtDataset {
@@ -130,15 +123,11 @@ impl EdtDataset {
         self.mask.iter().flatten().filter(|&&b| b).count()
     }
 
-    /// Serialize a single cell per the configured mode.
+    /// Serialize a single cell context-independently, as the paper does
+    /// for these datasets.
     fn cell_example(&self, row: usize, col: usize) -> Example {
         let attr = &self.columns[col];
-        let r = &self.rows[row];
-        let tokens = if self.context {
-            serialize_cell_in_context(r, attr)
-        } else {
-            serialize_cell(attr, r.get(attr).unwrap_or(""))
-        };
+        let tokens = serialize_cell(attr, self.rows[row].get(attr).unwrap_or(""));
         Example::new(tokens, self.mask[row][col] as usize)
     }
 
@@ -455,7 +444,6 @@ pub fn generate(flavor: EdtFlavor, cfg: &EdtConfig) -> EdtDataset {
         mask,
         kinds,
         test_rows,
-        context: cfg.context,
     }
 }
 
@@ -499,17 +487,6 @@ mod tests {
         let total = d.rows.len() * d.columns.len();
         assert_eq!(t.train_pool.len() + t.test.len(), total);
         assert_eq!(t.test.len(), 20 * d.columns.len());
-    }
-
-    #[test]
-    fn context_serialization_includes_sep() {
-        let cfg = EdtConfig {
-            context: true,
-            ..Default::default()
-        };
-        let d = generate(EdtFlavor::Hospital, &cfg);
-        let t = d.to_task();
-        assert!(t.train_pool[0].tokens.contains(&"[SEP]".to_string()));
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub struct AblationConfig {
     pub disable_l2: bool,
 }
 
+/// Learning rate of the weighting model.
+const WEIGHT_LR: f32 = 1e-3;
+
 /// Meta-trainer hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct MetaConfig {
@@ -83,8 +86,6 @@ pub struct MetaConfig {
     pub val_batch_size: usize,
     /// Finite-difference probe scale ε (paper: 0.01).
     pub epsilon: f32,
-    /// Learning rate of the weighting model.
-    pub weight_lr: f32,
     /// Learning rate of the filtering model.
     pub filter_lr: f32,
     /// Enable the SSL extension.
@@ -101,7 +102,6 @@ impl Default for MetaConfig {
             batch_size: 16,
             val_batch_size: 16,
             epsilon: 0.01,
-            weight_lr: 1e-3,
             filter_lr: 1e-2,
             ssl: None,
             ablation: AblationConfig::default(),
@@ -149,7 +149,7 @@ impl MetaTrainer {
         cfg: MetaConfig,
     ) -> Self {
         let filter = FilterModel::new(num_classes, cfg.filter_lr, cfg.seed ^ 0xf11);
-        let weight = WeightModel::new(vocab, enc_cfg, cfg.weight_lr, cfg.seed ^ 0x3e1);
+        let weight = WeightModel::new(vocab, enc_cfg, WEIGHT_LR, cfg.seed ^ 0x3e1);
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0x7a9);
         Self {
             filter,
@@ -811,7 +811,7 @@ mod tests {
         let mut target_b = BowTarget::new(&words(), 2, 0.2);
         let mut ta = trainer(false);
         let mut tb = trainer(false);
-        let mut monitor = rotom_nn::HealthMonitor::new(rotom_nn::HealthConfig::default());
+        let mut monitor = rotom_nn::HealthMonitor::new();
         for _ in 0..3 {
             let _ = ta.train_epoch(&mut target_a, &aug, &train, &[]);
             let _ = tb
@@ -859,7 +859,7 @@ mod tests {
         let (train, aug) = toy_data();
         let mut target = BowTarget::new(&words(), 2, 0.2);
         let mut t = trainer(false);
-        let mut monitor = rotom_nn::HealthMonitor::new(rotom_nn::HealthConfig::default());
+        let mut monitor = rotom_nn::HealthMonitor::new();
         rotom_nn::faultpoint::arm("nan_grad@step=2").unwrap();
         let result = t.train_epoch_guarded(&mut target, &aug, &train, &[], Some(&mut monitor));
         rotom_nn::faultpoint::clear();

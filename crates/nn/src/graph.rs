@@ -163,10 +163,9 @@ enum Op {
     /// Mean cross-entropy over rows of logits against soft targets.
     CrossEntropy {
         logits: NodeId,
-        /// Row-major `m x C` soft target distribution.
-        targets: Vec<f32>,
-        /// Cached softmax of logits (reused by the backward rule).
-        probs: Vec<f32>,
+        /// Row-major `m x C` softmax of the logits minus the targets: the
+        /// backward rule's gradient before its scale.
+        diff: Vec<f32>,
     },
     /// Sum of all elements: `m x n -> 1 x 1`.
     SumAll(NodeId),
@@ -238,10 +237,7 @@ impl Tape {
                     cache.clear();
                     self.ln_pool.push(cache);
                 }
-                Op::CrossEntropy { targets, probs, .. } => {
-                    self.arena.put(targets);
-                    self.arena.put(probs);
-                }
+                Op::CrossEntropy { diff, .. } => self.arena.put(diff),
                 Op::ConcatCols(mut v) | Op::ConcatRows(mut v) | Op::SumNodes(mut v)
                     if self.nids_pool.len() < SMALL_POOL_CAP =>
                 {
@@ -534,35 +530,28 @@ impl Tape {
     ///
     /// `targets` is row-major `m x C` and each row should be a probability
     /// distribution (one-hot for hard labels). The row softmax is computed
-    /// once: its (max, sum) statistics give the log-sum-exp for the loss and
-    /// the cached probabilities feed the backward rule.
+    /// once: its (max, sum) statistics give the log-sum-exp for the loss,
+    /// and the tape keeps only `probs − targets` for the backward rule.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[f32]) -> NodeId {
         let (m, c) = self.shape(logits);
         assert_eq!(targets.len(), m * c, "target shape mismatch");
-        let mut probs = self.arena.take_dirty(m * c);
+        let mut diff = self.arena.take_dirty(m * c);
         let mut loss = 0.0f64;
         {
             let lv = &self.nodes[logits.0].value;
             for i in 0..m {
                 let span = i * c..(i + 1) * c;
-                kernels::cross_entropy_row(
-                    lv.row_slice(i),
-                    &targets[span.clone()],
-                    &mut probs[span],
-                    &mut loss,
-                );
+                let (t, d) = (&targets[span.clone()], &mut diff[span]);
+                kernels::cross_entropy_row(lv.row_slice(i), t, d, &mut loss);
+                for (d, &t) in d.iter_mut().zip(t) {
+                    *d -= t;
+                }
             }
         }
-        let mut tbuf = self.arena.take_dirty(m * c);
-        tbuf.copy_from_slice(targets);
         let mut vbuf = self.arena.take_dirty(1);
         vbuf[0] = (loss / m as f64) as f32;
         self.push(
-            Op::CrossEntropy {
-                logits,
-                targets: tbuf,
-                probs,
-            },
+            Op::CrossEntropy { logits, diff },
             Tensor::from_vec(vbuf, 1, 1),
         )
     }
@@ -912,17 +901,13 @@ impl Tape {
                 let dx = self.bwd_zip_out(grad, i, |g, inv| -g * inv * inv);
                 self.add_grad_owned(*x, dx);
             }
-            Op::CrossEntropy {
-                logits,
-                targets,
-                probs,
-            } => {
+            Op::CrossEntropy { logits, diff } => {
                 let g = grad.item();
                 let (m, c) = self.shape(*logits);
                 let scale = g / m as f32;
                 let mut dl = self.arena.take_dirty(m * c);
-                for ((o, &p), &t) in dl.iter_mut().zip(probs.iter()).zip(targets.iter()) {
-                    *o = (p - t) * scale;
+                for (o, &d) in dl.iter_mut().zip(diff.iter()) {
+                    *o = d * scale;
                 }
                 self.add_grad_owned(*logits, Tensor::from_vec(dl, m, c));
             }

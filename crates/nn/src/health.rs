@@ -11,32 +11,17 @@
 
 use std::collections::VecDeque;
 
-/// Tunables for divergence detection and recovery.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Length of the sliding loss window used for spike detection. The spike
-    /// check only engages once the window is full.
-    pub spike_window: usize,
-    /// A step diverges if its loss exceeds `spike_factor ×` the window mean.
-    pub spike_factor: f32,
-    /// How many rollbacks to attempt before degrading to the best snapshot.
-    pub max_rollbacks: u32,
-    /// Multiplier applied to the learning rate on each rollback (compounds:
-    /// the k-th rollback restarts at `lr · lr_decay^k`, so retries do not
-    /// replay the identical diverging trajectory).
-    pub lr_decay: f32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            spike_window: 8,
-            spike_factor: 4.0,
-            max_rollbacks: 3,
-            lr_decay: 0.5,
-        }
-    }
-}
+/// Length of the sliding loss window used for spike detection. The spike
+/// check only engages once the window is full.
+const SPIKE_WINDOW: usize = 8;
+/// A step diverges if its loss exceeds `SPIKE_FACTOR ×` the window mean.
+const SPIKE_FACTOR: f32 = 4.0;
+/// How many rollbacks to attempt before degrading to the best snapshot.
+const MAX_ROLLBACKS: u32 = 3;
+/// Multiplier applied to the learning rate on each rollback (compounds:
+/// the k-th rollback restarts at `lr · LR_DECAY^k`, so retries do not
+/// replay the identical diverging trajectory).
+const LR_DECAY: f32 = 0.5;
 
 /// The per-step health outcome.
 #[derive(Debug, PartialEq)]
@@ -79,7 +64,6 @@ impl std::fmt::Display for Halt {
 /// state so resumed runs see the same step numbering.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     window: VecDeque<f32>,
     step: u64,
     rollbacks: u32,
@@ -87,11 +71,14 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Create a monitor with the given tunables.
-    pub fn new(cfg: HealthConfig) -> Self {
+    /// Create a monitor at step 0 with no rollback consumed.
+    #[allow(
+        clippy::new_without_default,
+        reason = "a monitor is built once per run by its driver; it has one constructor"
+    )]
+    pub fn new() -> Self {
         Self {
-            window: VecDeque::with_capacity(cfg.spike_window),
-            cfg,
+            window: VecDeque::with_capacity(SPIKE_WINDOW),
             step: 0,
             rollbacks: 0,
             events: Vec::new(),
@@ -137,12 +124,12 @@ impl HealthMonitor {
             Some(format!("non-finite loss {loss}"))
         } else if !grad_norm.is_finite() {
             Some(format!("non-finite gradient norm {grad_norm}"))
-        } else if self.window.len() == self.cfg.spike_window {
+        } else if self.window.len() == SPIKE_WINDOW {
             let mean = self.window.iter().sum::<f32>() / self.window.len() as f32;
-            if mean > 0.0 && loss > self.cfg.spike_factor * mean {
+            if mean > 0.0 && loss > SPIKE_FACTOR * mean {
                 Some(format!(
                     "loss spike: {loss} > {} × window mean {mean}",
-                    self.cfg.spike_factor
+                    SPIKE_FACTOR
                 ))
             } else {
                 None
@@ -160,7 +147,7 @@ impl HealthMonitor {
                 Verdict::Diverged(reason)
             }
             None => {
-                if self.window.len() == self.cfg.spike_window {
+                if self.window.len() == SPIKE_WINDOW {
                     self.window.pop_front();
                 }
                 self.window.push_back(loss);
@@ -171,12 +158,12 @@ impl HealthMonitor {
 
     /// Whether the rollback budget allows another recovery attempt.
     pub fn can_rollback(&self) -> bool {
-        self.rollbacks < self.cfg.max_rollbacks
+        self.rollbacks < MAX_ROLLBACKS
     }
 
     /// Consume one rollback: reset the spike window (the restored trajectory
     /// re-fills it) and record the event. Returns the compounded LR scale
-    /// `lr_decay^rollbacks` the driver should apply to the restored state.
+    /// `LR_DECAY^rollbacks` the driver should apply to the restored state.
     pub fn record_rollback(&mut self, restored_step: u64, detail: String) -> f32 {
         self.rollbacks += 1;
         self.window.clear();
@@ -185,7 +172,7 @@ impl HealthMonitor {
             kind: "rollback".to_string(),
             detail,
         });
-        self.cfg.lr_decay.powi(self.rollbacks as i32)
+        LR_DECAY.powi(self.rollbacks as i32)
     }
 
     /// Record that the run gave up retrying and degraded to the best
@@ -203,18 +190,9 @@ impl HealthMonitor {
 mod tests {
     use super::*;
 
-    fn monitor() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig {
-            spike_window: 3,
-            spike_factor: 4.0,
-            max_rollbacks: 2,
-            lr_decay: 0.5,
-        })
-    }
-
     #[test]
     fn healthy_steps_stay_healthy() {
-        let mut m = monitor();
+        let mut m = HealthMonitor::new();
         for loss in [1.0, 0.9, 1.1, 0.8, 1.0] {
             m.begin_step();
             assert_eq!(m.observe(loss, 0.5), Verdict::Healthy);
@@ -225,7 +203,7 @@ mod tests {
 
     #[test]
     fn non_finite_loss_and_grad_diverge() {
-        let mut m = monitor();
+        let mut m = HealthMonitor::new();
         m.begin_step();
         assert!(matches!(m.observe(f32::NAN, 0.5), Verdict::Diverged(_)));
         m.begin_step();
@@ -238,41 +216,41 @@ mod tests {
 
     #[test]
     fn spike_detection_needs_full_window() {
-        let mut m = monitor();
+        let mut m = HealthMonitor::new();
         // Window not full yet: even a huge loss passes.
         m.begin_step();
         assert_eq!(m.observe(100.0, 0.1), Verdict::Healthy);
-        for loss in [1.0, 1.0] {
+        for _ in 1..SPIKE_WINDOW {
             m.begin_step();
-            assert_eq!(m.observe(loss, 0.1), Verdict::Healthy);
+            assert_eq!(m.observe(1.0, 0.1), Verdict::Healthy);
         }
-        // Window now [100, 1, 1], mean 34 → 4×mean = 136: 135 passes.
+        // Window now [100, 1 × 7], mean 13.375 → 4×mean = 53.5: 53 passes.
         m.begin_step();
-        assert_eq!(m.observe(135.0, 0.1), Verdict::Healthy);
-        // Window [1, 1, 135], mean ~45.7 → spike at 200.
+        assert_eq!(m.observe(53.0, 0.1), Verdict::Healthy);
+        // Window [1 × 7, 53], mean 7.5 → spike above 30.
         m.begin_step();
-        assert!(matches!(m.observe(200.0, 0.1), Verdict::Diverged(_)));
+        assert!(matches!(m.observe(31.0, 0.1), Verdict::Diverged(_)));
     }
 
     #[test]
     fn rollback_budget_and_compounded_decay() {
-        let mut m = monitor();
-        assert!(m.can_rollback());
-        assert_eq!(m.record_rollback(0, "first".into()), 0.5);
-        assert!(m.can_rollback());
-        assert_eq!(m.record_rollback(0, "second".into()), 0.25);
+        let mut m = HealthMonitor::new();
+        for scale in [0.5, 0.25, 0.125] {
+            assert!(m.can_rollback());
+            assert_eq!(m.record_rollback(0, "retry".into()), scale);
+        }
         assert!(!m.can_rollback());
         m.record_degraded("out of retries".into());
         let kinds: Vec<_> = m.events().iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["rollback", "rollback", "degraded"]);
+        assert_eq!(kinds, ["rollback", "rollback", "rollback", "degraded"]);
     }
 
     #[test]
     fn rollback_clears_spike_window() {
-        let mut m = monitor();
-        for loss in [1.0, 1.0, 1.0] {
+        let mut m = HealthMonitor::new();
+        for _ in 0..SPIKE_WINDOW {
             m.begin_step();
-            m.observe(loss, 0.1);
+            m.observe(1.0, 0.1);
         }
         m.record_rollback(0, "test".into());
         // Window cleared: the spike check is disengaged until it refills.

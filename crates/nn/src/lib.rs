@@ -65,7 +65,7 @@ pub use faultpoint::{FaultKilled, FaultKind};
 pub use graph::{
     pooled_tape_stats, tape_eviction_count, with_pooled_tape, AttnMask, NodeId, Tape, TapeBatch,
 };
-pub use health::{Halt, HealthConfig, HealthEvent, HealthMonitor, Verdict};
+pub use health::{Halt, HealthEvent, HealthMonitor, Verdict};
 pub use infer::{with_infer_tape, InferTape};
 pub use init::Initializer;
 pub use layers::{

@@ -82,8 +82,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// MixDA Beta(α, α) interpolation parameter.
     pub mixda_alpha: f32,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for TrainConfig {
@@ -93,7 +91,6 @@ impl Default for TrainConfig {
             batch_size: 16,
             lr: 5e-4,
             mixda_alpha: 0.8,
-            seed: 0,
         }
     }
 }

@@ -304,6 +304,9 @@ fn run_tag(method: Method, cfg: &RotomConfig, train_len: usize, seed: u64) -> Ve
 
 /// Maximum unlabeled examples consumed by Rotom+SSL (paper: 10,000).
 const MAX_UNLABELED: usize = 10_000;
+/// Seed of Rotom+SSL's unlabeled sample. It is fixed: it does not follow
+/// the run seed.
+const UNLABELED_SEED: u64 = 0;
 
 #[allow(clippy::too_many_arguments)]
 fn run_method_impl(
@@ -366,7 +369,7 @@ fn run_method_impl(
             let trainer =
                 MetaTrainer::new(task.num_classes, model.vocab().clone(), enc_cfg, meta_cfg);
             let unlabeled: Vec<Vec<String>> = if ssl {
-                task.sample_unlabeled(MAX_UNLABELED, cfg.train.seed)
+                task.sample_unlabeled(MAX_UNLABELED, UNLABELED_SEED)
             } else {
                 Vec::new()
             };

@@ -18,14 +18,15 @@
 //! * **Health guarding** — every optimizer step is monitored
 //!   ([`HealthMonitor`]); a divergent step (non-finite loss/gradient, loss
 //!   spike) rolls the run back to the last good epoch boundary with a
-//!   decayed learning rate, and after `max_rollbacks` failed retries the run
-//!   degrades gracefully to the best snapshot seen instead of panicking.
+//!   decayed learning rate, and after `MAX_ROLLBACKS` (3, a constant in
+//!   `rotom_nn::health`) failed retries the run degrades gracefully to the
+//!   best snapshot seen instead of panicking.
 //!
 //! Fault injection for tests and CI is provided by
 //! [`rotom_nn::faultpoint`] (`ROTOM_FAULT=kill@step=37`, `nan_grad@step=12`,
 //! `torn_checkpoint`, …).
 
-use rotom_nn::{CheckpointError, HealthConfig, HealthEvent, HealthMonitor, StateBag};
+use rotom_nn::{CheckpointError, HealthEvent, HealthMonitor, StateBag};
 use std::path::PathBuf;
 
 /// Configuration of the fault-tolerant runtime.
@@ -95,7 +96,7 @@ pub(crate) struct FtSession {
 
 impl FtSession {
     pub(crate) fn new(cfg: FtConfig, tag: Vec<u64>, resume_bag: Option<StateBag>) -> Self {
-        let monitor = HealthMonitor::new(HealthConfig::default());
+        let monitor = HealthMonitor::new();
         Self {
             cfg,
             monitor,

@@ -35,9 +35,9 @@
 //! forward pass becomes an `Err` reply (a 500) for the jobs in that batch,
 //! and the worker survives. Panics *outside* that guard (or a wedged
 //! forward pass that never returns) are handled by a **watchdog** thread:
-//! it detects a finished-by-panic worker or a worker busy longer than
-//! [`ServerConfig::wedge_timeout`] and respawns a fresh worker under a
-//! bumped queue generation. Queued jobs survive a respawn (the queue
+//! every `WATCHDOG_TICK` (20 ms) it checks for a finished-by-panic worker
+//! or a worker busy longer than [`ServerConfig::wedge_timeout`], and
+//! respawns a fresh worker under a bumped queue generation. Queued jobs survive a respawn (the queue
 //! outlives the worker); an orphaned wedged worker still answers the batch
 //! it holds, then notices the generation bump and exits without pulling
 //! new work. Respawns are counted in `/metrics` as `batcher_respawns`.
@@ -62,6 +62,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Watchdog poll interval.
+pub(crate) const WATCHDOG_TICK: Duration = Duration::from_millis(20);
 
 /// Scores for one job, stamped with the plane generation that produced
 /// them (see [`ScoredBatch`](crate::plane::ScoredBatch)).
@@ -238,7 +241,7 @@ impl Batcher {
                 .name("rotom-serve-watchdog".into())
                 .spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(cfg.watchdog_tick);
+                        std::thread::sleep(WATCHDOG_TICK);
                         if stop.load(Ordering::SeqCst) {
                             return;
                         }
@@ -732,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submissions_ride_one_or_few_batches() {
+    fn concurrent_submissions_are_each_answered_and_counted_once() {
         let planes = test_planes();
         let metrics = Arc::new(ServeMetrics::default());
         let batcher = Arc::new(Batcher::spawn(
@@ -759,15 +762,10 @@ mod tests {
             let reply = rx.recv().expect("reply").expect("scores");
             assert_eq!(reply.scores.len(), 1);
         }
-        let batches = metrics.batches.load(std::sync::atomic::Ordering::Relaxed);
         let jobs = metrics
             .batched_jobs
             .load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(jobs, 12);
-        assert!(
-            batches <= 12,
-            "jobs must not outnumber batches ({batches} batches)"
-        );
     }
 
     #[test]

@@ -298,7 +298,6 @@ pub fn demo_model(kind: TaskKind, cfg: &ModelConfig, seed: u64) -> (TinyLm, Stri
                 &EdtConfig {
                     rows: Some(80),
                     seed,
-                    ..EdtConfig::default()
                 },
             )
             .to_task();

@@ -40,6 +40,10 @@ use std::time::{Duration, Instant};
 /// the request) so one client cannot monopolize a batch.
 pub const MAX_INPUTS_PER_REQUEST: usize = 256;
 
+/// Close connections idle longer than this between requests; a connection
+/// idle mid-request gets a 408 first.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Server configuration: the one definition of every serving setting. The
 /// batcher's worker and watchdog share it by `Arc`.
 #[derive(Debug)]
@@ -59,9 +63,6 @@ pub struct ServerConfig {
     pub score_cache: usize,
     /// Seed for the demo models the planes boot with.
     pub seed: u64,
-    /// Close connections idle longer than this between requests; a
-    /// connection idle mid-request gets a 408 first.
-    pub idle_timeout: Duration,
     /// Batcher queue depth cap; submissions beyond it are shed with 503 +
     /// `Retry-After` (0 = unbounded).
     pub max_queue: usize,
@@ -75,8 +76,6 @@ pub struct ServerConfig {
     /// Watchdog: replace a batcher worker busy on one batch longer than
     /// this.
     pub wedge_timeout: Duration,
-    /// Watchdog poll interval.
-    pub watchdog_tick: Duration,
 }
 
 impl Default for ServerConfig {
@@ -88,12 +87,10 @@ impl Default for ServerConfig {
             score_threads: 1,
             score_cache: 0,
             seed: 7,
-            idle_timeout: Duration::from_secs(30),
             max_queue: 1024,
             deadline: Duration::from_secs(10),
             max_conns: 256,
             wedge_timeout: Duration::from_secs(2),
-            watchdog_tick: Duration::from_millis(20),
         }
     }
 }
@@ -106,7 +103,6 @@ struct Inner {
     /// Drain mode: stop accepting and close idle keep-alive connections,
     /// but let in-flight and queued jobs complete (see [`Server::drain`]).
     draining: AtomicBool,
-    idle_timeout: Duration,
     max_conns: usize,
     active_conns: AtomicU64,
 }
@@ -159,7 +155,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::default());
-        let (idle_timeout, max_conns) = (cfg.idle_timeout, cfg.max_conns);
+        let max_conns = cfg.max_conns;
         let batcher = Batcher::spawn(Arc::clone(&planes), Arc::clone(&metrics), cfg);
         let inner = Arc::new(Inner {
             planes,
@@ -167,7 +163,6 @@ impl Server {
             batcher,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            idle_timeout,
             max_conns,
             active_conns: AtomicU64::new(0),
         });
@@ -377,7 +372,7 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
                 buf.extend_from_slice(&chunk[..n]);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_activity.elapsed() >= inner.idle_timeout {
+                if last_activity.elapsed() >= IDLE_TIMEOUT {
                     if !buf.is_empty() {
                         // Mid-request stall: tell the peer before closing.
                         let body = b"{\"error\":\"request timed out\",\"status\":408}";
@@ -616,12 +611,12 @@ mod tests {
         assert_eq!(cfg.score_threads, 1);
         assert_eq!(cfg.score_cache, 0);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.idle_timeout, Duration::from_secs(30));
+        assert_eq!(IDLE_TIMEOUT, Duration::from_secs(30));
         assert_eq!(cfg.max_queue, 1024);
         assert_eq!(cfg.deadline, Duration::from_secs(10));
         assert_eq!(cfg.max_conns, 256);
         assert_eq!(cfg.wedge_timeout, Duration::from_secs(2));
-        assert_eq!(cfg.watchdog_tick, Duration::from_millis(20));
+        assert_eq!(crate::batcher::WATCHDOG_TICK, Duration::from_millis(20));
     }
 
     #[test]

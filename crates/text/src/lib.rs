@@ -19,8 +19,7 @@ pub mod vocab;
 
 pub use example::{AugExample, Example};
 pub use serialize::{
-    parse_structure, serialize_cell, serialize_cell_in_context, serialize_pair, serialize_record,
-    Record, Structure,
+    parse_structure, serialize_cell, serialize_pair, serialize_record, Record, Structure,
 };
 pub use thesaurus::Thesaurus;
 pub use tokenizer::{detokenize, for_each_token, tokenize};

@@ -1,7 +1,7 @@
 //! Record serialization (paper §2.1).
 //!
 //! Data entries are serialized into token sequences with `[COL]`/`[VAL]`
-//! markers; entity pairs and (row, cell) contexts are joined with `[SEP]`.
+//! markers; the two entities of a pair are joined with `[SEP]`.
 
 use crate::token::{COL, SEP, VAL};
 use crate::tokenizer::tokenize;
@@ -59,15 +59,6 @@ pub fn serialize_cell(attr: &str, value: &str) -> Vec<String> {
     out.extend(tokenize(attr));
     out.push(VAL.to_string());
     out.extend(tokenize(value));
-    out
-}
-
-/// Serialize a cell with its row as context: `ser(row) [SEP] [COL] attr [VAL]
-/// value` (context-dependent error detection).
-pub fn serialize_cell_in_context(row: &Record, attr: &str) -> Vec<String> {
-    let mut out = serialize_record(row);
-    out.push(SEP.to_string());
-    out.extend(serialize_cell(attr, row.get(attr).unwrap_or("")));
     out
 }
 
@@ -164,17 +155,6 @@ mod tests {
     fn serialize_pair_has_one_sep() {
         let toks = serialize_pair(&google(), &google());
         assert_eq!(toks.iter().filter(|t| *t == SEP).count(), 1);
-    }
-
-    #[test]
-    fn cell_in_context_appends_cell() {
-        let row = google();
-        let toks = serialize_cell_in_context(&row, "phone");
-        let s = parse_structure(&toks);
-        assert!(s.sep_index.is_some());
-        // Cell serialization repeats the attr after the [SEP].
-        let sep = s.sep_index.unwrap();
-        assert_eq!(toks[sep + 1], COL);
     }
 
     #[test]

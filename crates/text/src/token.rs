@@ -2,8 +2,7 @@
 //!
 //! These mirror the markers the paper inserts during serialization (§2.1):
 //! `[COL]`/`[VAL]` delimit attributes and values, `[SEP]` separates the two
-//! entities of a pair (or a row from the cell of interest in context-dependent
-//! error detection), and the usual LM bookkeeping tokens round out the set.
+//! entities of a pair, and the usual LM bookkeeping tokens round out the set.
 
 /// Classification summary token (first position of every model input).
 pub const CLS: &str = "[CLS]";

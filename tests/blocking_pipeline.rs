@@ -217,10 +217,7 @@ fn reference_pairs(left: &[Record], right: &[Record], cfg: &BlockingConfig) -> V
         .collect();
     let keys = |toks: &[Vec<String>]| -> Vec<Vec<u64>> {
         toks.iter()
-            .map(|ts| {
-                cfg.lsh
-                    .map_or_else(Vec::new, |p| band_keys(ts, p, cfg.seed))
-            })
+            .map(|ts| cfg.lsh.map_or_else(Vec::new, |_| band_keys(ts, cfg.seed)))
             .collect()
     };
     let (lkeys, rkeys) = (keys(&ltoks), keys(&rtoks));
@@ -285,10 +282,7 @@ fn lsh_and_df_ceiling_match_brute_force_reference() {
         // Prunes the stopwords and both constructed token sets, so the
         // constructed pairs can only come from the LSH tier.
         df_ceiling: Some(max_bucket - 1),
-        lsh: Some(LshParams {
-            max_bucket,
-            ..LshParams::default()
-        }),
+        lsh: Some(LshParams { max_bucket }),
         max_buffered_pairs: 256,
         ..Default::default()
     };

@@ -58,7 +58,6 @@ fn edt_generator_invariants() {
         let cfg = EdtConfig {
             rows: Some(50),
             seed,
-            ..Default::default()
         };
         let d = edt::generate(flavor, &cfg);
         // The generator injects errors into a fixed 18% of cells.

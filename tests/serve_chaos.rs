@@ -198,10 +198,7 @@ fn score_panic_fails_one_batch_not_the_batcher() {
 fn watchdog_respawns_panic_dead_worker_and_queued_job_survives() {
     let _guard = ChaosGuard::acquire();
     for threads in [1usize, 8] {
-        let server = boot(|c| {
-            c.score_threads = threads;
-            c.watchdog_tick = Duration::from_millis(5);
-        });
+        let server = boot(|c| c.score_threads = threads);
         let mut client = Client::connect(server.local_addr()).expect("connect");
 
         // `batcher_die` kills the worker thread *outside* the score guard,
@@ -234,7 +231,6 @@ fn watchdog_replaces_wedged_worker_while_it_finishes_its_batch() {
         let server = boot(|c| {
             c.score_threads = threads;
             c.wedge_timeout = Duration::from_millis(50);
-            c.watchdog_tick = Duration::from_millis(10);
         });
         let addr = server.local_addr();
 

@@ -148,13 +148,14 @@ fn concurrent_clients_get_bit_identical_scores_through_batching() {
         let served = h.join().expect("client thread");
         assert_eq!(served, direct, "every concurrent client sees direct scores");
     }
-    // The 8 concurrent requests must have shared batches at least once —
-    // otherwise the windowed batcher isn't batching.
-    let m = server.metrics();
-    let batches = m.batches.load(std::sync::atomic::Ordering::Relaxed);
-    let jobs = m.batched_jobs.load(std::sync::atomic::Ordering::Relaxed);
+    // Each of the 8 requests went through the batcher exactly once. Whether
+    // any of them shared a batch depends on timing; serve_chaos's
+    // `jobs_queued_behind_a_busy_worker_ride_one_batch` pins batch sharing.
+    let jobs = server
+        .metrics()
+        .batched_jobs
+        .load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(jobs, 8);
-    assert!(batches >= 1 && batches <= jobs);
     server.shutdown();
 }
 
