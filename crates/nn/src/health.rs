@@ -74,7 +74,7 @@ impl HealthMonitor {
     /// Create a monitor at step 0 with no rollback consumed.
     #[allow(
         clippy::new_without_default,
-        reason = "a monitor is built once per run by its driver; it has one constructor"
+        reason = "a monitor is built once per run by the epoch loop; it has one constructor"
     )]
     pub fn new() -> Self {
         Self {

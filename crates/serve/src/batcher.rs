@@ -37,10 +37,11 @@
 //! forward pass that never returns) are handled by a **watchdog** thread:
 //! every `WATCHDOG_TICK` (20 ms) it checks for a finished-by-panic worker
 //! or a worker busy longer than [`ServerConfig::wedge_timeout`], and
-//! respawns a fresh worker under a bumped queue generation. Queued jobs survive a respawn (the queue
-//! outlives the worker); an orphaned wedged worker still answers the batch
-//! it holds, then notices the generation bump and exits without pulling
-//! new work. Respawns are counted in `/metrics` as `batcher_respawns`.
+//! respawns a fresh worker under a bumped queue generation. Queued jobs
+//! survive a respawn (the queue outlives the worker); an orphaned wedged
+//! worker still answers the batch it holds, then notices the generation
+//! bump and exits without pulling new work. Respawns are counted in
+//! `/metrics` as `batcher_respawns`.
 //!
 //! ## Drain
 //!

@@ -44,7 +44,8 @@ pub const MAX_INPUTS_PER_REQUEST: usize = 256;
 /// idle mid-request gets a 408 first.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Server configuration: the one definition of every serving setting. The
+/// Server configuration: the one definition of every settable serving
+/// value (the idle timeout and the watchdog tick are constants). The
 /// batcher's worker and watchdog share it by `Arc`.
 #[derive(Debug)]
 pub struct ServerConfig {

@@ -7,7 +7,7 @@
 //! It also pins the bits that run leaves behind: the golden pins hash only
 //! metrics, which an ulp-level change inside `M_F` or `M_W` that flips no
 //! prediction cannot move. Both pins hold at any worker count
-//! (`ROTOM_THREADS`) and on every host, like the DeepMatcher parameter pin.
+//! (`ROTOM_THREADS`), on the hosts the DeepMatcher parameter pin holds on.
 
 use rotom::pipeline::evaluate;
 use rotom::{MetaConfig, MetaTrainer, ModelConfig, TinyLm};
