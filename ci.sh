@@ -16,6 +16,14 @@ awk 'FNR == 1 { in_tests = 0 }
      !in_tests && NF { n++ }
      END { print n }' $(find crates/*/src src -name '*.rs' | sort)
 
+# Informational, gates nothing: the same count over the bench targets
+# (crates/*/benches), which the line above leaves out.
+echo "== net bench-target lines"
+awk 'FNR == 1 { in_tests = 0 }
+     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+     !in_tests && NF { n++ }
+     END { print n }' $(find crates/*/benches -name '*.rs' | sort)
+
 # Informational, gates nothing: settable config values, i.e. the `pub`
 # fields of every `pub struct *Config` / `*Params` above each file's first
 # `#[cfg(test)]` in crates/*/src and src.

@@ -3,9 +3,8 @@
 //! weighting model, and the L2 uncertainty term of Eq. 2 — on one dataset
 //! per domain.
 
-use rotom::pipeline::run_method_with_base;
 use rotom::{AblationConfig, Method};
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{Cell, Grid, GridRow, Suite, Variant};
 use rotom_datasets::{
     edt::{self, EdtFlavor},
     em::{self, EmFlavor},
@@ -19,86 +18,44 @@ fn main() {
         suite.scale
     );
 
-    let tasks = [
+    let columns = [
+        (em::generate(EmFlavor::WalmartAmazon, &suite.em).name, 240),
+        (edt::generate(EdtFlavor::Beers, &suite.edt).name, 200),
         (
-            em::generate(EmFlavor::WalmartAmazon, &suite.em).to_task(),
-            240usize,
-            false,
-        ),
-        (
-            edt::generate(EdtFlavor::Beers, &suite.edt).to_task(),
-            200,
-            true,
-        ),
-        (
-            textcls::generate(TextClsFlavor::Trec, &suite.textcls),
+            textcls::generate(TextClsFlavor::Trec, &suite.textcls).name,
             100,
-            false,
         ),
     ];
 
-    let variants: Vec<(&str, AblationConfig)> = vec![
-        ("Rotom (full)", AblationConfig::default()),
-        (
-            "- filtering",
-            AblationConfig {
-                disable_filter: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "- weighting",
-            AblationConfig {
-                disable_weighting: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "- L2 term",
-            AblationConfig {
-                disable_l2: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "- both models",
-            AblationConfig {
-                disable_filter: true,
-                disable_weighting: true,
-                disable_l2: true,
-            },
-        ),
+    let off = |disable_filter, disable_weighting, disable_l2| AblationConfig {
+        disable_filter,
+        disable_weighting,
+        disable_l2,
+    };
+    let variants = [
+        ("Rotom (full)", off(false, false, false)),
+        ("- filtering", off(true, false, false)),
+        ("- weighting", off(false, true, false)),
+        ("- L2 term", off(false, false, true)),
+        ("- both models", off(true, true, true)),
     ];
 
-    let mut header = vec!["Variant".to_string()];
-    header.extend(tasks.iter().map(|(t, _, _)| t.name.clone()));
-    let mut rows = Vec::new();
-    let ctxs: Vec<_> = tasks.iter().map(|(t, _, _)| suite.prepare(t, 41)).collect();
+    let cells: Vec<Cell> = (variants.iter())
+        .flat_map(|(_, ablation)| {
+            columns.iter().map(|(name, budget)| {
+                Cell::new(name, *budget, Method::Rotom, 41)
+                    .with(Variant::Ablation(ablation.clone()))
+            })
+        })
+        .collect();
+    let results = suite.run(&cells);
 
-    for (label, ablation) in variants {
-        let mut row = vec![label.to_string()];
-        for ((task, budget, balanced), ctx) in tasks.iter().zip(&ctxs) {
-            let mut cfg = ctx.cfg.clone();
-            cfg.meta.ablation = ablation.clone();
-            let train = if *balanced {
-                task.sample_train_balanced(*budget, 0)
-            } else {
-                task.sample_train(*budget, 0)
-            };
-            let r = run_method_with_base(
-                task,
-                &train,
-                &train,
-                Method::Rotom,
-                &cfg,
-                Some(&ctx.invda),
-                Some(&ctx.base),
-                0,
-            );
-            row.push(pct(r.headline(task.kind)));
-        }
-        rows.push(row);
+    let names: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
+    let title = "Ablation: headline metric (x100)";
+    let mut grid = Grid::new(title, &["Variant"], &names, false);
+    for ((label, _), row) in variants.iter().zip(results.chunks(columns.len())) {
+        let means = row.iter().map(|c| c.mean).collect();
+        grid.rows.push(GridRow::new(vec![label.to_string()], means));
     }
-
-    print_table("Ablation: headline metric (x100)", &header, &rows);
+    grid.print();
 }

@@ -4,8 +4,7 @@
 //! detector actually catches. Raha's pattern features excel at format
 //! breaks; the LM sees typos through its character fallback.
 
-use rotom::pipeline::run_method_with_base;
-use rotom::Method;
+use rotom::pipeline::{evaluate, prepare_base};
 use rotom_baselines::raha::Raha;
 use rotom_bench::{print_table, Suite};
 use rotom_datasets::edt::{self, EdtFlavor, ErrorKind};
@@ -32,33 +31,21 @@ fn main() {
         // Raha with 20 tuples.
         let raha = Raha::train(&data, 20, 0);
 
-        // Rotom with the largest cell budget.
-        let ctx = suite.prepare(&task, 53);
+        // TinyLm fine-tuned on hard labels with the largest cell budget from
+        // the pre-trained base of context seed 53. Both its per-kind recall
+        // and its overall F1 come from this one model.
+        let cfg = suite.rotom_for(task.kind);
+        let base = prepare_base(&task, &cfg, 53);
         let budget = *suite.edt_budgets.last().unwrap();
         let train = task.sample_train_balanced(budget, 0);
-        // Re-train a model through the pipeline, then score cells directly.
-        let run = run_method_with_base(
-            &task,
-            &train,
-            &train,
-            Method::Rotom,
-            &ctx.cfg,
-            Some(&ctx.invda),
-            Some(&ctx.base),
-            0,
-        );
-        // The pipeline returns metrics, not the model, so rebuild the same
-        // model for per-cell scoring via the shared deterministic base.
-        let mut model = ctx.base.instantiate(&ctx.cfg, 0);
-        // One quick fine-tune pass mirroring the baseline (enough to score
-        // per-kind behaviour deterministically for the breakdown).
+        let mut model = base.instantiate(&cfg, 0);
         let items: Vec<rotom_meta::WeightedItem> = train
             .iter()
             .map(|e| rotom_meta::WeightedItem::hard(e.tokens.clone(), e.label, 2))
             .collect();
         let mut rng: rotom_rng::rngs::StdRng = rotom_rng::SeedableRng::seed_from_u64(1);
-        for _ in 0..ctx.cfg.train.epochs {
-            for chunk in items.chunks(ctx.cfg.train.batch_size) {
+        for _ in 0..cfg.train.epochs {
+            for chunk in items.chunks(cfg.train.batch_size) {
                 model.weighted_loss_backward(chunk, true, &mut rng);
                 model.optimizer_step();
             }
@@ -119,7 +106,7 @@ fn main() {
         rows.push(raha_row);
         let mut lm_row = vec!["TinyLm fine-tuned".to_string()];
         lm_row.extend(fmt(&lm_hits));
-        lm_row.push(format!("{:.1}", run.prf1.f1 * 100.0));
+        lm_row.push(format!("{:.1}", evaluate(&model, &task.test).1.f1 * 100.0));
         rows.push(lm_row);
 
         print_table(&format!("Per-kind recall: {}", data.name), &header, &rows);

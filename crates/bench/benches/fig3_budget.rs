@@ -7,9 +7,29 @@
 
 use rotom::Method;
 use rotom_baselines::run_raha;
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{Cell, Grid, GridRow, Suite};
 use rotom_datasets::edt::{self, EdtFlavor};
 use rotom_datasets::em::{self, EmFlavor};
+
+/// One dataset's series: a row per budget, a column per method, then
+/// `extra` (Raha's line) on every row.
+fn series(suite: &Suite, title: &str, name: &str, budgets: &[usize], ctx_seed: u64, extra: &[f32]) {
+    let mut columns: Vec<String> = Method::ALL.iter().map(|m| m.name().to_string()).collect();
+    if !extra.is_empty() {
+        columns.push("Raha(20-tpl)".to_string());
+    }
+    let cells: Vec<Cell> = (budgets.iter())
+        .flat_map(|&b| Method::ALL.map(|m| Cell::new(name, b, m, ctx_seed)))
+        .collect();
+    let results = suite.run(&cells);
+    let mut grid = Grid::new(title, &["Budget"], &columns, false);
+    for (budget, row) in budgets.iter().zip(results.chunks(Method::ALL.len())) {
+        let values = row.iter().map(|c| c.mean).chain(extra.iter().copied());
+        grid.rows
+            .push(GridRow::new(vec![budget.to_string()], values.collect()));
+    }
+    grid.print();
+}
 
 fn main() {
     let suite = Suite::from_env();
@@ -28,58 +48,25 @@ fn main() {
         rotom_bench::Scale::Full => (EmFlavor::ALL.to_vec(), EdtFlavor::ALL.to_vec()),
     };
 
-    let header: Vec<String> = std::iter::once("Budget".to_string())
-        .chain(Method::ALL.iter().map(|m| m.name().to_string()))
-        .collect();
-
     // Upper panel: EM.
     for flavor in em_flavors {
-        let task = em::generate(flavor, &suite.em).to_task();
-        let ctx = suite.prepare(&task, 23);
-        let rows: Vec<Vec<String>> = suite
-            .em_budgets
-            .iter()
-            .map(|&budget| {
-                let mut row = vec![budget.to_string()];
-                for method in Method::ALL {
-                    let avg = suite.run_avg(&task, budget, method, &ctx, false);
-                    row.push(pct(avg.mean));
-                }
-                row
-            })
-            .collect();
-        print_table(
-            &format!("Figure 3 (EM): {} — F1 vs budget", task.name),
-            &header,
-            &rows,
-        );
+        let name = em::generate(flavor, &suite.em).name;
+        let title = format!("Figure 3 (EM): {name} — F1 vs budget");
+        series(&suite, &title, &name, &suite.em_budgets, 23, &[]);
     }
 
     // Lower panel: EDT (+ the Raha 20-tuple reference line).
-    let mut edt_header = header.clone();
-    edt_header.push("Raha(20-tpl)".to_string());
     for flavor in edt_flavors {
         let data = edt::generate(flavor, &suite.edt);
         let raha_f1 = run_raha(&data, 20, 0).prf1.f1;
-        let task = data.to_task();
-        let ctx = suite.prepare(&task, 29);
-        let rows: Vec<Vec<String>> = suite
-            .edt_budgets
-            .iter()
-            .map(|&budget| {
-                let mut row = vec![budget.to_string()];
-                for method in Method::ALL {
-                    let avg = suite.run_avg(&task, budget, method, &ctx, true);
-                    row.push(pct(avg.mean));
-                }
-                row.push(pct(raha_f1));
-                row
-            })
-            .collect();
-        print_table(
-            &format!("Figure 3 (EDT): {} — F1 vs budget", task.name),
-            &edt_header,
-            &rows,
+        let title = format!("Figure 3 (EDT): {} — F1 vs budget", data.name);
+        series(
+            &suite,
+            &title,
+            &data.name,
+            &suite.edt_budgets,
+            29,
+            &[raha_f1],
         );
     }
 }

@@ -7,18 +7,10 @@
 //! grid search over operator pairs, with Rotom+SSL within 30% of Rotom.
 
 use rotom::Method;
-use rotom_bench::{print_table, Suite};
+use rotom_bench::{print_table, Cell, Suite};
 use rotom_datasets::edt::{self, EdtFlavor};
 use rotom_datasets::em::{self, EmFlavor};
 use rotom_datasets::textcls::{self, TextClsFlavor};
-use rotom_datasets::TaskDataset;
-
-struct Domain {
-    name: &'static str,
-    tasks: Vec<TaskDataset>,
-    budgets: Vec<usize>,
-    balanced: bool,
-}
 
 fn main() {
     let suite = Suite::from_env();
@@ -28,46 +20,26 @@ fn main() {
     );
 
     let quick = suite.scale == rotom_bench::Scale::Quick;
-    let domains = vec![
-        Domain {
-            name: "EM",
-            tasks: if quick {
-                vec![em::generate(EmFlavor::DblpAcm, &suite.em).to_task()]
-            } else {
-                EmFlavor::ALL
-                    .iter()
-                    .map(|&f| em::generate(f, &suite.em).to_task())
-                    .collect()
-            },
-            budgets: suite.em_budgets.clone(),
-            balanced: false,
-        },
-        Domain {
-            name: "EDT",
-            tasks: if quick {
-                vec![edt::generate(EdtFlavor::Beers, &suite.edt).to_task()]
-            } else {
-                EdtFlavor::ALL
-                    .iter()
-                    .map(|&f| edt::generate(f, &suite.edt).to_task())
-                    .collect()
-            },
-            budgets: suite.edt_budgets.clone(),
-            balanced: true,
-        },
-        Domain {
-            name: "TextCLS",
-            tasks: if quick {
-                vec![textcls::generate(TextClsFlavor::Trec, &suite.textcls)]
-            } else {
-                TextClsFlavor::ALL
-                    .iter()
-                    .map(|&f| textcls::generate(f, &suite.textcls))
-                    .collect()
-            },
-            budgets: suite.textcls_sizes.iter().map(|&s| 2 * s).collect(),
-            balanced: false,
-        },
+    let em: Vec<String> = (EmFlavor::ALL.iter())
+        .filter(|&&f| !quick || matches!(f, EmFlavor::DblpAcm))
+        .map(|&f| em::generate(f, &suite.em).name)
+        .collect();
+    let edt: Vec<String> = (EdtFlavor::ALL.iter())
+        .filter(|&&f| !quick || matches!(f, EdtFlavor::Beers))
+        .map(|&f| edt::generate(f, &suite.edt).name)
+        .collect();
+    let textcls: Vec<String> = (TextClsFlavor::ALL.iter())
+        .filter(|&&f| !quick || matches!(f, TextClsFlavor::Trec))
+        .map(|&f| textcls::generate(f, &suite.textcls).name)
+        .collect();
+    let domains = [
+        ("EM", em, suite.em_budgets.clone()),
+        ("EDT", edt, suite.edt_budgets.clone()),
+        (
+            "TextCLS",
+            textcls,
+            suite.textcls_sizes.iter().map(|&s| 2 * s).collect(),
+        ),
     ];
 
     let header: Vec<String> = std::iter::once("Budget".to_string())
@@ -75,29 +47,21 @@ fn main() {
         .chain(std::iter::once("Rotom/MixDA".to_string()))
         .collect();
 
-    for domain in domains {
-        let ctxs: Vec<_> = domain.tasks.iter().map(|t| suite.prepare(t, 31)).collect();
-        let rows: Vec<Vec<String>> = domain
-            .budgets
-            .iter()
-            .map(|&budget| {
+    for (domain, names, budgets) in domains {
+        let cells: Vec<Cell> = (budgets.iter())
+            .flat_map(|&b| Method::ALL.map(|m| (b, m)))
+            .flat_map(|(b, m)| names.iter().map(move |n| Cell::new(n, b, m, 31)))
+            .collect();
+        let results = suite.run(&cells);
+        let per_budget = results.chunks(Method::ALL.len() * names.len());
+        let rows: Vec<Vec<String>> = (budgets.iter().zip(per_budget))
+            .map(|(budget, cells)| {
+                // Mean seconds over the domain's datasets, per method.
+                let times: Vec<f32> = (cells.chunks(names.len()))
+                    .map(|c| c.iter().map(|r| r.seconds).sum::<f32>() / names.len() as f32)
+                    .collect();
                 let mut row = vec![budget.to_string()];
-                let mut times = Vec::new();
-                for method in Method::ALL {
-                    let secs: f32 = domain
-                        .tasks
-                        .iter()
-                        .zip(&ctxs)
-                        .map(|(task, ctx)| {
-                            suite
-                                .run_avg(task, budget, method, ctx, domain.balanced)
-                                .seconds
-                        })
-                        .sum::<f32>()
-                        / domain.tasks.len() as f32;
-                    times.push(secs);
-                    row.push(format!("{secs:.2}"));
-                }
+                row.extend(times.iter().map(|secs| format!("{secs:.2}")));
                 // Overhead ratio: Rotom vs MixDA (index 3 vs 1).
                 let ratio = if times[1] > 0.0 {
                     times[3] / times[1]
@@ -108,10 +72,7 @@ fn main() {
                 row
             })
             .collect();
-        print_table(
-            &format!("Figure 4: {} training time (s)", domain.name),
-            &header,
-            &rows,
-        );
+        let title = format!("Figure 4: {domain} training time (s)");
+        print_table(&title, &header, &rows);
     }
 }

@@ -6,7 +6,7 @@
 
 use rotom::Method;
 use rotom_baselines::gridsearch::{grid_search, Grid};
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{pct, print_table, Cell, Suite};
 use rotom_datasets::{
     edt::{self, EdtFlavor},
     em::{self, EmFlavor},
@@ -17,22 +17,13 @@ fn main() {
     let suite = Suite::from_env();
     println!("Grid-search cost vs Rotom ({:?} scale)", suite.scale);
 
-    let tasks = vec![
+    let tasks = [
         (
             em::generate(EmFlavor::WalmartAmazon, &suite.em).to_task(),
-            240usize,
-            false,
+            240,
         ),
-        (
-            edt::generate(EdtFlavor::Beers, &suite.edt).to_task(),
-            200,
-            true,
-        ),
-        (
-            textcls::generate(TextClsFlavor::Trec, &suite.textcls),
-            100,
-            false,
-        ),
+        (edt::generate(EdtFlavor::Beers, &suite.edt).to_task(), 200),
+        (textcls::generate(TextClsFlavor::Trec, &suite.textcls), 100),
     ];
 
     let header: Vec<String> = vec![
@@ -44,34 +35,16 @@ fn main() {
     ];
     let mut rows = Vec::new();
 
-    for (task, budget, balanced) in tasks {
+    for (task, budget) in tasks {
+        // The operator grids take the prepared base too, so this bench
+        // prepares the context itself and runs its two cells on it.
         let ctx = suite.prepare(&task, 47);
-        let train = if balanced {
-            task.sample_train_balanced(budget, 0)
-        } else {
-            task.sample_train(budget, 0)
-        };
-
-        let mixda = suite.run_avg(&task, budget, Method::MixDa, &ctx, balanced);
-        let rotom = suite.run_avg(&task, budget, Method::Rotom, &ctx, balanced);
-        let single = grid_search(
-            &task,
-            &train,
-            &train,
-            Grid::Single,
-            &ctx.cfg,
-            Some(&ctx.base),
-            0,
-        );
-        let pairs = grid_search(
-            &task,
-            &train,
-            &train,
-            Grid::Pairs,
-            &ctx.cfg,
-            Some(&ctx.base),
-            0,
-        );
+        let cell = |method| Cell::new(&task.name, budget, method, 47);
+        let mixda = suite.run_cell(&task, &ctx, &cell(Method::MixDa));
+        let rotom = suite.run_cell(&task, &ctx, &cell(Method::Rotom));
+        let (train, _) = cell(Method::MixDa).sample(&task, 0);
+        let [single, pairs] = [Grid::Single, Grid::Pairs]
+            .map(|grid| grid_search(&task, &train, &train, grid, &ctx.cfg, Some(&ctx.base), 0));
 
         let ratio = |t: f32| {
             if mixda.seconds > 0.0 {
@@ -87,20 +60,15 @@ fn main() {
             format!("{:.1}", mixda.seconds),
             "1.0x".into(),
         ]);
-        rows.push(vec![
-            String::new(),
-            format!("Grid single ({} cfgs)", single.configurations),
-            pct(single.best.headline(task.kind)),
-            format!("{:.1}", single.total_seconds),
-            ratio(single.total_seconds),
-        ]);
-        rows.push(vec![
-            String::new(),
-            format!("Grid pairs ({} cfgs)", pairs.configurations),
-            pct(pairs.best.headline(task.kind)),
-            format!("{:.1}", pairs.total_seconds),
-            ratio(pairs.total_seconds),
-        ]);
+        for (name, grid) in [("single", &single), ("pairs", &pairs)] {
+            rows.push(vec![
+                String::new(),
+                format!("Grid {name} ({} cfgs)", grid.configurations),
+                pct(grid.best.headline(task.kind)),
+                format!("{:.1}", grid.total_seconds),
+                ratio(grid.total_seconds),
+            ]);
+        }
         rows.push(vec![
             String::new(),
             "Rotom".into(),

@@ -4,60 +4,39 @@
 //! size (the paper's "(+x.xx)" annotation).
 
 use rotom::Method;
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{label, Cell, Grid, GridRow, Suite};
 use rotom_datasets::textcls::{self, TextClsFlavor};
 
 fn main() {
     let suite = Suite::from_env();
+    let sizes = &suite.textcls_sizes;
     println!(
-        "Table 10: TextCLS accuracy at sizes {:?} ({:?} scale, {} seed(s))",
-        suite.textcls_sizes, suite.scale, suite.seeds
+        "Table 10: TextCLS accuracy at sizes {sizes:?} ({:?} scale, {} seed(s))",
+        suite.scale, suite.seeds
     );
 
-    let tasks: Vec<_> = TextClsFlavor::ALL
+    let names: Vec<String> = TextClsFlavor::ALL
         .iter()
-        .map(|&f| textcls::generate(f, &suite.textcls))
+        .map(|&f| textcls::generate(f, &suite.textcls).name)
         .collect();
-    let ctxs: Vec<_> = tasks.iter().map(|t| suite.prepare(t, 11)).collect();
+    let keys: Vec<(Method, usize)> = (Method::ALL.iter())
+        .flat_map(|&m| sizes.iter().map(move |&s| (m, s)))
+        .collect();
+    let cells: Vec<Cell> = (keys.iter())
+        .flat_map(|&(m, s)| names.iter().map(move |n| Cell::new(n, s, m, 11)))
+        .collect();
+    let results = suite.run(&cells);
 
-    let mut header: Vec<String> = vec!["Method".to_string(), "Size".to_string()];
-    header.extend(tasks.iter().map(|t| t.name.clone()));
-    header.push("AVG".to_string());
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    // Baseline averages per size, for the delta annotation.
-    let mut baseline_avg: Vec<f32> = Vec::new();
-
-    for method in Method::ALL {
-        for (si, &size) in suite.textcls_sizes.iter().enumerate() {
-            let label = if method == Method::Baseline {
-                "TinyLm".to_string()
-            } else {
-                method.name().to_string()
-            };
-            let mut row = vec![label, size.to_string()];
-            let mut scores = Vec::with_capacity(tasks.len());
-            for (task, ctx) in tasks.iter().zip(&ctxs) {
-                let avg = suite.run_avg(task, size, method, ctx, false);
-                scores.push(avg.mean);
-                row.push(pct(avg.mean));
-            }
-            let avg = scores.iter().sum::<f32>() / scores.len() as f32;
-            if method == Method::Baseline {
-                baseline_avg.push(avg);
-                row.push(pct(avg));
-            } else {
-                let delta = avg - baseline_avg[si];
-                row.push(format!(
-                    "{} ({}{})",
-                    pct(avg),
-                    if delta >= 0.0 { "+" } else { "" },
-                    pct(delta)
-                ));
-            }
-            rows.push(row);
-        }
+    let title = "Table 10: TextCLS accuracy (x100)";
+    let mut grid = Grid::new(title, &["Method", "Size"], &names, true);
+    for (&(m, size), row) in keys.iter().zip(results.chunks(names.len())) {
+        let means = row.iter().map(|c| c.mean).collect();
+        grid.rows
+            .push(GridRow::new(vec![label(m).into(), size.to_string()], means));
     }
-
-    print_table("Table 10: TextCLS accuracy (x100)", &header, &rows);
+    // Each method's AVG is compared with the baseline's at the same size.
+    for (i, row) in grid.rows.iter_mut().enumerate().skip(sizes.len()) {
+        row.vs = Some(i % sizes.len());
+    }
+    grid.print();
 }

@@ -10,60 +10,66 @@
 
 use rotom::{Method, RunResult};
 use rotom_baselines::{run_hu, run_kumar, HuVariant, KumarVariant};
-use rotom_bench::{pct, print_table, Suite};
-use rotom_datasets::task::{sample_without_replacement, TaskDataset};
+use rotom_bench::{Cell, Grid, GridRow, Scale, Suite, Variant};
 use rotom_datasets::textcls::{self, TextClsFlavor};
-use rotom_rng::rngs::StdRng;
-use rotom_rng::SeedableRng;
+use rotom_datasets::{TaskDataset, TaskKind};
 use rotom_text::example::Example;
 
-/// Sample `n` examples per class.
-fn per_class_sample(task: &TaskDataset, per_class: usize, seed: u64) -> Vec<Example> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    for c in 0..task.num_classes {
-        let pool: Vec<Example> = task
-            .train_pool
-            .iter()
-            .filter(|e| e.label == c)
-            .cloned()
-            .collect();
-        out.extend(sample_without_replacement(&pool, per_class, &mut rng));
-    }
-    out
-}
+const METHODS: [Method; 4] = [
+    Method::Baseline,
+    Method::MixDa,
+    Method::InvDa,
+    Method::Rotom,
+];
 
-fn print_panel(
+/// A competing work's row: its label and its run on (task, train, valid).
+type Rival<'a> = (
+    &'static str,
+    &'a dyn Fn(&TaskDataset, &[Example], &[Example]) -> RunResult,
+);
+
+/// One panel: the LM methods on `flavors` through the cell runner, then
+/// the competing work's variants on the same samples; every row is
+/// compared with TinyLm's.
+fn panel(
+    suite: &Suite,
     title: &str,
-    tasks: &[TaskDataset],
-    runs: Vec<(String, Vec<RunResult>)>,
-    baseline_idx: usize,
+    flavors: [TextClsFlavor; 3],
+    variant: Variant,
+    ctx_seed: u64,
+    budget: impl Fn(&TaskDataset) -> usize,
+    rivals: [Rival; 2],
 ) {
-    let mut header = vec!["Method".to_string()];
-    header.extend(tasks.iter().map(|t| t.name.clone()));
-    let base: Vec<f32> = runs[baseline_idx].1.iter().map(|r| r.accuracy).collect();
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .enumerate()
-        .map(|(i, (label, results))| {
-            let mut row = vec![label.clone()];
-            for (j, r) in results.iter().enumerate() {
-                if i == baseline_idx {
-                    row.push(pct(r.accuracy));
-                } else {
-                    let d = r.accuracy - base[j];
-                    row.push(format!(
-                        "{} ({}{})",
-                        pct(r.accuracy),
-                        if d >= 0.0 { "+" } else { "" },
-                        pct(d)
-                    ));
-                }
-            }
-            row
-        })
+    let tasks: Vec<TaskDataset> = (flavors.iter())
+        .map(|&f| textcls::generate(f, &suite.textcls))
         .collect();
-    print_table(title, &header, &rows);
+    let names: Vec<String> = tasks.iter().map(|t| t.name.clone()).collect();
+    let budget = &budget;
+    let cells: Vec<Cell> = (METHODS.iter())
+        .flat_map(|&m| {
+            tasks
+                .iter()
+                .map(move |t| Cell::new(&t.name, budget(t), m, ctx_seed))
+        })
+        .map(|c| c.with(variant.clone()))
+        .collect();
+    let results = suite.run(&cells);
+    let mut grid = Grid::new(title, &["Method"], &names, false);
+    for (&m, row) in METHODS.iter().zip(results.chunks(tasks.len())) {
+        grid.rows.push(GridRow::method(m, row));
+    }
+    for (name, run) in rivals {
+        let accs = tasks.iter().zip(&cells).map(|(task, cell)| {
+            let (train, valid) = cell.sample(task, 0);
+            run(task, &train, &valid).accuracy
+        });
+        grid.rows
+            .push(GridRow::new(vec![name.into()], accs.collect()));
+    }
+    for row in &mut grid.rows[1..] {
+        row.vs = Some(0);
+    }
+    grid.print();
 }
 
 fn main() {
@@ -72,155 +78,51 @@ fn main() {
         "Table 11: Rotom vs Hu et al. '19 and Kumar et al. '20 ({:?} scale)",
         suite.scale
     );
+    let cfg = suite.rotom_for(TaskKind::TextClassification);
+    use TextClsFlavor::{Snips, Sst2, Sst5, Trec};
 
-    // ------------------------------------------------------------------
     // Panel A — Hu et al. regime: 40 per class (quick scale: 20).
-    // ------------------------------------------------------------------
     let per_class = match suite.scale {
-        rotom_bench::Scale::Quick => 20,
-        rotom_bench::Scale::Full => 40,
+        Scale::Quick => 20,
+        Scale::Full => 40,
     };
-    let hu_flavors = [
-        TextClsFlavor::Sst2,
-        TextClsFlavor::Sst5,
-        TextClsFlavor::Trec,
-    ];
-    let hu_tasks: Vec<_> = hu_flavors
-        .iter()
-        .map(|&f| textcls::generate(f, &suite.textcls))
-        .collect();
-    let mut hu_runs: Vec<(String, Vec<RunResult>)> = Vec::new();
-    {
-        let mut rows: Vec<(String, Vec<RunResult>)> = vec![
-            ("TinyLm".into(), Vec::new()),
-            ("MixDA".into(), Vec::new()),
-            ("InvDA".into(), Vec::new()),
-            ("Rotom".into(), Vec::new()),
-            (HuVariant::LearnedDa.name().into(), Vec::new()),
-            (HuVariant::LearnedDaPlusWeighting.name().into(), Vec::new()),
-        ];
-        for task in &hu_tasks {
-            let train = per_class_sample(task, per_class, 1);
-            let valid = per_class_sample(task, 5, 2);
-            let tctx = suite.prepare(task, 13);
-            for (ri, method) in [
-                Method::Baseline,
-                Method::MixDa,
-                Method::InvDa,
-                Method::Rotom,
-            ]
-            .iter()
-            .enumerate()
-            {
-                let r = rotom::pipeline::run_method_with_base(
-                    task,
-                    &train,
-                    &valid,
-                    *method,
-                    &tctx.cfg,
-                    Some(&tctx.invda),
-                    Some(&tctx.base),
-                    0,
-                );
-                rows[ri].1.push(r);
-            }
-            rows[4].1.push(run_hu(
-                task,
-                &train,
-                &valid,
-                HuVariant::LearnedDa,
-                &tctx.cfg,
-                0,
-            ));
-            rows[5].1.push(run_hu(
-                task,
-                &train,
-                &valid,
-                HuVariant::LearnedDaPlusWeighting,
-                &tctx.cfg,
-                0,
-            ));
-        }
-        hu_runs.append(&mut rows);
-    }
-    print_panel(
+    use HuVariant::{LearnedDa, LearnedDaPlusWeighting};
+    panel(
+        &suite,
         &format!(
             "Table 11a: Hu et al. regime ({per_class}/class; paper's IMDB → SST-2, see DESIGN.md)"
         ),
-        &hu_tasks,
-        hu_runs,
-        0,
+        [Sst2, Sst5, Trec],
+        Variant::PerClass,
+        13,
+        |_| per_class,
+        [
+            (LearnedDa.name(), &|t, train, valid| {
+                run_hu(t, train, valid, LearnedDa, &cfg, 0)
+            }),
+            (LearnedDaPlusWeighting.name(), &|t, train, valid| {
+                run_hu(t, train, valid, LearnedDaPlusWeighting, &cfg, 0)
+            }),
+        ],
     );
 
-    // ------------------------------------------------------------------
-    // Panel B — Kumar et al. regime: 1% of the training pool.
-    // ------------------------------------------------------------------
-    let kumar_flavors = [
-        TextClsFlavor::Snips,
-        TextClsFlavor::Sst2,
-        TextClsFlavor::Trec,
-    ];
-    let kumar_tasks: Vec<_> = kumar_flavors
-        .iter()
-        .map(|&f| textcls::generate(f, &suite.textcls))
-        .collect();
-    let mut kumar_runs: Vec<(String, Vec<RunResult>)> = vec![
-        ("TinyLm".into(), Vec::new()),
-        ("MixDA".into(), Vec::new()),
-        ("InvDA".into(), Vec::new()),
-        ("Rotom".into(), Vec::new()),
-        (KumarVariant::CgBart.name().into(), Vec::new()),
-        (KumarVariant::CgBert.name().into(), Vec::new()),
-    ];
-    for task in &kumar_tasks {
-        // "1%" of the original large pools ≈ a few dozen examples; at least
-        // 2 per class so every label is present.
-        let n = (task.train_pool.len() / 10).max(task.num_classes * 2);
-        let train = task.sample_train(n, 3);
-        let valid = per_class_sample(task, 5, 4);
-        let tctx = suite.prepare(task, 17);
-        for (ri, method) in [
-            Method::Baseline,
-            Method::MixDa,
-            Method::InvDa,
-            Method::Rotom,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let r = rotom::pipeline::run_method_with_base(
-                task,
-                &train,
-                &valid,
-                *method,
-                &tctx.cfg,
-                Some(&tctx.invda),
-                Some(&tctx.base),
-                0,
-            );
-            kumar_runs[ri].1.push(r);
-        }
-        kumar_runs[4].1.push(run_kumar(
-            task,
-            &train,
-            &valid,
-            KumarVariant::CgBart,
-            &tctx.cfg,
-            0,
-        ));
-        kumar_runs[5].1.push(run_kumar(
-            task,
-            &train,
-            &valid,
-            KumarVariant::CgBert,
-            &tctx.cfg,
-            0,
-        ));
-    }
-    print_panel(
+    // Panel B — Kumar et al. regime: "1%" of the original large pools ≈ a
+    // few dozen examples; at least 2 per class so every label is present.
+    use KumarVariant::{CgBart, CgBert};
+    panel(
+        &suite,
         "Table 11b: Kumar et al. regime (1% samples)",
-        &kumar_tasks,
-        kumar_runs,
-        0,
+        [Snips, Sst2, Trec],
+        Variant::OnePercent,
+        17,
+        |t| (t.train_pool.len() / 10).max(t.num_classes * 2),
+        [
+            (CgBart.name(), &|t, train, valid| {
+                run_kumar(t, train, valid, CgBart, &cfg, 0)
+            }),
+            (CgBert.name(), &|t, train, valid| {
+                run_kumar(t, train, valid, CgBert, &cfg, 0)
+            }),
+        ],
     );
 }

@@ -7,8 +7,9 @@
 use rotom::Method;
 use rotom_baselines::deepmatcher::{DeepMatcher, DmConfig, DmEncoder};
 use rotom_baselines::run_brunner;
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{Cell, Grid, GridRow, Suite};
 use rotom_datasets::em::{self, EmConfig, EmFlavor};
+use rotom_datasets::TaskKind;
 
 fn main() {
     let suite = Suite::from_env();
@@ -19,22 +20,19 @@ fn main() {
     );
 
     // Column per dataset: 5 clean + 3 dirty.
-    let mut datasets = Vec::new();
-    for flavor in EmFlavor::ALL {
-        datasets.push(em::generate(flavor, &suite.em));
-    }
-    for flavor in EmFlavor::WITH_DIRTY {
-        let cfg = EmConfig {
-            dirty: true,
-            ..suite.em.clone()
-        };
-        datasets.push(em::generate(flavor, &cfg));
-    }
-
-    let header: Vec<String> = std::iter::once("Method".to_string())
-        .chain(datasets.iter().map(|d| d.name.clone()))
+    let dirty = EmConfig {
+        dirty: true,
+        ..suite.em.clone()
+    };
+    let datasets: Vec<_> = (EmFlavor::ALL.iter().map(|&f| em::generate(f, &suite.em)))
+        .chain(
+            EmFlavor::WITH_DIRTY
+                .iter()
+                .map(|&f| em::generate(f, &dirty)),
+        )
         .collect();
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let names: Vec<String> = datasets.iter().map(|d| d.name.clone()).collect();
+    let mut grid = Grid::new("Table 8: EM F1 (x100)", &["Method"], &names, false);
 
     // DeepMatcher trained on the FULL train pool (the paper's DM row uses
     // the full datasets) and the low-resource DM+TinyLm variant.
@@ -42,8 +40,7 @@ fn main() {
         ("DM (full)", DmEncoder::Gru, true),
         ("DM+TinyLm", DmEncoder::TinyLm, false),
     ] {
-        let mut row = vec![label.to_string()];
-        for data in &datasets {
+        let f1s = datasets.iter().map(|data| {
             let n = if full_data {
                 data.train_pairs.len()
             } else {
@@ -55,43 +52,27 @@ fn main() {
                 encoder,
                 ..Default::default()
             };
-            let m = DeepMatcher::train(data, &idx, cfg, 0);
-            row.push(pct(m.evaluate(data).f1));
-        }
-        rows.push(row);
+            DeepMatcher::train(data, &idx, cfg, 0).evaluate(data).f1
+        });
+        grid.rows
+            .push(GridRow::new(vec![label.into()], f1s.collect()));
     }
 
     // Brunner et al.: alternative serialization, baseline fine-tuning.
-    {
-        let mut row = vec!["Brunner et al.".to_string()];
-        for data in &datasets {
-            let r = run_brunner(
-                data,
-                budget,
-                &suite.rotom_for(rotom_datasets::TaskKind::EntityMatching),
-                0,
-            );
-            row.push(pct(r.prf1.f1));
-        }
-        rows.push(row);
-    }
+    let cfg = suite.rotom_for(TaskKind::EntityMatching);
+    let f1s = datasets
+        .iter()
+        .map(|d| run_brunner(d, budget, &cfg, 0).prf1.f1);
+    grid.rows
+        .push(GridRow::new(vec!["Brunner et al.".into()], f1s.collect()));
 
     // The five LM methods over the [COL]/[VAL] serialization.
-    let tasks: Vec<_> = datasets.iter().map(|d| d.to_task()).collect();
-    let ctxs: Vec<_> = tasks.iter().map(|t| suite.prepare(t, 7)).collect();
-    for method in Method::ALL {
-        let label = if method == Method::Baseline {
-            "TinyLm"
-        } else {
-            method.name()
-        };
-        let mut row = vec![label.to_string()];
-        for (task, ctx) in tasks.iter().zip(&ctxs) {
-            let avg = suite.run_avg(task, budget, method, ctx, false);
-            row.push(pct(avg.mean));
-        }
-        rows.push(row);
+    let cells: Vec<Cell> = (Method::ALL.iter())
+        .flat_map(|&m| names.iter().map(move |n| Cell::new(n, budget, m, 7)))
+        .collect();
+    let results = suite.run(&cells);
+    for (&m, row) in Method::ALL.iter().zip(results.chunks(names.len())) {
+        grid.rows.push(GridRow::method(m, row));
     }
-
-    print_table("Table 8: EM F1 (x100)", &header, &rows);
+    grid.print();
 }

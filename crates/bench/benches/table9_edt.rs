@@ -6,7 +6,7 @@
 
 use rotom::Method;
 use rotom_baselines::run_raha;
-use rotom_bench::{pct, print_table, Suite};
+use rotom_bench::{Cell, Grid, GridRow, Suite};
 use rotom_datasets::edt::{self, EdtFlavor};
 
 fn main() {
@@ -21,44 +21,26 @@ fn main() {
         .iter()
         .map(|&f| edt::generate(f, &suite.edt))
         .collect();
-
-    let mut header: Vec<String> = std::iter::once("Method".to_string())
-        .chain(datasets.iter().map(|d| d.name.clone()))
-        .collect();
-    header.push("AVG".to_string());
-    let mut rows: Vec<Vec<String>> = Vec::new();
-
-    let push_row = |label: &str, scores: Vec<f32>, rows: &mut Vec<Vec<String>>| {
-        let avg = scores.iter().sum::<f32>() / scores.len() as f32;
-        let mut row = vec![label.to_string()];
-        row.extend(scores.iter().map(|&s| pct(s)));
-        row.push(pct(avg));
-        rows.push(row);
-    };
+    let names: Vec<String> = datasets.iter().map(|d| d.name.clone()).collect();
+    let mut grid = Grid::new(
+        "Table 9: Error-detection F1 (x100)",
+        &["Method"],
+        &names,
+        true,
+    );
 
     // Raha with 20 labeled tuples.
-    let raha_scores: Vec<f32> = datasets
-        .iter()
-        .map(|d| run_raha(d, 20, 0).prf1.f1)
-        .collect();
-    push_row("Raha (20-tpl)", raha_scores, &mut rows);
+    let raha = datasets.iter().map(|d| run_raha(d, 20, 0).prf1.f1);
+    grid.rows
+        .push(GridRow::new(vec!["Raha (20-tpl)".into()], raha.collect()));
 
     // LM methods with ≤ `budget` labeled cells (balanced clean/dirty).
-    let tasks: Vec<_> = datasets.iter().map(|d| d.to_task()).collect();
-    let ctxs: Vec<_> = tasks.iter().map(|t| suite.prepare(t, 9)).collect();
-    for method in Method::ALL {
-        let label = if method == Method::Baseline {
-            "TinyLm"
-        } else {
-            method.name()
-        };
-        let scores: Vec<f32> = tasks
-            .iter()
-            .zip(&ctxs)
-            .map(|(task, ctx)| suite.run_avg(task, budget, method, ctx, true).mean)
-            .collect();
-        push_row(label, scores, &mut rows);
+    let cells: Vec<Cell> = (Method::ALL.iter())
+        .flat_map(|&m| names.iter().map(move |n| Cell::new(n, budget, m, 9)))
+        .collect();
+    let results = suite.run(&cells);
+    for (&m, row) in Method::ALL.iter().zip(results.chunks(names.len())) {
+        grid.rows.push(GridRow::method(m, row));
     }
-
-    print_table("Table 9: Error-detection F1 (x100)", &header, &rows);
+    grid.print();
 }

@@ -12,60 +12,9 @@
 //! ```
 
 use rotom::{Method, RunResult};
-use rotom_bench::Suite;
-use rotom_datasets::{
-    edt::{self, EdtFlavor},
-    em::{self, EmConfig, EmFlavor},
-    textcls::{self, TextClsFlavor},
-    TaskDataset, TaskKind,
-};
+use rotom_bench::{Cell, Suite};
+use rotom_datasets::TaskDataset;
 use std::process::ExitCode;
-
-fn parse_dataset(name: &str, suite: &Suite) -> Option<TaskDataset> {
-    let lower = name.to_lowercase();
-    let (em_name, dirty) = match lower.strip_suffix("-dirty") {
-        Some(base) => (base.to_string(), true),
-        None => (lower.clone(), false),
-    };
-    let em_flavor = match em_name.as_str() {
-        "abt-buy" => Some(EmFlavor::AbtBuy),
-        "amazon-google" => Some(EmFlavor::AmazonGoogle),
-        "dblp-acm" => Some(EmFlavor::DblpAcm),
-        "dblp-scholar" => Some(EmFlavor::DblpScholar),
-        "walmart-amazon" => Some(EmFlavor::WalmartAmazon),
-        _ => None,
-    };
-    if let Some(f) = em_flavor {
-        let cfg = EmConfig {
-            dirty,
-            ..suite.em.clone()
-        };
-        return Some(em::generate(f, &cfg).to_task());
-    }
-    let edt_flavor = match lower.as_str() {
-        "beers" => Some(EdtFlavor::Beers),
-        "hospital" => Some(EdtFlavor::Hospital),
-        "movies" => Some(EdtFlavor::Movies),
-        "rayyan" => Some(EdtFlavor::Rayyan),
-        "tax" => Some(EdtFlavor::Tax),
-        _ => None,
-    };
-    if let Some(f) = edt_flavor {
-        return Some(edt::generate(f, &suite.edt).to_task());
-    }
-    let text_flavor = match lower.as_str() {
-        "ag" => Some(TextClsFlavor::Ag),
-        "am-2" => Some(TextClsFlavor::Am2),
-        "am-5" => Some(TextClsFlavor::Am5),
-        "atis" => Some(TextClsFlavor::Atis),
-        "snips" => Some(TextClsFlavor::Snips),
-        "sst-2" => Some(TextClsFlavor::Sst2),
-        "sst-5" => Some(TextClsFlavor::Sst5),
-        "trec" => Some(TextClsFlavor::Trec),
-        _ => None,
-    };
-    text_flavor.map(|f| textcls::generate(f, &suite.textcls))
-}
 
 fn parse_method(name: &str) -> Option<Method> {
     match name.to_lowercase().as_str() {
@@ -113,7 +62,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let suite = Suite::from_env();
-    let task = match parse_dataset(&args[0], &suite) {
+    let task = match suite.dataset(&args[0]) {
         Some(t) => t,
         None => {
             eprintln!(
@@ -137,8 +86,7 @@ fn main() -> ExitCode {
     };
 
     let ctx = suite.prepare(&task, seed);
-    let balanced = task.kind == TaskKind::ErrorDetection;
-    let avg = suite.run_avg(&task, budget, method, &ctx, balanced);
+    let avg = suite.run_cell(&task, &ctx, &Cell::new(&task.name, budget, method, seed));
     report(&task, &avg.results[0]);
     ExitCode::SUCCESS
 }
